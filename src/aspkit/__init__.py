@@ -30,7 +30,7 @@ from .consequence import (
     tp_step,
     wait_levels,
 )
-from .reify import ReifiedFact, ReifyError, facts_to_text, parse_reified, reify, text_to_facts
+from .reify import ReifiedFact, ReifyError, facts_to_text, parse_reified, text_to_facts
 from .optimize import default_optimal, dominates, optimal_answer_sets
 from .metaenc import build_meta_program, crosscheck, effective_criteria, solve_meta
 

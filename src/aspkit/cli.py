@@ -76,7 +76,11 @@ def cmd_check(args) -> int:
     program = parse_program(_read(args.program))
     known = core.atoms(program)
     names = [n.strip() for n in args.interpretation.split(",") if n.strip()]
-    x = frozenset(Atom(n) for n in names)
+    try:
+        x = frozenset(Atom(n) for n in names)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     for atom in sorted(x):
         if atom not in known:
             print(f"error: unknown atom {atom}", file=sys.stderr)
@@ -120,8 +124,32 @@ def cmd_crosscheck(args) -> int:
     return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line and exits 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(least: int):
+    """Argument type: an integer no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}: {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aspkit",
         description="Toolkit for ground extended logic programs.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -135,19 +163,22 @@ def _build_parser() -> argparse.ArgumentParser:
     add("reify", cmd_reify, help="print the fact representation")
 
     p = add("solve", cmd_solve, help="enumerate answer sets")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--max-atoms", type=int, default=core.DEFAULT_ATOM_CAP)
+    p.add_argument("--limit", type=_at_least(1), default=None)
+    p.add_argument("--max-atoms", type=_at_least(0),
+                   default=core.DEFAULT_ATOM_CAP)
 
     p = add("optimize", cmd_optimize, help="select optimal answer sets")
     p.add_argument("--criteria", default=None, help="criteria fact file")
     p.add_argument("--mode", choices=("complex", "default"), default="complex")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--max-atoms", type=int, default=core.DEFAULT_ATOM_CAP)
+    p.add_argument("--limit", type=_at_least(1), default=None)
+    p.add_argument("--max-atoms", type=_at_least(0),
+                   default=core.DEFAULT_ATOM_CAP)
 
     p = add("check", cmd_check, help="classify an interpretation")
     p.add_argument("--interpretation", required=True,
                    help="comma-separated atom names (may be empty)")
-    p.add_argument("--max-atoms", type=int, default=core.DEFAULT_ATOM_CAP)
+    p.add_argument("--max-atoms", type=_at_least(0),
+                   default=core.DEFAULT_ATOM_CAP)
 
     p = add("metaenc", cmd_metaenc,
             help="print the saturation-based check program")
@@ -156,7 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("crosscheck", cmd_crosscheck,
             help="compare native and check-program optima")
     p.add_argument("--criteria", default=None)
-    p.add_argument("--max-atoms", type=int, default=core.DEFAULT_ATOM_CAP)
+    p.add_argument("--max-atoms", type=_at_least(0),
+                   default=core.DEFAULT_ATOM_CAP)
 
     return parser
 

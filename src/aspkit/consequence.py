@@ -120,8 +120,7 @@ def sccs(graph: DependencyGraph, program: Program) -> SccDecomposition:
     components: list[SccComponent] = []
     next_label = 0
     for members in found:
-        nontrivial = any(
-            a in members and b in members for a, b in graph.edges)
+        nontrivial = len(members) > 1 or any(a in succ[a] for a in members)
         connecting: list[ComponentElement] = []
         if nontrivial:
             for rule in program.rules:

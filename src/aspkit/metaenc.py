@@ -45,10 +45,10 @@ from .core import (
     SumConstraint,
     WeightedLiteral,
 )
-from .consequence import tp_iterate
+from .compiled import CompiledProgram, HornClosure
 from .optimize import optimal_answer_sets
 from .reify import Reification, Term, parse_reified, reify, reify_structure
-from .semantics import canonical_order, is_model, reduct, satisfies
+from .semantics import canonical_order
 
 #: Default cap on guessed candidate-side atoms in solve_meta.
 DEFAULT_META_CAP = 26
@@ -652,95 +652,6 @@ def build_meta_program(facts, crit: CriteriaSet) -> MetaProgram:
     )
 
 
-class _GroundClosure:
-    """Forward closure of positive ground rules with lower-bound sums."""
-
-    def __init__(self, rules):
-        self.index: dict[Atom, int] = {}
-        self.heads: list[int] = []
-        self.plain: list[tuple[int, ...]] = []
-        self.bounds: list[tuple[int, ...]] = []
-        self.facts: list[int] = []
-        self.plain_watch: dict[int, list[int]] = {}
-        self.sum_watch: dict[int, list[tuple[int, int, int]]] = {}
-        for rule in rules:
-            self._add(rule)
-
-    def _atom(self, atom: Atom) -> int:
-        if atom not in self.index:
-            self.index[atom] = len(self.index)
-        return self.index[atom]
-
-    def _add(self, rule: Rule) -> None:
-        assert isinstance(rule.head, Disjunction) and len(rule.head.atoms) == 1
-        rid = len(self.heads)
-        head = self._atom(rule.head.atoms[0])
-        plain: list[int] = []
-        bounds: list[int] = []
-        for bl in rule.body:
-            assert not bl.negated, "counterexample rules must be positive"
-            if isinstance(bl.element, Atom):
-                plain.append(self._atom(bl.element))
-            else:
-                slot = len(bounds)
-                bounds.append(bl.element.lower or 0)
-                weights: dict[int, int] = {}
-                for wl in bl.element.elements:
-                    assert not wl.literal.negated
-                    idx = self._atom(wl.literal.atom)
-                    weights[idx] = weights.get(idx, 0) + wl.weight
-                for idx, weight in weights.items():
-                    self.sum_watch.setdefault(idx, []).append(
-                        (rid, slot, weight))
-        plain = sorted(set(plain))
-        for idx in plain:
-            self.plain_watch.setdefault(idx, []).append(rid)
-        self.heads.append(head)
-        self.plain.append(tuple(plain))
-        self.bounds.append(tuple(bounds))
-        if not plain and not bounds:
-            self.facts.append(head)
-
-    def derives(self, seed, target: Atom) -> bool:
-        """Whether the closure of the rules over ``seed`` contains
-        ``target``; unknown seed atoms are ignored."""
-        goal = self.index.get(target)
-        if goal is None:
-            return False
-        n = len(self.index)
-        derived = bytearray(n)
-        missing = [len(p) for p in self.plain]
-        acc = [list(b) for b in self.bounds]
-        queue: list[int] = []
-
-        def push(idx: int) -> None:
-            if not derived[idx]:
-                derived[idx] = 1
-                queue.append(idx)
-
-        for head in self.facts:
-            push(head)
-        for atom in seed:
-            idx = self.index.get(atom)
-            if idx is not None:
-                push(idx)
-        pos = 0
-        while pos < len(queue):
-            idx = queue[pos]
-            pos += 1
-            if derived[goal]:
-                return True
-            for rid in self.plain_watch.get(idx, ()):
-                missing[rid] -= 1
-                if missing[rid] == 0 and all(v <= 0 for v in acc[rid]):
-                    push(self.heads[rid])
-            for rid, slot, weight in self.sum_watch.get(idx, ()):
-                acc[rid][slot] -= weight
-                if missing[rid] == 0 and all(v <= 0 for v in acc[rid]):
-                    push(self.heads[rid])
-        return derived[goal] == 1
-
-
 class MetaSolver:
     """Structure-exploiting solver for generated check programs."""
 
@@ -750,33 +661,29 @@ class MetaSolver:
         if len(self.object_atoms) > cap:
             raise CapExceededError(
                 f"{len(self.object_atoms)} candidate atoms exceed meta cap {cap}")
-        self.candidate_program = Program(mp.candidate)
+        order = sorted(mp.candidate_side)
+        self._definitions = CompiledProgram(mp.candidate_definitions, order)
+        self._candidate = CompiledProgram(mp.candidate, order)
+        self._hold_bits = {a: self._candidate.bit[h]
+                           for a, h in mp.candidate_atoms.items()}
         self._static = mp.evaluate + mp.check + mp.saturate
 
-    def candidate_interpretation(self, x: Interpretation) -> Interpretation:
-        interp = {self.mp.candidate_atoms[a] for a in x}
+    def _candidate_mask(self, x: Interpretation) -> int:
+        mask = 0
+        for atom in x:
+            mask |= self._hold_bits[atom]
         # definitions are ordered sums before conjunctions, so one pass
         # settles each layer even though conjunction bodies may negate sums
-        changed = True
-        while changed:
-            changed = False
-            for rule in self.mp.candidate_definitions:
-                head = rule.head.atoms[0]
-                if head not in interp and satisfies(frozenset(interp), rule.body):
-                    interp.add(head)
-                    changed = True
-        return frozenset(interp)
+        return self._definitions.forward(mask)
+
+    def candidate_interpretation(self, x: Interpretation) -> Interpretation:
+        return self._candidate.decode(self._candidate_mask(x))
 
     def candidate_stable(self, x: Interpretation) -> bool:
         """Whether the candidate part has an answer set projecting to x."""
-        interp = self.candidate_interpretation(x)
-        if not is_model(interp, self.candidate_program):
-            return False
-        steps = len(core.atoms(self.candidate_program))
-        reduced = reduct(self.candidate_program, interp)
-        return tp_iterate(reduced, frozenset(), steps) == interp
+        return self._candidate.is_answer_set(self._candidate_mask(x))
 
-    def _closure_for(self, x: Interpretation) -> _GroundClosure:
+    def _closure_for(self, x: Interpretation) -> HornClosure:
         interp = self.candidate_interpretation(x)
         resolved: list[Rule] = []
         for rule in self.mp.compare:
@@ -792,9 +699,9 @@ class MetaSolver:
                 body.append(bl)
             if keep:
                 resolved.append(Rule(rule.head, tuple(body)))
-        return _GroundClosure(tuple(self._static) + tuple(resolved))
+        return HornClosure.of_rules(self._static + tuple(resolved))
 
-    def refutes(self, closure: _GroundClosure, y: Interpretation) -> bool:
+    def refutes(self, closure: HornClosure, y: Interpretation) -> bool:
         """Whether the counterexample side derives bot for guess y."""
         seed = [self.mp.true_atoms[a] if a in y else self.mp.fail_atoms[a]
                 for a in self.object_atoms]

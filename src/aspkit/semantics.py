@@ -1,11 +1,18 @@
-"""Satisfaction, reducts, and brute-force answer-set enumeration.
+"""Satisfaction, reducts, and answer-set enumeration.
 
 Answer sets follow choice semantics for sum constraints and
 minimal-model semantics for disjunctions: an interpretation is an
 answer set if it is a model of the program and a minimal model of its
-own reduct.  Minimality is checked by exhaustive subset enumeration so
-that this module stays an independent oracle for the fixpoint-based
-machinery layered on top of it.
+own reduct.
+
+:func:`enumerate_answer_sets` tries every interpretation on the
+program compiled to bitmasks (:mod:`aspkit.compiled`): a compiled model
+check, then, without proper disjunctions, a comparison with the least
+model of the reduct.  Programs with a proper disjunction still take the
+subset-minimality check.  :func:`is_answer_set` and
+:func:`is_minimal_model` check minimality by exhaustive subset
+enumeration on the syntax objects, so they stay an independent oracle
+for the compiled check and the fixpoint-based machinery.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .compiled import CompiledProgram
 from .core import (
     DEFAULT_ATOM_CAP,
     Atom,
@@ -148,10 +156,16 @@ def enumerate_answer_sets(program: Program, limit: int | None = None,
     if len(universe) > cap:
         raise CapExceededError(
             f"{len(universe)} atoms exceed enumeration cap {cap}")
-    found: list[Interpretation] = []
-    for mask in range(1 << len(universe)):
-        x = frozenset(a for i, a in enumerate(universe) if mask >> i & 1)
-        if is_model(x, program) and is_minimal_model(x, reduct(program, x), cap):
-            found.append(x)
+    compiled = CompiledProgram(program.rules, universe)
+    if compiled.extended:
+        stable = compiled.is_answer_set
+    else:
+        def stable(mask: int) -> bool:
+            if not compiled.is_model(mask):
+                return False
+            x = compiled.decode(mask)
+            return is_minimal_model(x, reduct(program, x), cap)
+    found = [compiled.decode(mask) for mask in range(1 << len(universe))
+             if stable(mask)]
     ordered = canonical_order(found)
     return ordered[:limit] if limit is not None else ordered

@@ -44,13 +44,17 @@ def random_sum(rng: random.Random, pool, negation=True) -> SumConstraint:
 
 
 def random_program(rng: random.Random, max_atoms=8, max_rules=10,
-                   minimize=False, levels=(1, 2), weights=(1, 2)) -> Program:
-    """A random extended program with sum heads/bodies and negation."""
+                   minimize=False, levels=(1, 2), weights=(1, 2),
+                   disjunctive=False) -> Program:
+    """A random extended program with sum heads/bodies and negation;
+    with ``disjunctive``, some heads are proper disjunctions."""
     pool = [Atom(n) for n in NAMES[:rng.randint(2, max_atoms)]]
     rules = []
     for _ in range(rng.randint(1, max_rules)):
         dice = rng.random()
-        if dice < 0.45:
+        if disjunctive and dice < 0.2:
+            head = Disjunction(tuple(rng.sample(pool, 2)))
+        elif dice < 0.45:
             head = Disjunction((rng.choice(pool),))
         elif dice < 0.85:
             head = random_sum(rng, pool)

@@ -140,6 +140,14 @@ class TestCheck:
                            "--interpretation", "p,zz")
         assert code == 2 and "zz" in err
 
+    @pytest.mark.parametrize("names", ["A", "a b", "p,Q"])
+    def test_invalid_atom_name(self, capsys, toy_file, names):
+        code, out, err = run(capsys, "check", toy_file,
+                             "--interpretation", names)
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid atom name")
+        assert len(err.splitlines()) == 1
+
 
 class TestReify:
     def test_first_fact(self, capsys, toy_file):
@@ -212,6 +220,34 @@ class TestCrosscheck:
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("command", ["solve", "optimize"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x", "1.5"])
+    def test_limit_must_be_positive(self, capsys, toy_file, command, value):
+        code, out, err = run(capsys, command, toy_file, "--limit", value)
+        assert code == 2 and out == ""
+        assert "--limit" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["optimize"], ["check", "--interpretation", "p"],
+        ["crosscheck"]])
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_max_atoms_must_be_non_negative(self, capsys, toy_file, command,
+                                            value):
+        code, out, err = run(capsys, command[0], toy_file, *command[1:],
+                             "--max-atoms", value)
+        assert code == 2 and out == ""
+        assert "--max-atoms" in err and len(err.splitlines()) == 1
+
+    def test_smallest_accepted_values(self, capsys, toy_file, tmp_path):
+        code, out, _ = run(capsys, "solve", toy_file, "--limit", "1")
+        assert code == 0 and out == "{p,q}\n"
+        empty = tmp_path / "empty.lp"
+        empty.write_text("")
+        code, out, _ = run(capsys, "solve", str(empty), "--max-atoms", "0")
+        assert code == 0 and out == "{}\n"
+        code, _, err = run(capsys, "solve", toy_file, "--max-atoms", "0")
+        assert code == 4 and "cap" in err
 
     def test_unknown_file(self, capsys):
         code = main(["solve", "/nonexistent/file.lp"])

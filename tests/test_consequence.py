@@ -4,6 +4,7 @@ import pytest
 
 from aspkit.consequence import (
     ComponentWait,
+    DependencyGraph,
     dependency_graph,
     is_supported_model,
     scc_fixpoint_check,
@@ -80,6 +81,22 @@ class TestSccs:
         program = parse_program("a :- a.")
         decomposition = sccs(dependency_graph(program), program)
         assert decomposition.by_label(0).atoms == iset("a")
+
+    def test_nontrivial_flags_match_internal_edges(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            nodes = [Atom(f"v{i}") for i in range(rng.randint(1, 12))]
+            edges = frozenset(
+                (rng.choice(nodes), rng.choice(nodes))
+                for _ in range(rng.randint(0, 2 * len(nodes))))
+            graph = DependencyGraph(frozenset(nodes), edges)
+            decomposition = sccs(graph, Program())
+            assert sorted(a for c in decomposition.components
+                          for a in c.atoms) == sorted(nodes)
+            for component in decomposition.components:
+                internal = any(a in component.atoms and b in component.atoms
+                               for a, b in edges)
+                assert component.nontrivial == internal
 
 
 class TestTpOperator:

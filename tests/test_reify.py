@@ -193,3 +193,11 @@ class TestValidation:
             "wlist(1,0,pos(atom(a)),-1).\n")
         with pytest.raises(ReifyError, match="negative weight"):
             parse_reified(facts)
+
+
+def test_package_attribute_is_the_module():
+    import aspkit
+    import aspkit.reify as module
+
+    assert module is aspkit.reify
+    assert callable(module.reify_structure) and callable(module.reify)
