@@ -12,7 +12,7 @@ import sys
 
 from . import consequence, core, metaenc, optimize, semantics
 from .core import Atom, CapExceededError, ContractViolationError, CriteriaSet
-from .parser import ParseError, parse_criteria, parse_program
+from .parser import ParseError, SourceSpan, parse_criteria, parse_program
 from .reify import facts_to_text, reify
 
 EXIT_OK = 0
@@ -24,10 +24,23 @@ EXIT_EMPTY = 10
 
 
 def _read(path: str) -> str:
+    """The text of a file, or of stdin for '-'; bytes that are not UTF-8
+    are a parse error at their line and column."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        if not hasattr(sys.stdin, "buffer"):  # a text stream, already decoded
+            return sys.stdin.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        span = SourceSpan(data.count(b"\n", 0, exc.start) + 1,
+                          exc.start - line_start + 1)
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x}",
+                         span) from None
 
 
 def _load_criteria(path: str | None) -> CriteriaSet:

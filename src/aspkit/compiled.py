@@ -13,7 +13,7 @@ counterexample side.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 
 from .core import (
     Atom,
@@ -38,15 +38,16 @@ class HornClosure:
     Each rule counts the body atoms it still misses plus the sums still
     below their lower bound, and each sum the weight it still lacks;
     deriving an atom updates only the rules watching it, so a closure
-    costs time linear in the rules' size.
+    costs time linear in the rules' size.  Atoms are keys indexed in the
+    order of ``atoms``; a key need not be an :class:`Atom`.
     """
 
     #: Missing count of a rule left out of a closure: no sequence of
     #: derivations brings it down to zero.
     _OUT = -1
 
-    def __init__(self, atoms: Sequence[Atom], rules: Iterable[HornRule]):
-        self.index: dict[Atom, int] = {a: i for i, a in enumerate(atoms)}
+    def __init__(self, atoms: Sequence[Hashable], rules: Iterable[HornRule]):
+        self.index: dict[Hashable, int] = {a: i for i, a in enumerate(atoms)}
         self.heads: list[int] = []
         #: distinct plain body atoms per rule
         self.plain: list[int] = []
@@ -79,12 +80,23 @@ class HornClosure:
             self.missing.append(missing)
             if not missing:
                 self.facts.append(head)
+        # each fact once: a closure's queue must not hold an atom twice
+        self.facts = list(dict.fromkeys(self.facts))
+        #: the derived flags of the facts alone
+        self._base = bytearray(len(atoms))
+        for idx in self.facts:
+            self._base[idx] = 1
 
     @classmethod
-    def of_rules(cls, rules: Iterable[Rule]) -> "HornClosure":
-        """The closure of positive ground rules with one-atom heads;
-        atoms are indexed in order of first occurrence."""
-        order: dict[Atom, int] = {}
+    def of_rules(cls, rules: Iterable[Rule],
+                 atoms: Iterable[Hashable] = ()) -> "HornClosure":
+        """The closure of positive ground rules with one-atom heads.  The
+        keys in ``atoms`` are indexed first, in their order, and other
+        atoms in order of first occurrence.  A body literal that is itself
+        one of those keys is a condition the caller seeds, whatever its
+        sign."""
+        order: dict[Hashable, int] = {
+            key: i for i, key in enumerate(dict.fromkeys(atoms))}
 
         def idx(atom: Atom) -> int:
             return order.setdefault(atom, len(order))
@@ -98,6 +110,9 @@ class HornClosure:
             plain: list[int] = []
             sums: list[tuple[int, list[tuple[int, int]]]] = []
             for bl in rule.body:
+                if bl in order:
+                    plain.append(order[bl])
+                    continue
                 element = bl.element
                 if bl.negated or (isinstance(element, SumConstraint) and any(
                         wl.literal.negated for wl in element.elements)):
@@ -147,27 +162,28 @@ class HornClosure:
                             queue.append(head)
         return False
 
-    def derives(self, seed: Iterable[Atom], target: Atom) -> bool:
-        """Whether the closure of all rules over ``seed`` contains
-        ``target``; atoms the rules do not mention are ignored."""
-        goal = self.index.get(target)
-        if goal is None:
-            return False
-        derived = bytearray(len(self.index))
-        queue: list[int] = []
-        for idx in self.facts:
+    def reaches(self, seed: Iterable[int], goal: int) -> bool:
+        """Whether the closure of all rules over the atom indexes
+        ``seed`` contains the atom index ``goal``."""
+        derived = bytearray(self._base)
+        queue = list(self.facts)
+        for idx in seed:
             if not derived[idx]:
-                derived[idx] = 1
-                queue.append(idx)
-        for atom in seed:
-            idx = self.index.get(atom)
-            if idx is not None and not derived[idx]:
                 derived[idx] = 1
                 queue.append(idx)
         if derived[goal]:
             return True
         return self._close(queue, derived, list(self.missing),
                            list(self.bounds), goal)
+
+    def derives(self, seed: Iterable[Hashable], target: Hashable) -> bool:
+        """Whether the closure of all rules over ``seed`` contains
+        ``target``; atoms the rules do not mention are ignored."""
+        goal = self.index.get(target)
+        if goal is None:
+            return False
+        index = self.index
+        return self.reaches((index[a] for a in seed if a in index), goal)
 
     def least_model(self, active: Iterable[tuple[int, list[int]]]) -> list[int]:
         """Atom indexes derived from the empty set by the ``active`` rules,

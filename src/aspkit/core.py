@@ -24,6 +24,12 @@ class ContractViolationError(Exception):
     """An operation was applied outside its stated contract."""
 
 
+def check_limit(limit: int | None) -> None:
+    """Reject a result limit below 1; ``None`` means no limit."""
+    if limit is not None and limit < 1:
+        raise ContractViolationError(f"limit must be at least 1: {limit}")
+
+
 @dataclass(frozen=True, order=True)
 class Atom:
     """A propositional atom: a flat symbolic constant."""

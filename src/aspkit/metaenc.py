@@ -23,7 +23,16 @@ onto the optimal answer sets of the reified object program.  Its parts:
 assignment is screened against the candidate part alone, and a
 surviving candidate is accepted iff the counterexample side derives
 ``bot`` for every guess, which by saturation is equivalent to the meta
-program having a (unique) answer set with that hold-projection.
+program having a (unique) answer set with that hold-projection.  Only
+the compare rules read the candidate, so :class:`MetaSolver` compiles
+the counterexample side once, as two closures.  The evaluate, check and
+saturate rules give each guess one verdict per solve, computed the
+first time any candidate reaches that guess: ``bot`` is derived, and the
+guess is refuted for every candidate, or it survives.  In the compare
+rules each candidate-side body literal is a condition, and a candidate
+seeds the conditions it satisfies; a surviving guess is refuted iff
+that closure derives ``bot`` from the seed and the guess.  The solver
+checks the structure that makes this split sound when it is built.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .core import (
     Atom,
     BodyLiteral,
     CapExceededError,
+    ContractViolationError,
     CriteriaSet,
     Disjunction,
     Interpretation,
@@ -652,75 +662,129 @@ def build_meta_program(facts, crit: CriteriaSet) -> MetaProgram:
     )
 
 
+#: Verdicts of the static closure on a guess.
+_UNSEEN, _REFUTED, _SURVIVES = 0, 1, 2
+
+
+def _compare_conditions(mp: MetaProgram,
+                        static: tuple[Rule, ...]) -> list[BodyLiteral]:
+    """The candidate-side body literals of the compare rules in order of
+    first occurrence, once the structure that lets the static rules and
+    the compare rules judge a guess apart is checked: the static rules
+    mention no candidate-side atom and derive guess atoms only from
+    ``bot``; compare heads other than ``bot`` occur nowhere else; compare
+    bodies read the static rules only through guess atoms, and the
+    candidate only through whole literals."""
+    guess = set(mp.true_atoms.values()) | set(mp.fail_atoms.values())
+    static_atoms = core.atoms(Program(static))
+    if static_atoms & mp.candidate_side:
+        raise ContractViolationError(
+            "counterexample rules mention candidate atoms: "
+            f"{sorted(static_atoms & mp.candidate_side)}")
+    for rule in static:
+        if guess & core.atoms_of(rule.head) and _pos(mp.bot) not in rule.body:
+            raise ContractViolationError(
+                f"guess atom derived other than by saturation: {rule}")
+    heads = {a for rule in mp.compare for a in core.atoms_of(rule.head)}
+    heads.discard(mp.bot)
+    shared = heads & (static_atoms | guess | mp.candidate_side)
+    if shared:
+        raise ContractViolationError(
+            f"compare rules derive atoms used outside them: {sorted(shared)}")
+    foreign = mp.candidate_side | (static_atoms - guess)
+    conditions: dict[BodyLiteral, None] = {}
+    for rule in mp.compare:
+        for bl in rule.body:
+            if bl.element in mp.candidate_side:
+                conditions[bl] = None
+            elif core.atoms_of(bl.element) & foreign:
+                raise ContractViolationError(
+                    f"compare rule reads outside the compare part: {rule}")
+    return list(conditions)
+
+
 class MetaSolver:
-    """Structure-exploiting solver for generated check programs."""
+    """Structure-exploiting solver for generated check programs.
+
+    Candidates and guesses are int masks whose bit ``i`` stands for
+    ``object_atoms[i]``."""
 
     def __init__(self, mp: MetaProgram, cap: int = DEFAULT_META_CAP):
         self.mp = mp
         self.object_atoms = sorted(mp.candidate_atoms)
-        if len(self.object_atoms) > cap:
+        n = len(self.object_atoms)
+        if n > cap:
             raise CapExceededError(
-                f"{len(self.object_atoms)} candidate atoms exceed meta cap {cap}")
+                f"{n} candidate atoms exceed meta cap {cap}")
         order = sorted(mp.candidate_side)
         self._definitions = CompiledProgram(mp.candidate_definitions, order)
         self._candidate = CompiledProgram(mp.candidate, order)
-        self._hold_bits = {a: self._candidate.bit[h]
-                           for a, h in mp.candidate_atoms.items()}
-        self._static = mp.evaluate + mp.check + mp.saturate
+        self._hold_bits = [self._candidate.bit[mp.candidate_atoms[a]]
+                           for a in self.object_atoms]
+        # Both closures index true_atom of object atom i at i, its
+        # fail_atom at n + i and bot at 2n, so a guess seed is an int list.
+        keys = ([mp.true_atoms[a] for a in self.object_atoms]
+                + [mp.fail_atoms[a] for a in self.object_atoms] + [mp.bot])
+        self._bot = 2 * n
+        static = mp.evaluate + mp.check + mp.saturate
+        conditions = _compare_conditions(mp, static)
+        self._static_closure = HornClosure.of_rules(static, keys)
+        self._compare_closure = HornClosure.of_rules(
+            mp.compare, keys + conditions)
+        self._condition_bits = [
+            (self._compare_closure.index[bl], self._candidate.bit[bl.element],
+             bl.negated) for bl in conditions]
+        self._verdicts = bytearray(1 << n)
 
-    def _candidate_mask(self, x: Interpretation) -> int:
+    def decode(self, x: int) -> Interpretation:
+        return frozenset(a for i, a in enumerate(self.object_atoms)
+                         if x >> i & 1)
+
+    def _candidate_mask(self, x: int) -> int:
         mask = 0
-        for atom in x:
-            mask |= self._hold_bits[atom]
+        for i, bit in enumerate(self._hold_bits):
+            if x >> i & 1:
+                mask |= bit
         # definitions are ordered sums before conjunctions, so one pass
         # settles each layer even though conjunction bodies may negate sums
         return self._definitions.forward(mask)
 
-    def candidate_interpretation(self, x: Interpretation) -> Interpretation:
-        return self._candidate.decode(self._candidate_mask(x))
-
-    def candidate_stable(self, x: Interpretation) -> bool:
+    def candidate_stable(self, x: int) -> bool:
         """Whether the candidate part has an answer set projecting to x."""
         return self._candidate.is_answer_set(self._candidate_mask(x))
 
-    def _closure_for(self, x: Interpretation) -> HornClosure:
-        interp = self.candidate_interpretation(x)
-        resolved: list[Rule] = []
-        for rule in self.mp.compare:
-            body: list[BodyLiteral] = []
-            keep = True
-            for bl in rule.body:
-                if isinstance(bl.element, Atom) \
-                        and bl.element in self.mp.candidate_side:
-                    if (bl.element in interp) != bl.negated:
-                        continue
-                    keep = False
-                    break
-                body.append(bl)
-            if keep:
-                resolved.append(Rule(rule.head, tuple(body)))
-        return HornClosure.of_rules(self._static + tuple(resolved))
+    def conditions(self, x: int) -> list[int]:
+        """Compare-closure indexes of the conditions candidate x meets."""
+        held = self._candidate_mask(x)
+        return [idx for idx, bit, negated in self._condition_bits
+                if bool(held & bit) != negated]
 
-    def refutes(self, closure: HornClosure, y: Interpretation) -> bool:
-        """Whether the counterexample side derives bot for guess y."""
-        seed = [self.mp.true_atoms[a] if a in y else self.mp.fail_atoms[a]
-                for a in self.object_atoms]
-        return closure.derives(seed, self.mp.bot)
+    def refutes(self, seed: list[int], y: int) -> bool:
+        """Whether the counterexample side derives bot for guess y, given
+        the candidate's conditions ``seed``."""
+        verdict = self._verdicts[y]
+        if verdict == _REFUTED:
+            return True
+        n = len(self.object_atoms)
+        guess = [i if y >> i & 1 else n + i for i in range(n)]
+        if verdict == _UNSEEN:
+            if self._static_closure.reaches(guess, self._bot):
+                self._verdicts[y] = _REFUTED
+                return True
+            self._verdicts[y] = _SURVIVES
+        return self._compare_closure.reaches(seed + guess, self._bot)
 
-    def accepted(self, x: Interpretation) -> bool:
+    def accepted(self, x: int) -> bool:
         if not self.candidate_stable(x):
             return False
-        closure = self._closure_for(x)
-        return all(
-            self.refutes(closure, y) for y in self._subsets())
-
-    def _subsets(self):
-        atoms_ = self.object_atoms
-        for mask in range(1 << len(atoms_)):
-            yield frozenset(a for i, a in enumerate(atoms_) if mask >> i & 1)
+        seed = self.conditions(x)
+        return all(self.refutes(seed, y)
+                   for y in range(1 << len(self.object_atoms)))
 
     def solve(self, limit: int | None = None) -> list[Interpretation]:
-        accepted = [x for x in self._subsets() if self.accepted(x)]
+        core.check_limit(limit)
+        accepted = [self.decode(x) for x in range(1 << len(self.object_atoms))
+                    if self.accepted(x)]
         ordered = canonical_order(accepted)
         return ordered[:limit] if limit is not None else ordered
 

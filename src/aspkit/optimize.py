@@ -22,6 +22,7 @@ from .core import (
     Literal,
     MinimizeStatement,
     Program,
+    check_limit,
 )
 from .semantics import canonical_order, enumerate_answer_sets, satisfies
 
@@ -125,6 +126,7 @@ def optimal_answer_sets(program: Program, crit: CriteriaSet,
                         limit: int | None = None,
                         cap: int = DEFAULT_ATOM_CAP) -> list[Interpretation]:
     """Answer sets not dominated by any other answer set."""
+    check_limit(limit)
     candidates = enumerate_answer_sets(program, cap=cap)
     optimal = [
         x for x in candidates
@@ -146,6 +148,7 @@ def default_optimal(program: Program, limit: int | None = None,
                     cap: int = DEFAULT_ATOM_CAP) -> list[Interpretation]:
     """Smodels-style semantics: lexicographic weight-sum minimization,
     greater levels more significant; negative weights act as rewards."""
+    check_limit(limit)
     candidates = enumerate_answer_sets(program, cap=cap)
     if not candidates:
         return []

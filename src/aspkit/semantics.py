@@ -35,6 +35,7 @@ from .core import (
     SumConstraint,
     atoms,
     atoms_of,
+    check_limit,
     positive_part,
 )
 
@@ -152,6 +153,7 @@ def canonical_order(interpretations) -> list[Interpretation]:
 def enumerate_answer_sets(program: Program, limit: int | None = None,
                           cap: int = DEFAULT_ATOM_CAP) -> list[Interpretation]:
     """All answer sets in canonical order, truncated at ``limit``."""
+    check_limit(limit)
     universe = sorted(atoms(program))
     if len(universe) > cap:
         raise CapExceededError(

@@ -66,6 +66,25 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "-")
         assert code == 0 and out == "{a}\n"
 
+    @pytest.mark.parametrize("source", ["program", "criteria", "stdin"])
+    def test_non_utf8_input_is_a_parse_error(self, capsys, monkeypatch,
+                                             tmp_path, toy_file, source):
+        import io
+        bad = b"a.\n\xff\xfe a.\n"
+        path = tmp_path / "bad.lp"
+        path.write_bytes(bad)
+        if source == "program":
+            argv = ["optimize", str(path)]
+        elif source == "criteria":
+            argv = ["optimize", toy_file, "--criteria", str(path)]
+        else:
+            monkeypatch.setattr(
+                "sys.stdin", io.TextIOWrapper(io.BytesIO(bad), "utf-8"))
+            argv = ["optimize", "-"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == "parse error: 2:1: not UTF-8: byte 0xff\n"
+
     def test_deterministic(self, capsys, toy_file):
         first = run(capsys, "solve", toy_file)
         second = run(capsys, "solve", toy_file)

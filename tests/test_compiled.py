@@ -22,7 +22,7 @@ from aspkit.semantics import (
     reduct,
     satisfies,
 )
-from generators import iset, random_program
+from generators import iset, random_criteria, random_program
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -55,11 +55,9 @@ def test_compiled_model_check_matches_oracle(seed, disjunctive):
         assert compiled.decode(mask) == x
 
 
-def reference_candidate_stable(solver, x):
-    """The candidate check as the meta solver first defined it: close the
-    definitions over the hold atoms, require a model of the candidate
-    part, and iterate the consequence operator on its reduct."""
-    mp = solver.mp
+def reference_interpretation(mp, x):
+    """The candidate's meta atoms: the definitions closed over the hold
+    atoms of ``x``."""
     interp = {mp.candidate_atoms[a] for a in x}
     changed = True
     while changed:
@@ -69,7 +67,15 @@ def reference_candidate_stable(solver, x):
             if head not in interp and satisfies(frozenset(interp), rule.body):
                 interp.add(head)
                 changed = True
-    interp = frozenset(interp)
+    return frozenset(interp)
+
+
+def reference_candidate_stable(solver, x):
+    """The candidate check as the meta solver first defined it: close the
+    definitions over the hold atoms, require a model of the candidate
+    part, and iterate the consequence operator on its reduct."""
+    mp = solver.mp
+    interp = reference_interpretation(mp, x)
     candidate = Program(mp.candidate)
     if not is_model(interp, candidate):
         return False
@@ -82,8 +88,50 @@ def reference_candidate_stable(solver, x):
 def test_candidate_stable_matches_reference(seed):
     program = random_program(random.Random(seed), max_atoms=5, max_rules=6)
     solver = MetaSolver(build_meta_program(reify(program), core.CriteriaSet()))
-    for x in solver._subsets():
-        assert solver.candidate_stable(x) == reference_candidate_stable(solver, x)
+    for x in range(1 << len(solver.object_atoms)):
+        assert solver.candidate_stable(x) == \
+            reference_candidate_stable(solver, solver.decode(x))
+
+
+def reference_refutes(mp, x, y):
+    """The refutation test as the meta solver first defined it: resolve
+    the compare rules against the candidate ``x``, close them together
+    with the evaluate, check and saturate rules over the guess ``y``, and
+    look for bot."""
+    interp = reference_interpretation(mp, x)
+    resolved = []
+    for rule in mp.compare:
+        body = []
+        for bl in rule.body:
+            if isinstance(bl.element, Atom) and bl.element in mp.candidate_side:
+                if (bl.element in interp) == bl.negated:
+                    break
+            else:
+                body.append(bl)
+        else:
+            resolved.append(core.Rule(rule.head, tuple(body)))
+    closure = HornClosure.of_rules(
+        mp.evaluate + mp.check + mp.saturate + tuple(resolved))
+    seed = [mp.true_atoms[a] if a in y else mp.fail_atoms[a]
+            for a in mp.candidate_atoms]
+    return closure.derives(seed, mp.bot)
+
+
+@given(SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_refutes_matches_reference(seed):
+    rng = random.Random(seed)
+    program = random_program(rng, max_atoms=5, max_rules=6, minimize=True)
+    mp = build_meta_program(reify(program), random_criteria(rng, program))
+    solver = MetaSolver(mp)
+    masks = range(1 << len(solver.object_atoms))
+    for x in masks:
+        if not solver.candidate_stable(x):
+            continue
+        conditions = solver.conditions(x)
+        for y in masks:
+            assert solver.refutes(conditions, y) == reference_refutes(
+                mp, solver.decode(x), solver.decode(y))
 
 
 class TestHornClosure:

@@ -1,8 +1,10 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
-from aspkit.core import CapExceededError, CriteriaSet
+from aspkit.core import CapExceededError, ContractViolationError, CriteriaSet
 from aspkit.metaenc import (
     MetaSolver,
     build_meta_program,
@@ -115,6 +117,11 @@ class TestSolveMeta:
         assert solve_meta(build(toy_min), limit=2) == \
             [iset("p,q"), iset("p,r")]
 
+    @pytest.mark.parametrize("limit", [-1, 0])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ContractViolationError):
+            solve_meta(build(parse_program("{a}. {b}.")), limit=limit)
+
 
 class TestAgainstBruteForce:
     """Full disjunctive enumeration of the generated program must agree
@@ -159,6 +166,14 @@ class TestPairProjection:
         assert len(set(pairs)) == len(pairs)
 
 
+def every_set(solver):
+    return {solver.decode(y) for y in range(1 << len(solver.object_atoms))}
+
+
+def mask(solver, x):
+    return sum(1 << i for i, a in enumerate(solver.object_atoms) if a in x)
+
+
 class TestSaturationSoundness:
     def test_bot_exactly_on_refuted_guesses(self, toy_min):
         mp = build(toy_min, INCL)
@@ -166,19 +181,49 @@ class TestSaturationSoundness:
         answer_sets = set(enumerate_answer_sets(toy_min))
 
         def refuted_guesses(candidate):
-            closure = solver._closure_for(candidate)
-            return {y for y in solver._subsets()
-                    if solver.refutes(closure, y)}
+            conditions = solver.conditions(mask(solver, candidate))
+            return {y for y in every_set(solver)
+                    if solver.refutes(conditions, mask(solver, y))}
 
         # optimal candidate: every guess is refuted
-        assert refuted_guesses(iset("s,t")) == set(solver._subsets())
+        assert refuted_guesses(iset("s,t")) == every_set(solver)
         # dominated candidate: refuted by every guess except its dominator
-        missing = set(solver._subsets()) - refuted_guesses(iset("p,s"))
+        missing = every_set(solver) - refuted_guesses(iset("p,s"))
         assert missing == {iset("s,t")}
         # non-answer-set guesses always yield bot
         for candidate in (iset("s,t"), iset("p,s")):
             assert all(y in refuted_guesses(candidate)
-                       for y in solver._subsets() if y not in answer_sets)
+                       for y in every_set(solver) if y not in answer_sets)
+
+    def test_static_rules_judge_each_guess_once(self, toy_min):
+        solver = MetaSolver(build(toy_min, INCL))
+        closure = solver._static_closure
+        runs = Counter()
+
+        def counted(seed, goal):
+            runs[tuple(seed)] += 1
+            return type(closure).reaches(closure, seed, goal)
+
+        closure.reaches = counted
+        assert solver.solve() == [iset("p,q"), iset("p,r"), iset("s,t")]
+        # five stable candidates reach the guesses, three reach them all
+        assert len(runs) == 1 << len(solver.object_atoms)
+        assert set(runs.values()) == {1}
+
+    @pytest.mark.parametrize("part,text", [
+        ("compare", "true_atom_p :- hold_atom_p."),
+        ("compare", "true_conj_0 :- hold_atom_p."),
+        ("compare", "bot :- true_conj_0."),
+        ("compare", "bot :- 1 #sum[hold_atom_p=1]."),
+        ("evaluate", "true_conj_0 :- hold_atom_p."),
+        ("check", "true_atom_p :- true_conj_0."),
+    ])
+    def test_split_structure_is_checked(self, toy_min, part, text):
+        mp = build(toy_min, INCL)
+        extra = parse_program(text).rules
+        tampered = dataclasses.replace(mp, **{part: getattr(mp, part) + extra})
+        with pytest.raises(ContractViolationError):
+            MetaSolver(tampered)
 
 
 class TestCandidatePart:
@@ -187,7 +232,8 @@ class TestCandidatePart:
         for _ in range(40):
             program = random_program(rng, max_atoms=5, max_rules=6)
             solver = MetaSolver(build(program))
-            stable = {x for x in solver._subsets()
+            stable = {solver.decode(x)
+                      for x in range(1 << len(solver.object_atoms))
                       if solver.candidate_stable(x)}
             assert stable == set(enumerate_answer_sets(program))
 

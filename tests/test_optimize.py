@@ -1,6 +1,14 @@
 import random
 
-from aspkit.core import Atom, CriteriaSet, Literal, MinimizeStatement
+import pytest
+
+from aspkit.core import (
+    Atom,
+    ContractViolationError,
+    CriteriaSet,
+    Literal,
+    MinimizeStatement,
+)
 from aspkit.optimize import (
     DominanceVerdict,
     GroupKey,
@@ -130,6 +138,12 @@ class TestOptimalAnswerSets:
             [iset("a"), iset("b"), iset("c")]
         assert optimal_answer_sets(program, crit) == []
 
+    @pytest.mark.parametrize("limit", [-1, 0])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ContractViolationError):
+            optimal_answer_sets(parse_program("{a}. {b}."), CriteriaSet(),
+                                limit=limit)
+
 
 class TestDefaultOptimal:
     def test_toy_default(self, toy_min):
@@ -147,6 +161,11 @@ class TestDefaultOptimal:
             "a | b.\nc :- a.\n#minimize[a=1@2, b=2@2, c=5@1].")
         # level 2 dominates: a (1) beats b (2) despite c's big level-1 cost
         assert default_optimal(program) == [iset("a,c")]
+
+    @pytest.mark.parametrize("limit", [-1, 0])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ContractViolationError):
+            default_optimal(parse_program("{a}. {b}."), limit=limit)
 
 
 class TestRandomCorpusProperties:

@@ -5,6 +5,7 @@ import pytest
 from aspkit.core import (
     Atom,
     CapExceededError,
+    ContractViolationError,
     Disjunction,
     Program,
     Rule,
@@ -133,6 +134,11 @@ class TestAnswerSets:
 
     def test_limit_truncates_canonical_order(self, toy):
         assert enumerate_answer_sets(toy, limit=2) == [iset("p,q"), iset("p,r")]
+
+    @pytest.mark.parametrize("limit", [-1, 0])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ContractViolationError):
+            enumerate_answer_sets(parse_program("{a}. {b}."), limit=limit)
 
     def test_atom_cap(self):
         text = "".join(f"a{i}.\n" for i in range(21))
