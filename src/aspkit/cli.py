@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (solutions found / oracles agree), 1 crosscheck
 disagreement, 2 usage error, 3 parse error, 4 cap exceeded, 10 no
-answer set or empty optimum.
+answer set or empty optimum, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_CAP = 4
 EXIT_EMPTY = 10
+EXIT_INTERRUPTED = 130
 
 
 def _read(path: str) -> str:
@@ -226,6 +227,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

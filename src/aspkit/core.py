@@ -54,9 +54,6 @@ class Literal:
     def __str__(self) -> str:
         return f"not {self.atom}" if self.negated else self.atom.name
 
-    def negate(self) -> "Literal":
-        return Literal(self.atom, not self.negated)
-
 
 @dataclass(frozen=True)
 class WeightedLiteral:

@@ -37,7 +37,7 @@ checks the structure that makes this split sound when it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import core
 from .core import (
@@ -57,10 +57,10 @@ from .core import (
 )
 from .compiled import CompiledProgram, HornClosure
 from .optimize import optimal_answer_sets
-from .reify import Reification, Term, parse_reified, reify, reify_structure
+from .reify import FactReader, Term, read_reified, reify
 from .semantics import canonical_order
 
-#: Default cap on guessed candidate-side atoms in solve_meta.
+#: Cap on guessed candidate-side atoms in solve_meta.
 DEFAULT_META_CAP = 26
 
 
@@ -144,24 +144,16 @@ class MetaProgram:
     fail_atoms: dict[Atom, Atom]
     bot: Atom
     candidate_side: frozenset[Atom]
-    program: Program = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.program = self.assemble()
 
     @property
     def candidate(self) -> tuple[Rule, ...]:
         return self.candidate_definitions + self.candidate_rules
 
-    def assemble(self, with_compare: bool = True,
-                 with_accept: bool = True) -> Program:
-        rules = (self.candidate + self.guess + self.evaluate + self.check
-                 + self.saturate)
-        if with_compare:
-            rules += self.compare
-        if with_accept:
-            rules += self.accept
-        return Program(rules)
+    @property
+    def program(self) -> Program:
+        return Program(self.candidate + self.guess + self.evaluate
+                       + self.check + self.saturate + self.compare
+                       + self.accept)
 
     def to_text(self) -> str:
         sections = (
@@ -183,35 +175,32 @@ class MetaProgram:
 
 
 class _View:
-    """Decoded lookups over a canonical reification."""
+    """Decoded lookups over a program's canonical fact list."""
 
-    def __init__(self, reif: Reification):
-        self.reif = reif
-        self.atoms: list[Atom] = sorted(core.atoms(reif.program))
-        self.conjunctions: dict[int, tuple[tuple[bool, Term], ...]] = {}
-        for label, members in reif.conjunctions.items():
-            decoded = []
-            for member in members:
-                negated = member.functor == "neg"
-                decoded.append((negated, member.args[0]))
-            self.conjunctions[label] = tuple(decoded)
+    def __init__(self, program: Program, reader: FactReader):
+        self.program = program
+        self.atoms: list[Atom] = sorted(core.atoms(program))
+        #: per rule: head term and body conjunction label
+        self.rules: list[tuple[Term, int]] = [
+            (head, body.args[0]) for head, body in reader.rule_facts]
+        self.conjunctions: dict[int, tuple[tuple[bool, Term], ...]] = {
+            label: tuple((member.functor == "neg", member.args[0])
+                         for member in reader.set_facts.get(label, ()))
+            for _, label in self.rules}
         # sum terms in first-occurrence order over heads, then bodies
-        self.sums: dict[Term, tuple[tuple[Literal, int], ...]] = {}
-        for head, label in reif.rules:
-            if head.functor == "sum":
-                self._add_sum(head)
-            for _, inner in self.conjunctions[label]:
-                if inner.functor == "sum":
-                    self._add_sum(inner)
-        self.minimize: dict[int, tuple[tuple[int, Literal, int], ...]] = {}
-        for level, label in reif.minimize_lists:
-            self.minimize[level] = tuple(
-                (index, self._decode_literal(lit), weight)
-                for index, (lit, weight) in enumerate(reif.wlists[label]))
-        self.minimize_label = dict(reif.minimize_lists)
+        self.sums: dict[Term, SumConstraint] = {}
+        for head, label in self.rules:
+            members = (inner for _, inner in self.conjunctions[label])
+            for term in (head, *members):
+                if term.functor == "sum" and term not in self.sums:
+                    self.sums[term] = reader.decode_sum(term)
+        self.minimize: dict[int, tuple[WeightedLiteral, ...]] = {
+            level: reader.weighted(label)
+            for level, label in reader.minimize_facts}
+        self.minimize_label = dict(reader.minimize_facts)
         # components: label -> (atoms, conjunction labels, sum terms)
         self.components: dict[int, tuple[list[Atom], list[int], list[Term]]] = {}
-        for label, term in reif.scc_members:
+        for label, term in reader.scc_facts:
             entry = self.components.setdefault(label, ([], [], []))
             if term.functor == "atom":
                 entry[0].append(Atom(term.args[0].functor))
@@ -220,19 +209,6 @@ class _View:
             else:
                 entry[2].append(term)
 
-    @staticmethod
-    def _decode_literal(term: Term) -> Literal:
-        return Literal(Atom(term.args[0].args[0].functor),
-                       term.functor == "neg")
-
-    def _add_sum(self, term: Term) -> None:
-        if term in self.sums:
-            return
-        label = term.args[1]
-        self.sums[term] = tuple(
-            (self._decode_literal(lit), weight)
-            for lit, weight in self.reif.wlists[label])
-
     def head_support_atoms(self, head: Term) -> tuple[Atom, ...]:
         """Atoms occurring positively in a head term, in order."""
         if head.functor == "atom":
@@ -240,9 +216,9 @@ class _View:
         if head.functor == "false":
             return ()
         found: list[Atom] = []
-        for literal, _ in self.sums[head]:
-            if not literal.negated and literal.atom not in found:
-                found.append(literal.atom)
+        for wl in self.sums[head].elements:
+            if not wl.literal.negated and wl.literal.atom not in found:
+                found.append(wl.literal.atom)
         return tuple(found)
 
 
@@ -250,7 +226,7 @@ class _Builder:
     def __init__(self, view: _View, crit: CriteriaSet):
         self.view = view
         self.crit = crit
-        self.cxopt = effective_criteria(crit, view.reif.program.minimize)
+        self.cxopt = effective_criteria(crit, view.program.minimize)
 
     # -- candidate part ------------------------------------------------
 
@@ -259,14 +235,13 @@ class _Builder:
 
     def candidate_definitions(self) -> list[Rule]:
         rules: list[Rule] = []
-        for term, entries in self.view.sums.items():
-            lower, _, upper = term.args
+        for term, sc in self.view.sums.items():
             elements = tuple(
-                WeightedLiteral(
-                    Literal(Atom(f"hold_atom_{lit.atom}"), lit.negated), w)
-                for lit, w in entries)
-            rules.append(_rule(_entity("hold", term),
-                               (BodyLiteral(SumConstraint(lower, elements, upper)),)))
+                WeightedLiteral(Literal(Atom(f"hold_atom_{wl.literal.atom}"),
+                                        wl.literal.negated), wl.weight)
+                for wl in sc.elements)
+            rules.append(_rule(_entity("hold", term), (BodyLiteral(
+                SumConstraint(sc.lower, elements, sc.upper)),)))
         for label in sorted(self.view.conjunctions):
             body = tuple(self._cand_literal(neg, inner)
                          for neg, inner in self.view.conjunctions[label])
@@ -275,7 +250,7 @@ class _Builder:
 
     def candidate_rules(self) -> list[Rule]:
         rules: list[Rule] = []
-        for head, label in self.view.reif.rules:
+        for head, label in self.view.rules:
             trigger = _pos(Atom(f"hold_conj_{label}"))
             if head.functor == "atom":
                 rules.append(_rule(_entity("hold", head), (trigger,)))
@@ -311,19 +286,20 @@ class _Builder:
 
     def evaluate(self) -> list[Rule]:
         rules: list[Rule] = []
-        if any(head.functor == "false" for head, _ in self.view.reif.rules):
+        if any(head.functor == "false" for head, _ in self.view.rules):
             rules.append(_fact(Atom("fail_false")))
-        for term, entries in self.view.sums.items():
-            lower, _, upper = term.args
-            total = sum(w for _, w in entries)
-            holds = [(self._ce_lit(lit, True), w) for lit, w in entries]
-            fails = [(self._ce_lit(lit, False), w) for lit, w in entries]
+        for term, sc in self.view.sums.items():
+            total = sc.total
+            holds = [(self._ce_lit(wl.literal, True), wl.weight)
+                     for wl in sc.elements]
+            fails = [(self._ce_lit(wl.literal, False), wl.weight)
+                     for wl in sc.elements]
             true_body = self._bounded_body(
-                [(lower, holds), (total - upper, fails)], total)
+                [(sc.lower, holds), (total - sc.upper, fails)], total)
             if true_body is not None:
                 rules.append(_rule(_entity("true", term), true_body))
-            for bound, entries_ in ((total - lower + 1, fails),
-                                    (upper + 1, holds)):
+            for bound, entries_ in ((total - sc.lower + 1, fails),
+                                    (sc.upper + 1, holds)):
                 body = self._bounded_body([(bound, entries_)], total)
                 if body is not None:
                     rules.append(_rule(_entity("fail", term), body))
@@ -357,12 +333,12 @@ class _Builder:
     def check(self) -> list[Rule]:
         bot = Atom("bot")
         rules: list[Rule] = []
-        for head, label in self.view.reif.rules:
+        for head, label in self.view.rules:
             rules.append(_rule(bot, (
                 _pos(Atom(f"true_conj_{label}")),
                 _pos(_entity("fail", head)))))
         supports: dict[Atom, list[int]] = {a: [] for a in self.view.atoms}
-        for head, label in self.view.reif.rules:
+        for head, label in self.view.rules:
             for atom in self.view.head_support_atoms(head):
                 if label not in supports[atom]:
                     supports[atom].append(label)
@@ -416,19 +392,19 @@ class _Builder:
                     elif inner in sum_terms:
                         rules.append(_rule(head, (_pos(wait(inner, step)),)))
         for term in sum_terms:
-            lower, _, upper = term.args
-            entries = self.view.sums[term]
-            total = sum(w for _, w in entries)
+            sc = self.view.sums[term]
+            total = sc.total
             for step in range(steps):
                 head = wait(term, step)
                 rules.append(_rule(head, (_pos(_entity("fail", term)),)))
                 counted = []
-                for lit, weight in entries:
+                for wl in sc.elements:
+                    lit = wl.literal
                     if not lit.negated and lit.atom in catoms:
-                        counted.append((wait(lit.atom, step), weight))
+                        counted.append((wait(lit.atom, step), wl.weight))
                     else:
-                        counted.append((self._ce_lit(lit, False), weight))
-                threshold = total - lower + 1
+                        counted.append((self._ce_lit(lit, False), wl.weight))
+                threshold = total - sc.lower + 1
                 if threshold <= 0:
                     rules.append(_fact(head))
                 elif threshold <= total:
@@ -494,9 +470,9 @@ class _Builder:
 
     def _group(self, level: int, weight: int):
         """(index, literal) pairs of the minimize group, in list order."""
-        return tuple((index, lit)
-                     for index, lit, w in self.view.minimize.get(level, ())
-                     if w == weight)
+        return tuple((index, wl.literal) for index, wl
+                     in enumerate(self.view.minimize.get(level, ()))
+                     if wl.weight == weight)
 
     def _criterion_rules(self, level: int, weight: int, criterion: str,
                          lit_rules) -> list[Rule]:
@@ -636,8 +612,7 @@ class _Builder:
 
 def build_meta_program(facts, crit: CriteriaSet) -> MetaProgram:
     """Assemble the check program for a reified extended program."""
-    program = parse_reified(facts)
-    view = _View(reify_structure(program))
+    view = _View(*read_reified(facts))
     builder = _Builder(view, crit)
     candidate_defs = tuple(builder.candidate_definitions())
     candidate_rules = tuple(builder.candidate_rules())
@@ -709,13 +684,13 @@ class MetaSolver:
     Candidates and guesses are int masks whose bit ``i`` stands for
     ``object_atoms[i]``."""
 
-    def __init__(self, mp: MetaProgram, cap: int = DEFAULT_META_CAP):
+    def __init__(self, mp: MetaProgram):
         self.mp = mp
         self.object_atoms = sorted(mp.candidate_atoms)
         n = len(self.object_atoms)
-        if n > cap:
+        if n > DEFAULT_META_CAP:
             raise CapExceededError(
-                f"{n} candidate atoms exceed meta cap {cap}")
+                f"{n} candidate atoms exceed meta cap {DEFAULT_META_CAP}")
         order = sorted(mp.candidate_side)
         self._definitions = CompiledProgram(mp.candidate_definitions, order)
         self._candidate = CompiledProgram(mp.candidate, order)
@@ -789,10 +764,10 @@ class MetaSolver:
         return ordered[:limit] if limit is not None else ordered
 
 
-def solve_meta(mp: MetaProgram, limit: int | None = None,
-               cap: int = DEFAULT_META_CAP) -> list[Interpretation]:
+def solve_meta(mp: MetaProgram,
+               limit: int | None = None) -> list[Interpretation]:
     """Hold-projections of the meta program's answer sets."""
-    return MetaSolver(mp, cap).solve(limit)
+    return MetaSolver(mp).solve(limit)
 
 
 @dataclass(frozen=True)
@@ -810,11 +785,10 @@ class CrosscheckReport:
 
 
 def crosscheck(program: Program, crit: CriteriaSet,
-               cap: int = core.DEFAULT_ATOM_CAP,
-               meta_cap: int = DEFAULT_META_CAP) -> CrosscheckReport:
+               cap: int = core.DEFAULT_ATOM_CAP) -> CrosscheckReport:
     """Optimal answer sets computed natively and via the reify -> build
     -> solve pipeline; both sides apply the same criteria defaulting."""
     native = optimal_answer_sets(
         program, effective_criteria(crit, program.minimize), cap=cap)
-    meta = solve_meta(build_meta_program(reify(program), crit), cap=meta_cap)
+    meta = solve_meta(build_meta_program(reify(program), crit))
     return CrosscheckReport(tuple(native), tuple(meta))

@@ -25,7 +25,7 @@ Proper disjunction heads are outside this format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import consequence
 from .core import (
@@ -88,38 +88,12 @@ def _signed(term: Term, negated: bool) -> Term:
     return Term("neg" if negated else "pos", (term,))
 
 
-@dataclass
-class Reification:
-    """A program together with its labeled structure and fact list."""
-
-    program: Program
-    facts: tuple[ReifiedFact, ...] = ()
-    #: per rule: unwrapped head term and body conjunction label
-    rules: tuple[tuple[Term, int], ...] = ()
-    #: conjunction label -> member element terms (pos/neg wrapped)
-    conjunctions: dict[int, tuple[Term, ...]] = field(default_factory=dict)
-    #: list label -> ((literal term, weight), ...)
-    wlists: dict[int, tuple[tuple[Term, int], ...]] = field(default_factory=dict)
-    #: (level, list label) pairs, ascending by level
-    minimize_lists: tuple[tuple[int, int], ...] = ()
-    #: (component label, member term) pairs in emission order
-    scc_members: tuple[tuple[int, Term], ...] = ()
-
-    def sum_entries(self, term: Term) -> tuple[tuple[Term, int], ...]:
-        """wlist entries of a sum(L,S,U) term."""
-        label = term.args[1]
-        assert isinstance(label, int)
-        return self.wlists.get(label, ())
-
-
 class _Builder:
     def __init__(self, program: Program):
         self.program = program
         self._wlist_labels: dict[tuple, int] = {}
         self._conj_labels: dict[tuple, int] = {}
-        self.reification = Reification(program)
-        self._facts: list[ReifiedFact] = []
-        self._rules: list[tuple[Term, int]] = []
+        self.facts: list[ReifiedFact] = []
 
     def _wlist(self, entries: tuple[tuple[Term, int], ...],
                out: list[ReifiedFact]) -> int:
@@ -127,7 +101,6 @@ class _Builder:
         if label is None:
             label = len(self._wlist_labels)
             self._wlist_labels[entries] = label
-            self.reification.wlists[label] = entries
             for index, (literal, weight) in enumerate(entries):
                 out.append(
                     ReifiedFact("wlist", (label, index, literal, weight)))
@@ -155,7 +128,6 @@ class _Builder:
         if label is None:
             label = len(self._conj_labels)
             self._conj_labels[key] = label
-            self.reification.conjunctions[label] = key
             for member, facts in zip(members, member_facts):
                 out.append(ReifiedFact("set", (label, member)))
                 out.extend(facts)
@@ -172,12 +144,11 @@ class _Builder:
             head = self._sum_term(rule.head, head_facts)
         body_facts: list[ReifiedFact] = []
         label = self._conjunction(rule.body, body_facts)
-        self._facts.append(ReifiedFact(
+        self.facts.append(ReifiedFact(
             "rule", (_signed(head, False),
                      _signed(Term("conjunction", (label,)), False))))
-        self._facts.extend(head_facts)
-        self._facts.extend(body_facts)
-        self._rules.append((head, label))
+        self.facts.extend(head_facts)
+        self.facts.extend(body_facts)
 
     def add_sccs(self) -> None:
         graph = consequence.dependency_graph(self.program)
@@ -198,31 +169,22 @@ class _Builder:
                 if entry not in members:
                     members.append(entry)
         assert not ignore, "scc members must already be labeled"
-        self.reification.scc_members = tuple(members)
         for label, term in members:
-            self._facts.append(ReifiedFact("scc", (label, term)))
+            self.facts.append(ReifiedFact("scc", (label, term)))
 
     def add_minimize(self, statement: MinimizeStatement) -> None:
-        lists: list[tuple[int, int]] = []
         for level in statement.levels():
             entries = tuple(
                 (_literal_term(e.literal), e.weight)
                 for e in statement.entries if e.level == level)
             facts: list[ReifiedFact] = []
             label = self._wlist(entries, facts)
-            self._facts.append(ReifiedFact("minimize", (level, label)))
-            self._facts.extend(facts)
-            lists.append((level, label))
-        self.reification.minimize_lists = tuple(lists)
-
-    def finish(self) -> Reification:
-        self.reification.facts = tuple(self._facts)
-        self.reification.rules = tuple(self._rules)
-        return self.reification
+            self.facts.append(ReifiedFact("minimize", (level, label)))
+            self.facts.extend(facts)
 
 
-def reify_structure(program: Program) -> Reification:
-    """Reify with full access to the labeled structure."""
+def reify(program: Program) -> list[ReifiedFact]:
+    """The fact list describing ``program`` (deterministic)."""
     if not is_extended(program):
         raise ContractViolationError(
             "only extended programs (no proper disjunctions) can be reified")
@@ -231,12 +193,7 @@ def reify_structure(program: Program) -> Reification:
         builder.add_rule(rule)
     builder.add_sccs()
     builder.add_minimize(program.minimize)
-    return builder.finish()
-
-
-def reify(program: Program) -> list[ReifiedFact]:
-    """The fact list describing ``program`` (deterministic)."""
-    return list(reify_structure(program).facts)
+    return builder.facts
 
 
 def facts_to_text(facts) -> str:
@@ -292,7 +249,9 @@ def _decode_literal(term) -> Literal:
     raise ReifyError(f"malformed literal term: {term}")
 
 
-class _FactReader:
+class FactReader:
+    """Validating decoder of a fact list; labels are kept as given."""
+
     def __init__(self, facts):
         self.rule_facts: list[tuple[Term, Term]] = []
         self.set_facts: dict[int, list[Term]] = {}
@@ -351,10 +310,8 @@ class _FactReader:
             (_expect_int(fact.args[0], "minimize level"),
              _expect_int(fact.args[1], "minimize list label")))
 
-    def wlist_entries(self, label: int, dangling_ok: bool = False):
+    def wlist_entries(self, label: int) -> tuple[tuple[Term, int], ...]:
         if label not in self.wlist_facts:
-            if dangling_ok:
-                return ()
             raise ReifyError(f"dangling wlist label {label}")
         by_index = self.wlist_facts[label]
         if sorted(by_index) != list(range(len(by_index))):
@@ -362,18 +319,19 @@ class _FactReader:
                 f"wlist {label} indexes are not consecutive from 0")
         return tuple(by_index[i] for i in range(len(by_index)))
 
+    def weighted(self, label: int) -> tuple[WeightedLiteral, ...]:
+        """The decoded entries of weighted-literal list ``label``."""
+        return tuple(WeightedLiteral(_decode_literal(lit), weight)
+                     for lit, weight in self.wlist_entries(label))
+
     def decode_sum(self, term: Term) -> SumConstraint:
         if term.functor != "sum" or len(term.args) != 3:
             raise ReifyError(f"malformed sum term: {term}")
         lower = _expect_int(term.args[0], "sum lower bound")
         label = _expect_int(term.args[1], "sum list label")
         upper = _expect_int(term.args[2], "sum upper bound")
-        entries = self.wlist_entries(label)
         try:
-            weighted = tuple(
-                WeightedLiteral(_decode_literal(lit), weight)
-                for lit, weight in entries)
-            return SumConstraint(lower, weighted, upper)
+            return SumConstraint(lower, self.weighted(label), upper)
         except ValueError as exc:
             raise ReifyError(str(exc)) from exc
 
@@ -405,44 +363,51 @@ class _FactReader:
             return self.decode_sum(term)
         raise ReifyError(f"malformed head term: {term}")
 
+    def program(self) -> Program:
+        """The program the facts describe; scc facts are not consulted."""
+        rules = tuple(
+            Rule(self.decode_head(head), self.decode_body(body))
+            for head, body in self.rule_facts)
+        entries = tuple(
+            MinimizeEntry(wl.literal, wl.weight, level)
+            for level, label in sorted(self.minimize_facts,
+                                       key=lambda lv: lv[0])
+            for wl in self.weighted(label))
+        return Program(rules, MinimizeStatement(entries))
 
-def parse_reified(facts) -> Program:
-    """Reconstruct the program a fact list describes.
+    def scc_members(self) -> set[tuple[int, Atom | Body | SumConstraint]]:
+        """(component label, decoded member) pairs of the scc facts."""
+        members: set[tuple[int, Atom | Body | SumConstraint]] = set()
+        for label, term in self.scc_facts:
+            if term.functor == "atom":
+                members.add((label, _decode_atom(term)))
+            elif term.functor == "conjunction":
+                members.add((label, self.decode_body(term)))
+            elif term.functor == "sum":
+                members.add((label, self.decode_sum(term)))
+            else:
+                raise ReifyError(f"malformed scc member: {term}")
+        return members
 
-    Labels may differ from the canonical ones; scc/2 facts are not
-    trusted but validated against a recomputed decomposition.
+
+def read_reified(facts) -> tuple[Program, FactReader]:
+    """The program a fact list describes, and a reader over that
+    program's canonical fact list.
+
+    Labels in ``facts`` may differ from the canonical ones; scc/2 facts
+    are not trusted but checked against the canonical ones, whose
+    components are recomputed from the decoded program.
     """
-    reader = _FactReader(facts)
-    rules = tuple(
-        Rule(reader.decode_head(head), reader.decode_body(body))
-        for head, body in reader.rule_facts)
-    entries: list[MinimizeEntry] = []
-    for level, label in sorted(reader.minimize_facts, key=lambda lv: lv[0]):
-        for literal, weight in reader.wlist_entries(label):
-            entries.append(
-                MinimizeEntry(_decode_literal(literal), weight, level))
-    program = Program(rules, MinimizeStatement(tuple(entries)))
-
-    claimed: set[tuple[int, object]] = set()
-    for label, term in reader.scc_facts:
-        if term.functor == "atom":
-            claimed.add((label, _decode_atom(term)))
-        elif term.functor == "conjunction":
-            claimed.add((label, reader.decode_body(term)))
-        elif term.functor == "sum":
-            claimed.add((label, reader.decode_sum(term)))
-        else:
-            raise ReifyError(f"malformed scc member: {term}")
-    decomposition = consequence.sccs(
-        consequence.dependency_graph(program), program)
-    recomputed: set[tuple[int, object]] = set()
-    for component in decomposition.nontrivial():
-        assert component.label is not None
-        for atom in component.atoms:
-            recomputed.add((component.label, atom))
-        for element in component.connecting:
-            recomputed.add((component.label, element))
-    if claimed != recomputed:
+    given = FactReader(facts)
+    program = given.program()
+    canonical = FactReader(reify(program))
+    if given.scc_members() != canonical.scc_members():
         raise ReifyError("scc facts are inconsistent with the recomputed "
                          "dependency decomposition")
-    return program
+    return program, canonical
+
+
+def parse_reified(facts) -> Program:
+    """Reconstruct the program a fact list describes (see
+    :func:`read_reified`)."""
+    return read_reified(facts)[0]

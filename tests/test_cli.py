@@ -1,5 +1,6 @@
 import pytest
 
+from aspkit import cli
 from aspkit.cli import main
 from conftest import TOY_MIN_TEXT, TOY_TEXT
 
@@ -271,3 +272,12 @@ class TestUsage:
     def test_unknown_file(self, capsys):
         code = main(["solve", "/nonexistent/file.lp"])
         assert code == 2
+
+    def test_interrupt_exits_130(self, capsys, toy_file, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_solve", interrupted)
+        code, out, err = run(capsys, "solve", toy_file)
+        assert code == 130 and out == ""
+        assert err == "interrupted\n"

@@ -4,7 +4,14 @@ from collections import Counter
 
 import pytest
 
-from aspkit.core import CapExceededError, ContractViolationError, CriteriaSet
+from aspkit import consequence
+from aspkit.consequence import sccs
+from aspkit.core import (
+    CapExceededError,
+    ContractViolationError,
+    CriteriaSet,
+    Program,
+)
 from aspkit.metaenc import (
     MetaSolver,
     build_meta_program,
@@ -78,6 +85,18 @@ class TestStructure:
     def test_output_reparses(self, toy_min):
         mp = build(toy_min, INCL)
         assert parse_program(mp.to_text()).rules == mp.program.rules
+
+    def test_one_decomposition_per_build(self, toy_min, monkeypatch):
+        facts = reify(toy_min)
+        calls = []
+
+        def counted(graph, program):
+            calls.append(program)
+            return sccs(graph, program)
+
+        monkeypatch.setattr(consequence, "sccs", counted)
+        build_meta_program(facts, INCL)
+        assert len(calls) == 1
 
     def test_counterexample_side_avoids_negation(self, toy_min):
         mp = build(toy_min, INCL)
@@ -153,7 +172,8 @@ class TestPairProjection:
     def test_two_answer_set_program(self):
         program = parse_program("a :- not b. b :- not a.")
         mp = build(program)
-        partial = mp.assemble(with_compare=False, with_accept=False)
+        partial = Program(mp.candidate + mp.guess + mp.evaluate + mp.check
+                          + mp.saturate)
         object_sets = set(enumerate_answer_sets(program))
         pairs = []
         for z in enumerate_answer_sets(partial, cap=16):
@@ -324,4 +344,5 @@ class TestEdgeCases:
         shifted = (text.replace("conjunction(2", "conjunction(9")
                    .replace("set(2,", "set(9,"))
         mp = build_meta_program(text_to_facts(shifted), INCL)
+        assert mp.to_text() == build(toy_min, INCL).to_text()
         assert solve_meta(mp) == [iset("p,q"), iset("p,r"), iset("s,t")]

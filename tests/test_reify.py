@@ -200,4 +200,4 @@ def test_package_attribute_is_the_module():
     import aspkit.reify as module
 
     assert module is aspkit.reify
-    assert callable(module.reify_structure) and callable(module.reify)
+    assert callable(module.reify)
