@@ -50,6 +50,17 @@ def _load_criteria(path: str | None) -> CriteriaSet:
     return parse_criteria(_read(path))
 
 
+def _warn_unmatched(program, crit: CriteriaSet) -> None:
+    """One line on stderr per criterion whose (level, weight) has no
+    minimize occurrence: its group ranks every answer set equal (card,
+    incl) or incomparable (pref)."""
+    keys = set(program.minimize.group_keys())
+    for level, weight, criterion in dict.fromkeys(crit.relations):
+        if (level, weight) not in keys:
+            print(f"warning: criterion optimize({level},{weight},{criterion})"
+                  " matches no minimize occurrence", file=sys.stderr)
+
+
 def _format(interpretation) -> str:
     return "{" + ",".join(sorted(a.name for a in interpretation)) + "}"
 
@@ -82,6 +93,7 @@ def cmd_optimize(args) -> int:
         return _print_sets(optimize.default_optimal(
             program, limit=args.limit, cap=args.max_atoms))
     crit = _load_criteria(args.criteria)
+    _warn_unmatched(program, crit)
     return _print_sets(optimize.optimal_answer_sets(
         program, crit, limit=args.limit, cap=args.max_atoms))
 
@@ -129,6 +141,7 @@ def cmd_metaenc(args) -> int:
 def cmd_crosscheck(args) -> int:
     program = parse_program(_read(args.program))
     crit = _load_criteria(args.criteria)
+    _warn_unmatched(program, crit)
     report = metaenc.crosscheck(program, crit, cap=args.max_atoms)
     native = " ".join(_format(s) for s in report.native)
     meta = " ".join(_format(s) for s in report.meta)

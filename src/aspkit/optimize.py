@@ -8,11 +8,16 @@ being more significant, and groups sharing a level combine Pareto-wise:
 an answer set is dominated when some group strictly improves on it
 while every group at a greater-or-equal level is at least as good.
 The default semantics instead sums weights per level.
+
+:class:`CompiledCriteria` compiles the criteria against the minimize
+statement once and scores each answer set once per criterion group;
+dominance then compares two score vectors with integer operations.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -30,96 +35,113 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class GroupKey:
-    """Identifies the minimize occurrences at one level and weight."""
-
-    level: int
-    weight: int
-
-
-@dataclass(frozen=True)
 class DominanceVerdict:
     dominated: bool
     witness_level: int | None = None
     witness_weight: int | None = None
 
 
-def _count(x: Interpretation, key: GroupKey, m: MinimizeStatement) -> int:
-    """Occurrences in the group satisfied by ``x`` (duplicates count)."""
-    return sum(1 for e in m.group(key.level, key.weight)
-               if satisfies(x, e.literal))
+_UNDOMINATED = DominanceVerdict(False)
 
 
-def _group_literals(key: GroupKey, m: MinimizeStatement) -> tuple[Literal, ...]:
-    seen: list[Literal] = []
-    for e in m.group(key.level, key.weight):
-        if e.literal not in seen:
-            seen.append(e.literal)
-    return tuple(seen)
+def _included(x: int, y: int) -> bool:
+    """``incl``: every group literal ``x`` satisfies, ``y`` satisfies."""
+    return not x & ~y
 
 
-def leq_at(x: Interpretation, y: Interpretation, key: GroupKey,
-           m: MinimizeStatement) -> bool:
-    """Whether ``x``'s satisfied-occurrence count is at most ``y``'s."""
-    return _count(x, key, m) <= _count(y, key, m)
-
-
-def incl_at(x: Interpretation, y: Interpretation, key: GroupKey,
-            m: MinimizeStatement) -> bool:
-    """Whether every group literal satisfied by ``x`` is satisfied by ``y``."""
-    return all(satisfies(y, e.literal)
-               for e in m.group(key.level, key.weight)
-               if satisfies(x, e.literal))
-
-
-def pref_at(x: Interpretation, y: Interpretation, key: GroupKey,
-            m: MinimizeStatement, prefer) -> bool:
-    """Whether ``x`` is preferable to ``y``: some preference pair
-    (l1, l2) of group literals has l1 satisfied by ``x`` only and l2 by
-    ``y`` only, and no ``y``-only literal l defeats l1 via l <= l1
-    without l1 <= l."""
-    literals = _group_literals(key, m)
-    inside = set(literals)
+def _preference(literals: tuple[Literal, ...], prefer, level: int,
+                weight: int):
+    """``pref`` over one group as a test on two literal masks: ``x`` is
+    preferable to ``y`` when some preference pair (l1, l2) of group
+    literals has l1 satisfied by ``x`` only and l2 by ``y`` only, and no
+    ``y``-only literal l defeats l1 via l <= l1 without l1 <= l."""
+    index = {literal: bit for bit, literal in enumerate(literals)}
     pairs = set()
     for first, second in prefer:
-        if first in inside and second in inside:
-            pairs.add((first, second))
+        if first in index and second in index:
+            pairs.add((index[first], index[second]))
         else:
             logger.debug("prefer pair (%s, %s) ignored: outside group %s@%s",
-                         first, second, key.weight, key.level)
-    x_only = [l for l in literals if satisfies(x, l) and not satisfies(y, l)]
-    y_only = [l for l in literals if satisfies(y, l) and not satisfies(x, l)]
-    for l1 in x_only:
-        if not any((l1, l2) in pairs for l2 in y_only):
-            continue
-        defeated = any(
-            (l, l1) in pairs and (l1, l) not in pairs for l in y_only)
-        if not defeated:
-            return True
-    return False
+                         first, second, weight, level)
+    better = [0] * len(literals)   # bit l2 of better[l1]: l1 <= l2
+    defeat = [0] * len(literals)   # bit l of defeat[l1]: l <= l1, not l1 <= l
+    for first, second in pairs:
+        better[first] |= 1 << second
+        if (second, first) not in pairs:
+            defeat[second] |= 1 << first
+
+    def preferable(x: int, y: int) -> bool:
+        x_only, y_only = x & ~y, y & ~x
+        while x_only:
+            low = x_only & -x_only
+            l1 = low.bit_length() - 1
+            if better[l1] & y_only and not defeat[l1] & y_only:
+                return True
+            x_only ^= low
+        return False
+
+    return preferable
+
+
+class CompiledCriteria:
+    """Criteria compiled against one minimize statement.
+
+    Relations are kept most significant first.  :meth:`score` maps an
+    interpretation to one int per relation: a ``card`` relation's
+    satisfied-occurrence count (duplicates count), an ``incl`` or
+    ``pref`` relation's mask of satisfied group literals, bit i standing
+    for the i-th distinct literal of the group.  A group without
+    minimize occurrences scores 0, so ``card`` and ``incl`` hold on it
+    and ``pref`` never does.
+    """
+
+    def __init__(self, m: MinimizeStatement, crit: CriteriaSet):
+        ordered = sorted(crit.relations, key=lambda r: (-r[0], r[1], r[2]))
+        self._groups = []
+        leqs = []
+        for level, weight, criterion in ordered:
+            occurrences = tuple(e.literal for e in m.group(level, weight))
+            if criterion == "card":
+                self._groups.append((occurrences, True))
+                leqs.append(operator.le)
+                continue
+            literals = tuple(dict.fromkeys(occurrences))
+            self._groups.append((literals, False))
+            leqs.append(_included if criterion == "incl" else
+                        _preference(literals, crit.prefer, level, weight))
+        self._relations = tuple(
+            (level, weight, leqs[i],
+             tuple((j, leqs[j]) for j, other in enumerate(ordered)
+                   if other[0] >= level))
+            for i, (level, weight, _) in enumerate(ordered))
+
+    def score(self, x: Interpretation) -> tuple[int, ...]:
+        vector = []
+        for literals, counted in self._groups:
+            held = [(l.atom in x) != l.negated for l in literals]
+            vector.append(sum(held) if counted else
+                          sum(1 << bit for bit, h in enumerate(held) if h))
+        return tuple(vector)
+
+    def dominates(self, y: tuple[int, ...],
+                  x: tuple[int, ...]) -> DominanceVerdict:
+        """Whether score vector ``y`` dominates ``x``: some criterion
+        group (J, w) fails x <= y while every criterion at a level >= J
+        has y <= x."""
+        for i, (level, weight, leq, at_or_above) in enumerate(self._relations):
+            if leq(x[i], y[i]):
+                continue
+            if all(leq_j(y[j], x[j]) for j, leq_j in at_or_above):
+                return DominanceVerdict(True, level, weight)
+        return _UNDOMINATED
 
 
 def dominates(y: Interpretation, x: Interpretation, m: MinimizeStatement,
               crit: CriteriaSet) -> DominanceVerdict:
-    """Whether ``y`` dominates ``x``: some criterion group (J, w) fails
-    x <= y while every criterion at a level >= J has y <= x."""
-
-    def relation(a, b, level, weight, criterion):
-        key = GroupKey(level, weight)
-        if criterion == "card":
-            return leq_at(a, b, key, m)
-        if criterion == "incl":
-            return incl_at(a, b, key, m)
-        return pref_at(a, b, key, m, crit.prefer)
-
-    ordered = sorted(crit.relations, key=lambda r: (-r[0], r[1], r[2]))
-    for level, weight, criterion in ordered:
-        if relation(x, y, level, weight, criterion):
-            continue
-        if all(relation(y, x, lv2, w2, c2)
-               for lv2, w2, c2 in crit.relations if lv2 >= level):
-            return DominanceVerdict(True, level, weight)
-    return DominanceVerdict(False)
+    """Whether ``y`` dominates ``x`` under ``crit`` (see
+    :meth:`CompiledCriteria.dominates`)."""
+    compiled = CompiledCriteria(m, crit)
+    return compiled.dominates(compiled.score(y), compiled.score(x))
 
 
 def optimal_answer_sets(program: Program, crit: CriteriaSet,
@@ -128,10 +150,12 @@ def optimal_answer_sets(program: Program, crit: CriteriaSet,
     """Answer sets not dominated by any other answer set."""
     check_limit(limit)
     candidates = enumerate_answer_sets(program, cap=cap)
+    compiled = CompiledCriteria(program.minimize, crit)
+    scores = [compiled.score(x) for x in candidates]
     optimal = [
-        x for x in candidates
-        if not any(dominates(y, x, program.minimize, crit).dominated
-                   for y in candidates if y != x)]
+        x for i, (x, sx) in enumerate(zip(candidates, scores))
+        if not any(compiled.dominates(sy, sx).dominated
+                   for j, sy in enumerate(scores) if j != i)]
     return optimal[:limit] if limit is not None else optimal
 
 

@@ -237,6 +237,43 @@ class TestCrosscheck:
         assert code == 0 and "native (5)" in out
 
 
+class TestUnmatchedCriterion:
+    """A criterion whose (level, weight) has no minimize occurrence is
+    reported on stderr; stdout and the exit code stay as they were."""
+
+    PROGRAM = "{a}. {b}. #minimize[a=1@1, b=2@1].\n"
+    WARNING = ("warning: criterion optimize(9,9,card) matches no minimize "
+               "occurrence\n")
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        program = tmp_path / "two.lp"
+        program.write_text(self.PROGRAM)
+        crit = tmp_path / "unmatched.lp"
+        crit.write_text("optimize(9,9,card). optimize(1,1,incl).\n")
+        return str(program), str(crit)
+
+    def test_optimize_warns(self, capsys, files):
+        code, out, err = run(capsys, "optimize", files[0],
+                             "--criteria", files[1])
+        assert code == 0 and out == "{}\n{b}\n"
+        assert err == self.WARNING
+
+    def test_crosscheck_warns(self, capsys, files):
+        code, out, err = run(capsys, "crosscheck", files[0],
+                             "--criteria", files[1])
+        assert code == 0
+        assert out == "native (1): {}\nmeta   (1): {}\nPASS\n"
+        assert err == self.WARNING
+
+    def test_matched_criteria_stay_quiet(self, capsys, toy_min_file,
+                                         incl_file):
+        for command in ("optimize", "crosscheck"):
+            code, _, err = run(capsys, command, toy_min_file,
+                               "--criteria", incl_file)
+            assert code == 0 and err == ""
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2

@@ -1,29 +1,131 @@
+import dataclasses
+import logging
 import random
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspkit.core import (
+    CRITERIA,
     Atom,
     ContractViolationError,
     CriteriaSet,
+    Interpretation,
     Literal,
     MinimizeStatement,
+    Program,
+    Rule,
+    SumConstraint,
+    WeightedLiteral,
+    atoms,
 )
 from aspkit.optimize import (
     DominanceVerdict,
-    GroupKey,
     default_optimal,
     dominates,
-    incl_at,
-    leq_at,
     optimal_answer_sets,
-    pref_at,
 )
 from aspkit.parser import parse_criteria, parse_program
-from aspkit.semantics import enumerate_answer_sets
+from aspkit.semantics import enumerate_answer_sets, satisfies
 from generators import iset, random_criteria, random_program
 
-KEY = GroupKey(1, 1)
+SEEDS = st.integers(0, 2**32 - 1)
+logger = logging.getLogger(__name__)
+
+
+# -- reference: the syntactic dominance test, one satisfies call per literal --
+
+
+@dataclass(frozen=True)
+class GroupKey:
+    """Identifies the minimize occurrences at one level and weight."""
+
+    level: int
+    weight: int
+
+
+def _count(x: Interpretation, key: GroupKey, m: MinimizeStatement) -> int:
+    """Occurrences in the group satisfied by ``x`` (duplicates count)."""
+    return sum(1 for e in m.group(key.level, key.weight)
+               if satisfies(x, e.literal))
+
+
+def _group_literals(key: GroupKey, m: MinimizeStatement) -> tuple[Literal, ...]:
+    seen: list[Literal] = []
+    for e in m.group(key.level, key.weight):
+        if e.literal not in seen:
+            seen.append(e.literal)
+    return tuple(seen)
+
+
+def leq_at(x: Interpretation, y: Interpretation, key: GroupKey,
+           m: MinimizeStatement) -> bool:
+    """Whether ``x``'s satisfied-occurrence count is at most ``y``'s."""
+    return _count(x, key, m) <= _count(y, key, m)
+
+
+def incl_at(x: Interpretation, y: Interpretation, key: GroupKey,
+            m: MinimizeStatement) -> bool:
+    """Whether every group literal satisfied by ``x`` is satisfied by ``y``."""
+    return all(satisfies(y, e.literal)
+               for e in m.group(key.level, key.weight)
+               if satisfies(x, e.literal))
+
+
+def pref_at(x: Interpretation, y: Interpretation, key: GroupKey,
+            m: MinimizeStatement, prefer) -> bool:
+    """Whether ``x`` is preferable to ``y``: some preference pair
+    (l1, l2) of group literals has l1 satisfied by ``x`` only and l2 by
+    ``y`` only, and no ``y``-only literal l defeats l1 via l <= l1
+    without l1 <= l."""
+    literals = _group_literals(key, m)
+    inside = set(literals)
+    pairs = set()
+    for first, second in prefer:
+        if first in inside and second in inside:
+            pairs.add((first, second))
+        else:
+            logger.debug("prefer pair (%s, %s) ignored: outside group %s@%s",
+                         first, second, key.weight, key.level)
+    x_only = [l for l in literals if satisfies(x, l) and not satisfies(y, l)]
+    y_only = [l for l in literals if satisfies(y, l) and not satisfies(x, l)]
+    for l1 in x_only:
+        if not any((l1, l2) in pairs for l2 in y_only):
+            continue
+        defeated = any(
+            (l, l1) in pairs and (l1, l) not in pairs for l in y_only)
+        if not defeated:
+            return True
+    return False
+
+
+def reference_dominates(y: Interpretation, x: Interpretation,
+                        m: MinimizeStatement,
+                        crit: CriteriaSet) -> DominanceVerdict:
+    """Whether ``y`` dominates ``x``: some criterion group (J, w) fails
+    x <= y while every criterion at a level >= J has y <= x."""
+
+    def relation(a, b, level, weight, criterion):
+        key = GroupKey(level, weight)
+        if criterion == "card":
+            return leq_at(a, b, key, m)
+        if criterion == "incl":
+            return incl_at(a, b, key, m)
+        return pref_at(a, b, key, m, crit.prefer)
+
+    ordered = sorted(crit.relations, key=lambda r: (-r[0], r[1], r[2]))
+    for level, weight, criterion in ordered:
+        if relation(x, y, level, weight, criterion):
+            continue
+        if all(relation(y, x, lv2, w2, c2)
+               for lv2, w2, c2 in crit.relations if lv2 >= level):
+            return DominanceVerdict(True, level, weight)
+    return DominanceVerdict(False)
+
+
+# -- one-relation dominance: the former leq_at/incl_at/pref_at cases ---------
 
 
 def statement(text) -> MinimizeStatement:
@@ -31,64 +133,82 @@ def statement(text) -> MinimizeStatement:
 
 
 TOY_STATEMENT = "p=1@1, q=1@1, r=1@1, s=1@1"
+DOMINATED = DominanceVerdict(True, 1, 1)
+UNDOMINATED = DominanceVerdict(False)
+
+
+def verdict(y, x, m, criterion, prefer=()) -> DominanceVerdict:
+    """``dominates`` under the one relation (1, 1, criterion), checked
+    against the reference."""
+    crit = CriteriaSet(((1, 1, criterion),), prefer)
+    found = dominates(iset(y), iset(x), m, crit)
+    assert found == reference_dominates(iset(y), iset(x), m, crit)
+    return found
 
 
 class TestLeq:
     def test_counts_satisfied_occurrences(self):
         m = statement(TOY_STATEMENT)
-        assert leq_at(iset("s,t"), iset("p,q"), KEY, m)       # 1 <= 2
-        assert not leq_at(iset("p,q"), iset("s,t"), KEY, m)
+        assert verdict("p,q", "s,t", m, "card") == UNDOMINATED   # 1 <= 2
+        assert verdict("s,t", "p,q", m, "card") == DOMINATED
 
     def test_reflexive(self):
         m = statement(TOY_STATEMENT)
-        assert leq_at(iset("p,q"), iset("p,q"), KEY, m)
+        assert verdict("p,q", "p,q", m, "card") == UNDOMINATED
 
     def test_duplicates_counted(self):
         m = statement("p=1@1, p=1@1, q=1@1, r=1@1")
-        assert leq_at(iset("p"), iset("q,r"), KEY, m)          # 2 <= 2
-        assert not leq_at(iset("p,q"), iset("q,r"), KEY, m)    # 3 > 2
+        assert verdict("q,r", "p", m, "card") == UNDOMINATED     # 2 <= 2
+        assert verdict("p", "q,r", m, "card") == UNDOMINATED
+        assert verdict("q,r", "p,q", m, "card") == DOMINATED     # 3 > 2
 
 
 class TestIncl:
     def test_subset_of_satisfied_literals(self):
         m = statement(TOY_STATEMENT)
-        assert incl_at(iset("s,t"), iset("p,s"), KEY, m)
-        assert not incl_at(iset("p,q"), iset("p,r"), KEY, m)
+        assert verdict("s,t", "p,s", m, "incl") == DOMINATED
+        assert verdict("p,s", "s,t", m, "incl") == UNDOMINATED
+        assert verdict("p,r", "p,q", m, "incl") == UNDOMINATED
+        assert verdict("p,q", "p,r", m, "incl") == UNDOMINATED
 
     def test_reflexive(self):
         m = statement(TOY_STATEMENT)
-        assert incl_at(iset("p,q"), iset("p,q"), KEY, m)
+        assert verdict("p,q", "p,q", m, "incl") == UNDOMINATED
 
     def test_only_group_literals_matter(self):
         m = statement("p=1@1, q=2@1")
         # q sits at weight 2, so the (1,1) group ignores it
-        assert incl_at(iset("q"), frozenset(), KEY, m)
+        assert verdict("", "q", m, "incl") == UNDOMINATED
+        assert verdict("q", "", m, "incl") == UNDOMINATED
 
 
 class TestPref:
     def test_simple_preference(self):
         m = statement("a=1@1, b=1@1")
         prefer = ((Literal(Atom("a")), Literal(Atom("b"))),)
-        assert pref_at(iset("a"), iset("b"), KEY, m, prefer)
-        assert not pref_at(iset("b"), iset("a"), KEY, m, prefer)
+        assert verdict("a", "b", m, "pref", prefer) == DOMINATED
+        assert verdict("b", "a", m, "pref", prefer) == UNDOMINATED
 
     def test_irreflexive(self):
         m = statement("a=1@1, b=1@1")
         prefer = ((Literal(Atom("a")), Literal(Atom("b"))),)
-        assert not pref_at(iset("a"), iset("a"), KEY, m, prefer)
+        assert verdict("a", "a", m, "pref", prefer) == UNDOMINATED
 
     def test_defeater_blocks(self):
         m = statement("a=1@1, b=1@1, c=1@1")
         a, b, c = (Literal(Atom(n)) for n in "abc")
         prefer = ((a, b), (c, a))
-        # c is satisfied by y only and c <= a without a <= c: defeated
-        assert not pref_at(iset("a"), iset("b,c"), KEY, m, prefer)
-        assert pref_at(iset("a"), iset("b"), KEY, m, prefer)
+        # c is satisfied by y only and c <= a without a <= c: {a} is not
+        # preferable to {b,c}, while {b,c} is preferable to {a} via c
+        assert verdict("b,c", "a", m, "pref", prefer) == DOMINATED
+        assert verdict("a", "b,c", m, "pref", prefer) == UNDOMINATED
+        assert verdict("a", "b", m, "pref", prefer) == DOMINATED
 
     def test_pairs_outside_group_ignored(self):
         m = statement("a=1@1, b=1@1")
         prefer = ((Literal(Atom("a")), Literal(Atom("z"))),)
-        assert not pref_at(iset("a"), iset("b"), KEY, m, prefer)
+        assert verdict("a", "b", m, "pref", prefer) == UNDOMINATED
+        assert verdict("b", "a", m, "pref", prefer) == UNDOMINATED
 
 
 class TestDominates:
@@ -211,3 +331,131 @@ class TestRandomCorpusProperties:
                                      minimize=True)
             assert optimal_answer_sets(program, CriteriaSet()) == \
                 enumerate_answer_sets(program)
+
+
+# -- the compiled comparator against the syntactic reference ------------------
+
+
+def draw_case(seed, closed, outside, unmatched):
+    """A random program with a minimize statement and criteria over it;
+    optionally the preference closed, a prefer pair with a literal
+    outside every group, and a relation at a group with no occurrence."""
+    rng = random.Random(seed)
+    program = random_program(rng, max_atoms=6, max_rules=8, minimize=True)
+    crit = random_criteria(rng, program)
+    relations, prefer = crit.relations, crit.prefer
+    if outside:
+        literals = [e.literal for e in program.minimize.entries]
+        stray = Literal(Atom("z"), rng.random() < 0.5)
+        pair = (rng.choice(literals), stray) if literals else (stray, stray)
+        prefer += (pair if rng.random() < 0.5 else pair[::-1],)
+    if unmatched:
+        relations += ((rng.choice((1, 3)), 3, rng.choice(CRITERIA)),)
+    crit = CriteriaSet(relations, prefer)
+    return program, crit.with_prefer_closure() if closed else crit
+
+
+def free_case(seed, criteria, closed):
+    """Most random programs have at most one answer set.  Here every
+    subset of at most four atoms is one, and all minimize entries share
+    one group, so duplicate occurrences, literal patterns and chains of
+    prefer pairs meet often."""
+    rng = random.Random(seed)
+    minimize = random_program(rng, max_atoms=4, max_rules=1, minimize=True,
+                              levels=(1,), weights=(1,)).minimize
+    program = Program(
+        tuple(Rule(SumConstraint(None, (WeightedLiteral(Literal(a)),)))
+              for a in sorted(atoms(Program((), minimize)))),
+        minimize)
+    crit = random_criteria(rng, program, criteria=criteria, levels=(1,),
+                           weights=(1,), empty_chance=0.0)
+    return program, crit.with_prefer_closure() if closed else crit
+
+
+def assert_matches_reference(program, crit):
+    m = program.minimize
+    answer_sets = enumerate_answer_sets(program)
+    for y in answer_sets:
+        for x in answer_sets:
+            assert dominates(y, x, m, crit) == \
+                reference_dominates(y, x, m, crit), (y, x)
+    assert optimal_answer_sets(program, crit) == [
+        x for x in answer_sets
+        if not any(reference_dominates(y, x, m, crit).dominated
+                   for y in answer_sets if y != x)]
+
+
+@given(SEEDS, st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_dominates_matches_reference(seed, closed, outside, unmatched):
+    assert_matches_reference(*draw_case(seed, closed, outside, unmatched))
+
+
+@given(SEEDS, st.sampled_from([("card",), ("incl",), ("pref",), CRITERIA]),
+       st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_dominates_matches_reference_on_one_free_group(seed, criteria,
+                                                       closed):
+    assert_matches_reference(*free_case(seed, criteria, closed))
+
+
+def test_group_without_occurrences():
+    # card and incl hold both ways on a group with no minimize occurrence
+    # and pref holds neither way, so only pref there blocks dominance
+    m = statement("a=1@1, b=1@1")
+    for criterion in ("card", "incl", "pref"):
+        alone = CriteriaSet(((9, 9, criterion),))
+        assert dominates(iset("a"), iset("a,b"), m, alone) == UNDOMINATED
+        above = CriteriaSet(((9, 9, criterion), (1, 1, "incl")))
+        assert dominates(iset("a"), iset("a,b"), m, above) == (
+            UNDOMINATED if criterion == "pref" else DOMINATED)
+
+
+# -- metamorphic properties of the optimum ------------------------------------
+
+
+def rename(value, mapping):
+    """``value`` with every atom replaced through ``mapping``."""
+    if isinstance(value, Atom):
+        return mapping[value]
+    if isinstance(value, tuple):
+        return tuple(rename(item, mapping) for item in value)
+    if dataclasses.is_dataclass(value):
+        return type(value)(**{f.name: rename(getattr(value, f.name), mapping)
+                              for f in dataclasses.fields(value)})
+    return value
+
+
+def metamorphic_case(seed, closed, free):
+    if free:
+        return free_case(seed, CRITERIA, closed)
+    return draw_case(seed, closed, False, False)
+
+
+@given(SEEDS, st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_optimum_invariant_under_order_reversing_renaming(seed, closed, free):
+    program, crit = metamorphic_case(seed, closed, free)
+    universe = sorted(atoms(program))
+    mapping = dict(zip(universe, reversed(universe)))
+    renamed = rename(program, mapping)
+    expected = {frozenset(mapping[a] for a in x)
+                for x in optimal_answer_sets(program, crit)}
+    assert set(optimal_answer_sets(renamed, rename(crit, mapping))) == expected
+
+
+@given(SEEDS, st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_optimum_invariant_under_rule_and_entry_permutation(seed, closed,
+                                                            free):
+    program, crit = metamorphic_case(seed, closed, free)
+    rng = random.Random(seed ^ 0x5EED)
+    rules, entries = list(program.rules), list(program.minimize.entries)
+    rng.shuffle(rules)
+    rng.shuffle(entries)
+    expected = set(optimal_answer_sets(program, crit))
+    assert set(optimal_answer_sets(
+        Program(tuple(rules), program.minimize), crit)) == expected
+    assert set(optimal_answer_sets(
+        Program(program.rules, MinimizeStatement(tuple(entries))),
+        crit)) == expected
