@@ -24,10 +24,7 @@ from .semantics import enumerate_answer_sets, is_answer_set, is_model, reduct
 from .consequence import (
     dependency_graph,
     is_supported_model,
-    scc_fixpoint_check,
     sccs,
-    tp_iterate,
-    tp_step,
     wait_levels,
 )
 from .reify import ReifiedFact, ReifyError, facts_to_text, parse_reified, text_to_facts

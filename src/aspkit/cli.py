@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from . import consequence, core, metaenc, optimize, semantics
+from .compiled import CompiledProgram
 from .core import Atom, CapExceededError, ContractViolationError, CriteriaSet
 from .parser import ParseError, SourceSpan, parse_criteria, parse_program
 from .reify import facts_to_text, reify
@@ -98,6 +99,15 @@ def cmd_optimize(args) -> int:
         program, crit, limit=args.limit, cap=args.max_atoms))
 
 
+def _is_answer_set(program, x, cap: int) -> bool:
+    """The least-model check without proper disjunctions; otherwise the
+    subset-minimality check, refused beyond ``cap`` true atoms."""
+    compiled = CompiledProgram(program.rules, sorted(core.atoms(program)))
+    if compiled.extended:
+        return compiled.is_answer_set(sum(compiled.bit[a] for a in x))
+    return semantics.is_answer_set(x, program, cap=cap)
+
+
 def cmd_check(args) -> int:
     program = parse_program(_read(args.program))
     known = core.atoms(program)
@@ -113,14 +123,15 @@ def cmd_check(args) -> int:
             return EXIT_USAGE
     if not semantics.is_model(x, program):
         print("non-model")
-    elif semantics.is_answer_set(x, program, cap=args.max_atoms):
+    elif _is_answer_set(program, x, args.max_atoms):
         print("answer-set")
     elif consequence.is_supported_model(program, x):
         print("supported-model")
         decomposition = consequence.sccs(
             consequence.dependency_graph(program), program)
         for component in decomposition.nontrivial():
-            waiting = consequence.wait_levels(program, x, component.label)
+            waiting = consequence.wait_levels(program, x, component.label,
+                                              decomposition)
             if waiting.waiting_true:
                 names_ = ",".join(sorted(a.name for a in waiting.waiting_true))
                 print(f"component {component.label}: {names_} "

@@ -30,6 +30,10 @@ from .core import (
 #: lower-bounded sums as (lower, ((atom index, weight), ...)).
 HornRule = tuple[int, Iterable[int], Iterable[tuple[int, Iterable[tuple[int, int]]]]]
 
+#: A closed closure: derived flag per atom, missing count per rule, and
+#: the weight each sum slot still lacks.  Never changed once returned.
+ClosureState = tuple[bytearray, list[int], list[int]]
+
 
 class HornClosure:
     """Forward closure of positive rules with one head atom, plain body
@@ -162,9 +166,9 @@ class HornClosure:
                             queue.append(head)
         return False
 
-    def reaches(self, seed: Iterable[int], goal: int) -> bool:
-        """Whether the closure of all rules over the atom indexes
-        ``seed`` contains the atom index ``goal``."""
+    def start(self, seed: Iterable[int], goal: int) -> ClosureState | None:
+        """The closure of all rules over the atom indexes ``seed``, or
+        None once it contains the atom index ``goal``."""
         derived = bytearray(self._base)
         queue = list(self.facts)
         for idx in seed:
@@ -172,9 +176,29 @@ class HornClosure:
                 derived[idx] = 1
                 queue.append(idx)
         if derived[goal]:
-            return True
-        return self._close(queue, derived, list(self.missing),
-                           list(self.bounds), goal)
+            return None
+        state = (derived, list(self.missing), list(self.bounds))
+        return None if self._close(queue, *state, goal) else state
+
+    def extend(self, state: ClosureState, idx: int,
+               goal: int) -> ClosureState | None:
+        """A copy of the closed ``state`` closed again with the atom index
+        ``idx`` added, or None once it contains ``goal``; ``state`` itself
+        is left as it was, so it can be extended again."""
+        derived, missing, need = state
+        if idx == goal:
+            return None
+        if derived[idx]:
+            return state
+        derived = bytearray(derived)
+        derived[idx] = 1
+        child = (derived, list(missing), list(need))
+        return None if self._close([idx], *child, goal) else child
+
+    def reaches(self, seed: Iterable[int], goal: int) -> bool:
+        """Whether the closure of all rules over the atom indexes
+        ``seed`` contains the atom index ``goal``."""
+        return self.start(seed, goal) is None
 
     def derives(self, seed: Iterable[Hashable], target: Hashable) -> bool:
         """Whether the closure of all rules over ``seed`` contains

@@ -1,9 +1,9 @@
-"""Positive dependencies, SCC-localized fixpoints, and wait levels.
+"""Positive dependencies, strongly connected components, supported
+models, and wait levels.
 
-The immediate consequence operator characterizes answer sets of
-extended programs: a model is an answer set exactly when iterating the
-operator on the reduct reproduces it, and the iteration can be
-localized to the strongly connected components of the positive
+A model is an answer set exactly when iterating the immediate
+consequence operator on its reduct reproduces it, and the iteration can
+be localized to the strongly connected components of the positive
 dependency graph.  Wait levels compute the complement of that local
 fixpoint: the true atoms of a component that are still underivable
 after as many steps as the component has atoms.
@@ -17,17 +17,14 @@ from typing import Union
 from .core import (
     Atom,
     Body,
-    ContractViolationError,
-    Disjunction,
     Interpretation,
     Program,
-    Rule,
     SumConstraint,
     atoms,
     atoms_of,
     positive_part,
 )
-from .semantics import PositiveProgram, is_model, reduct, satisfies
+from .semantics import is_model, satisfies
 
 #: A component member beyond its atoms: a body conjunction or a sum.
 ComponentElement = Union[SumConstraint, Body]
@@ -144,44 +141,6 @@ def sccs(graph: DependencyGraph, program: Program) -> SccDecomposition:
     return SccDecomposition(tuple(components))
 
 
-def tp_step(program: PositiveProgram, x: Interpretation) -> frozenset:
-    """Heads of rules whose bodies ``x`` satisfies."""
-    return frozenset(r.head for r in program.rules if satisfies(x, r.body))
-
-
-def tp_iterate(program: PositiveProgram, seed: Interpretation,
-               steps: int) -> Interpretation:
-    """Iterate the consequence operator ``steps`` times from ``seed``,
-    accumulating derived atoms.  Only single-atom heads may arise."""
-    current = frozenset(seed)
-    for _ in range(steps):
-        derived = set(current)
-        for head in tp_step(program, current):
-            if len(head.atoms) != 1:
-                raise ContractViolationError(
-                    f"non-atomic head {head!r} in fixpoint iteration")
-            derived.add(head.atoms[0])
-        if derived == current:
-            break
-        current = frozenset(derived)
-    return current
-
-
-def scc_fixpoint_check(program: Program, x: Interpretation) -> bool:
-    """SCC-localized answer-set check: for a model, iterate the operator
-    on the reduct once per component (seeded with everything outside it)
-    and require the union of the local results to reproduce ``x``."""
-    if not is_model(x, program):
-        return False
-    decomposition = sccs(dependency_graph(program), program)
-    reduced = reduct(program, x)
-    covered: set[Atom] = set()
-    for component in decomposition.components:
-        local = tp_iterate(reduced, x - component.atoms, len(component.atoms))
-        covered |= local & component.atoms
-    return covered == x
-
-
 def is_supported_model(program: Program, x: Interpretation) -> bool:
     """True iff ``x`` is a model and every true atom occurs positively in
     the head of some rule whose body holds."""
@@ -205,8 +164,8 @@ class ComponentWait:
     waiting_true: frozenset[Atom]
 
 
-def wait_levels(program: Program, x: Interpretation,
-                label: int) -> ComponentWait:
+def wait_levels(program: Program, x: Interpretation, label: int,
+                decomposition: SccDecomposition | None = None) -> ComponentWait:
     """Underivability table for one component.
 
     Every component atom waits at step 0.  An atom keeps waiting while
@@ -216,8 +175,12 @@ def wait_levels(program: Program, x: Interpretation,
     some internal positive member waits; a sum constraint waits while it
     is false or the weight of false entries plus waiting internal atoms
     exceeds what its lower bound can spare.
+
+    ``decomposition`` is the program's SCC decomposition, computed here
+    when not given.
     """
-    decomposition = sccs(dependency_graph(program), program)
+    if decomposition is None:
+        decomposition = sccs(dependency_graph(program), program)
     component = decomposition.by_label(label)
     members = component.atoms
     connecting = set(component.connecting)

@@ -23,16 +23,14 @@ onto the optimal answer sets of the reified object program.  Its parts:
 assignment is screened against the candidate part alone, and a
 surviving candidate is accepted iff the counterexample side derives
 ``bot`` for every guess, which by saturation is equivalent to the meta
-program having a (unique) answer set with that hold-projection.  Only
-the compare rules read the candidate, so :class:`MetaSolver` compiles
-the counterexample side once, as two closures.  The evaluate, check and
-saturate rules give each guess one verdict per solve, computed the
-first time any candidate reaches that guess: ``bot`` is derived, and the
-guess is refuted for every candidate, or it survives.  In the compare
-rules each candidate-side body literal is a condition, and a candidate
-seeds the conditions it satisfies; a surviving guess is refuted iff
-that closure derives ``bot`` from the seed and the guess.  The solver
-checks the structure that makes this split sound when it is built.
+program having a (unique) answer set with that hold-projection.
+:class:`MetaSolver` compiles the counterexample side (evaluate, check,
+saturate and compare) once, as one closure in which each candidate-side
+body literal of the compare rules is a condition that a candidate
+seeds.  Those rules are positive, so a partial guess that derives
+``bot`` refutes every guess extending it: the solver walks the guess
+bits depth first once per candidate and drops such subtrees.  It checks
+the structure that makes this sound when it is built.
 """
 
 from __future__ import annotations
@@ -637,19 +635,15 @@ def build_meta_program(facts, crit: CriteriaSet) -> MetaProgram:
     )
 
 
-#: Verdicts of the static closure on a guess.
-_UNSEEN, _REFUTED, _SURVIVES = 0, 1, 2
-
-
 def _compare_conditions(mp: MetaProgram,
                         static: tuple[Rule, ...]) -> list[BodyLiteral]:
     """The candidate-side body literals of the compare rules in order of
-    first occurrence, once the structure that lets the static rules and
-    the compare rules judge a guess apart is checked: the static rules
-    mention no candidate-side atom and derive guess atoms only from
-    ``bot``; compare heads other than ``bot`` occur nowhere else; compare
-    bodies read the static rules only through guess atoms, and the
-    candidate only through whole literals."""
+    first occurrence, once the structure that makes the counterexample
+    side a positive closure over the guess atoms and these conditions is
+    checked: the static rules mention no candidate-side atom and derive
+    guess atoms only from ``bot``; compare heads other than ``bot`` occur
+    nowhere else; compare bodies read the static rules only through
+    guess atoms, and the candidate only through whole literals."""
     guess = set(mp.true_atoms.values()) | set(mp.fail_atoms.values())
     static_atoms = core.atoms(Program(static))
     if static_atoms & mp.candidate_side:
@@ -696,20 +690,18 @@ class MetaSolver:
         self._candidate = CompiledProgram(mp.candidate, order)
         self._hold_bits = [self._candidate.bit[mp.candidate_atoms[a]]
                            for a in self.object_atoms]
-        # Both closures index true_atom of object atom i at i, its
-        # fail_atom at n + i and bot at 2n, so a guess seed is an int list.
+        # The closure indexes true_atom of object atom i at i, its
+        # fail_atom at n + i and bot at 2n, so a guess atom is an int.
         keys = ([mp.true_atoms[a] for a in self.object_atoms]
                 + [mp.fail_atoms[a] for a in self.object_atoms] + [mp.bot])
         self._bot = 2 * n
         static = mp.evaluate + mp.check + mp.saturate
         conditions = _compare_conditions(mp, static)
-        self._static_closure = HornClosure.of_rules(static, keys)
-        self._compare_closure = HornClosure.of_rules(
-            mp.compare, keys + conditions)
+        self._closure = HornClosure.of_rules(static + mp.compare,
+                                             keys + conditions)
         self._condition_bits = [
-            (self._compare_closure.index[bl], self._candidate.bit[bl.element],
+            (self._closure.index[bl], self._candidate.bit[bl.element],
              bl.negated) for bl in conditions]
-        self._verdicts = bytearray(1 << n)
 
     def decode(self, x: int) -> Interpretation:
         return frozenset(a for i, a in enumerate(self.object_atoms)
@@ -729,32 +721,39 @@ class MetaSolver:
         return self._candidate.is_answer_set(self._candidate_mask(x))
 
     def conditions(self, x: int) -> list[int]:
-        """Compare-closure indexes of the conditions candidate x meets."""
+        """Closure indexes of the conditions candidate x meets."""
         held = self._candidate_mask(x)
         return [idx for idx, bit, negated in self._condition_bits
                 if bool(held & bit) != negated]
 
-    def refutes(self, seed: list[int], y: int) -> bool:
-        """Whether the counterexample side derives bot for guess y, given
-        the candidate's conditions ``seed``."""
-        verdict = self._verdicts[y]
-        if verdict == _REFUTED:
-            return True
+    def refutes(self, conditions: list[int]) -> bool:
+        """Whether the counterexample side derives bot for every guess,
+        given a candidate's ``conditions``.
+
+        A depth-first walk fixes guess bit i at depth i, as fail_atom_i
+        or true_atom_i, each child closing only its one new atom on a
+        copy of its parent's closure.  The rules are positive, so once a
+        partial guess derives bot every completion does too, and its
+        subtree is dropped; a complete guess that escapes bot ends the
+        walk."""
+        closure = self._closure
+        bot = self._bot
         n = len(self.object_atoms)
-        guess = [i if y >> i & 1 else n + i for i in range(n)]
-        if verdict == _UNSEEN:
-            if self._static_closure.reaches(guess, self._bot):
-                self._verdicts[y] = _REFUTED
+
+        def escapes(state, i: int) -> bool:
+            if i == n:
                 return True
-            self._verdicts[y] = _SURVIVES
-        return self._compare_closure.reaches(seed + guess, self._bot)
+            for atom in (n + i, i):
+                child = closure.extend(state, atom, bot)
+                if child is not None and escapes(child, i + 1):
+                    return True
+            return False
+
+        root = closure.start(conditions, bot)
+        return root is None or not escapes(root, 0)
 
     def accepted(self, x: int) -> bool:
-        if not self.candidate_stable(x):
-            return False
-        seed = self.conditions(x)
-        return all(self.refutes(seed, y)
-                   for y in range(1 << len(self.object_atoms)))
+        return self.candidate_stable(x) and self.refutes(self.conditions(x))
 
     def solve(self, limit: int | None = None) -> list[Interpretation]:
         core.check_limit(limit)

@@ -98,3 +98,27 @@ def random_criteria(rng: random.Random, program: Program,
             if pair not in prefer:
                 prefer.append(pair)
     return CriteriaSet(tuple(relations), tuple(prefer))
+
+
+def choice_program(rng: random.Random, max_atoms=8, max_constraints=3,
+                   levels=(1, 2), weights=(1, 2)) -> Program:
+    """Independent choices ``{a}.`` over ``max_atoms`` atoms under a few
+    two-literal constraints, so most interpretations stay answer sets,
+    and a minimize statement whose groups share atoms."""
+    pool = [Atom(n) for n in NAMES[:max_atoms]]
+    rules = [Rule(SumConstraint(None, (WeightedLiteral(Literal(a)),)))
+             for a in pool]
+    for _ in range(rng.randint(0, max_constraints)):
+        rules.append(Rule(Disjunction(()), tuple(
+            BodyLiteral(a, rng.random() < 0.5)
+            for a in rng.sample(pool, 2))))
+    groups = [(level, weight) for level in levels for weight in weights]
+    entries = []
+    for atom in pool:
+        if rng.random() < 0.2:
+            continue
+        for level, weight in rng.sample(groups, rng.randint(1, 2)):
+            entries.append(MinimizeEntry(
+                Literal(atom, rng.random() < 0.25), weight, level))
+    rng.shuffle(entries)
+    return Program(tuple(rules), MinimizeStatement(tuple(entries)))

@@ -7,9 +7,7 @@ import pytest
 
 from aspkit.consequence import (
     dependency_graph,
-    scc_fixpoint_check,
     sccs,
-    tp_iterate,
     wait_levels,
 )
 from aspkit.core import CriteriaSet, atoms, normalize
@@ -25,6 +23,7 @@ from aspkit.semantics import (
 )
 from conftest import REPAIR_TEXT, TOY_MIN_TEXT, TOY_TEXT
 from generators import iset, random_criteria, random_program
+from reference import scc_fixpoint_check, tp_iterate
 from test_reify import TOY_MIN_FACTS
 
 TOY_FIVE = [iset("p,q"), iset("p,r"), iset("p,s"), iset("p,s,t"), iset("s,t")]

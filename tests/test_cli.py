@@ -1,6 +1,6 @@
 import pytest
 
-from aspkit import cli
+from aspkit import cli, consequence
 from aspkit.cli import main
 from conftest import TOY_MIN_TEXT, TOY_TEXT
 
@@ -159,6 +159,48 @@ class TestCheck:
         code, _, err = run(capsys, "check", toy_file,
                            "--interpretation", "p,zz")
         assert code == 2 and "zz" in err
+
+    def test_long_cycle_has_no_atom_cap(self, capsys, tmp_path):
+        # 31 true atoms, past the cap of 20 that disjunctive programs keep
+        path = tmp_path / "cycle.lp"
+        path.write_text("{e}.\nc0 :- e.\nc0 :- c29.\n" + "".join(
+            f"c{i} :- c{i - 1}.\n" for i in range(1, 30)))
+        cycle = ",".join(f"c{i}" for i in range(30))
+        code, out, _ = run(capsys, "check", str(path),
+                           "--interpretation", "e," + cycle)
+        assert code == 0 and out == "answer-set\n"
+        code, out, _ = run(capsys, "check", str(path),
+                           "--interpretation", cycle)
+        assert code == 0
+        waiting = ",".join(sorted(f"c{i}" for i in range(30)))
+        assert out.splitlines() == [
+            "supported-model", f"component 0: {waiting} wait at step 30"]
+
+    def test_disjunctive_program_keeps_atom_cap(self, capsys, tmp_path):
+        path = tmp_path / "disjunctive.lp"
+        path.write_text("a0 | z.\n" + "".join(f"a{i}.\n" for i in range(1, 21)))
+        code, _, err = run(capsys, "check", str(path), "--interpretation",
+                           ",".join(f"a{i}" for i in range(21)))
+        assert code == 4 and "cap 20" in err
+
+    def test_one_decomposition_per_check(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "two_cycles.lp"
+        path.write_text("a :- b. b :- a. c :- d. d :- c.\n")
+        sccs = consequence.sccs
+        calls = []
+
+        def counted(graph, program):
+            calls.append(program)
+            return sccs(graph, program)
+
+        monkeypatch.setattr(consequence, "sccs", counted)
+        code, out, _ = run(capsys, "check", str(path),
+                           "--interpretation", "a,b,c,d")
+        assert code == 0
+        assert out.splitlines() == [
+            "supported-model", "component 0: a,b wait at step 2",
+            "component 1: c,d wait at step 2"]
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("names", ["A", "a b", "p,Q"])
     def test_invalid_atom_name(self, capsys, toy_file, names):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from aspkit import core
 from aspkit.compiled import CompiledProgram, HornClosure
-from aspkit.consequence import tp_iterate
 from aspkit.core import Atom, Program, atoms
 from aspkit.metaenc import MetaSolver, build_meta_program
 from aspkit.parser import parse_program
@@ -22,7 +21,8 @@ from aspkit.semantics import (
     reduct,
     satisfies,
 )
-from generators import iset, random_criteria, random_program
+from generators import choice_program, iset, random_criteria, random_program
+from reference import tp_iterate
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -117,21 +117,35 @@ def reference_refutes(mp, x, y):
     return closure.derives(seed, mp.bot)
 
 
-@given(SEEDS)
-@settings(max_examples=60, deadline=None)
-def test_refutes_matches_reference(seed):
-    rng = random.Random(seed)
-    program = random_program(rng, max_atoms=5, max_rules=6, minimize=True)
-    mp = build_meta_program(reify(program), random_criteria(rng, program))
+def check_refutes(program, crit):
+    """The walk refutes a stable candidate exactly when the reference
+    refutes every guess."""
+    mp = build_meta_program(reify(program), crit)
     solver = MetaSolver(mp)
     masks = range(1 << len(solver.object_atoms))
     for x in masks:
         if not solver.candidate_stable(x):
             continue
-        conditions = solver.conditions(x)
-        for y in masks:
-            assert solver.refutes(conditions, y) == reference_refutes(
-                mp, solver.decode(x), solver.decode(y))
+        candidate = solver.decode(x)
+        assert solver.refutes(solver.conditions(x)) == all(
+            reference_refutes(mp, candidate, solver.decode(y))
+            for y in masks)
+
+
+@given(SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_refutes_matches_reference(seed):
+    rng = random.Random(seed)
+    program = random_program(rng, max_atoms=5, max_rules=6, minimize=True)
+    check_refutes(program, random_criteria(rng, program))
+
+
+@given(SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_refutes_matches_reference_on_many_answer_sets(seed):
+    rng = random.Random(seed)
+    program = choice_program(rng, max_atoms=4)
+    check_refutes(program, random_criteria(rng, program))
 
 
 class TestHornClosure:
@@ -156,6 +170,17 @@ class TestHornClosure:
         assert not closure.derives((), Atom("a"))
         program = parse_program("c. a :- b, 0 #sum[c=1]. b :- a.")
         assert enumerate_answer_sets(program) == [iset("c")]
+
+    def test_extend_leaves_its_parent_unchanged(self):
+        closure = self.closure(
+            "c :- a, b. bot :- c. f :- b, e. g :- 2 #sum[b=1, e=1].")
+        idx = closure.index
+        root = closure.start([idx[Atom("a")]], idx[Atom("bot")])
+        assert closure.extend(root, idx[Atom("b")], idx[Atom("bot")]) is None
+        derived = closure.extend(root, idx[Atom("e")], idx[Atom("bot")])[0]
+        assert derived[idx[Atom("e")]]
+        assert not any(derived[idx[Atom(n)]] for n in "bcfg")
+        assert not closure.reaches([idx[Atom("e")]], idx[Atom("bot")])
 
     @pytest.mark.parametrize(
         "text", ["a :- not b.", "a :- 1 #sum[not b=1].", "a | b.", ":- a."])

@@ -7,16 +7,14 @@ from aspkit.consequence import (
     DependencyGraph,
     dependency_graph,
     is_supported_model,
-    scc_fixpoint_check,
     sccs,
-    tp_iterate,
-    tp_step,
     wait_levels,
 )
 from aspkit.core import Atom, Disjunction, Program, atoms
 from aspkit.parser import parse_program
 from aspkit.semantics import enumerate_answer_sets, is_answer_set, is_model, reduct
 from generators import iset, random_program
+from reference import scc_fixpoint_check, tp_iterate, tp_step
 
 
 def edge(a, b):

@@ -1,10 +1,13 @@
 import dataclasses
 import random
-from collections import Counter
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspkit import consequence
+from aspkit.compiled import HornClosure
 from aspkit.consequence import sccs
 from aspkit.core import (
     CapExceededError,
@@ -23,7 +26,7 @@ from aspkit.optimize import optimal_answer_sets
 from aspkit.parser import parse_criteria, parse_program, render_program
 from aspkit.reify import reify
 from aspkit.semantics import enumerate_answer_sets
-from generators import iset, random_criteria, random_program
+from generators import choice_program, iset, random_criteria, random_program
 
 INCL = parse_criteria("optimize(1,1,incl).")
 CARD = parse_criteria("optimize(1,1,card).")
@@ -194,6 +197,12 @@ def mask(solver, x):
     return sum(1 << i for i, a in enumerate(solver.object_atoms) if a in x)
 
 
+def guess_seed(solver, y):
+    """Closure indexes of the guess atoms of the guess mask ``y``."""
+    n = len(solver.object_atoms)
+    return [i if y >> i & 1 else n + i for i in range(n)]
+
+
 class TestSaturationSoundness:
     def test_bot_exactly_on_refuted_guesses(self, toy_min):
         mp = build(toy_min, INCL)
@@ -202,8 +211,10 @@ class TestSaturationSoundness:
 
         def refuted_guesses(candidate):
             conditions = solver.conditions(mask(solver, candidate))
-            return {y for y in every_set(solver)
-                    if solver.refutes(conditions, mask(solver, y))}
+            refuted = {y for y in every_set(solver) if solver._closure.reaches(
+                conditions + guess_seed(solver, mask(solver, y)), solver._bot)}
+            assert solver.refutes(conditions) == (refuted == every_set(solver))
+            return refuted
 
         # optimal candidate: every guess is refuted
         assert refuted_guesses(iset("s,t")) == every_set(solver)
@@ -215,20 +226,57 @@ class TestSaturationSoundness:
             assert all(y in refuted_guesses(candidate)
                        for y in every_set(solver) if y not in answer_sets)
 
-    def test_static_rules_judge_each_guess_once(self, toy_min):
+    def test_walk_prunes_exactly_where_bot_is_derived(self, toy_min):
         solver = MetaSolver(build(toy_min, INCL))
-        closure = solver._static_closure
-        runs = Counter()
+        closure, bot = solver._closure, solver._bot
+        n = len(solver.object_atoms)
+        walks = []  # per candidate: its conditions and {prefix: survived}
+        prefix_of = {}
+        alive = []  # keeps every state alive, so its id stays unique
 
-        def counted(seed, goal):
-            runs[tuple(seed)] += 1
-            return type(closure).reaches(closure, seed, goal)
+        def start(seed, goal):
+            state = HornClosure.start(closure, seed, goal)
+            walks.append((list(seed), {}))
+            if state is not None:
+                prefix_of[id(state)] = ()
+                alive.append(state)
+            return state
 
-        closure.reaches = counted
+        def extend(state, atom, goal):
+            seed, visited = walks[-1]
+            depth = len(prefix_of[id(state)])
+            assert atom in (depth, n + depth)
+            prefix = prefix_of[id(state)] + (atom,)
+            assert prefix not in visited
+            child = HornClosure.extend(closure, state, atom, goal)
+            visited[prefix] = child is not None
+            if child is not None:
+                prefix_of[id(child)] = prefix
+                alive.append(child)
+            return child
+
+        closure.start, closure.extend = start, extend
         assert solver.solve() == [iset("p,q"), iset("p,r"), iset("s,t")]
-        # five stable candidates reach the guesses, three reach them all
-        assert len(runs) == 1 << len(solver.object_atoms)
-        assert set(runs.values()) == {1}
+        # one walk per stable candidate, all its conditions closed once
+        assert len(walks) == 5
+        for seed, visited in walks:
+            for prefix, survived in visited.items():
+                assert closure.reaches(seed + list(prefix), bot) != survived
+        # pruning keeps each walk under half the tree of partial guesses
+        full_tree = 2 * ((1 << n) - 1)
+        assert all(len(visited) < full_tree // 2 for _, visited in walks)
+
+    def test_solver_memory_does_not_grow_with_guesses(self):
+        text = "".join(f"{{a{i}}}.\n" for i in range(26))
+        mp = build(parse_program(text))
+        tracemalloc.start()
+        try:
+            solver = MetaSolver(mp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(solver.object_atoms) == 26
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("part,text", [
         ("compare", "true_atom_p :- hold_atom_p."),
@@ -279,6 +327,14 @@ class TestCrosscheck:
             crit = random_criteria(rng, program)
             report = crosscheck(program, crit)
             assert report.agree, render_program(program)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_many_answer_sets_agree(self, seed):
+        rng = random.Random(seed)
+        program = choice_program(rng, max_atoms=8)
+        report = crosscheck(program, random_criteria(rng, program))
+        assert report.agree, render_program(program)
 
     def test_report_difference(self, toy_min):
         report = crosscheck(toy_min, INCL)
