@@ -8,12 +8,16 @@ without proper disjunctions, an interpretation is an answer set exactly
 when it is a model equal to the least model of its own reduct; the
 least model comes from :class:`HornClosure`, the watch-list closure of
 Dowling and Gallier (1984), which also serves the meta solver's
-counterexample side.
+counterexample side.  :class:`Search` finds every answer set of a
+compiled program by depth-first search with Clark completion
+propagation, as in conflict-driven answer-set enumeration (Gebser,
+Kaufmann, Neumann and Schaub, 2007), but with no unfounded-set
+reasoning: the least-model check decides each complete assignment.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .core import (
     Atom,
@@ -209,7 +213,7 @@ class HornClosure:
         index = self.index
         return self.reaches((index[a] for a in seed if a in index), goal)
 
-    def least_model(self, active: Iterable[tuple[int, list[int]]]) -> list[int]:
+    def least_model(self, active: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
         """Atom indexes derived from the empty set by the ``active`` rules,
         given as (rule id, its sums' lower bounds) pairs; other rules
         never fire."""
@@ -234,10 +238,28 @@ class HornClosure:
         return queue
 
 
+def _layers(entries: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """(weight, mask) pairs whose weighted popcounts add up to the
+    entries' weight: entries of one weight share a mask, and an atom
+    repeated at that weight goes to a further mask."""
+    layers: list[list[int]] = []
+    for b, w in entries:
+        if not w:
+            continue
+        for layer in layers:
+            if layer[0] == w and not layer[1] & b:
+                layer[1] |= b
+                break
+        else:
+            layers.append([w, b])
+    return tuple((w, mask) for w, mask in layers)
+
+
 class _Sum:
     """A sum constraint over bits: satisfied weight within bounds."""
 
-    __slots__ = ("lower", "upper", "positive", "negative")
+    __slots__ = ("lower", "upper", "positive", "negative", "_positive",
+                 "_negative")
 
     def __init__(self, sc: SumConstraint, bit: dict[Atom, int]):
         self.lower = sc.lower if sc.lower is not None else 0
@@ -246,14 +268,41 @@ class _Sum:
                               for wl in sc.elements if not wl.literal.negated)
         self.negative = tuple((bit[wl.literal.atom], wl.weight)
                               for wl in sc.elements if wl.literal.negated)
+        self._positive = _layers(self.positive)
+        self._negative = _layers(self.negative)
 
     def absent(self, x: int) -> int:
         """Weight of negated entries satisfied by ``x`` through absence."""
-        return sum(w for b, w in self.negative if not x & b)
+        weight = 0
+        for w, mask in self._negative:
+            weight += w * (mask & ~x).bit_count()
+        return weight
 
     def holds(self, x: int) -> bool:
-        weight = self.absent(x) + sum(w for b, w in self.positive if x & b)
+        weight = self.absent(x)
+        for w, mask in self._positive:
+            weight += w * (mask & x).bit_count()
         return self.lower <= weight and (self.upper is None or weight <= self.upper)
+
+    def surely(self, t: int, f: int) -> int:
+        """1 when every completion of the partial assignment (true atoms
+        ``t``, false atoms ``f``) satisfies the sum, -1 when none does,
+        else 0; weights are non-negative, so the satisfied weight ranges
+        from the weight of the surely satisfied entries to that plus the
+        weight of the undecided ones."""
+        least = undecided = 0
+        open_ = ~(t | f)
+        for w, mask in self._positive:
+            least += w * (mask & t).bit_count()
+            undecided += w * (mask & open_).bit_count()
+        for w, mask in self._negative:
+            least += w * (mask & f).bit_count()
+            undecided += w * (mask & open_).bit_count()
+        most = least + undecided
+        upper = self.upper
+        if most < self.lower or (upper is not None and least > upper):
+            return -1
+        return int(least >= self.lower and (upper is None or most <= upper))
 
 
 class _Rule:
@@ -336,35 +385,208 @@ class CompiledProgram:
                 return False
         return True
 
-    def forward(self, x: int) -> int:
-        """One pass over the rules in order, adding the atoms of each
-        disjunctive head whose body holds in what the pass has built so
-        far; sum heads add nothing."""
-        for rule in self.rules:
-            if rule.body_holds(x):
-                x |= rule.head
-        return x
-
     def is_answer_set(self, x: int) -> bool:
         """Whether ``x`` is a model equal to the least model of its
-        reduct: the reduct's rules are those whose body holds in ``x``,
-        with sum lower bounds reduced by the weight of negated entries
-        made true by absence, and heads cut down to atoms of ``x``.
+        reduct (see :meth:`is_least_model`).
 
         Only sound for programs without proper disjunctions."""
         if not self.extended:
             raise ContractViolationError(
                 "least-model test on a program with a proper disjunction")
-        active: list[tuple[int, list[int]]] = []
+        applied: list[_Rule] = []
         for rule in self.rules:
-            if not rule.body_holds(x):
-                continue
-            if not rule.head_holds(x):
-                return False
-            lowers = [s.lower - s.absent(x) for s in rule.reduced]
+            if rule.body_holds(x):
+                if not rule.head_holds(x):
+                    return False
+                applied.append(rule)
+        return self.is_least_model(x, applied)
+
+    def is_least_model(self, x: int, applied: Iterable[_Rule]) -> bool:
+        """Whether the model ``x`` is the least model of its reduct, given
+        ``applied``, the rules whose body holds in ``x``: the reduct keeps
+        those rules, with sum lower bounds reduced by the weight of
+        negated entries made true by absence, and heads cut down to atoms
+        of ``x``."""
+        active: list[tuple[int, Sequence[int]]] = []
+        for rule in applied:
+            lowers = [s.lower - s.absent(x) for s in rule.reduced] \
+                if rule.reduced else ()
             for rid, bit in rule.closure:
                 if x & bit:
                     active.append((rid, lowers))
         # The least model lies inside x, so equal sizes mean equal sets.
         return len(self.horn.least_model(active)) == x.bit_count()
 
+
+def _indexes(mask: int) -> list[int]:
+    """Bit positions set in ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class Search:
+    """Depth-first search for the answer sets of a compiled program.
+
+    A node is a partial assignment held as two masks, the true atoms and
+    the false atoms, plus the mask of rules whose body surely fails.
+    Propagation runs to a fixpoint and looks at a rule again only when
+    one of its body or head atoms gets a value.  A rule whose body
+    surely holds sets its head's one undecided atom to the value that
+    meets the head, and is a conflict when the head cannot be met.  An
+    atom all of whose supporting rules (those with the atom positive in
+    the head) have surely failing bodies becomes false, and is a
+    conflict when true (Clark completion).  Every answer set is a
+    supported model, so propagation loses none.  A rule is looked at
+    once all its atoms have values, so a complete assignment that
+    survives propagation is a model, and the rules not marked as
+    failing are exactly those whose body holds in it.  It is an answer
+    set when it passes ``stable`` or, without ``stable``, when it is the
+    least model of its reduct, so no unfounded set is taken for one.
+
+    The search branches first on atoms occurring positively in a sum
+    head, then on the atom bits in ``first``, then on the rest, each in
+    atom order, trying false before true.
+    """
+
+    def __init__(self, program: CompiledProgram, first: Iterable[int] = (),
+                 stable: Callable[[int], bool] | None = None):
+        self.program = program
+        self.stable = stable
+        n = len(program.atoms)
+        self.full = (1 << n) - 1
+        self.watch: list[list[int]] = [[] for _ in range(n)]
+        #: per atom, the mask of rules supporting it
+        self.support = [0] * n
+        #: per rule: its bit, body masks and sums, head mask and sum, the
+        #: (index, bit) of each atom it supports, and the rule itself
+        self.rules: list[tuple] = []
+        chosen: list[int] = []
+        for rid, rule in enumerate(program.rules):
+            head_sum = rule.head_sum
+            if head_sum is None:
+                supported = head = rule.head
+            else:
+                # OR, not add: a head may repeat an entry
+                supported = 0
+                for b, _ in head_sum.positive:
+                    supported |= b
+                head = supported
+                for b, _ in head_sum.negative:
+                    head |= b
+                chosen.append(supported)
+            mentioned = head | rule.pos | rule.neg
+            for s, _ in rule.sums:
+                for b, _ in s.positive + s.negative:
+                    mentioned |= b
+            for idx in _indexes(mentioned):
+                self.watch[idx].append(rid)
+            supports = tuple((idx, 1 << idx) for idx in _indexes(supported))
+            for idx, _ in supports:
+                self.support[idx] |= 1 << rid
+            self.rules.append((1 << rid, rule.pos, rule.neg, rule.sums, head,
+                               head_sum, supports, rule))
+        firsts = [*(idx for mask in chosen for idx in _indexes(mask)),
+                  *(b.bit_length() - 1 for b in first)]
+        self.order = list(dict.fromkeys([*firsts, *range(n)]))
+        self.unsupported = sum(1 << i for i in range(n) if not self.support[i])
+
+    def answer_sets(self, true: int = 0, false: int = 0) -> Iterator[int]:
+        """Every answer set containing the atoms ``true`` and none of
+        ``false``, each once, in no particular order."""
+        stack = []
+        root = self._propagate(true, false | self.unsupported, 0,
+                               list(range(len(self.rules))))
+        if root is not None:
+            stack.append((*root, 0))
+        order, watch, full = self.order, self.watch, self.full
+        while stack:
+            t, f, dead, pos = stack.pop()
+            decided = t | f
+            if decided == full:
+                if self._stable(t, dead):
+                    yield t
+                continue
+            while decided >> order[pos] & 1:
+                pos += 1
+            idx = order[pos]
+            bit = 1 << idx
+            for child in (self._propagate(t | bit, f, dead, list(watch[idx])),
+                          self._propagate(t, f | bit, dead, list(watch[idx]))):
+                if child is not None:
+                    stack.append((*child, pos + 1))
+
+    def _stable(self, x: int, dead: int) -> bool:
+        """Whether the complete assignment ``x`` is an answer set, given
+        ``dead``, the rules whose body fails in ``x``.  Propagation made
+        ``x`` a model, so without ``stable`` what is left to check is that
+        ``x`` is the least model of its reduct."""
+        if self.stable is not None:
+            return self.stable(x)
+        return self.program.is_least_model(
+            x, [entry[-1] for entry in self.rules if not dead & entry[0]])
+
+    def _propagate(self, t: int, f: int, dead: int,
+                   todo: list[int]) -> tuple[int, int, int] | None:
+        """The fixpoint of propagation from the rules ``todo``, or None
+        on a conflict."""
+        if t & f:
+            return None
+        rules, watch, support = self.rules, self.watch, self.support
+        while todo:
+            rbit, pos, neg, sums, head, head_sum, supports, _ = \
+                rules[todo.pop()]
+            if dead & rbit:
+                continue
+            if pos & f or neg & t:
+                body = -1
+            else:
+                body = int(t & pos == pos and f & neg == neg)
+                for s, negated in sums:
+                    state = s.surely(t, f)
+                    if state < 0 if not negated else state > 0:
+                        body = -1
+                        break
+                    if not state:
+                        body = 0
+            if body < 0:
+                dead |= rbit
+                for idx, bit in supports:
+                    if not f & bit and not support[idx] & ~dead:
+                        if t & bit:
+                            return None
+                        f |= bit
+                        todo += watch[idx]
+            elif body:
+                if head_sum is None:
+                    if t & head:
+                        continue
+                    open_ = head & ~f
+                    if not open_:
+                        return None
+                    if open_ & (open_ - 1):
+                        continue
+                    t |= open_
+                else:
+                    state = head_sum.surely(t, f)
+                    if state > 0:
+                        continue
+                    if state < 0:
+                        return None
+                    open_ = head & ~(t | f)
+                    if open_ & (open_ - 1):
+                        continue
+                    # all other head atoms are decided: try both values
+                    if head_sum.holds(t | open_):
+                        if head_sum.holds(t):
+                            continue
+                        t |= open_
+                    elif head_sum.holds(t):
+                        f |= open_
+                    else:
+                        return None
+                todo += watch[open_.bit_length() - 1]
+        return t, f, dead

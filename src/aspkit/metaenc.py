@@ -19,11 +19,12 @@ onto the optimal answer sets of the reified object program.  Its parts:
 * saturate: floods the guess atoms from ``bot``;
 * accept: the final constraint ``:- not bot.``.
 
-:func:`solve_meta` exploits exactly this structure: a candidate
-assignment is screened against the candidate part alone, and a
-surviving candidate is accepted iff the counterexample side derives
-``bot`` for every guess, which by saturation is equivalent to the meta
-program having a (unique) answer set with that hold-projection.
+:func:`solve_meta` exploits exactly this structure: the candidates are
+the answer sets of the candidate part alone, found by the search of
+:class:`aspkit.compiled.Search` branching on the ``hold_atom_*`` first,
+and a candidate is accepted iff the counterexample side derives ``bot``
+for every guess, which by saturation is equivalent to the meta program
+having a (unique) answer set with that hold-projection.
 :class:`MetaSolver` compiles the counterexample side (evaluate, check,
 saturate and compare) once, as one closure in which each candidate-side
 body literal of the compare rules is a condition that a candidate
@@ -35,6 +36,7 @@ the structure that makes this sound when it is built.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import core
@@ -53,7 +55,7 @@ from .core import (
     SumConstraint,
     WeightedLiteral,
 )
-from .compiled import CompiledProgram, HornClosure
+from .compiled import CompiledProgram, HornClosure, Search
 from .optimize import optimal_answer_sets
 from .reify import FactReader, Term, read_reified, reify
 from .semantics import canonical_order
@@ -685,11 +687,11 @@ class MetaSolver:
         if n > DEFAULT_META_CAP:
             raise CapExceededError(
                 f"{n} candidate atoms exceed meta cap {DEFAULT_META_CAP}")
-        order = sorted(mp.candidate_side)
-        self._definitions = CompiledProgram(mp.candidate_definitions, order)
-        self._candidate = CompiledProgram(mp.candidate, order)
+        self._candidate = CompiledProgram(mp.candidate,
+                                          sorted(mp.candidate_side))
         self._hold_bits = [self._candidate.bit[mp.candidate_atoms[a]]
                            for a in self.object_atoms]
+        self._search = Search(self._candidate, first=self._hold_bits)
         # The closure indexes true_atom of object atom i at i, its
         # fail_atom at n + i and bot at 2n, so a guess atom is an int.
         keys = ([mp.true_atoms[a] for a in self.object_atoms]
@@ -707,22 +709,25 @@ class MetaSolver:
         return frozenset(a for i, a in enumerate(self.object_atoms)
                          if x >> i & 1)
 
-    def _candidate_mask(self, x: int) -> int:
-        mask = 0
-        for i, bit in enumerate(self._hold_bits):
-            if x >> i & 1:
-                mask |= bit
-        # definitions are ordered sums before conjunctions, so one pass
-        # settles each layer even though conjunction bodies may negate sums
-        return self._definitions.forward(mask)
+    def project(self, held: int) -> int:
+        """The object mask of the candidate-side mask ``held``."""
+        return sum(1 << i for i, bit in enumerate(self._hold_bits)
+                   if held & bit)
+
+    def stable_candidates(self) -> Iterator[int]:
+        """The candidate-side masks of the candidate part's answer sets,
+        found by search branching on the hold atoms first."""
+        return self._search.answer_sets()
 
     def candidate_stable(self, x: int) -> bool:
         """Whether the candidate part has an answer set projecting to x."""
-        return self._candidate.is_answer_set(self._candidate_mask(x))
+        true = sum(bit for i, bit in enumerate(self._hold_bits) if x >> i & 1)
+        false = sum(self._hold_bits) & ~true
+        return next(self._search.answer_sets(true, false), None) is not None
 
-    def conditions(self, x: int) -> list[int]:
-        """Closure indexes of the conditions candidate x meets."""
-        held = self._candidate_mask(x)
+    def conditions(self, held: int) -> list[int]:
+        """Closure indexes of the conditions met by the candidate whose
+        candidate-side mask is ``held``."""
         return [idx for idx, bit, negated in self._condition_bits
                 if bool(held & bit) != negated]
 
@@ -752,13 +757,15 @@ class MetaSolver:
         root = closure.start(conditions, bot)
         return root is None or not escapes(root, 0)
 
-    def accepted(self, x: int) -> bool:
-        return self.candidate_stable(x) and self.refutes(self.conditions(x))
+    def accepted(self, held: int) -> bool:
+        """Whether the stable candidate with candidate-side mask ``held``
+        survives every guess."""
+        return self.refutes(self.conditions(held))
 
     def solve(self, limit: int | None = None) -> list[Interpretation]:
         core.check_limit(limit)
-        accepted = [self.decode(x) for x in range(1 << len(self.object_atoms))
-                    if self.accepted(x)]
+        accepted = [self.decode(self.project(held))
+                    for held in self.stable_candidates() if self.accepted(held)]
         ordered = canonical_order(accepted)
         return ordered[:limit] if limit is not None else ordered
 

@@ -135,6 +135,47 @@ class CompiledCriteria:
                 return DominanceVerdict(True, level, weight)
         return _UNDOMINATED
 
+    def undominated(self, scores: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+        """The score vectors in ``scores`` that none of them dominates.
+
+        Equal vectors dominate the same vectors and never each other, so
+        only distinct vectors are compared, each standing for bit k of a
+        mask by its position k.  Per relation, every distinct value is
+        compared with every other once: ``as_good[v]`` masks the vectors
+        whose value u there has u <= v, and ``better[v]`` those whose
+        value u has not v <= u.  A vector x is then dominated exactly
+        when, for some relation i, ``better[x_i]`` meets ``as_good[x_j]``
+        of every relation j at a level >= that of i."""
+        distinct = list(dict.fromkeys(scores))
+        tables = []
+        for i, (_, _, leq, _) in enumerate(self._relations):
+            buckets: dict[int, int] = {}
+            for k, vector in enumerate(distinct):
+                buckets[vector[i]] = buckets.get(vector[i], 0) | 1 << k
+            table = {}
+            for v in buckets:
+                as_good = better = 0
+                for u, mask in buckets.items():
+                    if leq(u, v):
+                        as_good |= mask
+                    if not leq(v, u):
+                        better |= mask
+                table[v] = (as_good, better)
+            tables.append(table)
+        out = set()
+        for x in distinct:
+            for i, (_, _, _, at_or_above) in enumerate(self._relations):
+                witnesses = tables[i][x[i]][1]
+                for j, _ in at_or_above:
+                    witnesses &= tables[j][x[j]][0]
+                    if not witnesses:
+                        break
+                if witnesses:
+                    break
+            else:
+                out.add(x)
+        return out
+
 
 def dominates(y: Interpretation, x: Interpretation, m: MinimizeStatement,
               crit: CriteriaSet) -> DominanceVerdict:
@@ -152,10 +193,8 @@ def optimal_answer_sets(program: Program, crit: CriteriaSet,
     candidates = enumerate_answer_sets(program, cap=cap)
     compiled = CompiledCriteria(program.minimize, crit)
     scores = [compiled.score(x) for x in candidates]
-    optimal = [
-        x for i, (x, sx) in enumerate(zip(candidates, scores))
-        if not any(compiled.dominates(sy, sx).dominated
-                   for j, sy in enumerate(scores) if j != i)]
+    undominated = compiled.undominated(scores)
+    optimal = [x for x, sx in zip(candidates, scores) if sx in undominated]
     return optimal[:limit] if limit is not None else optimal
 
 

@@ -5,14 +5,15 @@ minimal-model semantics for disjunctions: an interpretation is an
 answer set if it is a model of the program and a minimal model of its
 own reduct.
 
-:func:`enumerate_answer_sets` tries every interpretation on the
-program compiled to bitmasks (:mod:`aspkit.compiled`): a compiled model
-check, then, without proper disjunctions, a comparison with the least
-model of the reduct.  Programs with a proper disjunction still take the
-subset-minimality check.  :func:`is_answer_set` and
-:func:`is_minimal_model` check minimality by exhaustive subset
-enumeration on the syntax objects, so they stay an independent oracle
-for the compiled check and the fixpoint-based machinery.
+:func:`enumerate_answer_sets` searches the program compiled to bitmasks
+with :class:`aspkit.compiled.Search`: depth first, with completion
+propagation, and each complete assignment compared with the least
+model of its reduct.  Programs with a proper disjunction take the
+compiled model check and the subset-minimality check there instead.
+:func:`is_answer_set` and :func:`is_minimal_model` check minimality by
+exhaustive subset enumeration on the syntax objects, so they stay an
+independent oracle for the compiled check and the fixpoint-based
+machinery.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .compiled import CompiledProgram
+from .compiled import CompiledProgram, Search
 from .core import (
     DEFAULT_ATOM_CAP,
     Atom,
@@ -159,15 +160,13 @@ def enumerate_answer_sets(program: Program, limit: int | None = None,
         raise CapExceededError(
             f"{len(universe)} atoms exceed enumeration cap {cap}")
     compiled = CompiledProgram(program.rules, universe)
-    if compiled.extended:
-        stable = compiled.is_answer_set
-    else:
+    stable = None
+    if not compiled.extended:
         def stable(mask: int) -> bool:
             if not compiled.is_model(mask):
                 return False
             x = compiled.decode(mask)
             return is_minimal_model(x, reduct(program, x), cap)
-    found = [compiled.decode(mask) for mask in range(1 << len(universe))
-             if stable(mask)]
-    ordered = canonical_order(found)
+    search = Search(compiled, stable=stable)
+    ordered = canonical_order(map(compiled.decode, search.answer_sets()))
     return ordered[:limit] if limit is not None else ordered

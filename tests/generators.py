@@ -18,7 +18,7 @@ from aspkit.core import (
     WeightedLiteral,
 )
 
-NAMES = "abcdefgh"
+NAMES = "abcdefghijklmnop"
 
 
 def iset(names: str) -> frozenset[Atom]:

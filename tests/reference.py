@@ -1,12 +1,25 @@
-"""The immediate consequence operator on syntax objects: a second
-answer-set route that the tests compare with the compiled least-model
-check and the subset-minimality oracle.  No command line path uses it."""
+"""Reference routes that the tests compare aspkit's engines with; no
+command line path uses them.
+
+The immediate consequence operator on syntax objects is a second
+answer-set route beside the compiled least-model check and the
+subset-minimality oracle.  The brute-force loops try every
+interpretation, or every hold-projection of a meta candidate, with the
+compiled checks, as enumeration did before it searched."""
 
 from __future__ import annotations
 
+from aspkit.compiled import CompiledProgram
 from aspkit.consequence import dependency_graph, sccs
-from aspkit.core import Atom, ContractViolationError, Interpretation, Program
-from aspkit.semantics import PositiveProgram, is_model, reduct, satisfies
+from aspkit.core import Atom, ContractViolationError, Interpretation, Program, atoms
+from aspkit.semantics import (
+    PositiveProgram,
+    canonical_order,
+    is_minimal_model,
+    is_model,
+    reduct,
+    satisfies,
+)
 
 
 def tp_step(program: PositiveProgram, x: Interpretation) -> frozenset:
@@ -46,3 +59,41 @@ def scc_fixpoint_check(program: Program, x: Interpretation) -> bool:
         covered |= local & component.atoms
     return covered == x
 
+
+
+def brute_answer_sets(program: Program) -> list[Interpretation]:
+    """Every interpretation that passes the compiled least-model check,
+    or without it, for proper disjunctions, the compiled model check and
+    subset minimality on the reduct; in canonical order."""
+    compiled = CompiledProgram(program.rules, sorted(atoms(program)))
+
+    def stable(mask: int) -> bool:
+        if compiled.extended:
+            return compiled.is_answer_set(mask)
+        x = compiled.decode(mask)
+        return compiled.is_model(mask) and is_minimal_model(
+            x, reduct(program, x))
+
+    return canonical_order(compiled.decode(mask)
+                           for mask in range(1 << len(compiled.atoms))
+                           if stable(mask))
+
+
+def brute_stable_candidates(solver) -> list[int]:
+    """The candidate-side masks of a meta solver's stable candidates, by
+    hold-projection in mask order: each projection's hold atoms closed
+    by one pass over the candidate definitions, which are ordered sums
+    before conjunctions, kept when the candidate part's least-model
+    check accepts the result."""
+    candidate = solver._candidate
+    definitions = candidate.rules[:len(solver.mp.candidate_definitions)]
+    found = []
+    for x in range(1 << len(solver.object_atoms)):
+        held = sum(bit for i, bit in enumerate(solver._hold_bits)
+                   if x >> i & 1)
+        for rule in definitions:
+            if rule.body_holds(held):
+                held |= rule.head
+        if candidate.is_answer_set(held):
+            found.append(held)
+    return found

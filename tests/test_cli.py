@@ -1,4 +1,11 @@
+import contextlib
+import io
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspkit import cli, consequence
 from aspkit.cli import main
@@ -360,3 +367,42 @@ class TestUsage:
         code, out, err = run(capsys, "solve", toy_file)
         assert code == 130 and out == ""
         assert err == "interrupted\n"
+
+
+#: Fragments of the program and criteria syntax, so that fuzzed input
+#: often gets past the tokenizer.
+FRAGMENTS = [b"a", b"b", b"c", b"{", b"}", b"[", b"]", b"(", b")", b":-",
+             b".", b",", b"not ", b"|", b"#sum", b"#minimize", b"=", b"@",
+             b"0", b"1", b"2", b"-", b" ", b"\n", b"%", b"\xff", b"optimize",
+             b"prefer", b"atom", b"neg", b"pos", b"card", b"incl", b"pref"]
+#: Whole rules, so that fuzzed input often parses and is solved.
+RULES = [b"a.", b"{a}.", b"{b, c}.", b"b :- not a.", b"c :- b, not c.",
+         b":- a, b.", b"1 {a, b} 1.", b"a | b.", b"a :- 2 #sum[b=1, not c=2].",
+         b"#minimize[a=1@1, not b=2@1].", b"optimize(1,1,incl).",
+         b"prefer(pos(atom(a)),neg(atom(b))).", b"\n"]
+RAW_INPUT = st.one_of(
+    st.binary(max_size=40),
+    st.lists(st.sampled_from(FRAGMENTS), max_size=24).map(b"".join),
+    st.lists(st.sampled_from(RULES), max_size=8).map(b"".join))
+
+
+@given(st.sampled_from(["solve", "reify", "check", "metaenc"]), RAW_INPUT,
+       RAW_INPUT, st.sampled_from(["", "a", "a,b", "z", "A", ","]))
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_input_exits_with_a_documented_code(command, program,
+                                                   criteria, interpretation):
+    with tempfile.TemporaryDirectory() as work:
+        paths = [os.path.join(work, name) for name in ("p.lp", "c.lp")]
+        for path, data in zip(paths, (program, criteria)):
+            with open(path, "wb") as handle:
+                handle.write(data)
+        argv = [command, paths[0]]
+        if command == "check":
+            argv += ["--interpretation", interpretation]
+        elif command == "metaenc":
+            argv += ["--criteria", paths[1]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4, 10), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

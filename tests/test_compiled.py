@@ -1,6 +1,8 @@
 """Differential tests: the compiled checks against the syntax-level
-oracle and the meta solver's earlier candidate check."""
+oracle and the meta solver's earlier candidate check, and the search
+against the brute-force loops it replaced."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,8 +11,16 @@ from hypothesis import strategies as st
 
 from aspkit import core
 from aspkit.compiled import CompiledProgram, HornClosure
-from aspkit.core import Atom, Program, atoms
-from aspkit.metaenc import MetaSolver, build_meta_program
+from aspkit.core import (
+    Atom,
+    Program,
+    Rule,
+    SumConstraint,
+    WeightedLiteral,
+    atoms,
+    is_extended,
+)
+from aspkit.metaenc import MetaSolver, build_meta_program, solve_meta
 from aspkit.parser import parse_program
 from aspkit.reify import reify
 from aspkit.semantics import (
@@ -22,7 +32,7 @@ from aspkit.semantics import (
     satisfies,
 )
 from generators import choice_program, iset, random_criteria, random_program
-from reference import tp_iterate
+from reference import brute_answer_sets, brute_stable_candidates, tp_iterate
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -123,11 +133,9 @@ def check_refutes(program, crit):
     mp = build_meta_program(reify(program), crit)
     solver = MetaSolver(mp)
     masks = range(1 << len(solver.object_atoms))
-    for x in masks:
-        if not solver.candidate_stable(x):
-            continue
-        candidate = solver.decode(x)
-        assert solver.refutes(solver.conditions(x)) == all(
+    for held in solver.stable_candidates():
+        candidate = solver.decode(solver.project(held))
+        assert solver.refutes(solver.conditions(held)) == all(
             reference_refutes(mp, candidate, solver.decode(y))
             for y in masks)
 
@@ -146,6 +154,103 @@ def test_refutes_matches_reference_on_many_answer_sets(seed):
     rng = random.Random(seed)
     program = choice_program(rng, max_atoms=4)
     check_refutes(program, random_criteria(rng, program))
+
+
+def check_search(program):
+    """Both routes' searches find what the brute-force loops find: the
+    answer sets, and the meta solver's stable candidates."""
+    assert enumerate_answer_sets(program) == brute_answer_sets(program)
+    if is_extended(program):
+        solver = MetaSolver(build_meta_program(reify(program),
+                                               core.CriteriaSet()))
+        assert sorted(solver.stable_candidates()) == \
+            sorted(brute_stable_candidates(solver))
+
+
+@given(SEEDS, st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_search_matches_brute_force(seed, disjunctive):
+    check_search(random_program(random.Random(seed), max_atoms=8,
+                                max_rules=10, disjunctive=disjunctive))
+
+
+@given(SEEDS)
+@settings(max_examples=20, deadline=None)
+def test_search_matches_brute_force_on_many_answer_sets(seed):
+    check_search(choice_program(random.Random(seed), max_atoms=8))
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("", [frozenset()]),
+    (":- .", []),
+    (":- . :- .", []),
+    (":- a.", [frozenset()]),
+    (":- not a.", []),
+    (":- 1 #sum[a=1, not b=1].", []),
+])
+def test_search_on_constraints_alone(text, expected):
+    program = parse_program(text)
+    check_search(program)
+    assert enumerate_answer_sets(program) == expected
+    assert solve_meta(build_meta_program(reify(program),
+                                         core.CriteriaSet())) == expected
+
+
+def doubled_sum(sc, j):
+    """``sc`` with bounds and weights doubled, its entry ``j`` written
+    twice at its old weight instead of once at twice it."""
+    elements = []
+    for k, wl in enumerate(sc.elements):
+        elements += [wl, wl] if k == j else [
+            WeightedLiteral(wl.literal, 2 * wl.weight)]
+    lower, upper = (None if bound is None else 2 * bound
+                    for bound in (sc.lower, sc.upper))
+    return SumConstraint(lower, tuple(elements), upper)
+
+
+def repeat_entry(rng, program):
+    """``program`` with one sum, in a head or a body, doubled."""
+    sites = [(i, None) for i, rule in enumerate(program.rules)
+             if isinstance(rule.head, SumConstraint)]
+    sites += [(i, k) for i, rule in enumerate(program.rules)
+              for k, bl in enumerate(rule.body)
+              if isinstance(bl.element, SumConstraint)]
+    if not sites:
+        return program
+    i, k = rng.choice(sites)
+    rules = list(program.rules)
+    rule = rules[i]
+    sc = rule.head if k is None else rule.body[k].element
+    new = doubled_sum(sc, rng.randrange(len(sc.elements)))
+    if k is None:
+        rules[i] = Rule(new, rule.body)
+    else:
+        body = list(rule.body)
+        body[k] = dataclasses.replace(body[k], element=new)
+        rules[i] = Rule(rule.head, tuple(body))
+    return Program(tuple(rules), program.minimize)
+
+
+def duplicate_rule(rng, program):
+    rules = list(program.rules)
+    rules.insert(rng.randrange(len(rules) + 1), rng.choice(rules))
+    return Program(tuple(rules), program.minimize)
+
+
+@given(SEEDS, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_duplicates_change_no_result(seed, entry):
+    """A rule written twice, or a sum entry written twice with the rest
+    of its sum scaled to match, changes no answer set and no optimum:
+    the searches must count supports and watches without double
+    counting."""
+    rng = random.Random(seed)
+    program = random_program(rng, max_atoms=5, max_rules=6, minimize=True)
+    crit = random_criteria(rng, program)
+    changed = (repeat_entry if entry else duplicate_rule)(rng, program)
+    assert enumerate_answer_sets(changed) == enumerate_answer_sets(program)
+    assert solve_meta(build_meta_program(reify(changed), crit)) == \
+        solve_meta(build_meta_program(reify(program), crit))
 
 
 class TestHornClosure:

@@ -209,8 +209,11 @@ class TestSaturationSoundness:
         solver = MetaSolver(mp)
         answer_sets = set(enumerate_answer_sets(toy_min))
 
+        held = {solver.decode(solver.project(m)): m
+                for m in solver.stable_candidates()}
+
         def refuted_guesses(candidate):
-            conditions = solver.conditions(mask(solver, candidate))
+            conditions = solver.conditions(held[candidate])
             refuted = {y for y in every_set(solver) if solver._closure.reaches(
                 conditions + guess_seed(solver, mask(solver, y)), solver._bot)}
             assert solver.refutes(conditions) == (refuted == every_set(solver))
@@ -332,7 +335,7 @@ class TestCrosscheck:
     @settings(max_examples=30, deadline=None)
     def test_many_answer_sets_agree(self, seed):
         rng = random.Random(seed)
-        program = choice_program(rng, max_atoms=8)
+        program = choice_program(rng, max_atoms=10)
         report = crosscheck(program, random_criteria(rng, program))
         assert report.agree, render_program(program)
 
