@@ -448,8 +448,8 @@ class Search:
     least model of its reduct, so no unfounded set is taken for one.
 
     The search branches first on atoms occurring positively in a sum
-    head, then on the atom bits in ``first``, then on the rest, each in
-    atom order, trying false before true.
+    head, rule by rule, then on the atom bits in ``first`` in their
+    order, then on the rest in atom order, trying false before true.
     """
 
     def __init__(self, program: CompiledProgram, first: Iterable[int] = (),
