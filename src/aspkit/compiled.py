@@ -46,8 +46,11 @@ class HornClosure:
     Each rule counts the body atoms it still misses plus the sums still
     below their lower bound, and each sum the weight it still lacks;
     deriving an atom updates only the rules watching it, so a closure
-    costs time linear in the rules' size.  Atoms are keys indexed in the
-    order of ``atoms``; a key need not be an :class:`Atom`.
+    costs time linear in the rules' size.  The facts are closed once,
+    into :attr:`root`; :meth:`start` adds a seed to a copy of it and
+    :meth:`extend` one atom to a copy of a closed state.  Atoms are keys
+    indexed in the order of ``atoms``; a key need not be an
+    :class:`Atom`.
     """
 
     #: Missing count of a rule left out of a closure: no sequence of
@@ -66,7 +69,7 @@ class HornClosure:
         self.bounds: list[int] = []
         self.plain_watch: list[list[int]] = [[] for _ in atoms]
         self.sum_watch: list[list[tuple[int, int, int]]] = [[] for _ in atoms]
-        self.facts: list[int] = []
+        facts: list[int] = []
         for head, plain, sums in rules:
             rid = len(self.heads)
             plain = set(plain)
@@ -87,13 +90,16 @@ class HornClosure:
             self.plain.append(len(plain))
             self.missing.append(missing)
             if not missing:
-                self.facts.append(head)
+                facts.append(head)
         # each fact once: a closure's queue must not hold an atom twice
-        self.facts = list(dict.fromkeys(self.facts))
-        #: the derived flags of the facts alone
-        self._base = bytearray(len(atoms))
-        for idx in self.facts:
-            self._base[idx] = 1
+        facts = list(dict.fromkeys(facts))
+        derived = bytearray(len(atoms))
+        for idx in facts:
+            derived[idx] = 1
+        #: the closure of the facts alone, which :meth:`start` copies
+        self.root: ClosureState = (derived, list(self.missing),
+                                   list(self.bounds))
+        self._close(facts, *self.root)
 
     @classmethod
     def of_rules(cls, rules: Iterable[Rule],
@@ -172,16 +178,18 @@ class HornClosure:
 
     def start(self, seed: Iterable[int], goal: int) -> ClosureState | None:
         """The closure of all rules over the atom indexes ``seed``, or
-        None once it contains the atom index ``goal``."""
-        derived = bytearray(self._base)
-        queue = list(self.facts)
+        None once it contains the atom index ``goal``; it extends a copy
+        of :attr:`root`, which stays as it was."""
+        derived, missing, need = self.root
+        derived = bytearray(derived)
+        queue = []
         for idx in seed:
             if not derived[idx]:
                 derived[idx] = 1
                 queue.append(idx)
         if derived[goal]:
             return None
-        state = (derived, list(self.missing), list(self.bounds))
+        state = (derived, list(missing), list(need))
         return None if self._close(queue, *state, goal) else state
 
     def extend(self, state: ClosureState, idx: int,
@@ -198,20 +206,6 @@ class HornClosure:
         derived[idx] = 1
         child = (derived, list(missing), list(need))
         return None if self._close([idx], *child, goal) else child
-
-    def reaches(self, seed: Iterable[int], goal: int) -> bool:
-        """Whether the closure of all rules over the atom indexes
-        ``seed`` contains the atom index ``goal``."""
-        return self.start(seed, goal) is None
-
-    def derives(self, seed: Iterable[Hashable], target: Hashable) -> bool:
-        """Whether the closure of all rules over ``seed`` contains
-        ``target``; atoms the rules do not mention are ignored."""
-        goal = self.index.get(target)
-        if goal is None:
-            return False
-        index = self.index
-        return self.reaches((index[a] for a in seed if a in index), goal)
 
     def least_model(self, active: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
         """Atom indexes derived from the empty set by the ``active`` rules,
@@ -236,6 +230,16 @@ class HornClosure:
                     queue.append(head)
         self._close(queue, derived, missing, need)
         return queue
+
+
+def _indexes(mask: int) -> list[int]:
+    """Bit positions set in ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _layers(entries: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -306,19 +310,28 @@ class _Sum:
 
 
 class _Rule:
-    """One compiled rule; ``closure`` lists the (closure rule id, head
-    bit) pairs it contributes to the reduct's closure."""
+    """One compiled rule: ``head`` is the mask of every head atom and
+    ``supported`` that of the atoms it supports, those positive in the
+    head; ``closure`` lists the (closure rule id, head bit) pairs it
+    contributes to the reduct's closure."""
 
-    __slots__ = ("head", "head_sum", "pos", "neg", "sums", "reduced", "closure")
+    __slots__ = ("head", "head_sum", "supported", "pos", "neg", "sums",
+                 "reduced", "closure")
 
     def __init__(self, rule: Rule, bit: dict[Atom, int]):
-        self.head = 0
+        self.head = self.supported = 0
         self.head_sum = None
         if isinstance(rule.head, Disjunction):
             for atom in rule.head.atoms:
-                self.head |= bit[atom]
+                self.supported |= bit[atom]
         else:
             self.head_sum = _Sum(rule.head, bit)
+            # OR, not add: a head may repeat an entry
+            for b, _ in self.head_sum.positive:
+                self.supported |= b
+            for b, _ in self.head_sum.negative:
+                self.head |= b
+        self.head |= self.supported
         self.pos = self.neg = 0
         sums: list[tuple[_Sum, bool]] = []
         for bl in rule.body:
@@ -358,22 +371,15 @@ class CompiledProgram:
         self.extended = is_extended(Program(rules))
         self.rules = [_Rule(rule, self.bit) for rule in rules]
         # The reduct keeps a rule's body and splits its head into one
-        # rule per positive head atom: a one-atom disjunction or the
-        # positive entries of a sum head.
+        # rule per supported atom.
         horn: list[HornRule] = []
-        for rule, compiled in zip(rules, self.rules):
-            head = rule.head
-            heads = head.atoms if isinstance(head, Disjunction) else tuple(
-                wl.literal.atom for wl in head.elements if not wl.literal.negated)
-            for atom in dict.fromkeys(heads):
-                bit = self.bit[atom]
-                compiled.closure.append((len(horn), bit))
-                horn.append((bit.bit_length() - 1,
-                             [i for i in range(len(self.atoms))
-                              if compiled.pos >> i & 1],
-                             [(s.lower, [(b.bit_length() - 1, w)
-                                         for b, w in s.positive])
-                              for s in compiled.reduced]))
+        for rule in self.rules:
+            plain = _indexes(rule.pos)
+            sums = [(s.lower, [(b.bit_length() - 1, w) for b, w in s.positive])
+                    for s in rule.reduced]
+            for idx in _indexes(rule.supported):
+                rule.closure.append((len(horn), 1 << idx))
+                horn.append((idx, plain, sums))
         self.horn = HornClosure(self.atoms, horn)
 
     def decode(self, x: int) -> Interpretation:
@@ -418,16 +424,6 @@ class CompiledProgram:
         return len(self.horn.least_model(active)) == x.bit_count()
 
 
-def _indexes(mask: int) -> list[int]:
-    """Bit positions set in ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class Search:
     """Depth-first search for the answer sets of a compiled program.
 
@@ -448,11 +444,12 @@ class Search:
     least model of its reduct, so no unfounded set is taken for one.
 
     The search branches first on atoms occurring positively in a sum
-    head, rule by rule, then on the atom bits in ``first`` in their
-    order, then on the rest in atom order, trying false before true.
+    head, rule by rule, then on the rest, lowest bit first, trying false
+    before true; a caller that wants some atoms decided early gives them
+    the lowest bits.
     """
 
-    def __init__(self, program: CompiledProgram, first: Iterable[int] = (),
+    def __init__(self, program: CompiledProgram,
                  stable: Callable[[int], bool] | None = None):
         self.program = program
         self.stable = stable
@@ -466,39 +463,27 @@ class Search:
         self.rules: list[tuple] = []
         chosen: list[int] = []
         for rid, rule in enumerate(program.rules):
-            head_sum = rule.head_sum
-            if head_sum is None:
-                supported = head = rule.head
-            else:
-                # OR, not add: a head may repeat an entry
-                supported = 0
-                for b, _ in head_sum.positive:
-                    supported |= b
-                head = supported
-                for b, _ in head_sum.negative:
-                    head |= b
-                chosen.append(supported)
-            mentioned = head | rule.pos | rule.neg
+            if rule.head_sum is not None:
+                chosen += _indexes(rule.supported)
+            mentioned = rule.head | rule.pos | rule.neg
             for s, _ in rule.sums:
                 for b, _ in s.positive + s.negative:
                     mentioned |= b
             for idx in _indexes(mentioned):
                 self.watch[idx].append(rid)
-            supports = tuple((idx, 1 << idx) for idx in _indexes(supported))
+            supports = tuple((idx, 1 << idx)
+                             for idx in _indexes(rule.supported))
             for idx, _ in supports:
                 self.support[idx] |= 1 << rid
-            self.rules.append((1 << rid, rule.pos, rule.neg, rule.sums, head,
-                               head_sum, supports, rule))
-        firsts = [*(idx for mask in chosen for idx in _indexes(mask)),
-                  *(b.bit_length() - 1 for b in first)]
-        self.order = list(dict.fromkeys([*firsts, *range(n)]))
+            self.rules.append((1 << rid, rule.pos, rule.neg, rule.sums,
+                               rule.head, rule.head_sum, supports, rule))
+        self.order = list(dict.fromkeys([*chosen, *range(n)]))
         self.unsupported = sum(1 << i for i in range(n) if not self.support[i])
 
-    def answer_sets(self, true: int = 0, false: int = 0) -> Iterator[int]:
-        """Every answer set containing the atoms ``true`` and none of
-        ``false``, each once, in no particular order."""
+    def answer_sets(self) -> Iterator[int]:
+        """Every answer set, each once, in no particular order."""
         stack = []
-        root = self._propagate(true, false | self.unsupported, 0,
+        root = self._propagate(0, self.unsupported, 0,
                                list(range(len(self.rules))))
         if root is not None:
             stack.append((*root, 0))

@@ -21,17 +21,20 @@ onto the optimal answer sets of the reified object program.  Its parts:
 
 :func:`solve_meta` exploits exactly this structure: the candidates are
 the answer sets of the candidate part alone, found by the search of
-:class:`aspkit.compiled.Search` branching on the ``hold_atom_*`` first,
-and a candidate is accepted iff the counterexample side derives ``bot``
-for every guess, which by saturation is equivalent to the meta program
-having a (unique) answer set with that hold-projection.
-:class:`MetaSolver` compiles the counterexample side (evaluate, check,
-saturate and compare) once, as one closure in which each candidate-side
-body literal of the compare rules is a condition that a candidate
-seeds.  Those rules are positive, so a partial guess that derives
-``bot`` refutes every guess extending it: the solver walks the guess
-bits depth first once per candidate and drops such subtrees.  It checks
-the structure that makes this sound when it is built.
+:class:`aspkit.compiled.Search`, and a candidate is accepted iff the
+counterexample side derives ``bot`` for every guess, which by saturation
+is equivalent to the meta program having a (unique) answer set with
+that hold-projection.  :class:`MetaSolver` gives the ``hold_atom_*`` of
+object atom i bit i of the candidate part, so the search, which branches
+on the lowest bits first once the choice heads are decided, settles
+them before the definition atoms.  It compiles the counterexample side
+(evaluate, check, saturate and compare) once, as one closure whose facts
+are closed when it is built and in which each candidate-side body
+literal of the compare rules is a condition that a candidate seeds.
+Those rules are positive, so a partial guess that derives ``bot``
+refutes every guess extending it: the solver walks the guess bits depth
+first once per candidate and drops such subtrees.  It checks the
+structure that makes this sound when it is built.
 """
 
 from __future__ import annotations
@@ -678,7 +681,8 @@ class MetaSolver:
     """Structure-exploiting solver for generated check programs.
 
     Candidates and guesses are int masks whose bit ``i`` stands for
-    ``object_atoms[i]``."""
+    ``object_atoms[i]``; so does the candidate part's hold atom of
+    ``object_atoms[i]``, which makes :meth:`project` a mask of low bits."""
 
     def __init__(self, mp: MetaProgram):
         self.mp = mp
@@ -687,11 +691,11 @@ class MetaSolver:
         if n > DEFAULT_META_CAP:
             raise CapExceededError(
                 f"{n} candidate atoms exceed meta cap {DEFAULT_META_CAP}")
-        self._candidate = CompiledProgram(mp.candidate,
-                                          sorted(mp.candidate_side))
-        self._hold_bits = [self._candidate.bit[mp.candidate_atoms[a]]
-                           for a in self.object_atoms]
-        self._search = Search(self._candidate, first=self._hold_bits)
+        holds = [mp.candidate_atoms[a] for a in self.object_atoms]
+        self._candidate = CompiledProgram(
+            mp.candidate, holds + sorted(mp.candidate_side.difference(holds)))
+        self._objects = (1 << n) - 1
+        self._search = Search(self._candidate)
         # The closure indexes true_atom of object atom i at i, its
         # fail_atom at n + i and bot at 2n, so a guess atom is an int.
         keys = ([mp.true_atoms[a] for a in self.object_atoms]
@@ -711,19 +715,15 @@ class MetaSolver:
 
     def project(self, held: int) -> int:
         """The object mask of the candidate-side mask ``held``."""
-        return sum(1 << i for i, bit in enumerate(self._hold_bits)
-                   if held & bit)
+        return held & self._objects
 
     def stable_candidates(self) -> Iterator[int]:
-        """The candidate-side masks of the candidate part's answer sets,
-        found by search branching on the hold atoms first."""
+        """The candidate-side masks of the candidate part's answer sets."""
         return self._search.answer_sets()
 
     def candidate_stable(self, x: int) -> bool:
         """Whether the candidate part has an answer set projecting to x."""
-        true = sum(bit for i, bit in enumerate(self._hold_bits) if x >> i & 1)
-        false = sum(self._hold_bits) & ~true
-        return next(self._search.answer_sets(true, false), None) is not None
+        return any(self.project(held) == x for held in self.stable_candidates())
 
     def conditions(self, held: int) -> list[int]:
         """Closure indexes of the conditions met by the candidate whose

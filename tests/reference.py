@@ -89,8 +89,8 @@ def brute_stable_candidates(solver) -> list[int]:
     definitions = candidate.rules[:len(solver.mp.candidate_definitions)]
     found = []
     for x in range(1 << len(solver.object_atoms)):
-        held = sum(bit for i, bit in enumerate(solver._hold_bits)
-                   if x >> i & 1)
+        held = sum(candidate.bit[solver.mp.candidate_atoms[a]]
+                   for i, a in enumerate(solver.object_atoms) if x >> i & 1)
         for rule in definitions:
             if rule.body_holds(held):
                 held |= rule.head

@@ -3,6 +3,7 @@ oracle and the meta solver's earlier candidate check, and the search
 against the brute-force loops it replaced."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -120,11 +121,13 @@ def reference_refutes(mp, x, y):
                 body.append(bl)
         else:
             resolved.append(core.Rule(rule.head, tuple(body)))
-    closure = HornClosure.of_rules(
-        mp.evaluate + mp.check + mp.saturate + tuple(resolved))
     seed = [mp.true_atoms[a] if a in y else mp.fail_atoms[a]
             for a in mp.candidate_atoms]
-    return closure.derives(seed, mp.bot)
+    closure = HornClosure.of_rules(
+        mp.evaluate + mp.check + mp.saturate + tuple(resolved),
+        [mp.bot, *seed])
+    index = closure.index
+    return closure.start([index[a] for a in seed], index[mp.bot]) is None
 
 
 def check_refutes(program, crit):
@@ -257,22 +260,25 @@ class TestHornClosure:
     def closure(self, text):
         return HornClosure.of_rules(parse_program(text).rules)
 
+    def derives(self, closure, seed, target):
+        index = closure.index
+        return closure.start([index[a] for a in seed], index[target]) is None
+
     def test_chain_and_sum(self):
         closure = self.closure("b :- a. c :- 2 #sum[a=1, b=1]. d :- e.")
-        assert closure.derives(iset("a"), Atom("c"))
-        assert not closure.derives(iset("a"), Atom("d"))
-        assert not closure.derives(iset("a"), Atom("zz"))
+        assert self.derives(closure, iset("a"), Atom("c"))
+        assert not self.derives(closure, iset("a"), Atom("d"))
 
     def test_facts_and_seed_goal(self):
         closure = self.closure("a. b :- a.")
-        assert closure.derives((), Atom("b"))
-        assert closure.derives(iset("b"), Atom("b"))
+        assert self.derives(closure, (), Atom("b"))
+        assert self.derives(closure, iset("b"), Atom("b"))
 
     def test_met_sum_does_not_stand_in_for_a_missing_atom(self):
         # the sum is met before c is derived; deriving c must not count
         # as supplying the missing b
         closure = self.closure("a :- b, 0 #sum[c=1]. c.")
-        assert not closure.derives((), Atom("a"))
+        assert not self.derives(closure, (), Atom("a"))
         program = parse_program("c. a :- b, 0 #sum[c=1]. b :- a.")
         assert enumerate_answer_sets(program) == [iset("c")]
 
@@ -285,7 +291,28 @@ class TestHornClosure:
         derived = closure.extend(root, idx[Atom("e")], idx[Atom("bot")])[0]
         assert derived[idx[Atom("e")]]
         assert not any(derived[idx[Atom(n)]] for n in "bcfg")
-        assert not closure.reaches([idx[Atom("e")]], idx[Atom("bot")])
+        assert not self.derives(closure, iset("e"), Atom("bot"))
+
+    def test_start_leaves_the_closed_facts_unchanged(self):
+        text = ("a. b :- a, c. d :- b. e :- 2 #sum[a=1, f=1]. "
+                "bot :- d, f. g :- e, h.")
+        closure, untouched = self.closure(text), self.closure(text)
+        idx = closure.index
+        bot = idx[Atom("bot")]
+        first = closure.start([idx[Atom("c")]], bot)
+        second = closure.start([idx[Atom("f")]], bot)
+        assert closure.extend(first, idx[Atom("h")], bot) is not None
+        assert second is not None
+        assert second == untouched.start([idx[Atom("f")]], bot)
+        assert closure.root == untouched.root
+
+    def test_facts_alone_deriving_the_goal_refute_every_seed(self):
+        closure = self.closure("a. b :- a. bot :- b. c :- d.")
+        idx = closure.index
+        others = [i for a, i in idx.items() if a != Atom("bot")]
+        for size in range(len(others) + 1):
+            for seed in itertools.combinations(others, size):
+                assert closure.start(seed, idx[Atom("bot")]) is None
 
     @pytest.mark.parametrize(
         "text", ["a :- not b.", "a :- 1 #sum[not b=1].", "a | b.", ":- a."])

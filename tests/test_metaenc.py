@@ -214,8 +214,9 @@ class TestSaturationSoundness:
 
         def refuted_guesses(candidate):
             conditions = solver.conditions(held[candidate])
-            refuted = {y for y in every_set(solver) if solver._closure.reaches(
-                conditions + guess_seed(solver, mask(solver, y)), solver._bot)}
+            refuted = {y for y in every_set(solver) if solver._closure.start(
+                conditions + guess_seed(solver, mask(solver, y)),
+                solver._bot) is None}
             assert solver.refutes(conditions) == (refuted == every_set(solver))
             return refuted
 
@@ -264,7 +265,8 @@ class TestSaturationSoundness:
         assert len(walks) == 5
         for seed, visited in walks:
             for prefix, survived in visited.items():
-                assert closure.reaches(seed + list(prefix), bot) != survived
+                refuted = HornClosure.start(closure, seed + list(prefix), bot)
+                assert (refuted is None) != survived
         # pruning keeps each walk under half the tree of partial guesses
         full_tree = 2 * ((1 << n) - 1)
         assert all(len(visited) < full_tree // 2 for _, visited in walks)
@@ -307,6 +309,26 @@ class TestCandidatePart:
                       for x in range(1 << len(solver.object_atoms))
                       if solver.candidate_stable(x)}
             assert stable == set(enumerate_answer_sets(program))
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_hold_atoms_lead_the_candidate_layout(seed, choices):
+    """The hold atom of object atom i is bit i of the candidate part, so
+    the search decides the hold atoms before any other candidate-side
+    atom, and a candidate-side mask projects by its low bits."""
+    rng = random.Random(seed)
+    program = (choice_program if choices else random_program)(
+        rng, max_atoms=8)
+    solver = MetaSolver(build(program))
+    n = len(solver.object_atoms)
+    holds = [solver.mp.candidate_atoms[a] for a in solver.object_atoms]
+    assert list(solver._candidate.atoms[:n]) == holds
+    assert sorted(solver._search.order[:n]) == list(range(n))
+    for held in solver.stable_candidates():
+        assert solver.project(held) == held & ((1 << n) - 1)
+        assert solver.decode(solver.project(held)) == hold_projection(
+            solver._candidate.decode(held), solver.mp)
 
 
 class TestCrosscheck:

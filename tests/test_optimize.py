@@ -21,6 +21,7 @@ from aspkit.core import (
     WeightedLiteral,
     atoms,
 )
+from aspkit.metaenc import build_meta_program, solve_meta
 from aspkit.optimize import (
     DominanceVerdict,
     default_optimal,
@@ -28,6 +29,7 @@ from aspkit.optimize import (
     optimal_answer_sets,
 )
 from aspkit.parser import parse_criteria, parse_program
+from aspkit.reify import reify
 from aspkit.semantics import enumerate_answer_sets, satisfies
 from generators import iset, random_criteria, random_program
 
@@ -432,30 +434,57 @@ def metamorphic_case(seed, closed, free):
     return draw_case(seed, closed, False, False)
 
 
-@given(SEEDS, st.booleans(), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_optimum_invariant_under_order_reversing_renaming(seed, closed, free):
+def meta_optimum(program, crit):
+    return solve_meta(build_meta_program(reify(program), crit))
+
+
+def check_renaming(solve, seed, closed, free):
+    """An atom renaming that reverses the sorted order renames the
+    optimum."""
     program, crit = metamorphic_case(seed, closed, free)
     universe = sorted(atoms(program))
     mapping = dict(zip(universe, reversed(universe)))
     renamed = rename(program, mapping)
-    expected = {frozenset(mapping[a] for a in x)
-                for x in optimal_answer_sets(program, crit)}
-    assert set(optimal_answer_sets(renamed, rename(crit, mapping))) == expected
+    expected = {frozenset(mapping[a] for a in x) for x in solve(program, crit)}
+    assert set(solve(renamed, rename(crit, mapping))) == expected
+
+
+def check_permutation(solve, seed, closed, free):
+    """Permuted rules, or permuted minimize entries, keep the optimum."""
+    program, crit = metamorphic_case(seed, closed, free)
+    rng = random.Random(seed ^ 0x5EED)
+    rules, entries = list(program.rules), list(program.minimize.entries)
+    rng.shuffle(rules)
+    rng.shuffle(entries)
+    expected = set(solve(program, crit))
+    assert set(solve(Program(tuple(rules), program.minimize), crit)) == \
+        expected
+    assert set(solve(Program(program.rules, MinimizeStatement(tuple(entries))),
+                     crit)) == expected
+
+
+@given(SEEDS, st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_optimum_invariant_under_order_reversing_renaming(seed, closed, free):
+    check_renaming(optimal_answer_sets, seed, closed, free)
 
 
 @given(SEEDS, st.booleans(), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_optimum_invariant_under_rule_and_entry_permutation(seed, closed,
                                                             free):
-    program, crit = metamorphic_case(seed, closed, free)
-    rng = random.Random(seed ^ 0x5EED)
-    rules, entries = list(program.rules), list(program.minimize.entries)
-    rng.shuffle(rules)
-    rng.shuffle(entries)
-    expected = set(optimal_answer_sets(program, crit))
-    assert set(optimal_answer_sets(
-        Program(tuple(rules), program.minimize), crit)) == expected
-    assert set(optimal_answer_sets(
-        Program(program.rules, MinimizeStatement(tuple(entries))),
-        crit)) == expected
+    check_permutation(optimal_answer_sets, seed, closed, free)
+
+
+@given(SEEDS, st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_meta_optimum_invariant_under_order_reversing_renaming(seed, closed,
+                                                               free):
+    check_renaming(meta_optimum, seed, closed, free)
+
+
+@given(SEEDS, st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_meta_optimum_invariant_under_rule_and_entry_permutation(seed, closed,
+                                                                 free):
+    check_permutation(meta_optimum, seed, closed, free)
