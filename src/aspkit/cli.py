@@ -158,6 +158,9 @@ def cmd_crosscheck(args) -> int:
     meta = " ".join(_format(s) for s in report.meta)
     print(f"native ({len(report.native)}): {native}")
     print(f"meta   ({len(report.meta)}): {meta}")
+    for x in report.difference:
+        side = "native" if x in report.native else "meta"
+        print(f"only {side}: {_format(x)}")
     print("PASS" if report.agree else "FAIL")
     return EXIT_OK if report.agree else EXIT_DISAGREE
 

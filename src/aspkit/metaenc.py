@@ -230,6 +230,7 @@ class _Builder:
         self.view = view
         self.crit = crit
         self.cxopt = effective_criteria(crit, view.program.minimize)
+        self._positives: dict[str, BodyLiteral] = {}
 
     # -- candidate part ------------------------------------------------
 
@@ -333,13 +334,21 @@ class _Builder:
 
     # -- answer-set check ----------------------------------------------
 
+    def _positive(self, name: str) -> BodyLiteral:
+        """The one positive body literal of the meta atom ``name``, so a
+        name is turned into an atom (and validated) only once."""
+        literal = self._positives.get(name)
+        if literal is None:
+            literal = self._positives[name] = BodyLiteral(Atom(name))
+        return literal
+
     def check(self) -> list[Rule]:
+        lit = self._positive
         bot = Atom("bot")
         rules: list[Rule] = []
         for head, label in self.view.rules:
             rules.append(_rule(bot, (
-                _pos(Atom(f"true_conj_{label}")),
-                _pos(_entity("fail", head)))))
+                lit(f"true_conj_{label}"), lit(_entity("fail", head).name))))
         supports: dict[Atom, list[int]] = {a: [] for a in self.view.atoms}
         for head, label in self.view.rules:
             for atom in self.view.head_support_atoms(head):
@@ -347,75 +356,85 @@ class _Builder:
                     supports[atom].append(label)
         for atom in self.view.atoms:
             rules.append(_rule(bot, (
-                _pos(Atom(f"true_atom_{atom}")),
-                *(_pos(Atom(f"fail_conj_{s}")) for s in supports[atom]))))
+                lit(f"true_atom_{atom}"),
+                *(lit(f"fail_conj_{s}") for s in supports[atom]))))
         for label in sorted(self.view.components):
             rules.extend(self._component_rules(label, supports))
         return rules
 
     def _component_rules(self, label: int, supports) -> list[Rule]:
+        """Wait-level rules of one component, in time linear in their
+        number: each element's wait literals are made once, indexed by
+        step, and membership in the component is a set lookup."""
+        lit = self._positive
         catoms, conj_labels, sum_terms = self.view.components[label]
         catoms = sorted(catoms)
         steps = len(catoms)
+        internal_conjs = set(conj_labels)
+        # wait literals by step: atoms (keyed by name) at 0..steps,
+        # conjunctions and sums at 0..steps-1
+        wait_atom = {a.name: [lit(f"wait_atom_{a}_{step}")
+                              for step in range(steps + 1)] for a in catoms}
+        wait_conj = {c: [lit(f"wait_conj_{c}_{step}") for step in range(steps)]
+                     for c in conj_labels}
+        wait_sum = {}
+        for term in sum_terms:
+            name = _entity("wait", term).name
+            wait_sum[term] = [lit(f"{name}_{step}") for step in range(steps)]
         rules: list[Rule] = []
 
-        def wait(entity: Atom | Term, step: int) -> Atom:
-            if isinstance(entity, Atom):
-                return Atom(f"wait_atom_{entity}_{step}")
-            return Atom(f"{_entity('wait', entity)}_{step}")
-
         for atom in catoms:
-            rules.append(_fact(wait(atom, 0)))
+            rules.append(_fact(wait_atom[atom.name][0].element))
         for atom in catoms:
+            fail = (lit(f"fail_atom_{atom}"),)
+            rules.extend(_rule(wait.element, fail)
+                         for wait in wait_atom[atom.name][1:])
+        for atom in catoms:
+            internal = [wait_conj[s] for s in supports[atom]
+                        if s in internal_conjs]
+            sccw = lit(f"sccw_atom_{atom}")
+            rules.append(_rule(sccw.element, tuple(
+                lit(f"fail_conj_{s}") for s in supports[atom]
+                if s not in internal_conjs)))
             for step in range(1, steps + 1):
-                rules.append(_rule(wait(atom, step),
-                                   (_pos(Atom(f"fail_atom_{atom}")),)))
-        for atom in catoms:
-            internal = [s for s in supports[atom] if s in conj_labels]
-            external = [s for s in supports[atom] if s not in conj_labels]
-            rules.append(_rule(
-                Atom(f"sccw_atom_{atom}"),
-                tuple(_pos(Atom(f"fail_conj_{s}")) for s in external)))
-            for step in range(1, steps + 1):
-                rules.append(_rule(wait(atom, step), (
-                    _pos(Atom(f"sccw_atom_{atom}")),
-                    *(_pos(Atom(f"wait_conj_{s}_{step - 1}"))
-                      for s in internal))))
+                rules.append(_rule(wait_atom[atom.name][step].element, (
+                    sccw, *(waits[step - 1] for waits in internal))))
         for conj in conj_labels:
+            fail = (lit(f"fail_conj_{conj}"),)
+            members = [
+                wait_atom.get(inner.args[0].functor)
+                if inner.functor == "atom" else wait_sum.get(inner)
+                for negated, inner in self.view.conjunctions[conj]
+                if not negated]
+            members = [waits for waits in members if waits is not None]
             for step in range(steps):
-                head = Atom(f"wait_conj_{conj}_{step}")
-                rules.append(_rule(head, (_pos(Atom(f"fail_conj_{conj}")),)))
-                for negated, inner in self.view.conjunctions[conj]:
-                    if negated:
-                        continue
-                    if inner.functor == "atom":
-                        atom = Atom(inner.args[0].functor)
-                        if atom in catoms:
-                            rules.append(_rule(head, (_pos(wait(atom, step)),)))
-                    elif inner in sum_terms:
-                        rules.append(_rule(head, (_pos(wait(inner, step)),)))
+                head = wait_conj[conj][step].element
+                rules.append(_rule(head, fail))
+                rules.extend(_rule(head, (waits[step],)) for waits in members)
         for term in sum_terms:
             sc = self.view.sums[term]
             total = sc.total
+            threshold = total - sc.lower + 1
+            fail = (lit(_entity("fail", term).name),)
+            # per entry: its wait literals by step, or its fixed guess atom
+            entries = [
+                (wait_atom.get(wl.literal.atom.name)
+                 if not wl.literal.negated else None,
+                 self._ce_lit(wl.literal, False), wl.weight)
+                for wl in sc.elements]
             for step in range(steps):
-                head = wait(term, step)
-                rules.append(_rule(head, (_pos(_entity("fail", term)),)))
-                counted = []
-                for wl in sc.elements:
-                    lit = wl.literal
-                    if not lit.negated and lit.atom in catoms:
-                        counted.append((wait(lit.atom, step), wl.weight))
-                    else:
-                        counted.append((self._ce_lit(lit, False), wl.weight))
-                threshold = total - sc.lower + 1
+                head = wait_sum[term][step].element
+                rules.append(_rule(head, fail))
                 if threshold <= 0:
                     rules.append(_fact(head))
                 elif threshold <= total:
+                    counted = [(waits[step].element if waits else fixed, weight)
+                               for waits, fixed, weight in entries]
                     rules.append(_rule(head, (_atleast(threshold, counted),)))
         bot = Atom("bot")
         for atom in catoms:
             rules.append(_rule(bot, (
-                _pos(Atom(f"true_atom_{atom}")), _pos(wait(atom, steps)))))
+                lit(f"true_atom_{atom}"), wait_atom[atom.name][steps])))
         return rules
 
     # -- saturation and acceptance --------------------------------------
@@ -620,9 +639,8 @@ def build_meta_program(facts, crit: CriteriaSet) -> MetaProgram:
     candidate_defs = tuple(builder.candidate_definitions())
     candidate_rules = tuple(builder.candidate_rules())
     candidate_atoms = {a: Atom(f"hold_atom_{a}") for a in view.atoms}
-    candidate_side = frozenset(candidate_atoms.values()) | frozenset(
-        atom for rule in candidate_defs + candidate_rules
-        for atom in core.atoms(Program((rule,))))
+    candidate_side = frozenset(candidate_atoms.values()) | core.atoms(
+        Program(candidate_defs + candidate_rules))
     return MetaProgram(
         candidate_definitions=candidate_defs,
         candidate_rules=candidate_rules,

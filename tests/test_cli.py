@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspkit import cli, consequence
+from aspkit import cli, consequence, metaenc
 from aspkit.cli import main
+from aspkit.core import Atom
 from conftest import TOY_MIN_TEXT, TOY_TEXT
 
 
@@ -284,6 +285,24 @@ class TestCrosscheck:
     def test_empty_criteria_pass(self, capsys, toy_file):
         code, out, _ = run(capsys, "crosscheck", toy_file)
         assert code == 0 and "native (5)" in out
+
+    def test_fail_names_each_set_one_route_lacks(self, capsys, toy_file,
+                                                 monkeypatch):
+        p, q, r = (Atom(n) for n in "pqr")
+        report = metaenc.CrosscheckReport(
+            native=(frozenset({p}), frozenset({p, q})),
+            meta=(frozenset({p}), frozenset({r}), frozenset()))
+        monkeypatch.setattr(metaenc, "crosscheck", lambda *_, **__: report)
+        code, out, _ = run(capsys, "crosscheck", toy_file)
+        assert code == 1
+        assert out.splitlines() == [
+            "native (2): {p} {p,q}",
+            "meta   (3): {p} {r} {}",
+            "only meta: {}",
+            "only native: {p,q}",
+            "only meta: {r}",
+            "FAIL",
+        ]
 
 
 class TestUnmatchedCriterion:

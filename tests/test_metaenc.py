@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aspkit import consequence
@@ -110,6 +110,163 @@ class TestStructure:
             for bl in rule.body:
                 if bl.negated:
                     assert bl.element in mp.candidate_side
+
+
+def check_text(program) -> str:
+    """``to_text()`` of the program's meta program cut to its check part."""
+    mp = build(program)
+    return dataclasses.replace(
+        mp, candidate_definitions=(), candidate_rules=(), guess=(),
+        evaluate=(), saturate=(), compare=(), accept=()).to_text()
+
+
+#: Three atoms on a cycle; the conjunction of ``a`` has a negated member
+#: and two members inside the component, ``c`` also has an external support.
+CYCLE_TEXT = """\
+{e}.
+{n}.
+a :- c, not n, b.
+b :- a.
+c :- b.
+c :- e.
+"""
+
+
+class TestCheckText:
+    """The check part, rule for rule and in order, pinned as text."""
+
+    def test_toy_component_with_sums_and_conjunctions(self, toy):
+        assert check_text(toy) == TOY_CHECK
+
+    def test_cycle_with_negated_member_and_external_support(self):
+        assert check_text(parse_program(CYCLE_TEXT)) == CYCLE_CHECK
+
+
+TOY_CHECK = """\
+% answer-set check
+bot :- true_conj_0, fail_sum_1_0_2.
+bot :- true_conj_1, fail_sum_0_2_1.
+bot :- true_conj_2, fail_atom_s.
+bot :- true_atom_p, fail_conj_0.
+bot :- true_atom_q, fail_conj_1.
+bot :- true_atom_r, fail_conj_1.
+bot :- true_atom_s, fail_conj_2.
+bot :- true_atom_t, fail_conj_0.
+wait_atom_p_0.
+wait_atom_r_0.
+wait_atom_t_0.
+wait_atom_p_1 :- fail_atom_p.
+wait_atom_p_2 :- fail_atom_p.
+wait_atom_p_3 :- fail_atom_p.
+wait_atom_r_1 :- fail_atom_r.
+wait_atom_r_2 :- fail_atom_r.
+wait_atom_r_3 :- fail_atom_r.
+wait_atom_t_1 :- fail_atom_t.
+wait_atom_t_2 :- fail_atom_t.
+wait_atom_t_3 :- fail_atom_t.
+sccw_atom_p.
+wait_atom_p_1 :- sccw_atom_p, wait_conj_0_0.
+wait_atom_p_2 :- sccw_atom_p, wait_conj_0_1.
+wait_atom_p_3 :- sccw_atom_p, wait_conj_0_2.
+sccw_atom_r.
+wait_atom_r_1 :- sccw_atom_r, wait_conj_1_0.
+wait_atom_r_2 :- sccw_atom_r, wait_conj_1_1.
+wait_atom_r_3 :- sccw_atom_r, wait_conj_1_2.
+sccw_atom_t.
+wait_atom_t_1 :- sccw_atom_t, wait_conj_0_0.
+wait_atom_t_2 :- sccw_atom_t, wait_conj_0_1.
+wait_atom_t_3 :- sccw_atom_t, wait_conj_0_2.
+wait_conj_0_0 :- fail_conj_0.
+wait_conj_0_0 :- wait_sum_1_1_2_0.
+wait_conj_0_1 :- fail_conj_0.
+wait_conj_0_1 :- wait_sum_1_1_2_1.
+wait_conj_0_2 :- fail_conj_0.
+wait_conj_0_2 :- wait_sum_1_1_2_2.
+wait_conj_1_0 :- fail_conj_1.
+wait_conj_1_0 :- wait_sum_1_0_2_0.
+wait_conj_1_1 :- fail_conj_1.
+wait_conj_1_1 :- wait_sum_1_0_2_1.
+wait_conj_1_2 :- fail_conj_1.
+wait_conj_1_2 :- wait_sum_1_0_2_2.
+wait_sum_1_1_2_0 :- fail_sum_1_1_2.
+wait_sum_1_1_2_0 :- 3 #sum[wait_atom_r_0=1,fail_atom_s=1,true_atom_t=1].
+wait_sum_1_1_2_1 :- fail_sum_1_1_2.
+wait_sum_1_1_2_1 :- 3 #sum[wait_atom_r_1=1,fail_atom_s=1,true_atom_t=1].
+wait_sum_1_1_2_2 :- fail_sum_1_1_2.
+wait_sum_1_1_2_2 :- 3 #sum[wait_atom_r_2=1,fail_atom_s=1,true_atom_t=1].
+wait_sum_1_0_2_0 :- fail_sum_1_0_2.
+wait_sum_1_0_2_0 :- 2 #sum[wait_atom_p_0=1,wait_atom_t_0=1].
+wait_sum_1_0_2_1 :- fail_sum_1_0_2.
+wait_sum_1_0_2_1 :- 2 #sum[wait_atom_p_1=1,wait_atom_t_1=1].
+wait_sum_1_0_2_2 :- fail_sum_1_0_2.
+wait_sum_1_0_2_2 :- 2 #sum[wait_atom_p_2=1,wait_atom_t_2=1].
+bot :- true_atom_p, wait_atom_p_3.
+bot :- true_atom_r, wait_atom_r_3.
+bot :- true_atom_t, wait_atom_t_3.
+"""
+
+CYCLE_CHECK = """\
+% answer-set check
+bot :- true_conj_0, fail_sum_0_0_1.
+bot :- true_conj_0, fail_sum_0_1_1.
+bot :- true_conj_1, fail_atom_a.
+bot :- true_conj_2, fail_atom_b.
+bot :- true_conj_3, fail_atom_c.
+bot :- true_conj_4, fail_atom_c.
+bot :- true_atom_a, fail_conj_1.
+bot :- true_atom_b, fail_conj_2.
+bot :- true_atom_c, fail_conj_3, fail_conj_4.
+bot :- true_atom_e, fail_conj_0.
+bot :- true_atom_n, fail_conj_0.
+wait_atom_a_0.
+wait_atom_b_0.
+wait_atom_c_0.
+wait_atom_a_1 :- fail_atom_a.
+wait_atom_a_2 :- fail_atom_a.
+wait_atom_a_3 :- fail_atom_a.
+wait_atom_b_1 :- fail_atom_b.
+wait_atom_b_2 :- fail_atom_b.
+wait_atom_b_3 :- fail_atom_b.
+wait_atom_c_1 :- fail_atom_c.
+wait_atom_c_2 :- fail_atom_c.
+wait_atom_c_3 :- fail_atom_c.
+sccw_atom_a.
+wait_atom_a_1 :- sccw_atom_a, wait_conj_1_0.
+wait_atom_a_2 :- sccw_atom_a, wait_conj_1_1.
+wait_atom_a_3 :- sccw_atom_a, wait_conj_1_2.
+sccw_atom_b.
+wait_atom_b_1 :- sccw_atom_b, wait_conj_2_0.
+wait_atom_b_2 :- sccw_atom_b, wait_conj_2_1.
+wait_atom_b_3 :- sccw_atom_b, wait_conj_2_2.
+sccw_atom_c :- fail_conj_4.
+wait_atom_c_1 :- sccw_atom_c, wait_conj_3_0.
+wait_atom_c_2 :- sccw_atom_c, wait_conj_3_1.
+wait_atom_c_3 :- sccw_atom_c, wait_conj_3_2.
+wait_conj_1_0 :- fail_conj_1.
+wait_conj_1_0 :- wait_atom_c_0.
+wait_conj_1_0 :- wait_atom_b_0.
+wait_conj_1_1 :- fail_conj_1.
+wait_conj_1_1 :- wait_atom_c_1.
+wait_conj_1_1 :- wait_atom_b_1.
+wait_conj_1_2 :- fail_conj_1.
+wait_conj_1_2 :- wait_atom_c_2.
+wait_conj_1_2 :- wait_atom_b_2.
+wait_conj_2_0 :- fail_conj_2.
+wait_conj_2_0 :- wait_atom_a_0.
+wait_conj_2_1 :- fail_conj_2.
+wait_conj_2_1 :- wait_atom_a_1.
+wait_conj_2_2 :- fail_conj_2.
+wait_conj_2_2 :- wait_atom_a_2.
+wait_conj_3_0 :- fail_conj_3.
+wait_conj_3_0 :- wait_atom_b_0.
+wait_conj_3_1 :- fail_conj_3.
+wait_conj_3_1 :- wait_atom_b_1.
+wait_conj_3_2 :- fail_conj_3.
+wait_conj_3_2 :- wait_atom_b_2.
+bot :- true_atom_a, wait_atom_a_3.
+bot :- true_atom_b, wait_atom_b_3.
+bot :- true_atom_c, wait_atom_c_3.
+"""
 
 
 class TestSolveMeta:
@@ -427,3 +584,25 @@ class TestEdgeCases:
         mp = build_meta_program(text_to_facts(shifted), INCL)
         assert mp.to_text() == build(toy_min, INCL).to_text()
         assert solve_meta(mp) == [iset("p,q"), iset("p,r"), iset("s,t")]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_adding_an_implied_criterion_changes_nothing(seed):
+    """Non-empty criteria that name the card relation effective_criteria
+    adds anyway for an uncovered minimize group build the same check
+    program, and give the same meta optimum and crosscheck report."""
+    rng = random.Random(seed)
+    program = random_program(rng, max_atoms=6, max_rules=8, minimize=True)
+    crit = random_criteria(rng, program)
+    uncovered = [key for key in program.minimize.group_keys()
+                 if crit.criterion_at(*key) is None]
+    assume(crit.relations and uncovered)
+    relations = list(crit.relations)
+    relations.insert(rng.randint(0, len(relations)),
+                     (*rng.choice(uncovered), "card"))
+    implied = CriteriaSet(tuple(relations), crit.prefer)
+    mp, implied_mp = build(program, crit), build(program, implied)
+    assert implied_mp.to_text() == mp.to_text()
+    assert solve_meta(implied_mp) == solve_meta(mp)
+    assert crosscheck(program, implied) == crosscheck(program, crit)
