@@ -144,8 +144,7 @@ def cmd_check(args) -> int:
 def cmd_metaenc(args) -> int:
     program = parse_program(_read(args.program))
     crit = _load_criteria(args.criteria)
-    mp = metaenc.build_meta_program(reify(program), crit)
-    sys.stdout.write(mp.to_text())
+    sys.stdout.write(metaenc.build_meta_program(program, crit).to_text())
     return EXIT_OK
 
 
@@ -238,6 +237,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.program == "-" and getattr(args, "criteria", None) == "-":
+            parser.error("the program and --criteria cannot both be stdin")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -1,8 +1,10 @@
 """Saturation-based disjunctive check programs over reified input.
 
-:func:`build_meta_program` mechanically assembles, in the toolkit's own
-core language, a ground disjunctive program whose answer sets project
-onto the optimal answer sets of the reified object program.  Its parts:
+:func:`build_meta_program` reifies an extended object program once and
+assembles from those facts, in the toolkit's own core language, a ground
+disjunctive program whose answer sets project onto the optimal answer
+sets of the object program (outside facts go through ``parse_reified``).
+Its parts:
 
 * candidate: re-derives the object program over ``hold_*`` atoms
   (choice heads become trivial-bound sum heads, each sum and body
@@ -60,7 +62,7 @@ from .core import (
 )
 from .compiled import CompiledProgram, HornClosure, Search
 from .optimize import optimal_answer_sets
-from .reify import FactReader, Term, read_reified, reify
+from .reify import FactReader, Term, reify
 from .semantics import canonical_order
 
 #: Cap on guessed candidate-side atoms in solve_meta.
@@ -180,7 +182,8 @@ class MetaProgram:
 class _View:
     """Decoded lookups over a program's canonical fact list."""
 
-    def __init__(self, program: Program, reader: FactReader):
+    def __init__(self, program: Program):
+        reader = FactReader(reify(program))
         self.program = program
         self.atoms: list[Atom] = sorted(core.atoms(program))
         #: per rule: head term and body conjunction label
@@ -632,9 +635,9 @@ class _Builder:
         return rules
 
 
-def build_meta_program(facts, crit: CriteriaSet) -> MetaProgram:
-    """Assemble the check program for a reified extended program."""
-    view = _View(*read_reified(facts))
+def build_meta_program(program: Program, crit: CriteriaSet) -> MetaProgram:
+    """Assemble the check program from ``program``'s canonical facts."""
+    view = _View(program)
     builder = _Builder(view, crit)
     candidate_defs = tuple(builder.candidate_definitions())
     candidate_rules = tuple(builder.candidate_rules())
@@ -814,5 +817,5 @@ def crosscheck(program: Program, crit: CriteriaSet,
     -> solve pipeline; both sides apply the same criteria defaulting."""
     native = optimal_answer_sets(
         program, effective_criteria(crit, program.minimize), cap=cap)
-    meta = solve_meta(build_meta_program(reify(program), crit))
+    meta = solve_meta(build_meta_program(program, crit))
     return CrosscheckReport(tuple(native), tuple(meta))

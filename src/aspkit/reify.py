@@ -20,7 +20,9 @@ List indexes Q run consecutively from 0, so duplicates in multisets
 survive.  Absent bounds are materialized: 0 as lower, the total weight
 as upper.  Structurally identical weighted-literal lists share one
 label, as do identical conjunctions; the two label spaces are separate.
-Proper disjunction heads are outside this format.
+Proper disjunction heads and sums with no entries (no wlist/4 fact
+could name their list; only the library API builds them) are outside
+this format: :func:`reify` rejects both.
 """
 
 from __future__ import annotations
@@ -107,6 +109,8 @@ class _Builder:
         return label
 
     def _sum_term(self, sc: SumConstraint, out: list[ReifiedFact]) -> Term:
+        if not sc.elements:
+            raise ContractViolationError(f"empty sums cannot be reified: {sc}")
         entries = tuple(
             (_literal_term(wl.literal), wl.weight) for wl in sc.elements)
         label = self._wlist(entries, out)
@@ -390,24 +394,16 @@ class FactReader:
         return members
 
 
-def read_reified(facts) -> tuple[Program, FactReader]:
-    """The program a fact list describes, and a reader over that
-    program's canonical fact list.
+def parse_reified(facts) -> Program:
+    """The program a fact list describes.
 
-    Labels in ``facts`` may differ from the canonical ones; scc/2 facts
-    are not trusted but checked against the canonical ones, whose
-    components are recomputed from the decoded program.
+    The only reader of facts from outside: their labels may differ from
+    the canonical ones, and their scc/2 facts are checked against the
+    components recomputed from the decoded program.
     """
     given = FactReader(facts)
     program = given.program()
-    canonical = FactReader(reify(program))
-    if given.scc_members() != canonical.scc_members():
+    if given.scc_members() != FactReader(reify(program)).scc_members():
         raise ReifyError("scc facts are inconsistent with the recomputed "
                          "dependency decomposition")
-    return program, canonical
-
-
-def parse_reified(facts) -> Program:
-    """Reconstruct the program a fact list describes (see
-    :func:`read_reified`)."""
-    return read_reified(facts)[0]
+    return program

@@ -12,8 +12,7 @@ model of its reduct.  Programs with a proper disjunction take the
 compiled model check and the subset-minimality check there instead.
 :func:`is_answer_set` and :func:`is_minimal_model` check minimality by
 exhaustive subset enumeration on the syntax objects, so they stay an
-independent oracle for the compiled check and the fixpoint-based
-machinery.
+independent oracle for the compiled check.
 """
 
 from __future__ import annotations

@@ -305,6 +305,24 @@ class TestCrosscheck:
         ]
 
 
+@pytest.mark.parametrize("argv", [
+    ["reify"], ["check", "--interpretation", "r,t"], ["metaenc"],
+    ["crosscheck"]], ids=lambda argv: argv[0])
+def test_one_decomposition_per_command(capsys, toy_file, monkeypatch, argv):
+    """Each command decomposes the program into components once: the
+    meta build reads the program's own reification, not a second one."""
+    sccs = consequence.sccs
+    calls = []
+
+    def counted(graph, program):
+        calls.append(program)
+        return sccs(graph, program)
+
+    monkeypatch.setattr(consequence, "sccs", counted)
+    code, _, _ = run(capsys, argv[0], toy_file, *argv[1:])
+    assert code == 0 and len(calls) == 1
+
+
 class TestUnmatchedCriterion:
     """A criterion whose (level, weight) has no minimize occurrence is
     reported on stderr; stdout and the exit code stay as they were."""
@@ -374,6 +392,21 @@ class TestUsage:
         code, _, err = run(capsys, "solve", toy_file, "--max-atoms", "0")
         assert code == 4 and "cap" in err
 
+    @pytest.mark.parametrize("command", ["optimize", "metaenc", "crosscheck"])
+    def test_program_and_criteria_cannot_both_come_from_stdin(
+            self, capsys, monkeypatch, command):
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "{a}. {b}.\n#minimize[a=1@1,b=1@1].\n"))
+        code, out, err = run(capsys, command, "-", "--criteria", "-")
+        assert code == 2 and out == ""
+        assert "stdin" in err and len(err.splitlines()) == 1
+
+    def test_criteria_from_stdin(self, capsys, monkeypatch, toy_min_file):
+        monkeypatch.setattr("sys.stdin", io.StringIO("optimize(1,1,incl).\n"))
+        code, out, _ = run(capsys, "optimize", toy_min_file, "--criteria", "-")
+        assert code == 0
+        assert out.splitlines() == ["{p,q}", "{p,r}", "{s,t}"]
+
     def test_unknown_file(self, capsys):
         code = main(["solve", "/nonexistent/file.lp"])
         assert code == 2
@@ -403,25 +436,55 @@ RAW_INPUT = st.one_of(
     st.binary(max_size=40),
     st.lists(st.sampled_from(FRAGMENTS), max_size=24).map(b"".join),
     st.lists(st.sampled_from(RULES), max_size=8).map(b"".join))
+#: Programs and criteria files made of whole statements only, so that
+#: fuzzed commands often get past parsing and reach the solvers.
+PROGRAM_INPUT = st.one_of(RAW_INPUT, st.lists(st.sampled_from(
+    [rule for rule in RULES if not rule.startswith((b"optimize", b"prefer"))]),
+    max_size=8).map(b"".join))
+CRITERIA = [b"optimize(1,1,card).", b"optimize(1,1,incl).",
+            b"optimize(1,1,pref).", b"optimize(1,2,incl).",
+            b"optimize(2,1,card).", b"prefer(pos(atom(a)),neg(atom(b))).",
+            b"prefer(pos(atom(b)),pos(atom(c))).", b"\n"]
+CRITERIA_INPUT = st.one_of(
+    RAW_INPUT, st.lists(st.sampled_from(CRITERIA), max_size=4).map(b"".join))
 
 
-@given(st.sampled_from(["solve", "reify", "check", "metaenc"]), RAW_INPUT,
-       RAW_INPUT, st.sampled_from(["", "a", "a,b", "z", "A", ","]))
-@settings(max_examples=100, deadline=None)
+#: The options each command accepts besides its program.
+OPTIONS = {"solve": ("--limit", "--max-atoms"), "reify": (),
+           "check": ("--interpretation", "--max-atoms"),
+           "optimize": ("--criteria", "--mode", "--limit", "--max-atoms"),
+           "metaenc": ("--criteria",),
+           "crosscheck": ("--criteria", "--max-atoms")}
+#: A value per option; None leaves the option out.  The criteria file
+#: holds fuzzed input too.
+OPTION_VALUES = st.fixed_dictionaries({
+    "--interpretation": st.sampled_from(["", "a", "a,b", "z", "A", ","]),
+    "--criteria": st.sampled_from([None, "c.lp"]),
+    "--mode": st.sampled_from([None, "complex", "default"]),
+    "--limit": st.sampled_from([None, "1", "2", "3"]),
+    "--max-atoms": st.sampled_from([None, "0", "1", "2", "3", "4"])})
+
+
+@given(st.sampled_from(sorted(OPTIONS)), PROGRAM_INPUT, CRITERIA_INPUT,
+       OPTION_VALUES)
+@settings(max_examples=300, deadline=None)
 def test_fuzzed_input_exits_with_a_documented_code(command, program,
-                                                   criteria, interpretation):
+                                                   criteria, values):
+    """Never a traceback, and never exit 1: the two routes of
+    crosscheck agree on every input they accept."""
     with tempfile.TemporaryDirectory() as work:
-        paths = [os.path.join(work, name) for name in ("p.lp", "c.lp")]
-        for path, data in zip(paths, (program, criteria)):
-            with open(path, "wb") as handle:
+        files = {"p.lp": program, "c.lp": criteria}
+        for name, data in files.items():
+            with open(os.path.join(work, name), "wb") as handle:
                 handle.write(data)
-        argv = [command, paths[0]]
-        if command == "check":
-            argv += ["--interpretation", interpretation]
-        elif command == "metaenc":
-            argv += ["--criteria", paths[1]]
+        argv = [command, os.path.join(work, "p.lp")]
+        for option in OPTIONS[command]:
+            value = values[option]
+            if value is not None:
+                argv += [option, os.path.join(work, value)
+                         if value in files else value]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 2, 3, 4, 10), (code, err.getvalue())
+    assert code in (0, 2, 3, 4, 10), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()

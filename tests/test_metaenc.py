@@ -24,7 +24,7 @@ from aspkit.metaenc import (
 )
 from aspkit.optimize import optimal_answer_sets
 from aspkit.parser import parse_criteria, parse_program, render_program
-from aspkit.reify import reify
+from aspkit.reify import facts_to_text, parse_reified, reify, text_to_facts
 from aspkit.semantics import enumerate_answer_sets
 from generators import choice_program, iset, random_criteria, random_program
 
@@ -33,7 +33,7 @@ CARD = parse_criteria("optimize(1,1,card).")
 
 
 def build(program, crit=CriteriaSet()):
-    return build_meta_program(reify(program), crit)
+    return build_meta_program(program, crit)
 
 
 def hold_projection(meta_answer_set, mp):
@@ -90,7 +90,6 @@ class TestStructure:
         assert parse_program(mp.to_text()).rules == mp.program.rules
 
     def test_one_decomposition_per_build(self, toy_min, monkeypatch):
-        facts = reify(toy_min)
         calls = []
 
         def counted(graph, program):
@@ -98,7 +97,7 @@ class TestStructure:
             return sccs(graph, program)
 
         monkeypatch.setattr(consequence, "sccs", counted)
-        build_meta_program(facts, INCL)
+        build_meta_program(toy_min, INCL)
         assert len(calls) == 1
 
     def test_counterexample_side_avoids_negation(self, toy_min):
@@ -577,11 +576,11 @@ class TestEdgeCases:
         assert "wait_atom_a_2" in rendered and "wait_atom_c_2" in rendered
 
     def test_relabeled_facts_build_identically(self, toy_min):
-        from aspkit.reify import text_to_facts, facts_to_text
         text = facts_to_text(reify(toy_min))
         shifted = (text.replace("conjunction(2", "conjunction(9")
                    .replace("set(2,", "set(9,"))
-        mp = build_meta_program(text_to_facts(shifted), INCL)
+        assert shifted != text
+        mp = build_meta_program(parse_reified(text_to_facts(shifted)), INCL)
         assert mp.to_text() == build(toy_min, INCL).to_text()
         assert solve_meta(mp) == [iset("p,q"), iset("p,r"), iset("s,t")]
 

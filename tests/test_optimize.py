@@ -29,9 +29,8 @@ from aspkit.optimize import (
     optimal_answer_sets,
 )
 from aspkit.parser import parse_criteria, parse_program
-from aspkit.reify import reify
 from aspkit.semantics import enumerate_answer_sets, satisfies
-from generators import iset, random_criteria, random_program
+from generators import choice_program, iset, random_criteria, random_program
 
 SEEDS = st.integers(0, 2**32 - 1)
 logger = logging.getLogger(__name__)
@@ -290,27 +289,45 @@ class TestDefaultOptimal:
             default_optimal(parse_program("{a}. {b}."), limit=limit)
 
 
+def corpus(seed, **criteria):
+    """(program, criteria) draws: 50 of ``random_program``, where most
+    draws have at most one answer set, then 100 of ``choice_program``
+    over two criterion groups, where most interpretations are answer
+    sets, so that properties over pairs of answer sets see many pairs."""
+    rng = random.Random(seed)
+    for _ in range(50):
+        program = random_program(rng, max_atoms=6, max_rules=8,
+                                 minimize=True)
+        yield program, random_criteria(rng, program, **criteria)
+    grid = {"levels": (1, 2), "weights": (1,)}
+    for _ in range(100):
+        program = choice_program(rng, max_atoms=4, **grid)
+        yield program, random_criteria(rng, program, **grid, **criteria)
+
+
 class TestRandomCorpusProperties:
     def test_no_self_domination_anywhere(self):
-        rng = random.Random(43)
-        for _ in range(50):
-            program = random_program(rng, max_atoms=6, max_rules=8,
-                                     minimize=True)
-            crit = random_criteria(rng, program)
-            for x in enumerate_answer_sets(program):
+        """No answer set dominates itself, and between two answer sets
+        dominance is the syntactic reference's."""
+        several = 0
+        for program, crit in corpus(43):
+            answer_sets = enumerate_answer_sets(program)
+            several += len(answer_sets) >= 2
+            for x in answer_sets:
                 assert not dominates(x, x, program.minimize, crit).dominated
+            assert_matches_reference(program, crit)
+        assert several >= 100
 
     def test_card_incl_optimum_nonempty(self):
-        rng = random.Random(47)
-        for _ in range(50):
-            program = random_program(rng, max_atoms=6, max_rules=8,
-                                     minimize=True)
-            crit = random_criteria(rng, program, criteria=("card", "incl"),
-                                   empty_chance=0.0)
+        several = 0
+        for program, crit in corpus(47, criteria=("card", "incl"),
+                                    empty_chance=0.0):
             answer_sets = enumerate_answer_sets(program)
+            several += len(answer_sets) >= 2
             optimal = optimal_answer_sets(program, crit)
             assert bool(optimal) == bool(answer_sets)
             assert set(optimal) <= set(answer_sets)
+        assert several >= 100
 
     def test_coincidence_with_default_semantics(self):
         rng = random.Random(53)
@@ -435,7 +452,7 @@ def metamorphic_case(seed, closed, free):
 
 
 def meta_optimum(program, crit):
-    return solve_meta(build_meta_program(reify(program), crit))
+    return solve_meta(build_meta_program(program, crit))
 
 
 def check_renaming(solve, seed, closed, free):

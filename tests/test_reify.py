@@ -8,6 +8,7 @@ from aspkit.core import (
     Atom,
     BodyLiteral,
     ContractViolationError,
+    CriteriaSet,
     Disjunction,
     Literal,
     MinimizeEntry,
@@ -18,6 +19,7 @@ from aspkit.core import (
     WeightedLiteral,
     normalize,
 )
+from aspkit.metaenc import crosscheck
 from aspkit.parser import ParseError, parse_program
 from aspkit.reify import (
     ReifyError,
@@ -87,6 +89,19 @@ class TestReifyShapes:
     def test_proper_disjunction_rejected(self):
         with pytest.raises(ContractViolationError):
             reify(parse_program("a | b."))
+
+    @pytest.mark.parametrize("rule", [
+        Rule(SumConstraint(0, ())),
+        Rule(Disjunction((Atom("a"),)), (BodyLiteral(SumConstraint(0, ())),)),
+    ])
+    def test_empty_sum_rejected(self, rule):
+        """A sum with no entries has no wlist/4 fact to name its list."""
+        program = Program((rule,))
+        assert enumerate_answer_sets(program)
+        with pytest.raises(ContractViolationError, match="empty sum"):
+            reify(program)
+        with pytest.raises(ContractViolationError, match="empty sum"):
+            crosscheck(program, CriteriaSet())
 
     def test_minimize_levels_get_separate_lists(self):
         program = parse_program("#minimize[a=1@2, b=2@1, not a=1@2].")
