@@ -8,6 +8,7 @@ answer set or empty optimum, 130 interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import consequence, core, metaenc, optimize, semantics
@@ -188,44 +189,43 @@ def _at_least(least: int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = _Parser(
         prog="aspkit",
         description="Toolkit for ground extended logic programs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("program", help="program file ('-' for stdin)")
-        p.set_defaults(func=func)
         return p
 
-    add("reify", cmd_reify, help="print the fact representation")
+    add("reify", help="print the fact representation")
 
-    p = add("solve", cmd_solve, help="enumerate answer sets")
+    p = add("solve", help="enumerate answer sets")
     p.add_argument("--limit", type=_at_least(1), default=None)
     p.add_argument("--max-atoms", type=_at_least(0),
                    default=core.DEFAULT_ATOM_CAP)
 
-    p = add("optimize", cmd_optimize, help="select optimal answer sets")
+    p = add("optimize", help="select optimal answer sets")
     p.add_argument("--criteria", default=None, help="criteria fact file")
     p.add_argument("--mode", choices=("complex", "default"), default="complex")
     p.add_argument("--limit", type=_at_least(1), default=None)
     p.add_argument("--max-atoms", type=_at_least(0),
                    default=core.DEFAULT_ATOM_CAP)
 
-    p = add("check", cmd_check, help="classify an interpretation")
+    p = add("check", help="classify an interpretation")
     p.add_argument("--interpretation", required=True,
                    help="comma-separated atom names (may be empty)")
     p.add_argument("--max-atoms", type=_at_least(0),
                    default=core.DEFAULT_ATOM_CAP)
 
-    p = add("metaenc", cmd_metaenc,
-            help="print the saturation-based check program")
+    p = add("metaenc", help="print the saturation-based check program")
     p.add_argument("--criteria", default=None)
 
-    p = add("crosscheck", cmd_crosscheck,
-            help="compare native and check-program optima")
+    p = add("crosscheck", help="compare native and check-program optima")
     p.add_argument("--criteria", default=None)
     p.add_argument("--max-atoms", type=_at_least(0),
                    default=core.DEFAULT_ATOM_CAP)
@@ -242,7 +242,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # Looked up per call, so the kept parser holds no handler.
+        return globals()["cmd_" + args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -60,13 +60,6 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    span: SourceSpan
-
-
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -77,70 +70,78 @@ _TOKEN_RE = re.compile(
   | (?P<int>-?[0-9]+)
   | (?P<arrow>:-)
   | (?P<punct>[.,|{}\[\]()=@])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-def tokenize(text: str) -> list[Token]:
-    """Lex program, criteria, or fact text into a token list."""
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        span = SourceSpan(line, pos - line_start + 1)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
+def _span(text: str, pos: int) -> SourceSpan:
+    """The line and column of offset ``pos`` in ``text``."""
+    return SourceSpan(text.count("\n", 0, pos) + 1,
+                      pos - text.rfind("\n", 0, pos))
+
+
+#: A token: kind, text and offset in the source.
+_Token = tuple[str, str, int]
+
+
+def tokenize(text: str) -> list[_Token]:
+    """Lex program, criteria, or fact text into tokens, ending with eof."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
         value = m.group()
-        if kind in ("ws", "comment"):
-            for i, ch in enumerate(value):
-                if ch == "\n":
-                    line += 1
-                    line_start = pos + i + 1
+        if kind == "name" and value == "not":
+            kind = "not"
         elif kind == "upper":
-            raise ParseError(f"non-ground input: variable-like token {value!r}", span)
-        elif kind == "name" and value == "not":
-            tokens.append(Token("not", value, span))
-        else:
-            tokens.append(Token(kind, value, span))
-        pos = m.end()
-    tokens.append(Token("eof", "", SourceSpan(line, pos - line_start + 1)))
+            raise ParseError(f"non-ground input: variable-like token {value!r}",
+                             _span(text, m.start()))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {value!r}",
+                             _span(text, m.start()))
+        tokens.append((kind, value, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+    """A cursor over the tokens of ``text``; spans are made only for errors."""
+
+    def __init__(self, text: str):
+        self._text = text
+        self._tokens = tokenize(text)
         self._pos = 0
 
     @property
-    def current(self) -> Token:
+    def current(self) -> _Token:
         return self._tokens[self._pos]
 
-    def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.current
-        return tok.kind == kind and (value is None or tok.value == value)
+    def error(self, message: str, token: _Token) -> ParseError:
+        return ParseError(message, _span(self._text, token[2]))
 
-    def take(self, kind: str, value: str | None = None) -> Token:
+    def at(self, kind: str, value: str | None = None) -> bool:
+        tok = self._tokens[self._pos]
+        return tok[0] == kind and (value is None or tok[1] == value)
+
+    def take(self, kind: str, value: str | None = None) -> _Token:
+        tok = self._tokens[self._pos]
         if not self.at(kind, value):
             want = value if value is not None else kind
-            raise ParseError(
-                f"expected {want!r}, found {self.current.value!r}", self.current.span)
-        tok = self.current
+            raise self.error(f"expected {want!r}, found {tok[1]!r}", tok)
         self._pos += 1
         return tok
 
-    def take_if(self, kind: str, value: str | None = None) -> Token | None:
+    def take_if(self, kind: str, value: str | None = None) -> _Token | None:
         if self.at(kind, value):
             return self.take(kind, value)
         return None
 
 
 def _parse_atom(ts: _TokenStream) -> Atom:
-    tok = ts.take("name")
-    return Atom(tok.value)
+    return Atom(ts.take("name")[1])
 
 
 def _parse_literal(ts: _TokenStream) -> Literal:
@@ -155,7 +156,7 @@ def _at_sum(ts: _TokenStream) -> bool:
 def _parse_sum(ts: _TokenStream) -> SumConstraint:
     lower = None
     if tok := ts.take_if("int"):
-        lower = int(tok.value)
+        lower = int(tok[1])
     elements: list[WeightedLiteral] = []
     if ts.take_if("punct", "{"):
         while True:
@@ -171,17 +172,16 @@ def _parse_sum(ts: _TokenStream) -> SumConstraint:
             weight = 1
             if ts.take_if("punct", "="):
                 wtok = ts.take("int")
-                weight = int(wtok.value)
+                weight = int(wtok[1])
                 if weight < 0:
-                    raise ParseError(
-                        "negative weight in #sum constraint", wtok.span)
+                    raise ts.error("negative weight in #sum constraint", wtok)
             elements.append(WeightedLiteral(literal, weight))
             if not ts.take_if("punct", ","):
                 break
         ts.take("punct", "]")
     upper = None
     if tok := ts.take_if("int"):
-        upper = int(tok.value)
+        upper = int(tok[1])
     return SumConstraint(lower, tuple(elements), upper)
 
 
@@ -213,9 +213,9 @@ def _parse_minimize_entries(ts: _TokenStream) -> tuple[MinimizeEntry, ...]:
             literal = _parse_literal(ts)
             weight, level = 1, 1
             if ts.take_if("punct", "="):
-                weight = int(ts.take("int").value)
+                weight = int(ts.take("int")[1])
             if ts.take_if("punct", "@"):
-                level = int(ts.take("int").value)
+                level = int(ts.take("int")[1])
             entries.append(MinimizeEntry(literal, weight, level))
             if not ts.take_if("punct", ","):
                 break
@@ -225,20 +225,19 @@ def _parse_minimize_entries(ts: _TokenStream) -> tuple[MinimizeEntry, ...]:
 
 def parse_program(text: str) -> Program:
     """Parse program text; raises :class:`ParseError` with a source span."""
-    ts = _TokenStream(tokenize(text))
+    ts = _TokenStream(text)
     rules: list[Rule] = []
     minimize: MinimizeStatement | None = None
     while not ts.at("eof"):
         if ts.at("hashword", "#minimize"):
             tok = ts.take("hashword")
             if minimize is not None:
-                raise ParseError("duplicate #minimize statement", tok.span)
+                raise ts.error("duplicate #minimize statement", tok)
             minimize = MinimizeStatement(_parse_minimize_entries(ts))
             ts.take("punct", ".")
             continue
-        if ts.at("hashword") and ts.current.value != "#sum":
-            raise ParseError(
-                f"unknown directive {ts.current.value!r}", ts.current.span)
+        if ts.at("hashword") and ts.current[1] != "#sum":
+            raise ts.error(f"unknown directive {ts.current[1]!r}", ts.current)
         if ts.take_if("arrow"):
             head: Disjunction | SumConstraint = Disjunction(())
         else:
@@ -255,45 +254,45 @@ def parse_program(text: str) -> Program:
 
 def _parse_literal_term(ts: _TokenStream) -> Literal:
     tok = ts.take("name")
-    if tok.value not in ("pos", "neg"):
-        raise ParseError("expected pos(...) or neg(...) literal term", tok.span)
+    if tok[1] not in ("pos", "neg"):
+        raise ts.error("expected pos(...) or neg(...) literal term", tok)
     ts.take("punct", "(")
     ts.take("name", "atom")
     ts.take("punct", "(")
     atom = _parse_atom(ts)
     ts.take("punct", ")")
     ts.take("punct", ")")
-    return Literal(atom, tok.value == "neg")
+    return Literal(atom, tok[1] == "neg")
 
 
 def parse_criteria(text: str) -> CriteriaSet:
     """Parse ``optimize(J,W,O).`` and ``prefer(L1,L2).`` facts."""
-    ts = _TokenStream(tokenize(text))
+    ts = _TokenStream(text)
     relations: list[tuple[int, int, str]] = []
     seen: dict[tuple[int, int], str] = {}
     prefer: list[tuple[Literal, Literal]] = []
     while not ts.at("eof"):
         tok = ts.take("name")
-        if tok.value == "optimize":
+        if tok[1] == "optimize":
             ts.take("punct", "(")
-            level = int(ts.take("int").value)
+            level = int(ts.take("int")[1])
             ts.take("punct", ",")
-            weight = int(ts.take("int").value)
+            weight = int(ts.take("int")[1])
             ts.take("punct", ",")
             crit_tok = ts.take("name")
-            if crit_tok.value not in ("card", "incl", "pref"):
-                raise ParseError(
-                    f"unknown criterion {crit_tok.value!r}", crit_tok.span)
+            criterion = crit_tok[1]
+            if criterion not in ("card", "incl", "pref"):
+                raise ts.error(f"unknown criterion {criterion!r}", crit_tok)
             ts.take("punct", ")")
             key = (level, weight)
-            if key in seen and seen[key] != crit_tok.value:
-                raise ParseError(
+            if key in seen and seen[key] != criterion:
+                raise ts.error(
                     f"conflicting criteria for level {level}, weight {weight}",
-                    crit_tok.span)
+                    crit_tok)
             if key not in seen:
-                seen[key] = crit_tok.value
-                relations.append((level, weight, crit_tok.value))
-        elif tok.value == "prefer":
+                seen[key] = criterion
+                relations.append((level, weight, criterion))
+        elif tok[1] == "prefer":
             ts.take("punct", "(")
             first = _parse_literal_term(ts)
             ts.take("punct", ",")
@@ -303,9 +302,8 @@ def parse_criteria(text: str) -> CriteriaSet:
             if pair not in prefer:
                 prefer.append(pair)
         else:
-            raise ParseError(
-                f"expected optimize(...) or prefer(...), found {tok.value!r}",
-                tok.span)
+            raise ts.error(
+                f"expected optimize(...) or prefer(...), found {tok[1]!r}", tok)
         ts.take("punct", ".")
     return CriteriaSet(tuple(relations), tuple(prefer))
 

@@ -45,7 +45,7 @@ from .core import (
     WeightedLiteral,
     is_extended,
 )
-from .parser import ParseError, _TokenStream, tokenize
+from .parser import _TokenStream
 
 
 class ReifyError(Exception):
@@ -206,8 +206,8 @@ def facts_to_text(facts) -> str:
 
 def _parse_term(ts) -> Term | int:
     if ts.at("int"):
-        return int(ts.take("int").value)
-    name = ts.take("name").value
+        return int(ts.take("int")[1])
+    name = ts.take("name")[1]
     args: list[Term | int] = []
     if ts.take_if("punct", "("):
         while True:
@@ -220,14 +220,14 @@ def _parse_term(ts) -> Term | int:
 
 def text_to_facts(text: str) -> list[ReifiedFact]:
     """Parse fact text; syntax errors carry source spans."""
-    ts = _TokenStream(tokenize(text))
+    ts = _TokenStream(text)
     facts: list[ReifiedFact] = []
     while not ts.at("eof"):
-        span = ts.current.span
+        start = ts.current
         term = _parse_term(ts)
         ts.take("punct", ".")
         if isinstance(term, int) or not term.args:
-            raise ParseError("expected a fact with arguments", span)
+            raise ts.error("expected a fact with arguments", start)
         facts.append(ReifiedFact(term.functor, term.args))
     return facts
 

@@ -94,6 +94,13 @@ class TestSolve:
         assert code == 3 and out == ""
         assert err == "parse error: 2:1: not UTF-8: byte 0xff\n"
 
+    def test_non_utf8_byte_position_counts_bytes(self, capsys, tmp_path):
+        path = tmp_path / "bad.lp"
+        path.write_bytes(b"a.\n\n\xc3\xa9b :- \xff.\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 3 and out == ""
+        assert err == "parse error: 3:8: not UTF-8: byte 0xff\n"
+
     def test_deterministic(self, capsys, toy_file):
         first = run(capsys, "solve", toy_file)
         second = run(capsys, "solve", toy_file)
@@ -419,6 +426,52 @@ class TestUsage:
         code, out, err = run(capsys, "solve", toy_file)
         assert code == 130 and out == ""
         assert err == "interrupted\n"
+
+
+class TestReuse:
+    """One process may call main many times; the parser it keeps carries
+    nothing from one call into the next."""
+
+    def test_two_passes_agree(self, capsys, monkeypatch, toy_file,
+                              toy_min_file, incl_file, tmp_path):
+        bad = tmp_path / "bad.lp"
+        bad.write_text("a :- b.\nc :- B.\n")
+        sequence = [
+            ("solve", toy_file, "--limit", "2", "--max-atoms", "10"),
+            ("solve", "-"),
+            ("reify", toy_file),
+            ("optimize", toy_min_file, "--criteria", incl_file, "--limit", "1"),
+            ("optimize", toy_min_file, "--mode", "default"),
+            ("check", toy_file, "--interpretation", "p,q"),
+            ("check", toy_file, "--interpretation", "", "--max-atoms", "5"),
+            ("metaenc", toy_min_file, "--criteria", incl_file),
+            ("crosscheck", toy_min_file, "--criteria", incl_file),
+            ("solve", toy_file, "--limit", "0"),
+            ("solve", str(bad)),
+        ]
+
+        def one_pass():
+            results = []
+            for argv in sequence:
+                monkeypatch.setattr("sys.stdin", io.StringIO("a.\n{b}.\n"))
+                results.append(run(capsys, *argv))
+            return results
+
+        first = one_pass()
+        assert [code for code, _, _ in first] == [0] * 9 + [2, 3]
+        assert first[1][1] == "{a}\n{a,b}\n"
+        assert first[-1][2] == "parse error: 2:6: non-ground input: " \
+                               "variable-like token 'B'\n"
+        assert one_pass() == first
+
+    def test_criteria_do_not_carry_into_the_next_call(
+            self, capsys, toy_min_file, incl_file):
+        code, _, _ = run(capsys, "optimize", toy_min_file,
+                         "--criteria", incl_file)
+        assert code == 0
+        code, out, err = run(capsys, "optimize", toy_min_file,
+                             "--mode", "default")
+        assert code == 0 and out != "" and err == ""
 
 
 #: Fragments of the program and criteria syntax, so that fuzzed input

@@ -358,10 +358,27 @@ class TestRandomCorpusProperties:
 def draw_case(seed, closed, outside, unmatched):
     """A random program with a minimize statement and criteria over it;
     optionally the preference closed, a prefer pair with a literal
-    outside every group, and a relation at a group with no occurrence."""
+    outside every group, and a relation at a group with no occurrence.
+    Half the programs are ``choice_program`` draws with groups at two
+    levels, because ``random_program`` draws rarely have two answer sets
+    to compare.  They are compared by ``pref``, with a chain l < l1 < l2
+    of three literals of one group among the prefer pairs, so that a
+    ``y``-only l defeating l1 decides some pairs."""
     rng = random.Random(seed)
-    program = random_program(rng, max_atoms=6, max_rules=8, minimize=True)
-    crit = random_criteria(rng, program)
+    if rng.random() < 0.5:
+        grid = {"levels": (1, 2), "weights": (1,)}
+        program = choice_program(rng, max_atoms=4, **grid)
+        crit = random_criteria(rng, program, criteria=("pref",), **grid)
+        level = rng.choice(grid["levels"])
+        group = sorted({e.literal for e in program.minimize.entries
+                        if e.level == level})
+        if len(group) >= 3:
+            low, middle, high = rng.sample(group, 3)
+            crit = CriteriaSet(crit.relations, crit.prefer
+                               + ((low, middle), (middle, high)))
+    else:
+        program = random_program(rng, max_atoms=6, max_rules=8, minimize=True)
+        crit = random_criteria(rng, program)
     relations, prefer = crit.relations, crit.prefer
     if outside:
         literals = [e.literal for e in program.minimize.entries]

@@ -115,6 +115,43 @@ class TestParseErrors:
         self.check("#maximize[a].", "unknown directive")
 
 
+#: One input per ParseError raise site, with its exact message, line and
+#: column.  The positions cover a line after a % comment, a line after
+#: blank lines, eof after a trailing newline and runs of tabs and
+#: carriage returns (which, unlike newlines, do not start a line).
+PINNED_ERRORS = [
+    (parse_program, "a :- b.\n% note\nc :- Xyz.",
+     "non-ground input: variable-like token 'Xyz'", 3, 6),
+    (parse_program, "a.\n\n\n  b ; c.", "unexpected character ';'", 4, 5),
+    (parse_program, "a :- b\n", "expected '.', found ''", 2, 1),
+    (parse_program, "a :-\t\r\t\r b,\t\r 1 #sum[c=-2].",
+     "negative weight in #sum constraint", 1, 24),
+    (parse_program, "#minimize[a].\n% again\n#minimize[b].",
+     "duplicate #minimize statement", 3, 1),
+    (parse_program, "a.\n  #maximize[a].", "unknown directive '#maximize'",
+     2, 3),
+    (parse_criteria,
+     "optimize(1,1,card).\nprefer(pos(atom(a)),\n  lit(atom(b))).",
+     "expected pos(...) or neg(...) literal term", 3, 3),
+    (parse_criteria, "\n\noptimize(1,2,best).", "unknown criterion 'best'",
+     3, 14),
+    (parse_criteria, "optimize(1,2,card). % first\noptimize(1,2,incl).",
+     "conflicting criteria for level 1, weight 2", 2, 14),
+    (parse_criteria, "optimize(1,1,card).\r\n\tminimize(a).",
+     "expected optimize(...) or prefer(...), found 'minimize'", 2, 2),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, line, column", PINNED_ERRORS)
+def test_error_message_and_position_are_pinned(parse, text, message, line,
+                                               column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.message == message
+    assert (err.value.span.line, err.value.span.column) == (line, column)
+    assert str(err.value) == f"{line}:{column}: {message}"
+
+
 class TestCriteria:
     def test_single_inclusion(self):
         crit = parse_criteria("optimize(1,1,incl).")

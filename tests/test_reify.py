@@ -201,6 +201,18 @@ class TestValidation:
         with pytest.raises(ParseError):
             text_to_facts("rule(pos(atom(a)),")
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("rule(pos(a),pos(b)).\n\n  % atom\n  atom.",
+         "expected a fact with arguments", 4, 3),
+        ("set(1,pos(a))\n", "expected '.', found ''", 2, 1),
+    ])
+    def test_fact_syntax_error_position_is_pinned(self, text, message, line,
+                                                  column):
+        with pytest.raises(ParseError) as err:
+            text_to_facts(text)
+        assert err.value.message == message
+        assert (err.value.span.line, err.value.span.column) == (line, column)
+
     def test_negative_weight_in_sum_list(self):
         facts = text_to_facts(
             "rule(pos(atom(a)),pos(conjunction(0))).\n"
