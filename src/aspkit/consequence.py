@@ -23,6 +23,7 @@ from .core import (
     atoms,
     atoms_of,
     positive_part,
+    sorted_atoms,
 )
 from .semantics import is_model, satisfies
 
@@ -79,9 +80,10 @@ def dependency_graph(program: Program) -> DependencyGraph:
 def sccs(graph: DependencyGraph, program: Program) -> SccDecomposition:
     """Tarjan decomposition; non-trivial components are labeled 0,1,...
     in first-discovery order."""
-    succ: dict[Atom, list[Atom]] = {a: [] for a in sorted(graph.nodes)}
-    for a, b in sorted(graph.edges):
+    succ: dict[Atom, list[Atom]] = {a: [] for a in sorted_atoms(graph.nodes)}
+    for a, b in graph.edges:
         succ[a].append(b)
+    succ = {a: sorted_atoms(targets) for a, targets in succ.items()}
 
     index: dict[Atom, int] = {}
     lowlink: dict[Atom, int] = {}
@@ -110,7 +112,7 @@ def sccs(graph: DependencyGraph, program: Program) -> SccDecomposition:
                     break
             found.append(frozenset(scc))
 
-    for v in sorted(graph.nodes):
+    for v in succ:
         if v not in index:
             connect(v)
 

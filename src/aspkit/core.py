@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Union
 
 _ATOM_NAME = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+_NAME = attrgetter("name")
 
 #: Default cap on the number of atoms brute-force enumeration will accept.
 DEFAULT_ATOM_CAP = 20
@@ -30,7 +32,7 @@ def check_limit(limit: int | None) -> None:
         raise ContractViolationError(f"limit must be at least 1: {limit}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
     """A propositional atom: a flat symbolic constant."""
 
@@ -44,7 +46,7 @@ class Atom:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Literal:
     """An atom or its default negation."""
 
@@ -55,7 +57,7 @@ class Literal:
         return f"not {self.atom}" if self.negated else self.atom.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedLiteral:
     """One ``literal=weight`` occurrence inside a sum constraint or list."""
 
@@ -66,7 +68,7 @@ class WeightedLiteral:
         return f"{self.literal}={self.weight}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumConstraint:
     """``L #sum[l1=w1,...,lk=wk] U`` over an ordered multiset of entries.
 
@@ -101,7 +103,7 @@ class SumConstraint:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disjunction:
     """A (possibly empty) disjunction of atoms; empty means falsity."""
 
@@ -115,7 +117,7 @@ class Disjunction:
 Head = Union[Disjunction, SumConstraint]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BodyLiteral:
     """A body component (atom or sum constraint), possibly negated."""
 
@@ -130,7 +132,7 @@ class BodyLiteral:
 Body = tuple[BodyLiteral, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """``head :- body`` (a fact when the body is empty)."""
 
@@ -138,14 +140,29 @@ class Rule:
     body: Body = ()
 
     def __str__(self) -> str:
-        head = str(self.head)
+        # Atom heads and atom body literals are printed here directly:
+        # check programs have tens of thousands of rules made of them.
+        head = self.head
+        if type(head) is Disjunction and len(head.atoms) == 1:
+            head = head.atoms[0].name
+        else:
+            head = str(head)
         if not self.body:
             return f"{head}." if head else ":-."
-        body = ", ".join(str(bl) for bl in self.body)
+        parts = []
+        for bl in self.body:
+            element = bl.element
+            if type(element) is not Atom:
+                parts.append(str(bl))
+            elif bl.negated:
+                parts.append("not " + element.name)
+            else:
+                parts.append(element.name)
+        body = ", ".join(parts)
         return f"{head} :- {body}." if head else f":- {body}."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimizeEntry:
     """One ``literal=weight@level`` occurrence of a minimize statement."""
 
@@ -157,7 +174,7 @@ class MinimizeEntry:
         return f"{self.literal}={self.weight}@{self.level}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinimizeStatement:
     """An ordered multiset of weighted, prioritized literals (may be empty)."""
 
@@ -177,7 +194,7 @@ class MinimizeStatement:
         return tuple(sorted({(e.level, e.weight) for e in self.entries}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
     """Ground rules plus one (possibly empty) minimize statement."""
 
@@ -191,7 +208,7 @@ Interpretation = frozenset[Atom]
 CRITERIA = ("card", "incl", "pref")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriteriaSet:
     """Active comparison relations keyed by (level, weight), plus the
     literal preference relation used by ``pref`` criteria.
@@ -242,6 +259,12 @@ class CriteriaSet:
                         closed.add((a, d))
                         changed = True
         return CriteriaSet(self.relations, tuple(sorted(closed)))
+
+
+def sorted_atoms(atoms) -> list[Atom]:
+    """``sorted(atoms)``, keyed by name: the same order as comparing
+    atoms, without a call of the generated ``__lt__`` per comparison."""
+    return sorted(atoms, key=_NAME)
 
 
 def atoms(program: Program) -> frozenset[Atom]:

@@ -59,6 +59,7 @@ from .core import (
     Rule,
     SumConstraint,
     WeightedLiteral,
+    sorted_atoms,
 )
 from .compiled import CompiledProgram, HornClosure, Search
 from .optimize import optimal_answer_sets
@@ -88,17 +89,17 @@ def _num(n: int) -> str:
     return str(n) if n >= 0 else f"m{-n}"
 
 
-def _entity(family: str, term: Term) -> Atom:
-    """Meta atom naming for atom(a), conjunction(S), sum(L,S,U), false."""
+def _entity(family: str, term: Term) -> str:
+    """Meta atom name for atom(a), conjunction(S), sum(L,S,U), false."""
     if term.functor == "atom":
-        return Atom(f"{family}_atom_{term.args[0]}")
+        return f"{family}_atom_{term.args[0].functor}"
     if term.functor == "conjunction":
-        return Atom(f"{family}_conj_{term.args[0]}")
+        return f"{family}_conj_{term.args[0]}"
     if term.functor == "sum":
         lower, label, upper = term.args
-        return Atom(f"{family}_sum_{_num(lower)}_{label}_{_num(upper)}")
+        return f"{family}_sum_{_num(lower)}_{label}_{_num(upper)}"
     if term.functor == "false":
-        return Atom(f"{family}_false")
+        return f"{family}_false"
     raise ValueError(f"unexpected entity term: {term}")
 
 
@@ -106,30 +107,34 @@ def _lit_suffix(literal: Literal) -> str:
     return f"{'neg' if literal.negated else 'pos'}_{literal.atom.name}"
 
 
-def _pos(atom: Atom) -> BodyLiteral:
-    return BodyLiteral(atom)
+def _ce_lit(literal: Literal, holds: bool) -> str:
+    """Guess atom name standing for 'literal holds' (or does not hold)."""
+    family = "true" if holds != literal.negated else "fail"
+    return f"{family}_atom_{literal.atom.name}"
 
 
-def _not(atom: Atom) -> BodyLiteral:
-    return BodyLiteral(atom, negated=True)
+def _ce_member(negated: bool, inner: Term, holds: bool) -> str:
+    return _entity("true" if holds != negated else "fail", inner)
 
 
-def _fact(atom: Atom) -> Rule:
-    return Rule(Disjunction((atom,)))
+#: The head of every constraint.
+_FALSITY = Disjunction(())
+
+#: Positions in an entry of ``_Shared``.
+_ATOM, _LITERAL, _HEAD = 0, 1, 2
 
 
-def _rule(head: Atom, body) -> Rule:
-    return Rule(Disjunction((head,)), tuple(body))
+class _Shared(dict):
+    """One build's objects by meta atom name.  A name seen for the first
+    time gets its ``Atom`` (so the name is validated once), its positive
+    ``BodyLiteral`` and its single-atom head ``Disjunction``, made together
+    as one (atom, literal, head) entry that every rule of the build
+    shares."""
 
-
-def _constraint(body) -> Rule:
-    return Rule(Disjunction(()), tuple(body))
-
-
-def _atleast(bound: int, entries) -> BodyLiteral:
-    """Lower-bound-only sum over positive meta literals."""
-    return BodyLiteral(SumConstraint(
-        bound, tuple(WeightedLiteral(Literal(a), w) for a, w in entries)))
+    def __missing__(self, name: str) -> tuple[Atom, BodyLiteral, Disjunction]:
+        atom = Atom(name)
+        shared = self[name] = (atom, BodyLiteral(atom), Disjunction((atom,)))
+        return shared
 
 
 @dataclass
@@ -175,8 +180,8 @@ class MetaProgram:
             if not rules:
                 continue
             lines.append(f"% {title}")
-            lines.extend(str(rule) for rule in rules)
-        return "".join(line + "\n" for line in lines)
+            lines.extend(map(str, rules))
+        return "\n".join(lines) + "\n" if lines else ""
 
 
 class _View:
@@ -185,7 +190,7 @@ class _View:
     def __init__(self, program: Program):
         reader = FactReader(reify(program))
         self.program = program
-        self.atoms: list[Atom] = sorted(core.atoms(program))
+        self.atoms: list[Atom] = sorted_atoms(core.atoms(program))
         #: per rule: head term and body conjunction label
         self.rules: list[tuple[Term, int]] = [
             (head, body.args[0]) for head, body in reader.rule_facts]
@@ -204,126 +209,142 @@ class _View:
             level: reader.weighted(label)
             for level, label in reader.minimize_facts}
         self.minimize_label = dict(reader.minimize_facts)
-        # components: label -> (atoms, conjunction labels, sum terms)
-        self.components: dict[int, tuple[list[Atom], list[int], list[Term]]] = {}
+        # components: label -> (atom names, conjunction labels, sum terms)
+        self.components: dict[
+            int, tuple[list[str], list[int], list[Term]]] = {}
         for label, term in reader.scc_facts:
             entry = self.components.setdefault(label, ([], [], []))
             if term.functor == "atom":
-                entry[0].append(Atom(term.args[0].functor))
+                entry[0].append(term.args[0].functor)
             elif term.functor == "conjunction":
                 entry[1].append(term.args[0])
             else:
                 entry[2].append(term)
 
-    def head_support_atoms(self, head: Term) -> tuple[Atom, ...]:
-        """Atoms occurring positively in a head term, in order."""
+    def head_support(self, head: Term) -> tuple[str, ...]:
+        """Names of the atoms occurring positively in a head term, in
+        order."""
         if head.functor == "atom":
-            return (Atom(head.args[0].functor),)
+            return (head.args[0].functor,)
         if head.functor == "false":
             return ()
-        found: list[Atom] = []
+        found: list[str] = []
         for wl in self.sums[head].elements:
-            if not wl.literal.negated and wl.literal.atom not in found:
-                found.append(wl.literal.atom)
+            name = wl.literal.atom.name
+            if not wl.literal.negated and name not in found:
+                found.append(name)
         return tuple(found)
 
 
 class _Builder:
+    """Emits the parts of one check program.  Rules are written with
+    meta atom names and made of the objects ``shared`` holds for them,
+    one table per build; negative literals are made where used."""
+
     def __init__(self, view: _View, crit: CriteriaSet):
         self.view = view
         self.crit = crit
         self.cxopt = effective_criteria(crit, view.program.minimize)
-        self._positives: dict[str, BodyLiteral] = {}
+        self.shared = _Shared()
+
+    def _atom(self, name: str) -> Atom:
+        return self.shared[name][_ATOM]
+
+    def _pos(self, name: str) -> BodyLiteral:
+        return self.shared[name][_LITERAL]
+
+    def _literal(self, name: str, negated: bool) -> BodyLiteral:
+        return BodyLiteral(self._atom(name), True) if negated \
+            else self._pos(name)
+
+    def _rule(self, head: str, body=()) -> Rule:
+        return Rule(self.shared[head][_HEAD], tuple(body))
+
+    def _atleast(self, bound: int, entries) -> BodyLiteral:
+        """Lower-bound-only sum over positive meta literals, given as
+        (name, weight) pairs."""
+        atom = self._atom
+        return BodyLiteral(SumConstraint(bound, tuple(
+            WeightedLiteral(Literal(atom(name)), w) for name, w in entries)))
 
     # -- candidate part ------------------------------------------------
 
-    def _cand_literal(self, negated: bool, inner: Term) -> BodyLiteral:
-        return BodyLiteral(_entity("hold", inner), negated)
-
     def candidate_definitions(self) -> list[Rule]:
+        atom = self._atom
         rules: list[Rule] = []
         for term, sc in self.view.sums.items():
             elements = tuple(
-                WeightedLiteral(Literal(Atom(f"hold_atom_{wl.literal.atom}"),
-                                        wl.literal.negated), wl.weight)
+                WeightedLiteral(
+                    Literal(atom(f"hold_atom_{wl.literal.atom.name}"),
+                            wl.literal.negated), wl.weight)
                 for wl in sc.elements)
-            rules.append(_rule(_entity("hold", term), (BodyLiteral(
+            rules.append(self._rule(_entity("hold", term), (BodyLiteral(
                 SumConstraint(sc.lower, elements, sc.upper)),)))
         for label in sorted(self.view.conjunctions):
-            body = tuple(self._cand_literal(neg, inner)
+            body = tuple(self._literal(_entity("hold", inner), neg)
                          for neg, inner in self.view.conjunctions[label])
-            rules.append(_rule(Atom(f"hold_conj_{label}"), body))
+            rules.append(self._rule(f"hold_conj_{label}", body))
         return rules
 
     def candidate_rules(self) -> list[Rule]:
         rules: list[Rule] = []
         for head, label in self.view.rules:
-            trigger = _pos(Atom(f"hold_conj_{label}"))
+            trigger = self._pos(f"hold_conj_{label}")
             if head.functor == "atom":
-                rules.append(_rule(_entity("hold", head), (trigger,)))
+                rules.append(self._rule(_entity("hold", head), (trigger,)))
             elif head.functor == "false":
-                rules.append(_constraint((trigger,)))
+                rules.append(Rule(_FALSITY, (trigger,)))
             else:
-                choosable = self.view.head_support_atoms(head)
+                choosable = self.view.head_support(head)
                 if choosable:
                     head_sum = SumConstraint(None, tuple(
-                        WeightedLiteral(Literal(Atom(f"hold_atom_{a}")))
+                        WeightedLiteral(Literal(self._atom(f"hold_atom_{a}")))
                         for a in choosable))
                     rules.append(Rule(head_sum, (trigger,)))
-                rules.append(_constraint(
-                    (trigger, _not(_entity("hold", head)))))
+                rules.append(Rule(_FALSITY, (
+                    trigger, self._literal(_entity("hold", head), True))))
         return rules
 
     # -- counterexample guess and evaluation ---------------------------
 
     def guess(self) -> list[Rule]:
+        atom = self._atom
         return [
-            Rule(Disjunction((Atom(f"true_atom_{a}"), Atom(f"fail_atom_{a}"))))
+            Rule(Disjunction((atom(f"true_atom_{a.name}"),
+                              atom(f"fail_atom_{a.name}"))))
             for a in self.view.atoms]
 
-    def _ce_lit(self, literal: Literal, holds: bool) -> Atom:
-        """Guess atom standing for 'literal holds' (or does not hold)."""
-        family = ("true" if holds else "fail") if not literal.negated \
-            else ("fail" if holds else "true")
-        return Atom(f"{family}_atom_{literal.atom}")
-
-    def _ce_member(self, negated: bool, inner: Term, holds: bool) -> Atom:
-        family = "true" if holds != negated else "fail"
-        return _entity(family, inner)
-
     def evaluate(self) -> list[Rule]:
+        pos = self._pos
         rules: list[Rule] = []
         if any(head.functor == "false" for head, _ in self.view.rules):
-            rules.append(_fact(Atom("fail_false")))
+            rules.append(self._rule("fail_false"))
         for term, sc in self.view.sums.items():
             total = sc.total
-            holds = [(self._ce_lit(wl.literal, True), wl.weight)
+            holds = [(_ce_lit(wl.literal, True), wl.weight)
                      for wl in sc.elements]
-            fails = [(self._ce_lit(wl.literal, False), wl.weight)
+            fails = [(_ce_lit(wl.literal, False), wl.weight)
                      for wl in sc.elements]
             true_body = self._bounded_body(
                 [(sc.lower, holds), (total - sc.upper, fails)], total)
             if true_body is not None:
-                rules.append(_rule(_entity("true", term), true_body))
+                rules.append(self._rule(_entity("true", term), true_body))
             for bound, entries_ in ((total - sc.lower + 1, fails),
                                     (sc.upper + 1, holds)):
                 body = self._bounded_body([(bound, entries_)], total)
                 if body is not None:
-                    rules.append(_rule(_entity("fail", term), body))
+                    rules.append(self._rule(_entity("fail", term), body))
         for label in sorted(self.view.conjunctions):
             members = self.view.conjunctions[label]
-            rules.append(_rule(
-                Atom(f"true_conj_{label}"),
-                tuple(_pos(self._ce_member(neg, inner, True))
-                      for neg, inner in members)))
+            rules.append(self._rule(f"true_conj_{label}", tuple(
+                pos(_ce_member(neg, inner, True)) for neg, inner in members)))
             for neg, inner in members:
-                rules.append(_rule(
-                    Atom(f"fail_conj_{label}"),
-                    (_pos(self._ce_member(neg, inner, False)),)))
+                rules.append(self._rule(
+                    f"fail_conj_{label}",
+                    (pos(_ce_member(neg, inner, False)),)))
         return rules
 
-    @staticmethod
-    def _bounded_body(parts, total: int):
+    def _bounded_body(self, parts, total: int):
         """Body of lower-bound sums; None when some bound is unreachable,
         trivial bounds dropped (an all-trivial body yields a fact)."""
         body: list[BodyLiteral] = []
@@ -332,165 +353,160 @@ class _Builder:
                 return None
             if bound <= 0:
                 continue
-            body.append(_atleast(bound, entries))
+            body.append(self._atleast(bound, entries))
         return tuple(body)
 
     # -- answer-set check ----------------------------------------------
 
-    def _positive(self, name: str) -> BodyLiteral:
-        """The one positive body literal of the meta atom ``name``, so a
-        name is turned into an atom (and validated) only once."""
-        literal = self._positives.get(name)
-        if literal is None:
-            literal = self._positives[name] = BodyLiteral(Atom(name))
-        return literal
-
     def check(self) -> list[Rule]:
-        lit = self._positive
-        bot = Atom("bot")
+        pos, rule = self._pos, self._rule
         rules: list[Rule] = []
         for head, label in self.view.rules:
-            rules.append(_rule(bot, (
-                lit(f"true_conj_{label}"), lit(_entity("fail", head).name))))
-        supports: dict[Atom, list[int]] = {a: [] for a in self.view.atoms}
+            rules.append(rule("bot", (
+                pos(f"true_conj_{label}"), pos(_entity("fail", head)))))
+        supports: dict[str, list[int]] = {
+            a.name: [] for a in self.view.atoms}
         for head, label in self.view.rules:
-            for atom in self.view.head_support_atoms(head):
-                if label not in supports[atom]:
-                    supports[atom].append(label)
-        for atom in self.view.atoms:
-            rules.append(_rule(bot, (
-                lit(f"true_atom_{atom}"),
-                *(lit(f"fail_conj_{s}") for s in supports[atom]))))
+            for name in self.view.head_support(head):
+                if label not in supports[name]:
+                    supports[name].append(label)
+        for name, labels in supports.items():
+            rules.append(rule("bot", (
+                pos(f"true_atom_{name}"),
+                *(pos(f"fail_conj_{s}") for s in labels))))
         for label in sorted(self.view.components):
             rules.extend(self._component_rules(label, supports))
         return rules
 
     def _component_rules(self, label: int, supports) -> list[Rule]:
         """Wait-level rules of one component, in time linear in their
-        number: each element's wait literals are made once, indexed by
-        step, and membership in the component is a set lookup."""
-        lit = self._positive
-        catoms, conj_labels, sum_terms = self.view.components[label]
-        catoms = sorted(catoms)
-        steps = len(catoms)
+        number: each element's wait atoms are looked up once, indexed by
+        step, and membership in the component is a set lookup.  These
+        are most of a large check program's rules, so they are made from
+        the shared entries directly."""
+        shared, pos = self.shared, self._pos
+        names, conj_labels, sum_terms = self.view.components[label]
+        names = sorted(names)
+        steps = len(names)
         internal_conjs = set(conj_labels)
-        # wait literals by step: atoms (keyed by name) at 0..steps,
-        # conjunctions and sums at 0..steps-1
-        wait_atom = {a.name: [lit(f"wait_atom_{a}_{step}")
-                              for step in range(steps + 1)] for a in catoms}
-        wait_conj = {c: [lit(f"wait_conj_{c}_{step}") for step in range(steps)]
-                     for c in conj_labels}
+        # shared entries of the wait atoms by step: atoms (keyed by name)
+        # at 0..steps, conjunctions and sums at 0..steps-1
+        wait_atom = {a: [shared[f"wait_atom_{a}_{step}"]
+                         for step in range(steps + 1)] for a in names}
+        wait_conj = {c: [shared[f"wait_conj_{c}_{step}"]
+                         for step in range(steps)] for c in conj_labels}
         wait_sum = {}
         for term in sum_terms:
-            name = _entity("wait", term).name
-            wait_sum[term] = [lit(f"{name}_{step}") for step in range(steps)]
+            name = _entity("wait", term)
+            wait_sum[term] = [shared[f"{name}_{step}"]
+                              for step in range(steps)]
         rules: list[Rule] = []
 
-        for atom in catoms:
-            rules.append(_fact(wait_atom[atom.name][0].element))
-        for atom in catoms:
-            fail = (lit(f"fail_atom_{atom}"),)
-            rules.extend(_rule(wait.element, fail)
-                         for wait in wait_atom[atom.name][1:])
-        for atom in catoms:
-            internal = [wait_conj[s] for s in supports[atom]
+        for a in names:
+            rules.append(Rule(wait_atom[a][0][_HEAD]))
+        for a in names:
+            fail = (pos(f"fail_atom_{a}"),)
+            rules.extend(Rule(wait[_HEAD], fail) for wait in wait_atom[a][1:])
+        for a in names:
+            internal = [wait_conj[s] for s in supports[a]
                         if s in internal_conjs]
-            sccw = lit(f"sccw_atom_{atom}")
-            rules.append(_rule(sccw.element, tuple(
-                lit(f"fail_conj_{s}") for s in supports[atom]
+            rules.append(self._rule(f"sccw_atom_{a}", (
+                pos(f"fail_conj_{s}") for s in supports[a]
                 if s not in internal_conjs)))
-            for step in range(1, steps + 1):
-                rules.append(_rule(wait_atom[atom.name][step].element, (
-                    sccw, *(waits[step - 1] for waits in internal))))
+            sccw = pos(f"sccw_atom_{a}")
+            for step, wait in enumerate(wait_atom[a][1:]):
+                rules.append(Rule(wait[_HEAD], (
+                    sccw, *[waits[step][_LITERAL] for waits in internal])))
         for conj in conj_labels:
-            fail = (lit(f"fail_conj_{conj}"),)
+            fail = (pos(f"fail_conj_{conj}"),)
             members = [
                 wait_atom.get(inner.args[0].functor)
                 if inner.functor == "atom" else wait_sum.get(inner)
                 for negated, inner in self.view.conjunctions[conj]
                 if not negated]
             members = [waits for waits in members if waits is not None]
-            for step in range(steps):
-                head = wait_conj[conj][step].element
-                rules.append(_rule(head, fail))
-                rules.extend(_rule(head, (waits[step],)) for waits in members)
+            for step, wait in enumerate(wait_conj[conj]):
+                head = wait[_HEAD]
+                rules.append(Rule(head, fail))
+                rules.extend(Rule(head, (waits[step][_LITERAL],))
+                             for waits in members)
         for term in sum_terms:
             sc = self.view.sums[term]
             total = sc.total
             threshold = total - sc.lower + 1
-            fail = (lit(_entity("fail", term).name),)
-            # per entry: its wait literals by step, or its fixed guess atom
+            fail = (pos(_entity("fail", term)),)
+            # per entry: its wait atoms by step, or its fixed guess atom
             entries = [
                 (wait_atom.get(wl.literal.atom.name)
                  if not wl.literal.negated else None,
-                 self._ce_lit(wl.literal, False), wl.weight)
+                 _ce_lit(wl.literal, False), wl.weight)
                 for wl in sc.elements]
-            for step in range(steps):
-                head = wait_sum[term][step].element
-                rules.append(_rule(head, fail))
+            for step, wait in enumerate(wait_sum[term]):
+                head = wait[_HEAD]
+                rules.append(Rule(head, fail))
                 if threshold <= 0:
-                    rules.append(_fact(head))
+                    rules.append(Rule(head))
                 elif threshold <= total:
-                    counted = [(waits[step].element if waits else fixed, weight)
-                               for waits, fixed, weight in entries]
-                    rules.append(_rule(head, (_atleast(threshold, counted),)))
-        bot = Atom("bot")
-        for atom in catoms:
-            rules.append(_rule(bot, (
-                lit(f"true_atom_{atom}"), wait_atom[atom.name][steps])))
+                    counted = [
+                        (waits[step][_ATOM].name if waits else fixed, weight)
+                        for waits, fixed, weight in entries]
+                    rules.append(
+                        Rule(head, (self._atleast(threshold, counted),)))
+        for a in names:
+            rules.append(self._rule("bot", (
+                pos(f"true_atom_{a}"), wait_atom[a][steps][_LITERAL])))
         return rules
 
     # -- saturation and acceptance --------------------------------------
 
     def saturate(self) -> list[Rule]:
-        bot = _pos(Atom("bot"))
+        bot = (self._pos("bot"),)
         rules: list[Rule] = []
-        for atom in self.view.atoms:
-            rules.append(_rule(Atom(f"true_atom_{atom}"), (bot,)))
-            rules.append(_rule(Atom(f"fail_atom_{atom}"), (bot,)))
+        for a in self.view.atoms:
+            rules.append(self._rule(f"true_atom_{a.name}", bot))
+            rules.append(self._rule(f"fail_atom_{a.name}", bot))
         return rules
 
     def accept(self) -> list[Rule]:
-        return [_constraint((_not(Atom("bot")),))]
+        return [Rule(_FALSITY, (self._literal("bot", True),))]
 
     # -- comparison ------------------------------------------------------
 
     def _cand_holds(self, literal: Literal) -> BodyLiteral:
-        return BodyLiteral(Atom(f"hold_atom_{literal.atom}"), literal.negated)
+        return self._literal(f"hold_atom_{literal.atom.name}", literal.negated)
 
     def _cand_fails(self, literal: Literal) -> BodyLiteral:
-        return BodyLiteral(Atom(f"hold_atom_{literal.atom}"),
-                           not literal.negated)
+        return self._literal(f"hold_atom_{literal.atom.name}",
+                             not literal.negated)
 
     def compare(self) -> list[Rule]:
-        bot = Atom("bot")
+        pos, rule = self._pos, self._rule
         if not self.crit.relations:
-            return [_fact(bot)]
+            return [rule("bot")]
         rules: list[Rule] = []
-        lit_rules: dict[Atom, list[Rule]] = {}
+        lit_rules: dict[str, list[Rule]] = {}
         levels = self.cxopt.levels()
         for level, weight, criterion in self.cxopt.relations:
             rules.extend(self._criterion_rules(
                 level, weight, criterion, lit_rules))
-        for atom in sorted(lit_rules):
-            rules.extend(lit_rules[atom])
+        for name in sorted(lit_rules):
+            rules.extend(lit_rules[name])
         for level in levels:
             body = tuple(
-                _pos(Atom(f"equal_{_num(lv)}_{_num(w)}_{o}"))
+                pos(f"equal_{_num(lv)}_{_num(w)}_{o}")
                 for lv, w, o in self.cxopt.relations if lv == level)
-            rules.append(_rule(Atom(f"eqlevel_{_num(level)}"), body))
-        rules.append(_fact(Atom(f"inspect_{_num(levels[0])}")))
+            rules.append(rule(f"eqlevel_{_num(level)}", body))
+        rules.append(rule(f"inspect_{_num(levels[0])}"))
         for higher, lower_ in zip(levels, levels[1:]):
-            rules.append(_rule(Atom(f"inspect_{_num(lower_)}"), (
-                _pos(Atom(f"inspect_{_num(higher)}")),
-                _pos(Atom(f"eqlevel_{_num(higher)}")))))
+            rules.append(rule(f"inspect_{_num(lower_)}", (
+                pos(f"inspect_{_num(higher)}"),
+                pos(f"eqlevel_{_num(higher)}"))))
         for level in levels:
-            rules.append(_rule(bot, (
-                _pos(Atom(f"inspect_{_num(level)}")),
-                _pos(Atom(f"worse_{_num(level)}")))))
-        rules.append(_rule(bot, (
-            _pos(Atom(f"inspect_{_num(levels[-1])}")),
-            _pos(Atom(f"eqlevel_{_num(levels[-1])}")))))
+            rules.append(rule("bot", (
+                pos(f"inspect_{_num(level)}"), pos(f"worse_{_num(level)}"))))
+        rules.append(rule("bot", (
+            pos(f"inspect_{_num(levels[-1])}"),
+            pos(f"eqlevel_{_num(levels[-1])}"))))
         return rules
 
     def _group(self, level: int, weight: int):
@@ -505,53 +521,54 @@ class _Builder:
         label = self.view.minimize_label.get(level, 0)
         key = f"{_num(level)}_{_num(weight)}"
         skey = f"{label}_{_num(weight)}"
-        equal = Atom(f"equal_{key}_{criterion}")
-        worse = Atom(f"worse_{_num(level)}")
+        equal = f"equal_{key}_{criterion}"
+        worse = f"worse_{_num(level)}"
         if criterion == "card":
             return self._card_rules(group, skey, equal, worse)
         if criterion == "incl":
             return self._incl_rules(group, equal, worse, lit_rules)
         return self._pref_rules(group, skey, equal, worse, lit_rules)
 
-    def _card_rules(self, group, skey: str, equal: Atom,
-                    worse: Atom) -> list[Rule]:
+    def _card_rules(self, group, skey: str, equal: str,
+                    worse: str) -> list[Rule]:
+        pos, rule = self._pos, self._rule
         if not group:
-            return [_fact(equal)]
+            return [rule(equal)]
         rules: list[Rule] = []
         size = len(group)
 
-        def count(position: int, value: int) -> Atom:
-            return Atom(f"count_{skey}_{position}_{_num(value)}")
+        def count(position: int, value: int) -> str:
+            return f"count_{skey}_{position}_{_num(value)}"
 
-        def cdown(position: int, value: int) -> Atom:
-            return Atom(f"cdown_{skey}_{_num(position)}_{_num(value)}")
+        def cdown(position: int, value: int) -> str:
+            return f"cdown_{skey}_{_num(position)}_{_num(value)}"
 
         first_q, first_lit = group[0]
-        rules.append(_rule(count(first_q, 1), (self._cand_holds(first_lit),)))
-        rules.append(_rule(count(first_q, 0), (self._cand_fails(first_lit),)))
+        rules.append(rule(count(first_q, 1), (self._cand_holds(first_lit),)))
+        rules.append(rule(count(first_q, 0), (self._cand_fails(first_lit),)))
         for i in range(1, size):
             q, lit = group[i]
             prev_q = group[i - 1][0]
+            holds, fails = self._cand_holds(lit), self._cand_fails(lit)
             for value in range(i + 1):
-                rules.append(_rule(count(q, value + 1), (
-                    _pos(count(prev_q, value)), self._cand_holds(lit))))
-                rules.append(_rule(count(q, value), (
-                    _pos(count(prev_q, value)), self._cand_fails(lit))))
+                prev = pos(count(prev_q, value))
+                rules.append(rule(count(q, value + 1), (prev, holds)))
+                rules.append(rule(count(q, value), (prev, fails)))
         last_q = group[-1][0]
         for value in range(size + 1):
-            rules.append(_rule(cdown(last_q, value),
-                               (_pos(count(last_q, value)),)))
+            rules.append(rule(cdown(last_q, value),
+                              (pos(count(last_q, value)),)))
         for i in range(size - 1, -1, -1):
             q, lit = group[i]
             prev = group[i - 1][0] if i else -1
-            y_holds = self._ce_lit(lit, True)
+            y_holds = pos(_ce_lit(lit, True))
             for value in range(size + 1):
-                rules.append(_rule(cdown(prev, value - 1), (
-                    _pos(cdown(q, value)), _pos(y_holds))))
+                rules.append(rule(cdown(prev, value - 1), (
+                    pos(cdown(q, value)), y_holds)))
             for value in range(-1, size + 1):
-                rules.append(_rule(cdown(prev, value), (_pos(cdown(q, value)),)))
-        rules.append(_rule(equal, (_pos(cdown(-1, 0)),)))
-        rules.append(_rule(worse, (_pos(cdown(-1, -1)),)))
+                rules.append(rule(cdown(prev, value), (pos(cdown(q, value)),)))
+        rules.append(rule(equal, (pos(cdown(-1, 0)),)))
+        rules.append(rule(worse, (pos(cdown(-1, -1)),)))
         return rules
 
     def _literals(self, group) -> list[Literal]:
@@ -561,47 +578,47 @@ class _Builder:
                 seen.append(lit)
         return seen
 
-    def _incl_rules(self, group, equal: Atom, worse: Atom,
+    def _incl_rules(self, group, equal: str, worse: str,
                     lit_rules) -> list[Rule]:
+        pos, rule = self._pos, self._rule
         literals = self._literals(group)
         if not literals:
-            return [_fact(equal)]
+            return [rule(equal)]
         rules: list[Rule] = []
         for lit in literals:
-            ndiff = Atom(f"ndiff_{_lit_suffix(lit)}")
+            ndiff = f"ndiff_{_lit_suffix(lit)}"
+            true_y, fails_x = pos(_ce_lit(lit, True)), self._cand_fails(lit)
             lit_rules.setdefault(ndiff, [
-                _rule(ndiff, (self._cand_fails(lit),)),
-                _rule(ndiff, (_pos(self._ce_lit(lit, True)),)),
-            ])
-            rules.append(_rule(worse, (
-                _pos(self._ce_lit(lit, True)), self._cand_fails(lit))))
-        rules.append(_rule(equal, tuple(
-            _pos(Atom(f"ndiff_{_lit_suffix(lit)}")) for lit in literals)))
+                rule(ndiff, (fails_x,)), rule(ndiff, (true_y,))])
+            rules.append(rule(worse, (true_y, fails_x)))
+        rules.append(rule(equal, tuple(
+            pos(f"ndiff_{_lit_suffix(lit)}") for lit in literals)))
         return rules
 
-    def _pref_rules(self, group, skey: str, equal: Atom, worse: Atom,
+    def _pref_rules(self, group, skey: str, equal: str, worse: str,
                     lit_rules) -> list[Rule]:
+        pos, rule = self._pos, self._rule
         literals = self._literals(group)
         if not literals:
-            return [_fact(worse)]
+            return [rule(worse)]
         inside = set(literals)
         pairs = [(a, b) for a, b in self.crit.prefer
                  if a in inside and b in inside]
 
-        def one(family: str, lit: Literal) -> Atom:
-            return Atom(f"{family}_{_lit_suffix(lit)}")
+        def one(family: str, lit: Literal) -> str:
+            return f"{family}_{_lit_suffix(lit)}"
 
         for lit in literals:
             holds_x, fails_x = self._cand_holds(lit), self._cand_fails(lit)
-            true_y = _pos(self._ce_lit(lit, True))
-            fail_y = _pos(self._ce_lit(lit, False))
+            true_y = pos(_ce_lit(lit, True))
+            fail_y = pos(_ce_lit(lit, False))
             defs = {
-                "cando": [_rule(one("cando", lit), (holds_x, fail_y))],
-                "nocan": [_rule(one("nocan", lit), (fails_x,)),
-                          _rule(one("nocan", lit), (true_y,))],
-                "condo": [_rule(one("condo", lit), (true_y, fails_x))],
-                "nocon": [_rule(one("nocon", lit), (fail_y,)),
-                          _rule(one("nocon", lit), (holds_x,))],
+                "cando": [rule(one("cando", lit), (holds_x, fail_y))],
+                "nocan": [rule(one("nocan", lit), (fails_x,)),
+                          rule(one("nocan", lit), (true_y,))],
+                "condo": [rule(one("condo", lit), (true_y, fails_x))],
+                "nocon": [rule(one("nocon", lit), (fail_y,)),
+                          rule(one("nocon", lit), (holds_x,))],
             }
             for family, rule_list in defs.items():
                 lit_rules.setdefault(one(family, lit), rule_list)
@@ -614,24 +631,22 @@ class _Builder:
         successors = {lit: [s for p, s in pairs if p == lit]
                       for lit in literals}
         for lit in literals:
-            grp = Atom(f"candog_{skey}_{_lit_suffix(lit)}")
+            grp = f"candog_{skey}_{_lit_suffix(lit)}"
             for succ in successors[lit]:
-                rules.append(_rule(grp, (
-                    _pos(one("cando", lit)), _pos(one("condo", succ)))))
+                rules.append(rule(grp, (
+                    pos(one("cando", lit)), pos(one("condo", succ)))))
             if successors[lit]:
-                rules.append(_rule(equal, (
-                    _pos(grp),
-                    *(_pos(one("nocon", d)) for d in defeaters[lit]))))
+                rules.append(rule(equal, (
+                    pos(grp), *(pos(one("nocon", d)) for d in defeaters[lit]))))
         for lit in literals:
-            grp = Atom(f"nocong_{skey}_{_lit_suffix(lit)}")
-            rules.append(_rule(grp, (_pos(one("nocon", lit)),)))
-            rules.append(_rule(grp, tuple(
-                _pos(one("nocan", s)) for s in successors[lit])))
+            grp = f"nocong_{skey}_{_lit_suffix(lit)}"
+            rules.append(rule(grp, (pos(one("nocon", lit)),)))
+            rules.append(rule(grp, tuple(
+                pos(one("nocan", s)) for s in successors[lit])))
             for d in defeaters[lit]:
-                rules.append(_rule(grp, (_pos(one("cando", d)),)))
-        rules.append(_rule(worse, tuple(
-            _pos(Atom(f"nocong_{skey}_{_lit_suffix(lit)}"))
-            for lit in literals)))
+                rules.append(rule(grp, (pos(one("cando", d)),)))
+        rules.append(rule(worse, tuple(
+            pos(f"nocong_{skey}_{_lit_suffix(lit)}") for lit in literals)))
         return rules
 
 
@@ -639,9 +654,10 @@ def build_meta_program(program: Program, crit: CriteriaSet) -> MetaProgram:
     """Assemble the check program from ``program``'s canonical facts."""
     view = _View(program)
     builder = _Builder(view, crit)
+    atom = builder._atom
     candidate_defs = tuple(builder.candidate_definitions())
     candidate_rules = tuple(builder.candidate_rules())
-    candidate_atoms = {a: Atom(f"hold_atom_{a}") for a in view.atoms}
+    candidate_atoms = {a: atom(f"hold_atom_{a.name}") for a in view.atoms}
     candidate_side = frozenset(candidate_atoms.values()) | core.atoms(
         Program(candidate_defs + candidate_rules))
     return MetaProgram(
@@ -654,9 +670,9 @@ def build_meta_program(program: Program, crit: CriteriaSet) -> MetaProgram:
         compare=tuple(builder.compare()),
         accept=tuple(builder.accept()),
         candidate_atoms=candidate_atoms,
-        true_atoms={a: Atom(f"true_atom_{a}") for a in view.atoms},
-        fail_atoms={a: Atom(f"fail_atom_{a}") for a in view.atoms},
-        bot=Atom("bot"),
+        true_atoms={a: atom(f"true_atom_{a.name}") for a in view.atoms},
+        fail_atoms={a: atom(f"fail_atom_{a.name}") for a in view.atoms},
+        bot=atom("bot"),
         candidate_side=candidate_side,
     )
 
@@ -677,7 +693,8 @@ def _compare_conditions(mp: MetaProgram,
             "counterexample rules mention candidate atoms: "
             f"{sorted(static_atoms & mp.candidate_side)}")
     for rule in static:
-        if guess & core.atoms_of(rule.head) and _pos(mp.bot) not in rule.body:
+        if guess & core.atoms_of(rule.head) \
+                and BodyLiteral(mp.bot) not in rule.body:
             raise ContractViolationError(
                 f"guess atom derived other than by saturation: {rule}")
     heads = {a for rule in mp.compare for a in core.atoms_of(rule.head)}
@@ -707,14 +724,15 @@ class MetaSolver:
 
     def __init__(self, mp: MetaProgram):
         self.mp = mp
-        self.object_atoms = sorted(mp.candidate_atoms)
+        self.object_atoms = sorted_atoms(mp.candidate_atoms)
         n = len(self.object_atoms)
         if n > DEFAULT_META_CAP:
             raise CapExceededError(
                 f"{n} candidate atoms exceed meta cap {DEFAULT_META_CAP}")
         holds = [mp.candidate_atoms[a] for a in self.object_atoms]
         self._candidate = CompiledProgram(
-            mp.candidate, holds + sorted(mp.candidate_side.difference(holds)))
+            mp.candidate,
+            holds + sorted_atoms(mp.candidate_side.difference(holds)))
         self._objects = (1 << n) - 1
         self._search = Search(self._candidate)
         # The closure indexes true_atom of object atom i at i, its

@@ -44,6 +44,7 @@ from .core import (
     SumConstraint,
     WeightedLiteral,
     is_extended,
+    sorted_atoms,
 )
 from .parser import _TokenStream
 
@@ -161,7 +162,7 @@ class _Builder:
         ignore: list[ReifiedFact] = []
         for component in decomposition.nontrivial():
             assert component.label is not None
-            for atom in sorted(component.atoms):
+            for atom in sorted_atoms(component.atoms):
                 members.append((component.label, _atom_term(atom)))
             for element in component.connecting:
                 if isinstance(element, SumConstraint):
@@ -204,18 +205,27 @@ def facts_to_text(facts) -> str:
     return "".join(f"{fact}\n" for fact in facts)
 
 
-def _parse_term(ts) -> Term | int:
+#: Deepest term nesting ``text_to_facts`` reads, counting the fact
+#: itself; the vocabulary needs four levels.  Deeper terms would exhaust
+#: the recursion of the reader and of every later walk over them.
+MAX_TERM_DEPTH = 100
+
+
+def _parse_term(ts, depth: int = 1) -> Term | int:
     if ts.at("int"):
         return int(ts.take("int")[1])
-    name = ts.take("name")[1]
+    token = ts.take("name")
+    if depth > MAX_TERM_DEPTH:
+        raise ts.error(
+            f"term nested deeper than {MAX_TERM_DEPTH} levels", token)
     args: list[Term | int] = []
     if ts.take_if("punct", "("):
         while True:
-            args.append(_parse_term(ts))
+            args.append(_parse_term(ts, depth + 1))
             if not ts.take_if("punct", ","):
                 break
         ts.take("punct", ")")
-    return Term(name, tuple(args))
+    return Term(token[1], tuple(args))
 
 
 def text_to_facts(text: str) -> list[ReifiedFact]:

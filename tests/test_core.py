@@ -151,3 +151,18 @@ def test_is_extended(toy):
     assert not is_extended(disjunctive)
     constraint_only = Program((Rule(Disjunction(())),))
     assert is_extended(constraint_only)
+
+
+def test_syntax_objects_have_no_instance_dict():
+    atom = Atom("a")
+    literal = Literal(atom, True)
+    entry = WeightedLiteral(literal, 2)
+    sc = SumConstraint(1, (entry,), 2)
+    body = (BodyLiteral(atom), BodyLiteral(sc, True))
+    rule = Rule(Disjunction((atom,)), body)
+    minimize = MinimizeStatement((MinimizeEntry(literal, 1, 1),))
+    objects = [atom, literal, entry, sc, *body, rule, rule.head, minimize,
+               minimize.entries[0], Program((rule,), minimize),
+               CriteriaSet(((1, 1, "card"),))]
+    for obj in objects:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import tracemalloc
 
@@ -10,10 +11,13 @@ from aspkit import consequence
 from aspkit.compiled import HornClosure
 from aspkit.consequence import sccs
 from aspkit.core import (
+    Atom,
     CapExceededError,
     ContractViolationError,
     CriteriaSet,
+    Disjunction,
     Program,
+    SumConstraint,
 )
 from aspkit.metaenc import (
     MetaSolver,
@@ -30,6 +34,34 @@ from generators import choice_program, iset, random_criteria, random_program
 
 INCL = parse_criteria("optimize(1,1,incl).")
 CARD = parse_criteria("optimize(1,1,card).")
+
+
+def _ground_shaped_text() -> str:
+    """Two 8-atom positive cycles, each entered from a choice atom, a
+    20-atom chain grounded in a choice atom, one sum body inside the
+    first cycle, and minimize groups for card, incl and pref."""
+    lines = []
+    for c in "pq":
+        lines.append(f"{{{c}0}}.")
+        lines.append(f"{c}1 :- {c}0.")
+        lines += [f"{c}{i % 8 + 1} :- {c}{i}." for i in range(1, 9)]
+    lines.append("{c1}.")
+    lines += [f"c{i + 1} :- c{i}." for i in range(1, 20)]
+    lines.append("p4 :- p3, 1 #sum[p3=1, not c7=1, q2=2] 3.")
+    lines.append("#minimize[p1=1@2, q5=1@2, c4=1@1, c9=1@1, p6=2@1, "
+                 "not q3=2@1, c20=2@1].")
+    return "\n".join(lines) + "\n"
+
+
+GROUND_SHAPED = parse_program(_ground_shaped_text())
+GROUND_CRITERIA = parse_criteria(
+    "optimize(2,1,card). optimize(1,1,incl). optimize(1,2,pref). "
+    "prefer(pos(atom(p6)),neg(atom(q3))). "
+    "prefer(neg(atom(q3)),pos(atom(c20))).")
+#: sha256 of GROUND_SHAPED's check program text as printed by commit
+#: 70a76af, before the builder shared one object per meta atom name.
+GROUND_SHAPED_DIGEST = (
+    "676d81e88577e2feb16b315f52efd7829b27a6459a453d7bedbe50ab5a3d9c65")
 
 
 def build(program, crit=CriteriaSet()):
@@ -88,6 +120,52 @@ class TestStructure:
     def test_output_reparses(self, toy_min):
         mp = build(toy_min, INCL)
         assert parse_program(mp.to_text()).rules == mp.program.rules
+
+    def test_generated_outputs_reparse(self):
+        rng = random.Random(88)
+        for _ in range(80):
+            program = random_program(rng, max_atoms=6, max_rules=8,
+                                     minimize=True)
+            mp = build(program, random_criteria(rng, program))
+            assert parse_program(mp.to_text()).rules == mp.program.rules
+
+    def test_ground_shaped_output_is_pinned(self):
+        text = build(GROUND_SHAPED, GROUND_CRITERIA).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            GROUND_SHAPED_DIGEST
+
+    def test_one_object_per_meta_name(self):
+        """A build shares one atom, one positive body literal and one
+        single-atom head per meta atom name across all its rules."""
+        objects: dict[tuple[str, str], set[int]] = {}
+
+        def note(kind: str, name: str, obj) -> None:
+            objects.setdefault((kind, name), set()).add(id(obj))
+
+        mp = build(GROUND_SHAPED, GROUND_CRITERIA)
+        for rule in mp.program.rules:
+            head = rule.head
+            if isinstance(head, Disjunction):
+                if len(head.atoms) == 1:
+                    note("head", head.atoms[0].name, head)
+                for atom in head.atoms:
+                    note("atom", atom.name, atom)
+            for bl in rule.body:
+                if isinstance(bl.element, Atom):
+                    note("atom", bl.element.name, bl.element)
+                    if not bl.negated:
+                        note("literal", bl.element.name, bl)
+            sums = [bl.element for bl in rule.body
+                    if isinstance(bl.element, SumConstraint)]
+            if isinstance(head, SumConstraint):
+                sums.append(head)
+            for sc in sums:
+                for wl in sc.elements:
+                    note("atom", wl.literal.atom.name, wl.literal.atom)
+        kinds = {kind for kind, _ in objects}
+        assert kinds == {"head", "atom", "literal"}
+        shared = {key for key, ids in objects.items() if len(ids) > 1}
+        assert not shared
 
     def test_one_decomposition_per_build(self, toy_min, monkeypatch):
         calls = []

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from aspkit.parser import (
     parse_program,
     render_program,
 )
+from generators import random_program
 
 
 def test_toy_shapes(toy):
@@ -231,6 +234,38 @@ PROGRAMS = st.builds(
 @settings(max_examples=300, deadline=None)
 def test_render_parse_identity(program):
     assert parse_program(render_program(program)) == program
+
+
+def _shapes(rule: Rule) -> set[str]:
+    head, shapes = rule.head, set()
+    if isinstance(head, SumConstraint):
+        shapes.add("sum head")
+    elif len(head.atoms) > 1:
+        shapes.add("disjunction")
+    elif not head.atoms:
+        shapes.add("constraint")
+    elif not rule.body:
+        shapes.add("fact")
+    for bl in rule.body:
+        if bl.negated:
+            shapes.add("negated sum" if isinstance(bl.element, SumConstraint)
+                       else "negated atom")
+    return shapes
+
+
+def test_render_parse_identity_on_generated_programs():
+    """The printer prints atom heads and atom body literals itself and
+    leaves sums to their own printer; both must reparse exactly, over
+    generated programs that between them have every rule shape."""
+    rng = random.Random(29)
+    seen: set[str] = set()
+    for _ in range(400):
+        program = random_program(rng, minimize=True, disjunctive=True)
+        assert parse_program(render_program(program)) == program
+        for rule in program.rules:
+            seen |= _shapes(rule)
+    assert seen == {"sum head", "disjunction", "constraint", "fact",
+                    "negated sum", "negated atom"}
 
 
 @given(st.text(

@@ -22,6 +22,7 @@ from aspkit.core import (
 from aspkit.metaenc import crosscheck
 from aspkit.parser import ParseError, parse_program
 from aspkit.reify import (
+    MAX_TERM_DEPTH,
     ReifyError,
     facts_to_text,
     parse_reified,
@@ -212,6 +213,22 @@ class TestValidation:
             text_to_facts(text)
         assert err.value.message == message
         assert (err.value.span.line, err.value.span.column) == (line, column)
+
+    def test_deeply_nested_term_is_a_parse_error(self):
+        text = "f(" * 3000 + "a" + ")" * 3000 + "."
+        with pytest.raises(ParseError) as err:
+            text_to_facts(text)
+        assert err.value.message == \
+            f"term nested deeper than {MAX_TERM_DEPTH} levels"
+        # the first term past the limit: one "f(" per level above it
+        column = 2 * MAX_TERM_DEPTH + 1
+        assert (err.value.span.line, err.value.span.column) == (1, column)
+
+    def test_nesting_up_to_the_limit_is_read(self):
+        depth = MAX_TERM_DEPTH - 1
+        text = "f(" * depth + "a" + ")" * depth + "."
+        [fact] = text_to_facts(text)
+        assert str(fact) == text
 
     def test_negative_weight_in_sum_list(self):
         facts = text_to_facts(
