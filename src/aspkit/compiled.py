@@ -12,7 +12,11 @@ counterexample side.  :class:`Search` finds every answer set of a
 compiled program by depth-first search with Clark completion
 propagation, as in conflict-driven answer-set enumeration (Gebser,
 Kaufmann, Neumann and Schaub, 2007), but with no unfounded-set
-reasoning: the least-model check decides each complete assignment.
+reasoning.  Every complete assignment that survives propagation is a
+supported model, and a supported model none of whose true atoms can
+reach a positive loop is an answer set (Fages, 1994; Erdem and
+Lifschitz, 2003), so the least-model check decides only the complete
+assignments that make such an atom true.
 """
 
 from __future__ import annotations
@@ -242,6 +246,13 @@ def _indexes(mask: int) -> list[int]:
     return out
 
 
+def canonical_masks(masks: Iterable[int]) -> list[int]:
+    """``masks`` sorted by their lists of set bit positions, lowest
+    first; when bit order is name order, this is the order of
+    :func:`aspkit.semantics.canonical_order` on their interpretations."""
+    return sorted(masks, key=_indexes)
+
+
 def _layers(entries: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """(weight, mask) pairs whose weighted popcounts add up to the
     entries' weight: entries of one weight share a mask, and an atom
@@ -383,7 +394,7 @@ class CompiledProgram:
         self.horn = HornClosure(self.atoms, horn)
 
     def decode(self, x: int) -> Interpretation:
-        return frozenset(a for a, b in self.bit.items() if x & b)
+        return frozenset(map(self.atoms.__getitem__, _indexes(x)))
 
     def is_model(self, x: int) -> bool:
         for rule in self.rules:
@@ -424,6 +435,39 @@ class CompiledProgram:
         return len(self.horn.least_model(active)) == x.bit_count()
 
 
+def _loop_atoms(program: CompiledProgram) -> int:
+    """The mask of the atoms from which positive edges lead to a cycle, a
+    superset of the atoms on positive loops.  An edge runs from each atom
+    a rule supports to each atom of its positive body and to each
+    positive entry of its non-negated body sums, the atoms the reduct's
+    rule for it needs.  Atoms with no edge to an atom still left are
+    peeled off, without recursion, until none is left."""
+    n = len(program.atoms)
+    successors = [0] * n
+    for rule in program.rules:
+        needs = rule.pos
+        for s in rule.reduced:
+            for b, _ in s.positive:
+                needs |= b
+        if needs:
+            for idx in _indexes(rule.supported):
+                successors[idx] |= needs
+    predecessors: list[list[int]] = [[] for _ in range(n)]
+    for idx, mask in enumerate(successors):
+        for target in _indexes(mask):
+            predecessors[target].append(idx)
+    out = [mask.bit_count() for mask in successors]
+    loops = (1 << n) - 1
+    peeled = [idx for idx in range(n) if not out[idx]]
+    for idx in peeled:  # grows while it is read
+        loops ^= 1 << idx
+        for source in predecessors[idx]:
+            out[source] -= 1
+            if not out[source]:
+                peeled.append(source)
+    return loops
+
+
 class Search:
     """Depth-first search for the answer sets of a compiled program.
 
@@ -442,6 +486,10 @@ class Search:
     failing are exactly those whose body holds in it.  It is an answer
     set when it passes ``stable`` or, without ``stable``, when it is the
     least model of its reduct, so no unfounded set is taken for one.
+    Without ``stable``, the least model is only built for a model that
+    makes an atom of :attr:`loops` true: a true atom from which no
+    positive edge leads to a cycle is derived in the reduct from its
+    supporting rule, by induction along those edges.
 
     The search branches first on atoms occurring positively in a sum
     head, rule by rule, then on the rest, lowest bit first, trying false
@@ -479,6 +527,9 @@ class Search:
                                rule.head, rule.head_sum, supports, rule))
         self.order = list(dict.fromkeys([*chosen, *range(n)]))
         self.unsupported = sum(1 << i for i in range(n) if not self.support[i])
+        #: the atoms that may lie on a positive loop (see _loop_atoms);
+        #: only the least-model check reads it
+        self.loops = _loop_atoms(program) if stable is None else self.full
 
     def answer_sets(self) -> Iterator[int]:
         """Every answer set, each once, in no particular order."""
@@ -507,10 +558,13 @@ class Search:
     def _stable(self, x: int, dead: int) -> bool:
         """Whether the complete assignment ``x`` is an answer set, given
         ``dead``, the rules whose body fails in ``x``.  Propagation made
-        ``x`` a model, so without ``stable`` what is left to check is that
-        ``x`` is the least model of its reduct."""
+        ``x`` a supported model, so without ``stable`` what is left to
+        check is that ``x`` is the least model of its reduct, and that
+        holds when ``x`` makes no atom of :attr:`loops` true."""
         if self.stable is not None:
             return self.stable(x)
+        if not x & self.loops:
+            return True
         return self.program.is_least_model(
             x, [entry[-1] for entry in self.rules if not dead & entry[0]])
 

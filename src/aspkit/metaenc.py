@@ -61,7 +61,7 @@ from .core import (
     WeightedLiteral,
     sorted_atoms,
 )
-from .compiled import CompiledProgram, HornClosure, Search
+from .compiled import CompiledProgram, HornClosure, Search, canonical_masks
 from .optimize import optimal_answer_sets
 from .reify import FactReader, Term, reify
 from .semantics import canonical_order
@@ -803,10 +803,11 @@ class MetaSolver:
 
     def solve(self, limit: int | None = None) -> list[Interpretation]:
         core.check_limit(limit)
-        accepted = [self.decode(self.project(held))
-                    for held in self.stable_candidates() if self.accepted(held)]
-        ordered = canonical_order(accepted)
-        return ordered[:limit] if limit is not None else ordered
+        # object atoms take bits in name order, so this is canonical_order
+        accepted = canonical_masks(self.project(held)
+                                   for held in self.stable_candidates()
+                                   if self.accepted(held))
+        return [self.decode(x) for x in accepted[:limit]]
 
 
 def solve_meta(mp: MetaProgram,

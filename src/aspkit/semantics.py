@@ -5,14 +5,17 @@ minimal-model semantics for disjunctions: an interpretation is an
 answer set if it is a model of the program and a minimal model of its
 own reduct.
 
-:func:`enumerate_answer_sets` searches the program compiled to bitmasks
+:func:`answer_set_masks` searches the program compiled to bitmasks
 with :class:`aspkit.compiled.Search`: depth first, with completion
-propagation, and each complete assignment compared with the least
-model of its reduct.  Programs with a proper disjunction take the
-compiled model check and the subset-minimality check there instead.
-:func:`is_answer_set` and :func:`is_minimal_model` check minimality by
-exhaustive subset enumeration on the syntax objects, so they stay an
-independent oracle for the compiled check.
+propagation, and a complete assignment compared with the least model
+of its reduct only when it makes an atom true that may lie on a
+positive loop.  Programs with a proper disjunction take the compiled
+model check and the subset-minimality check there instead.  The answer
+sets stay masks, sorted canonically, so that :mod:`aspkit.optimize`
+scores them without decoding; :func:`enumerate_answer_sets` decodes the
+ones it returns.  :func:`is_answer_set` and :func:`is_minimal_model`
+check minimality by exhaustive subset enumeration on the syntax
+objects, so they stay an independent oracle for the compiled check.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .compiled import CompiledProgram, Search
+from .compiled import CompiledProgram, Search, canonical_masks
 from .core import (
     DEFAULT_ATOM_CAP,
     Atom,
@@ -150,10 +153,10 @@ def canonical_order(interpretations) -> list[Interpretation]:
     return sorted(interpretations, key=lambda s: tuple(sorted(a.name for a in s)))
 
 
-def enumerate_answer_sets(program: Program, limit: int | None = None,
-                          cap: int = DEFAULT_ATOM_CAP) -> list[Interpretation]:
-    """All answer sets in canonical order, truncated at ``limit``."""
-    check_limit(limit)
+def answer_set_masks(program: Program, cap: int = DEFAULT_ATOM_CAP
+                     ) -> tuple[CompiledProgram, list[int]]:
+    """The program compiled over its atoms in name order, and all its
+    answer sets as masks of that program, in canonical order."""
     universe = sorted(atoms(program))
     if len(universe) > cap:
         raise CapExceededError(
@@ -166,6 +169,13 @@ def enumerate_answer_sets(program: Program, limit: int | None = None,
                 return False
             x = compiled.decode(mask)
             return is_minimal_model(x, reduct(program, x), cap)
-    search = Search(compiled, stable=stable)
-    ordered = canonical_order(map(compiled.decode, search.answer_sets()))
-    return ordered[:limit] if limit is not None else ordered
+    # bit order is name order, so this is canonical_order on the sets
+    return compiled, canonical_masks(Search(compiled, stable).answer_sets())
+
+
+def enumerate_answer_sets(program: Program, limit: int | None = None,
+                          cap: int = DEFAULT_ATOM_CAP) -> list[Interpretation]:
+    """All answer sets in canonical order, truncated at ``limit``."""
+    check_limit(limit)
+    compiled, masks = answer_set_masks(program, cap)
+    return [compiled.decode(x) for x in masks[:limit]]

@@ -447,6 +447,57 @@ def test_group_without_occurrences():
             UNDOMINATED if criterion == "pref" else DOMINATED)
 
 
+def free_program(text) -> Program:
+    """Independent choices over the atoms of the minimize statement
+    ``text``, under it: every subset is an answer set."""
+    m = statement(text)
+    return Program(tuple(
+        Rule(SumConstraint(None, (WeightedLiteral(Literal(a)),)))
+        for a in sorted(atoms(Program((), m)))), m)
+
+
+BOTH_POLARITIES = ", ".join(f"{a}=1@{{level}}, not {a}=1@{{level}}"
+                            for a in "abcdefgh")
+
+
+@pytest.mark.parametrize("text,relations,optimal", [
+    # the frontier shape: 256 distinct incl values at the top level, two
+    # of which always differ both ways, so nothing is dominated; below
+    # it a card group with duplicate occurrences and a relation at a
+    # group without occurrences
+    (BOTH_POLARITIES.format(level=2) + ", a=1@1, a=1@1, b=1@1, c=2@1",
+     ((2, 1, "incl"), (1, 1, "card"), (1, 2, "incl"), (3, 5, "card")), 256),
+    # the same incl group below a card group with duplicate occurrences,
+    # which alone decides, and incl and card relations at groups without
+    # occurrences at the top
+    (BOTH_POLARITIES.format(level=1) + ", a=1@2, a=1@2, b=1@2, c=1@2",
+     ((1, 1, "incl"), (2, 1, "card"), (3, 5, "incl"), (3, 6, "card")), 32),
+    # two incl groups at one level, Pareto-wise: every atom positive in
+    # one (256 distinct values), four atoms negated in the other; only
+    # the subsets of those four are undominated
+    ("a=1, b=1, c=1, d=1, e=1, f=1, g=1, h=1, "
+     "not a=2, not b=2, not c=2, not d=2",
+     ((1, 1, "incl"), (1, 2, "incl")), 16),
+    # incl and card with duplicate occurrences at one level: only {}
+    # and {c} keep the fewest occurrences among their subsets
+    ("a=1, b=1, c=1, d=1, e=1, f=1, g=1, h=1, a=2, a=2, b=2, not c=2",
+     ((1, 1, "incl"), (1, 2, "card")), 2),
+])
+def test_dominance_tables_match_reference(text, relations, optimal):
+    """The linear-time card and incl tables select what the pairwise
+    reference selects, on 256 answer sets."""
+    program = free_program(text)
+    crit = CriteriaSet(relations)
+    m = program.minimize
+    answer_sets = enumerate_answer_sets(program)
+    assert len(answer_sets) == 256
+    expected = [x for x in answer_sets
+                if not any(reference_dominates(y, x, m, crit).dominated
+                           for y in answer_sets if y != x)]
+    assert len(expected) == optimal
+    assert optimal_answer_sets(program, crit) == expected
+
+
 # -- metamorphic properties of the optimum ------------------------------------
 
 
