@@ -20,7 +20,7 @@ from .core import (
     normalize,
 )
 from .parser import ParseError, SourceSpan, parse_criteria, parse_program, render_program
-from .semantics import enumerate_answer_sets, is_answer_set, is_model, reduct
+from .semantics import enumerate_answer_sets, is_answer_set, is_model
 from .consequence import (
     dependency_graph,
     is_supported_model,

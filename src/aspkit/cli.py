@@ -12,7 +12,6 @@ import functools
 import sys
 
 from . import consequence, core, metaenc, optimize, semantics
-from .compiled import CompiledProgram
 from .core import Atom, CapExceededError, ContractViolationError, CriteriaSet
 from .parser import ParseError, SourceSpan, parse_criteria, parse_program
 from .reify import facts_to_text, reify
@@ -100,18 +99,9 @@ def cmd_optimize(args) -> int:
         program, crit, limit=args.limit, cap=args.max_atoms))
 
 
-def _is_answer_set(program, x, cap: int) -> bool:
-    """The least-model check without proper disjunctions; otherwise the
-    subset-minimality check, refused beyond ``cap`` true atoms."""
-    compiled = CompiledProgram(program.rules, sorted(core.atoms(program)))
-    if compiled.extended:
-        return compiled.is_answer_set(sum(compiled.bit[a] for a in x))
-    return semantics.is_answer_set(x, program, cap=cap)
-
-
 def cmd_check(args) -> int:
     program = parse_program(_read(args.program))
-    known = core.atoms(program)
+    compiled = semantics.compile_program(program)
     names = [n.strip() for n in args.interpretation.split(",") if n.strip()]
     try:
         x = frozenset(Atom(n) for n in names)
@@ -119,14 +109,15 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for atom in sorted(x):
-        if atom not in known:
+        if atom not in compiled.bit:
             print(f"error: unknown atom {atom}", file=sys.stderr)
             return EXIT_USAGE
-    if not semantics.is_model(x, program):
+    mask = compiled.encode(x)
+    if not compiled.is_model(mask):
         print("non-model")
-    elif _is_answer_set(program, x, args.max_atoms):
+    elif semantics.is_answer_set_mask(compiled, mask, args.max_atoms):
         print("answer-set")
-    elif consequence.is_supported_model(program, x):
+    elif compiled.supports(mask):
         print("supported-model")
         decomposition = consequence.sccs(
             consequence.dependency_graph(program), program)

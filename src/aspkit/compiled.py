@@ -3,25 +3,31 @@
 :class:`CompiledProgram` fixes an atom order, so an interpretation is an
 int whose bit ``i`` stands for the ``i``-th atom.  Plain bodies become a
 positive and a negative mask, sums become a lower bound, an upper bound
-and weighted bits, and heads become a mask or a sum.  For a program
-without proper disjunctions, an interpretation is an answer set exactly
-when it is a model equal to the least model of its own reduct; the
-least model comes from :class:`HornClosure`, the watch-list closure of
-Dowling and Gallier (1984), which also serves the meta solver's
-counterexample side.  :class:`Search` finds every answer set of a
-compiled program by depth-first search with Clark completion
-propagation, as in conflict-driven answer-set enumeration (Gebser,
-Kaufmann, Neumann and Schaub, 2007), but with no unfounded-set
+and weighted bits, and heads become a mask or a sum.  An interpretation
+is an answer set when it is a model and a minimal model of its own
+reduct, and every check of an interpretation reads these masks.  Every
+model of the reduct inside the interpretation holds the least model of
+the reduct's rules with one head atom in it, which comes from
+:class:`HornClosure`, the watch-list closure of Dowling and Gallier
+(1984) that also serves the meta solver's counterexample side.  Without
+proper disjunctions, minimal means equal to that least model; with
+them, that no model of the whole reduct lies between the two, which a
+depth-first search decides by branching only on the head atoms of a
+rule whose body holds, as in minimal model generation with positive
+hyper tableaux (Bry and Yahya, 2000).  :class:`Search` finds every
+answer set of a compiled program by depth-first search with Clark
+completion propagation, as in conflict-driven answer-set enumeration
+(Gebser, Kaufmann, Neumann and Schaub, 2007), but with no unfounded-set
 reasoning.  Every complete assignment that survives propagation is a
 supported model, and a supported model none of whose true atoms can
 reach a positive loop is an answer set (Fages, 1994; Erdem and
-Lifschitz, 2003), so the least-model check decides only the complete
-assignments that make such an atom true.
+Lifschitz, 2003), so without proper disjunctions the least-model check
+decides only the complete assignments that make such an atom true.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 
 from .core import (
     Atom,
@@ -293,10 +299,15 @@ class _Sum:
             weight += w * (mask & ~x).bit_count()
         return weight
 
-    def holds(self, x: int) -> bool:
-        weight = self.absent(x)
+    def present(self, x: int) -> int:
+        """Weight of positive entries true in ``x``."""
+        weight = 0
         for w, mask in self._positive:
             weight += w * (mask & x).bit_count()
+        return weight
+
+    def holds(self, x: int) -> bool:
+        weight = self.absent(x) + self.present(x)
         return self.lower <= weight and (self.upper is None or weight <= self.upper)
 
     def surely(self, t: int, f: int) -> int:
@@ -396,6 +407,14 @@ class CompiledProgram:
     def decode(self, x: int) -> Interpretation:
         return frozenset(map(self.atoms.__getitem__, _indexes(x)))
 
+    def encode(self, x: Interpretation) -> int | None:
+        """The mask of ``x``, or None when ``x`` holds an atom not in
+        :attr:`atoms`."""
+        try:
+            return sum(map(self.bit.__getitem__, x))
+        except KeyError:
+            return None
+
     def is_model(self, x: int) -> bool:
         for rule in self.rules:
             if rule.body_holds(x) and not rule.head_holds(x):
@@ -403,36 +422,93 @@ class CompiledProgram:
         return True
 
     def is_answer_set(self, x: int) -> bool:
-        """Whether ``x`` is a model equal to the least model of its
-        reduct (see :meth:`is_least_model`).
-
-        Only sound for programs without proper disjunctions."""
-        if not self.extended:
-            raise ContractViolationError(
-                "least-model test on a program with a proper disjunction")
+        """Whether ``x`` is a model and a minimal model of its reduct (see
+        :meth:`is_reduct_minimal`)."""
         applied: list[_Rule] = []
         for rule in self.rules:
             if rule.body_holds(x):
                 if not rule.head_holds(x):
                     return False
                 applied.append(rule)
-        return self.is_least_model(x, applied)
+        return self.is_reduct_minimal(x, applied)
 
-    def is_least_model(self, x: int, applied: Iterable[_Rule]) -> bool:
-        """Whether the model ``x`` is the least model of its reduct, given
+    def supports(self, x: int) -> bool:
+        """Whether every atom of ``x`` is positive in the head of a rule
+        whose body holds in ``x``."""
+        supported = 0
+        for rule in self.rules:
+            if rule.body_holds(x):
+                supported |= rule.supported
+        return not x & ~supported
+
+    def is_reduct_minimal(self, x: int, applied: Sequence[_Rule]) -> bool:
+        """Whether the model ``x`` is a minimal model of its reduct, given
         ``applied``, the rules whose body holds in ``x``: the reduct keeps
-        those rules, with sum lower bounds reduced by the weight of
-        negated entries made true by absence, and heads cut down to atoms
-        of ``x``."""
-        active: list[tuple[int, Sequence[int]]] = []
+        those rules with negated body parts dropped, sum lower bounds
+        reduced by the weight of negated entries made true by absence,
+        and a sum head split into one rule per positive atom of ``x``.
+
+        Below ``x``, a rule with one head atom in ``x`` is definite, so
+        every model of the reduct inside ``x`` holds the least model of
+        those rules.  Without a proper disjunction left, ``x`` must equal
+        that least model; otherwise no set between the two may be a model
+        of the whole reduct."""
+        definite: list[tuple[int, Sequence[int]]] = []
+        disjunctive = False
         for rule in applied:
+            heads = rule.supported & x
+            if rule.head_sum is None and heads & (heads - 1):
+                disjunctive = True
+                continue
             lowers = [s.lower - s.absent(x) for s in rule.reduced] \
                 if rule.reduced else ()
             for rid, bit in rule.closure:
-                if x & bit:
-                    active.append((rid, lowers))
+                if heads & bit:
+                    definite.append((rid, lowers))
+        derived = self.horn.least_model(definite)
         # The least model lies inside x, so equal sizes mean equal sets.
-        return len(self.horn.least_model(active)) == x.bit_count()
+        if len(derived) == x.bit_count():
+            return True
+        return disjunctive and self._no_model_between(
+            sum(1 << i for i in derived), x, applied)
+
+    def _no_model_between(self, least: int, x: int,
+                          applied: Iterable[_Rule]) -> bool:
+        """Whether no set from ``least`` up to, but not including, ``x`` is
+        a model of the reduct of :meth:`is_reduct_minimal`, by depth-first
+        search over the sets from ``t`` up to ``p``.  A rule whose body
+        holds in ``t`` (its positive body atoms, and each reduced lower
+        bound) and whose head misses ``t`` needs a head atom in ``p``:
+        with none the branch fails, with one that atom joins ``t``, and
+        with more the search branches on the lowest one, left out first.
+        A branch where no rule needs anything has found a model."""
+        reduct: list[tuple[int, tuple[tuple[_Sum, int], ...], int]] = []
+        for rule in applied:
+            heads = [rule.head] if rule.head_sum is None \
+                else [1 << idx for idx in _indexes(rule.supported & x)]
+            sums = tuple((s, s.lower - s.absent(x)) for s in rule.reduced)
+            reduct += [(rule.pos, sums, head) for head in heads]
+        stack = [(least, x)]
+        while stack:
+            t, p = stack.pop()
+            grown = -1
+            while grown != t:
+                grown, choice = t, 0
+                for pos, sums, head in reduct:
+                    if not t & head and t & pos == pos and all(
+                            s.present(t) >= lower for s, lower in sums):
+                        needed = head & p
+                        if needed & (needed - 1):
+                            choice = needed
+                        else:  # with no atom in p, the head takes t past p
+                            t |= needed or head
+            if t & ~p or t == x:
+                continue
+            if not choice:
+                return False
+            low = choice & -choice
+            stack += [(t | low, p), (t, p & ~low)]
+        return True
 
 
 def _loop_atoms(program: CompiledProgram) -> int:
@@ -484,12 +560,13 @@ class Search:
     once all its atoms have values, so a complete assignment that
     survives propagation is a model, and the rules not marked as
     failing are exactly those whose body holds in it.  It is an answer
-    set when it passes ``stable`` or, without ``stable``, when it is the
-    least model of its reduct, so no unfounded set is taken for one.
-    Without ``stable``, the least model is only built for a model that
-    makes an atom of :attr:`loops` true: a true atom from which no
-    positive edge leads to a cycle is derived in the reduct from its
-    supporting rule, by induction along those edges.
+    set when it is a minimal model of its reduct, so no unfounded set is
+    taken for one: the least model of the reduct without proper
+    disjunctions, no smaller model of it otherwise.  Without proper
+    disjunctions, the least model is only built for a model that makes
+    an atom of :attr:`loops` true: a true atom from which no positive
+    edge leads to a cycle is derived in the reduct from its supporting
+    rule, by induction along those edges.
 
     The search branches first on atoms occurring positively in a sum
     head, rule by rule, then on the rest, lowest bit first, trying false
@@ -497,10 +574,8 @@ class Search:
     the lowest bits.
     """
 
-    def __init__(self, program: CompiledProgram,
-                 stable: Callable[[int], bool] | None = None):
+    def __init__(self, program: CompiledProgram):
         self.program = program
-        self.stable = stable
         n = len(program.atoms)
         self.full = (1 << n) - 1
         self.watch: list[list[int]] = [[] for _ in range(n)]
@@ -527,9 +602,9 @@ class Search:
                                rule.head, rule.head_sum, supports, rule))
         self.order = list(dict.fromkeys([*chosen, *range(n)]))
         self.unsupported = sum(1 << i for i in range(n) if not self.support[i])
-        #: the atoms that may lie on a positive loop (see _loop_atoms);
-        #: only the least-model check reads it
-        self.loops = _loop_atoms(program) if stable is None else self.full
+        #: the atoms that may lie on a positive loop (see _loop_atoms),
+        #: or every atom when a proper disjunction leaves the subset test
+        self.loops = _loop_atoms(program) if program.extended else self.full
 
     def answer_sets(self) -> Iterator[int]:
         """Every answer set, each once, in no particular order."""
@@ -558,14 +633,12 @@ class Search:
     def _stable(self, x: int, dead: int) -> bool:
         """Whether the complete assignment ``x`` is an answer set, given
         ``dead``, the rules whose body fails in ``x``.  Propagation made
-        ``x`` a supported model, so without ``stable`` what is left to
-        check is that ``x`` is the least model of its reduct, and that
-        holds when ``x`` makes no atom of :attr:`loops` true."""
-        if self.stable is not None:
-            return self.stable(x)
+        ``x`` a supported model, so what is left to check is that ``x`` is
+        a minimal model of its reduct, and that holds when ``x`` makes no
+        atom of :attr:`loops` true."""
         if not x & self.loops:
             return True
-        return self.program.is_least_model(
+        return self.program.is_reduct_minimal(
             x, [entry[-1] for entry in self.rules if not dead & entry[0]])
 
     def _propagate(self, t: int, f: int, dead: int,

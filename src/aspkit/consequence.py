@@ -25,7 +25,7 @@ from .core import (
     positive_part,
     sorted_atoms,
 )
-from .semantics import is_model, satisfies
+from .semantics import compile_program, satisfies
 
 #: A component member beyond its atoms: a body conjunction or a sum.
 ComponentElement = Union[SumConstraint, Body]
@@ -145,14 +145,11 @@ def sccs(graph: DependencyGraph, program: Program) -> SccDecomposition:
 
 def is_supported_model(program: Program, x: Interpretation) -> bool:
     """True iff ``x`` is a model and every true atom occurs positively in
-    the head of some rule whose body holds."""
-    if not is_model(x, program):
-        return False
-    supported: set[Atom] = set()
-    for rule in program.rules:
-        if satisfies(x, rule.body):
-            supported |= atoms_of(positive_part(rule.head))
-    return x <= supported
+    the head of some rule whose body holds; decided on masks."""
+    compiled = compile_program(program)
+    mask = compiled.encode(x)
+    return mask is not None and compiled.is_model(mask) \
+        and compiled.supports(mask)
 
 
 @dataclass(frozen=True)

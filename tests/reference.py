@@ -1,25 +1,128 @@
 """Reference routes that the tests compare aspkit's engines with; no
 command line path uses them.
 
-The immediate consequence operator on syntax objects is a second
-answer-set route beside the compiled least-model check and the
-subset-minimality oracle.  The brute-force loops try every
-interpretation, or every hold-projection of a meta candidate, with the
-compiled checks, as enumeration did before it searched."""
+The reduct, subset minimality and support on syntax objects are the
+oracle for the compiled answer-set checks.  The immediate consequence
+operator on syntax objects is a second answer-set route beside the
+compiled least-model check and the subset-minimality oracle.  The
+brute-force loops try every interpretation, or every hold-projection of
+a meta candidate, with the compiled checks, as enumeration did before
+it searched."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import combinations
+
 from aspkit.compiled import CompiledProgram
 from aspkit.consequence import dependency_graph, sccs
-from aspkit.core import Atom, ContractViolationError, Interpretation, Program, atoms
-from aspkit.semantics import (
-    PositiveProgram,
-    canonical_order,
-    is_minimal_model,
-    is_model,
-    reduct,
-    satisfies,
+from aspkit.core import (
+    DEFAULT_ATOM_CAP,
+    Atom,
+    Body,
+    BodyLiteral,
+    CapExceededError,
+    ContractViolationError,
+    Disjunction,
+    Interpretation,
+    Program,
+    Rule,
+    SumConstraint,
+    atoms,
+    atoms_of,
+    positive_part,
 )
+from aspkit.semantics import canonical_order, is_model, satisfies
+
+
+@dataclass(frozen=True)
+class PositiveProgram:
+    """Reduct shape: no negated body literals, no upper bounds, and
+    disjunction heads only (sum heads collapse to single atoms)."""
+
+    rules: tuple[Rule, ...] = ()
+
+    def __post_init__(self) -> None:
+        for rule in self.rules:
+            if not isinstance(rule.head, Disjunction):
+                raise ValueError("positive program heads must be disjunctions")
+            for bl in rule.body:
+                if bl.negated:
+                    raise ValueError("positive program bodies must not use negation")
+                if isinstance(bl.element, SumConstraint):
+                    if bl.element.upper is not None:
+                        raise ValueError("positive program sums must drop upper bounds")
+                    if any(wl.literal.negated for wl in bl.element.elements):
+                        raise ValueError("positive program sums must be negation-free")
+
+
+def _reduce_body(body: Body, x: Interpretation) -> Body:
+    reduced: list[BodyLiteral] = []
+    for element in positive_part(body):
+        if isinstance(element, Atom):
+            reduced.append(BodyLiteral(element))
+            continue
+        # Lower bound shrinks by the weight of negative entries satisfied
+        # through absence; it may go negative and is kept as computed.
+        lower = element.lower if element.lower is not None else 0
+        lower -= sum(wl.weight for wl in element.elements
+                     if wl.literal.negated and wl.literal.atom not in x)
+        reduced.append(BodyLiteral(
+            SumConstraint(lower, positive_part(element), None)))
+    return tuple(reduced)
+
+
+def reduct(program: Program, x: Interpretation) -> PositiveProgram:
+    """The reduct: rules with satisfied bodies, sum heads replaced by
+    their true positive atoms, negative body parts dropped, and residual
+    lower bounds reduced accordingly."""
+    out: list[Rule] = []
+    for rule in program.rules:
+        if not satisfies(x, rule.body):
+            continue
+        body = _reduce_body(rule.body, x)
+        if isinstance(rule.head, Disjunction):
+            out.append(Rule(rule.head, body))
+        else:
+            for atom in sorted(atoms_of(positive_part(rule.head)) & x):
+                out.append(Rule(Disjunction((atom,)), body))
+    return PositiveProgram(tuple(out))
+
+
+def is_minimal_model(x: Interpretation, program: PositiveProgram,
+                     cap: int = DEFAULT_ATOM_CAP) -> bool:
+    """True iff ``x`` is a model and no proper subset is one; checked by
+    exhaustive enumeration of the 2^|x| subsets."""
+    if len(x) > cap:
+        raise CapExceededError(
+            f"minimal-model check over {len(x)} atoms exceeds cap {cap}")
+    if not is_model(x, program):
+        return False
+    members = sorted(x)
+    # Smallest subsets first: non-minimal models usually fail fast.
+    for size in range(len(members)):
+        for sub in combinations(members, size):
+            if is_model(frozenset(sub), program):
+                return False
+    return True
+
+
+def is_answer_set(x: Interpretation, program: Program,
+                  cap: int = DEFAULT_ATOM_CAP) -> bool:
+    """A model of ``program`` that is a minimal model of its reduct."""
+    return is_model(x, program) and is_minimal_model(x, reduct(program, x), cap)
+
+
+def is_supported_model(program: Program, x: Interpretation) -> bool:
+    """A model every true atom of which occurs positively in the head of
+    some rule whose body holds."""
+    if not is_model(x, program):
+        return False
+    supported: set[Atom] = set()
+    for rule in program.rules:
+        if satisfies(x, rule.body):
+            supported |= atoms_of(positive_part(rule.head))
+    return x <= supported
 
 
 def tp_step(program: PositiveProgram, x: Interpretation) -> frozenset:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from aspkit import cli, consequence, metaenc
 from aspkit.cli import main
+from aspkit.compiled import CompiledProgram
 from aspkit.core import Atom
 from conftest import TOY_MIN_TEXT, TOY_TEXT
 
@@ -217,6 +218,26 @@ class TestCheck:
             "component 1: c,d wait at step 2"]
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("true,verdict", [
+        ("", "non-model"), ("a", "answer-set"),
+        ("a,c,d", "supported-model"), ("a,g", "model")])
+    def test_one_compilation_per_check(self, capsys, tmp_path, monkeypatch,
+                                       true, verdict):
+        path = tmp_path / "disjunctive.lp"
+        path.write_text("a | b. c :- d, not g. d :- c.\n")
+        init = CompiledProgram.__init__
+        calls = []
+
+        def counted(self, rules, atoms):
+            calls.append(atoms)
+            init(self, rules, atoms)
+
+        monkeypatch.setattr(CompiledProgram, "__init__", counted)
+        code, out, _ = run(capsys, "check", str(path),
+                           "--interpretation", true)
+        assert code == 0 and out.splitlines()[0] == verdict
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("names", ["A", "a b", "p,Q"])
     def test_invalid_atom_name(self, capsys, toy_file, names):
         code, out, err = run(capsys, "check", toy_file,
@@ -270,6 +291,18 @@ class TestMetaenc:
         _, out, _ = run(capsys, "metaenc", toy_min_file,
                         "--criteria", incl_file)
         parse_program(out)
+
+    def test_output_piped_into_solve_gives_the_optima(
+            self, capsys, monkeypatch, toy_min_file, incl_file):
+        _, text, _ = run(capsys, "metaenc", toy_min_file,
+                         "--criteria", incl_file)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "solve", "-", "--max-atoms", "100")
+        holds = [[name[len("hold_atom_"):]
+                  for name in line.strip("{}").split(",")
+                  if name.startswith("hold_atom_")]
+                 for line in out.splitlines()]
+        assert code == 0 and holds == [["p", "q"], ["p", "r"], ["s", "t"]]
 
 
 class TestCrosscheck:

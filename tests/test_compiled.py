@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspkit import consequence, core
+from aspkit import consequence, core, semantics
 from aspkit.compiled import CompiledProgram, HornClosure, Search
 from aspkit.core import (
     Atom,
@@ -28,9 +28,7 @@ from aspkit.parser import parse_program
 from aspkit.semantics import (
     canonical_order,
     enumerate_answer_sets,
-    is_answer_set,
     is_model,
-    reduct,
     satisfies,
 )
 from generators import (
@@ -41,7 +39,15 @@ from generators import (
     random_program,
     random_sum,
 )
-from reference import brute_answer_sets, brute_stable_candidates, tp_iterate
+from reference import (
+    brute_answer_sets,
+    brute_stable_candidates,
+    is_answer_set,
+    is_minimal_model,
+    reduct,
+    tp_iterate,
+)
+from reference import is_supported_model as reference_supported
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -72,6 +78,83 @@ def test_compiled_model_check_matches_oracle(seed, disjunctive):
         mask = sum(compiled.bit[a] for a in x)
         assert compiled.is_model(mask) == is_model(x, program)
         assert compiled.decode(mask) == x
+
+
+def test_mask_minimality_matches_oracle():
+    """On every model of 300 disjunctive draws, the compiled answer-set
+    test is subset minimality on the syntax reduct, and the compiled
+    support test is support on the syntax objects."""
+    rng = random.Random(71)
+    models = subset_tests = 0
+    for _ in range(300):
+        program = random_program(rng, max_atoms=6, max_rules=8,
+                                 disjunctive=True)
+        compiled = CompiledProgram(program.rules, sorted(atoms(program)))
+        for x in every_interpretation(program):
+            if not is_model(x, program):
+                continue
+            mask = compiled.encode(x)
+            assert compiled.is_answer_set(mask) == is_minimal_model(
+                x, reduct(program, x)), (program, x)
+            assert compiled.supports(mask) == \
+                reference_supported(program, x), (program, x)
+            models += 1
+            # a proper disjunction with two atoms true in x
+            subset_tests += any(
+                isinstance(rule.head, Disjunction) and satisfies(x, rule.body)
+                and len(set(rule.head.atoms) & x) > 1
+                for rule in program.rules)
+    assert models > 2000 and subset_tests > 200
+
+
+@pytest.mark.parametrize("text,true,expected", [
+    # the minimal models of a | b. are {a} and {b}
+    ("a | b.", "a,b", False),
+    ("a | b.", "a", True),
+    # each of a and b derives the other, so only {a,b} is a model below it
+    ("a | b. a :- b. b :- a.", "a,b", True),
+    # the reduct of a sum head keeps both true atoms as facts
+    ("1 {a, b} 2. c | d.", "a,b,c", True),
+    ("1 {a, b} 2. c | d.", "a,b,c,d", False),
+    # ... also where c holds only below a proper disjunction
+    ("c | d. c :- d. d :- c. 1 {a, b} 2 :- c.", "a,b,c,d", True),
+    # leaving a out of {a,b} forces b, then a | c :- b needs c, not in x
+    ("a | b. b :- a. a | c :- b.", "a,b", True),
+    # not d adds 1 by absence, so the reduct asks only 1 of a for c, and
+    # {a,b} misses c
+    ("a | b. a :- b. b :- a. c :- 2 #sum[a=1, not d=1].", "a,b,c", True),
+    # with d true the body fails, and {a,b,d} is a smaller model
+    ("a | b. a :- b. b :- a. c | e :- 2 #sum[a=1, not d=1]. d | c.",
+     "a,b,c,d", False),
+    ("a :- b. b :- a.", "a,b", False),
+    ("", "", True),
+])
+def test_mask_minimality_pins(text, true, expected):
+    program = parse_program(text)
+    x = iset(true)
+    compiled = CompiledProgram(program.rules, sorted(atoms(program)))
+    assert compiled.is_answer_set(compiled.encode(x)) == expected
+    assert is_answer_set(x, program) == expected
+
+
+def test_check_wrappers_on_unknown_atoms_and_cap():
+    """The public checks compile the program and answer False, as the
+    syntax versions do, for an atom the program does not mention; only
+    the subset test, which a proper disjunction takes, is capped."""
+    x = iset("a,z")
+    for text in ("a.", "a | b."):
+        program = parse_program(text)
+        assert not semantics.is_answer_set(x, program)
+        assert not consequence.is_supported_model(program, x)
+        assert not is_answer_set(x, program)
+        assert not reference_supported(program, x)
+    with pytest.raises(core.CapExceededError, match="exceeds cap 1"):
+        semantics.is_answer_set(iset("a,b"), parse_program("a | b."), cap=1)
+    # not a model: no subset is tried, so nothing is refused
+    assert not semantics.is_answer_set(
+        iset("a,b"), parse_program("a | b. :- a, b."), cap=1)
+    assert semantics.is_answer_set(iset("a,b,c"), parse_program("a. b. c."),
+                                   cap=1)
 
 
 def reference_interpretation(mp, x):

@@ -12,9 +12,16 @@ from aspkit.consequence import (
 )
 from aspkit.core import Atom, Disjunction, Program, atoms
 from aspkit.parser import parse_program
-from aspkit.semantics import enumerate_answer_sets, is_answer_set, is_model, reduct
+from aspkit.semantics import enumerate_answer_sets, is_model
 from generators import iset, random_program
-from reference import scc_fixpoint_check, tp_iterate, tp_step
+from reference import (
+    PositiveProgram,
+    is_answer_set,
+    reduct,
+    scc_fixpoint_check,
+    tp_iterate,
+    tp_step,
+)
 
 
 def edge(a, b):
@@ -114,12 +121,10 @@ class TestTpOperator:
         assert tp_iterate(reduced, frozenset(), 3) == frozenset()
 
     def test_empty_program(self):
-        from aspkit.semantics import PositiveProgram
         assert tp_step(PositiveProgram(), iset("a")) == frozenset()
 
     def test_proper_disjunction_head_is_a_contract_violation(self):
         from aspkit.core import ContractViolationError
-        from aspkit.semantics import PositiveProgram
         disjunctive = PositiveProgram(parse_program("a | b.").rules)
         with pytest.raises(ContractViolationError):
             tp_iterate(disjunctive, frozenset(), 1)

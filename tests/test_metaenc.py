@@ -380,8 +380,9 @@ class TestSolveMeta:
 
 
 class TestAgainstBruteForce:
-    """Full disjunctive enumeration of the generated program must agree
-    with the structure-exploiting solver on small instances."""
+    """Full disjunctive enumeration of the generated program, as built
+    and as printed and parsed back, must agree with the
+    structure-exploiting solver on small instances."""
 
     CASES = [
         ("a.", ""),
@@ -389,17 +390,40 @@ class TestAgainstBruteForce:
         ("a :- a.", ""),
         ("a :- b.", ""),
         ("{a}.\n#minimize[a=1@1].", "optimize(1,1,incl)."),
+        ("{a}. {b}. #minimize[a=1@1,b=1@1].", "optimize(1,1,incl)."),
     ]
 
     @pytest.mark.parametrize("text,crit_text", CASES)
     def test_projections_match(self, text, crit_text):
         program = parse_program(text)
         mp = build(program, parse_criteria(crit_text))
-        brute = enumerate_answer_sets(mp.program, cap=16)
+        brute = enumerate_answer_sets(mp.program, cap=24)
+        assert enumerate_answer_sets(parse_program(mp.to_text()),
+                                     cap=24) == brute
         projections = sorted({hold_projection(z, mp) for z in brute},
                              key=lambda s: sorted(a.name for a in s))
         assert projections == solve_meta(mp)
         assert len(brute) == len(projections)  # unique per projection
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_printed_check_program_solved_generically(seed, choices):
+    """The paper's route: the printed check program, parsed back and
+    solved by generic disjunctive enumeration, has one answer set per
+    optimum, whose hold atoms are the optimum of the meta solver and of
+    the native route."""
+    rng = random.Random(seed)
+    program = (choice_program if choices else random_program)(
+        rng, max_atoms=6)
+    crit = random_criteria(rng, program)
+    mp = build(program, crit)
+    brute = enumerate_answer_sets(parse_program(mp.to_text()), cap=1000)
+    projections = sorted({hold_projection(z, mp) for z in brute},
+                         key=lambda s: sorted(a.name for a in s))
+    assert projections == solve_meta(mp) == optimal_answer_sets(
+        program, effective_criteria(crit, program.minimize))
+    assert len(brute) == len(projections)
 
 
 class TestPairProjection:

@@ -14,15 +14,13 @@ from aspkit.core import (
 )
 from aspkit.parser import parse_program
 from aspkit.semantics import (
-    PositiveProgram,
     enumerate_answer_sets,
     is_answer_set,
-    is_minimal_model,
     is_model,
-    reduct,
     satisfies,
 )
 from generators import iset, random_program
+from reference import PositiveProgram, is_minimal_model, reduct
 
 
 def body_sum(toy):
