@@ -31,7 +31,6 @@ from collections.abc import Hashable, Iterable, Iterator, Sequence
 
 from .core import (
     Atom,
-    ContractViolationError,
     Disjunction,
     Interpretation,
     Program,
@@ -110,46 +109,6 @@ class HornClosure:
         self.root: ClosureState = (derived, list(self.missing),
                                    list(self.bounds))
         self._close(facts, *self.root)
-
-    @classmethod
-    def of_rules(cls, rules: Iterable[Rule],
-                 atoms: Iterable[Hashable] = ()) -> "HornClosure":
-        """The closure of positive ground rules with one-atom heads.  The
-        keys in ``atoms`` are indexed first, in their order, and other
-        atoms in order of first occurrence.  A body literal that is itself
-        one of those keys is a condition the caller seeds, whatever its
-        sign."""
-        order: dict[Hashable, int] = {
-            key: i for i, key in enumerate(dict.fromkeys(atoms))}
-
-        def idx(atom: Atom) -> int:
-            return order.setdefault(atom, len(order))
-
-        compiled: list[HornRule] = []
-        for rule in rules:
-            if not isinstance(rule.head, Disjunction) or len(rule.head.atoms) != 1:
-                raise ContractViolationError(
-                    f"closure rule needs a one-atom head: {rule}")
-            head = idx(rule.head.atoms[0])
-            plain: list[int] = []
-            sums: list[tuple[int, list[tuple[int, int]]]] = []
-            for bl in rule.body:
-                if bl in order:
-                    plain.append(order[bl])
-                    continue
-                element = bl.element
-                if bl.negated or (isinstance(element, SumConstraint) and any(
-                        wl.literal.negated for wl in element.elements)):
-                    raise ContractViolationError(
-                        f"closure rule must be positive: {rule}")
-                if isinstance(element, Atom):
-                    plain.append(idx(element))
-                else:
-                    sums.append((element.lower or 0, [
-                        (idx(wl.literal.atom), wl.weight)
-                        for wl in element.elements]))
-            compiled.append((head, plain, sums))
-        return cls(list(order), compiled)
 
     def _close(self, queue: list[int], derived: bytearray, missing: list[int],
                need: list[int], goal: int = -1) -> bool:

@@ -141,7 +141,8 @@ class Rule:
 
     def __str__(self) -> str:
         # Atom heads and atom body literals are printed here directly:
-        # check programs have tens of thousands of rules made of them.
+        # the rule parts of a check program are made of them, and on a
+        # small program printing them costs half as much this way.
         head = self.head
         if type(head) is Disjunction and len(head.atoms) == 1:
             head = head.atoms[0].name

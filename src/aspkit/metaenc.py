@@ -21,6 +21,15 @@ Its parts:
 * saturate: floods the guess atoms from ``bot``;
 * accept: the final constraint ``:- not bot.``.
 
+The evaluate, check and saturate parts, the counterexample side without
+the comparison, are positive Horn rules, and most of a large check
+program's rules are among them (the wait levels grow quadratically in a
+component's size).  They are kept as name-level rows (see :data:`Row`),
+which :meth:`MetaProgram.to_text` prints and :class:`MetaSolver` compiles
+directly; ``Rule`` objects for them are made only when
+:attr:`MetaProgram.program` is asked for.  The other parts are ``Rule``
+tuples.
+
 :func:`solve_meta` exploits exactly this structure: the candidates are
 the answer sets of the candidate part alone, found by the search of
 :class:`aspkit.compiled.Search`, and a candidate is accepted iff the
@@ -42,7 +51,7 @@ structure that makes this sound when it is built.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import core
 from .core import (
@@ -61,7 +70,13 @@ from .core import (
     WeightedLiteral,
     sorted_atoms,
 )
-from .compiled import CompiledProgram, HornClosure, Search, canonical_masks
+from .compiled import (
+    CompiledProgram,
+    HornClosure,
+    HornRule,
+    Search,
+    canonical_masks,
+)
 from .optimize import optimal_answer_sets
 from .reify import FactReader, Term, reify
 from .semantics import canonical_order
@@ -123,6 +138,35 @@ _FALSITY = Disjunction(())
 #: Positions in an entry of ``_Shared``.
 _ATOM, _LITERAL, _HEAD = 0, 1, 2
 
+#: A rule of the evaluate, check or saturate part: head name, body atom
+#: names, and lower-bounded sums as (lower, ((name, weight), ...)); the
+#: shape of :data:`aspkit.compiled.HornRule` with meta atom names in
+#: place of indexes.  A fact has an empty body.
+Row = tuple[str, tuple[str, ...],
+            tuple[tuple[int, tuple[tuple[str, int], ...]], ...]]
+
+
+def _row_text(row: Row) -> str:
+    """A row as a rule of the core language: atoms, then sums."""
+    head, body, sums = row
+    if sums:
+        body = (*body, *(
+            f"{lower} #sum[{','.join(f'{name}={w}' for name, w in entries)}]"
+            for lower, entries in sums))
+    return f"{head} :- {', '.join(body)}." if body else f"{head}."
+
+
+def _bounded_sums(parts, total: int):
+    """Lower-bound sums of a row; None when some bound is unreachable,
+    trivial bounds dropped (an all-trivial body yields a fact)."""
+    sums = []
+    for bound, entries in parts:
+        if bound > total:
+            return None
+        if bound > 0:
+            sums.append((bound, entries))
+    return tuple(sums)
+
 
 class _Shared(dict):
     """One build's objects by meta atom name.  A name seen for the first
@@ -139,14 +183,19 @@ class _Shared(dict):
 
 @dataclass
 class MetaProgram:
-    """The generated program with its parts kept separable."""
+    """The generated program with its parts kept separable.
+
+    The candidate, guess, compare and accept parts are ``Rule`` tuples;
+    the evaluate, check and saturate parts are :data:`Row` tuples.
+    :attr:`program` turns the rows into rules of the build's ``shared``
+    objects each time it is asked for."""
 
     candidate_definitions: tuple[Rule, ...]
     candidate_rules: tuple[Rule, ...]
     guess: tuple[Rule, ...]
-    evaluate: tuple[Rule, ...]
-    check: tuple[Rule, ...]
-    saturate: tuple[Rule, ...]
+    evaluate: tuple[Row, ...]
+    check: tuple[Row, ...]
+    saturate: tuple[Row, ...]
     compare: tuple[Rule, ...]
     accept: tuple[Rule, ...]
     candidate_atoms: dict[Atom, Atom]
@@ -154,6 +203,8 @@ class MetaProgram:
     fail_atoms: dict[Atom, Atom]
     bot: Atom
     candidate_side: frozenset[Atom]
+    shared: _Shared = field(default_factory=_Shared, repr=False,
+                            compare=False)
 
     @property
     def candidate(self) -> tuple[Rule, ...]:
@@ -161,26 +212,37 @@ class MetaProgram:
 
     @property
     def program(self) -> Program:
-        return Program(self.candidate + self.guess + self.evaluate
-                       + self.check + self.saturate + self.compare
-                       + self.accept)
+        return Program(self.candidate + self.guess + self._rules(self.evaluate)
+                       + self._rules(self.check) + self._rules(self.saturate)
+                       + self.compare + self.accept)
+
+    def _rules(self, rows: tuple[Row, ...]) -> tuple[Rule, ...]:
+        shared = self.shared
+        rules: list[Rule] = []
+        for head, body, sums in rows:
+            literals = [shared[name][_LITERAL] for name in body]
+            literals += (BodyLiteral(SumConstraint(lower, tuple(
+                WeightedLiteral(Literal(shared[name][_ATOM]), w)
+                for name, w in entries))) for lower, entries in sums)
+            rules.append(Rule(shared[head][_HEAD], tuple(literals)))
+        return tuple(rules)
 
     def to_text(self) -> str:
         sections = (
-            ("candidate generation", self.candidate),
-            ("counterexample guess", self.guess),
-            ("counterexample evaluation", self.evaluate),
-            ("answer-set check", self.check),
-            ("saturation", self.saturate),
-            ("comparison", self.compare),
-            ("acceptance", self.accept),
+            ("candidate generation", self.candidate, str),
+            ("counterexample guess", self.guess, str),
+            ("counterexample evaluation", self.evaluate, _row_text),
+            ("answer-set check", self.check, _row_text),
+            ("saturation", self.saturate, _row_text),
+            ("comparison", self.compare, str),
+            ("acceptance", self.accept, str),
         )
         lines: list[str] = []
-        for title, rules in sections:
+        for title, rules, text in sections:
             if not rules:
                 continue
             lines.append(f"% {title}")
-            lines.extend(map(str, rules))
+            lines.extend(map(text, rules))
         return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -228,18 +290,17 @@ class _View:
             return (head.args[0].functor,)
         if head.functor == "false":
             return ()
-        found: list[str] = []
-        for wl in self.sums[head].elements:
-            name = wl.literal.atom.name
-            if not wl.literal.negated and name not in found:
-                found.append(name)
-        return tuple(found)
+        return tuple(dict.fromkeys(
+            wl.literal.atom.name for wl in self.sums[head].elements
+            if not wl.literal.negated))
 
 
 class _Builder:
     """Emits the parts of one check program.  Rules are written with
-    meta atom names and made of the objects ``shared`` holds for them,
-    one table per build; negative literals are made where used."""
+    meta atom names: the rows of the evaluate, check and saturate parts
+    hold the names themselves, and the other parts' rules are made of the
+    objects ``shared`` holds for them, one table per build; negative
+    literals are made where used."""
 
     def __init__(self, view: _View, crit: CriteriaSet):
         self.view = view
@@ -259,13 +320,6 @@ class _Builder:
 
     def _rule(self, head: str, body=()) -> Rule:
         return Rule(self.shared[head][_HEAD], tuple(body))
-
-    def _atleast(self, bound: int, entries) -> BodyLiteral:
-        """Lower-bound-only sum over positive meta literals, given as
-        (name, weight) pairs."""
-        atom = self._atom
-        return BodyLiteral(SumConstraint(bound, tuple(
-            WeightedLiteral(Literal(atom(name)), w) for name, w in entries)))
 
     # -- candidate part ------------------------------------------------
 
@@ -314,111 +368,87 @@ class _Builder:
                               atom(f"fail_atom_{a.name}"))))
             for a in self.view.atoms]
 
-    def evaluate(self) -> list[Rule]:
-        pos = self._pos
-        rules: list[Rule] = []
+    def evaluate(self) -> list[Row]:
+        rows: list[Row] = []
         if any(head.functor == "false" for head, _ in self.view.rules):
-            rules.append(self._rule("fail_false"))
+            rows.append(("fail_false", (), ()))
         for term, sc in self.view.sums.items():
             total = sc.total
-            holds = [(_ce_lit(wl.literal, True), wl.weight)
-                     for wl in sc.elements]
-            fails = [(_ce_lit(wl.literal, False), wl.weight)
-                     for wl in sc.elements]
-            true_body = self._bounded_body(
+            holds = tuple((_ce_lit(wl.literal, True), wl.weight)
+                          for wl in sc.elements)
+            fails = tuple((_ce_lit(wl.literal, False), wl.weight)
+                          for wl in sc.elements)
+            sums = _bounded_sums(
                 [(sc.lower, holds), (total - sc.upper, fails)], total)
-            if true_body is not None:
-                rules.append(self._rule(_entity("true", term), true_body))
-            for bound, entries_ in ((total - sc.lower + 1, fails),
-                                    (sc.upper + 1, holds)):
-                body = self._bounded_body([(bound, entries_)], total)
-                if body is not None:
-                    rules.append(self._rule(_entity("fail", term), body))
+            if sums is not None:
+                rows.append((_entity("true", term), (), sums))
+            for bound, entries in ((total - sc.lower + 1, fails),
+                                   (sc.upper + 1, holds)):
+                sums = _bounded_sums([(bound, entries)], total)
+                if sums is not None:
+                    rows.append((_entity("fail", term), (), sums))
         for label in sorted(self.view.conjunctions):
             members = self.view.conjunctions[label]
-            rules.append(self._rule(f"true_conj_{label}", tuple(
-                pos(_ce_member(neg, inner, True)) for neg, inner in members)))
-            for neg, inner in members:
-                rules.append(self._rule(
-                    f"fail_conj_{label}",
-                    (pos(_ce_member(neg, inner, False)),)))
-        return rules
-
-    def _bounded_body(self, parts, total: int):
-        """Body of lower-bound sums; None when some bound is unreachable,
-        trivial bounds dropped (an all-trivial body yields a fact)."""
-        body: list[BodyLiteral] = []
-        for bound, entries in parts:
-            if bound > total:
-                return None
-            if bound <= 0:
-                continue
-            body.append(self._atleast(bound, entries))
-        return tuple(body)
+            rows.append((f"true_conj_{label}", tuple(
+                _ce_member(neg, inner, True) for neg, inner in members), ()))
+            fail = f"fail_conj_{label}"
+            rows.extend((fail, (_ce_member(neg, inner, False),), ())
+                        for neg, inner in members)
+        return rows
 
     # -- answer-set check ----------------------------------------------
 
-    def check(self) -> list[Rule]:
-        pos, rule = self._pos, self._rule
-        rules: list[Rule] = []
-        for head, label in self.view.rules:
-            rules.append(rule("bot", (
-                pos(f"true_conj_{label}"), pos(_entity("fail", head)))))
-        supports: dict[str, list[int]] = {
-            a.name: [] for a in self.view.atoms}
+    def check(self) -> list[Row]:
+        rows: list[Row] = [
+            ("bot", (f"true_conj_{label}", _entity("fail", head)), ())
+            for head, label in self.view.rules]
+        # labels of each atom's supporting rules, in first-occurrence order
+        supports: dict[str, dict[int, None]] = {
+            a.name: {} for a in self.view.atoms}
         for head, label in self.view.rules:
             for name in self.view.head_support(head):
-                if label not in supports[name]:
-                    supports[name].append(label)
+                supports[name][label] = None
         for name, labels in supports.items():
-            rules.append(rule("bot", (
-                pos(f"true_atom_{name}"),
-                *(pos(f"fail_conj_{s}") for s in labels))))
+            rows.append(("bot", (f"true_atom_{name}",
+                                *(f"fail_conj_{s}" for s in labels)), ()))
         for label in sorted(self.view.components):
-            rules.extend(self._component_rules(label, supports))
-        return rules
+            rows.extend(self._component_rules(label, supports))
+        return rows
 
-    def _component_rules(self, label: int, supports) -> list[Rule]:
-        """Wait-level rules of one component, in time linear in their
-        number: each element's wait atoms are looked up once, indexed by
-        step, and membership in the component is a set lookup.  These
-        are most of a large check program's rules, so they are made from
-        the shared entries directly."""
-        shared, pos = self.shared, self._pos
+    def _component_rules(self, label: int, supports) -> list[Row]:
+        """Wait-level rows of one component, in time linear in their
+        number: each element's wait atom names are made once, indexed by
+        step, and membership in the component is a set lookup."""
         names, conj_labels, sum_terms = self.view.components[label]
         names = sorted(names)
         steps = len(names)
         internal_conjs = set(conj_labels)
-        # shared entries of the wait atoms by step: atoms (keyed by name)
-        # at 0..steps, conjunctions and sums at 0..steps-1
-        wait_atom = {a: [shared[f"wait_atom_{a}_{step}"]
-                         for step in range(steps + 1)] for a in names}
-        wait_conj = {c: [shared[f"wait_conj_{c}_{step}"]
-                         for step in range(steps)] for c in conj_labels}
+        # wait atom names by step: atoms (keyed by name) at 0..steps,
+        # conjunctions and sums at 0..steps-1
+        wait_atom = {a: [f"wait_atom_{a}_{step}" for step in range(steps + 1)]
+                     for a in names}
+        wait_conj = {c: [f"wait_conj_{c}_{step}" for step in range(steps)]
+                     for c in conj_labels}
         wait_sum = {}
         for term in sum_terms:
             name = _entity("wait", term)
-            wait_sum[term] = [shared[f"{name}_{step}"]
-                              for step in range(steps)]
-        rules: list[Rule] = []
+            wait_sum[term] = [f"{name}_{step}" for step in range(steps)]
+        rows: list[Row] = [(wait_atom[a][0], (), ()) for a in names]
 
         for a in names:
-            rules.append(Rule(wait_atom[a][0][_HEAD]))
-        for a in names:
-            fail = (pos(f"fail_atom_{a}"),)
-            rules.extend(Rule(wait[_HEAD], fail) for wait in wait_atom[a][1:])
+            fail = (f"fail_atom_{a}",)
+            rows.extend((wait, fail, ()) for wait in wait_atom[a][1:])
         for a in names:
             internal = [wait_conj[s] for s in supports[a]
                         if s in internal_conjs]
-            rules.append(self._rule(f"sccw_atom_{a}", (
-                pos(f"fail_conj_{s}") for s in supports[a]
-                if s not in internal_conjs)))
-            sccw = pos(f"sccw_atom_{a}")
+            sccw = f"sccw_atom_{a}"
+            rows.append((sccw, tuple(f"fail_conj_{s}" for s in supports[a]
+                                     if s not in internal_conjs), ()))
             for step, wait in enumerate(wait_atom[a][1:]):
-                rules.append(Rule(wait[_HEAD], (
-                    sccw, *[waits[step][_LITERAL] for waits in internal])))
+                rows.append((wait, (sccw, *[waits[step] for waits in internal]),
+                             ()))
         for conj in conj_labels:
-            fail = (pos(f"fail_conj_{conj}"),)
+            fail = (f"fail_conj_{conj}",)
             members = [
                 wait_atom.get(inner.args[0].functor)
                 if inner.functor == "atom" else wait_sum.get(inner)
@@ -426,46 +456,40 @@ class _Builder:
                 if not negated]
             members = [waits for waits in members if waits is not None]
             for step, wait in enumerate(wait_conj[conj]):
-                head = wait[_HEAD]
-                rules.append(Rule(head, fail))
-                rules.extend(Rule(head, (waits[step][_LITERAL],))
-                             for waits in members)
+                rows.append((wait, fail, ()))
+                rows.extend((wait, (waits[step],), ()) for waits in members)
         for term in sum_terms:
             sc = self.view.sums[term]
             total = sc.total
             threshold = total - sc.lower + 1
-            fail = (pos(_entity("fail", term)),)
-            # per entry: its wait atoms by step, or its fixed guess atom
+            fail = (_entity("fail", term),)
+            # per entry: its wait atom names by step, or its fixed guess atom
             entries = [
                 (wait_atom.get(wl.literal.atom.name)
                  if not wl.literal.negated else None,
                  _ce_lit(wl.literal, False), wl.weight)
                 for wl in sc.elements]
             for step, wait in enumerate(wait_sum[term]):
-                head = wait[_HEAD]
-                rules.append(Rule(head, fail))
+                rows.append((wait, fail, ()))
                 if threshold <= 0:
-                    rules.append(Rule(head))
+                    rows.append((wait, (), ()))
                 elif threshold <= total:
-                    counted = [
-                        (waits[step][_ATOM].name if waits else fixed, weight)
-                        for waits, fixed, weight in entries]
-                    rules.append(
-                        Rule(head, (self._atleast(threshold, counted),)))
-        for a in names:
-            rules.append(self._rule("bot", (
-                pos(f"true_atom_{a}"), wait_atom[a][steps][_LITERAL])))
-        return rules
+                    counted = tuple((waits[step] if waits else fixed, weight)
+                                    for waits, fixed, weight in entries)
+                    rows.append((wait, (), ((threshold, counted),)))
+        rows.extend(("bot", (f"true_atom_{a}", wait_atom[a][steps]), ())
+                    for a in names)
+        return rows
 
     # -- saturation and acceptance --------------------------------------
 
-    def saturate(self) -> list[Rule]:
-        bot = (self._pos("bot"),)
-        rules: list[Rule] = []
+    def saturate(self) -> list[Row]:
+        bot = ("bot",)
+        rows: list[Row] = []
         for a in self.view.atoms:
-            rules.append(self._rule(f"true_atom_{a.name}", bot))
-            rules.append(self._rule(f"fail_atom_{a.name}", bot))
-        return rules
+            rows.append((f"true_atom_{a.name}", bot, ()))
+            rows.append((f"fail_atom_{a.name}", bot, ()))
+        return rows
 
     def accept(self) -> list[Rule]:
         return [Rule(_FALSITY, (self._literal("bot", True),))]
@@ -674,45 +698,79 @@ def build_meta_program(program: Program, crit: CriteriaSet) -> MetaProgram:
         fail_atoms={a: atom(f"fail_atom_{a.name}") for a in view.atoms},
         bot=atom("bot"),
         candidate_side=candidate_side,
+        shared=builder.shared,
     )
 
 
-def _compare_conditions(mp: MetaProgram,
-                        static: tuple[Rule, ...]) -> list[BodyLiteral]:
-    """The candidate-side body literals of the compare rules in order of
-    first occurrence, once the structure that makes the counterexample
-    side a positive closure over the guess atoms and these conditions is
-    checked: the static rules mention no candidate-side atom and derive
-    guess atoms only from ``bot``; compare heads other than ``bot`` occur
-    nowhere else; compare bodies read the static rules only through
-    guess atoms, and the candidate only through whole literals."""
-    guess = set(mp.true_atoms.values()) | set(mp.fail_atoms.values())
-    static_atoms = core.atoms(Program(static))
-    if static_atoms & mp.candidate_side:
+def _compare_conditions(
+        mp: MetaProgram) -> tuple[list[Row], list[BodyLiteral]]:
+    """The compare rules as rows, and their candidate-side body literals
+    in order of first occurrence, once the structure that makes the
+    counterexample side a positive closure over the guess atoms and these
+    conditions is checked: the static rows (evaluate, check, saturate)
+    mention no candidate-side atom and derive guess atoms only from
+    ``bot``; compare heads are single atoms, and those other than ``bot``
+    occur nowhere else; compare bodies read the static rows only through
+    guess atoms, the candidate only through whole literals, and are
+    positive otherwise.  In a compare row, a condition stands as the
+    literal's text: a candidate-side name, which these checks keep out
+    of every other row and head, or that name after ``not``."""
+    bot = mp.bot.name
+    guess = {a.name for a in (*mp.true_atoms.values(),
+                              *mp.fail_atoms.values())}
+    candidate = {a.name for a in mp.candidate_side}
+    static: set[str] = set()
+    for row in mp.evaluate + mp.check + mp.saturate:
+        head, body, sums = row
+        if head in guess and bot not in body:
+            raise ContractViolationError(
+                f"guess atom derived other than by saturation: "
+                f"{_row_text(row)}")
+        static.add(head)
+        static.update(body)
+        for _, entries in sums:
+            static.update(name for name, _ in entries)
+    if static & candidate:
         raise ContractViolationError(
             "counterexample rules mention candidate atoms: "
-            f"{sorted(static_atoms & mp.candidate_side)}")
-    for rule in static:
-        if guess & core.atoms_of(rule.head) \
-                and BodyLiteral(mp.bot) not in rule.body:
+            f"{sorted(static & candidate)}")
+    heads = set()
+    for rule in mp.compare:
+        if not isinstance(rule.head, Disjunction) or len(rule.head.atoms) != 1:
             raise ContractViolationError(
-                f"guess atom derived other than by saturation: {rule}")
-    heads = {a for rule in mp.compare for a in core.atoms_of(rule.head)}
-    heads.discard(mp.bot)
-    shared = heads & (static_atoms | guess | mp.candidate_side)
+                f"compare rule needs a one-atom head: {rule}")
+        heads.add(rule.head.atoms[0].name)
+    heads.discard(bot)
+    shared = heads & (static | guess | candidate)
     if shared:
         raise ContractViolationError(
             f"compare rules derive atoms used outside them: {sorted(shared)}")
-    foreign = mp.candidate_side | (static_atoms - guess)
+    foreign = candidate | (static - guess)
     conditions: dict[BodyLiteral, None] = {}
+    rows: list[Row] = []
     for rule in mp.compare:
+        body: list[str] = []
+        sums = []
         for bl in rule.body:
-            if bl.element in mp.candidate_side:
+            element = bl.element
+            if element in mp.candidate_side:
                 conditions[bl] = None
-            elif core.atoms_of(bl.element) & foreign:
+                body.append(str(bl))
+            elif any(a.name in foreign for a in core.atoms_of(element)):
                 raise ContractViolationError(
                     f"compare rule reads outside the compare part: {rule}")
-    return list(conditions)
+            elif bl.negated or isinstance(element, SumConstraint) and any(
+                    wl.literal.negated for wl in element.elements):
+                raise ContractViolationError(
+                    f"compare rule must be positive: {rule}")
+            elif isinstance(element, Atom):
+                body.append(element.name)
+            else:
+                sums.append((element.lower or 0, tuple(
+                    (wl.literal.atom.name, wl.weight)
+                    for wl in element.elements)))
+        rows.append((rule.head.atoms[0].name, tuple(body), tuple(sums)))
+    return rows, list(conditions)
 
 
 class MetaSolver:
@@ -736,17 +794,29 @@ class MetaSolver:
         self._objects = (1 << n) - 1
         self._search = Search(self._candidate)
         # The closure indexes true_atom of object atom i at i, its
-        # fail_atom at n + i and bot at 2n, so a guess atom is an int.
-        keys = ([mp.true_atoms[a] for a in self.object_atoms]
-                + [mp.fail_atoms[a] for a in self.object_atoms] + [mp.bot])
+        # fail_atom at n + i and bot at 2n, so a guess atom is an int;
+        # the conditions follow, then other names in order of first
+        # occurrence.
+        compare, conditions = _compare_conditions(mp)
+        keys = ([mp.true_atoms[a].name for a in self.object_atoms]
+                + [mp.fail_atoms[a].name for a in self.object_atoms]
+                + [mp.bot.name] + [str(bl) for bl in conditions])
+        index = {key: i for i, key in enumerate(keys)}
+
+        def idx(name: str) -> int:
+            return index.setdefault(name, len(index))
+
+        horn: list[HornRule] = [
+            (idx(head), [idx(name) for name in body],
+             [(lower, [(idx(name), w) for name, w in entries])
+              for lower, entries in sums])
+            for head, body, sums in (*mp.evaluate, *mp.check, *mp.saturate,
+                                     *compare)]
         self._bot = 2 * n
-        static = mp.evaluate + mp.check + mp.saturate
-        conditions = _compare_conditions(mp, static)
-        self._closure = HornClosure.of_rules(static + mp.compare,
-                                             keys + conditions)
+        self._closure = HornClosure(list(index), horn)
         self._condition_bits = [
-            (self._closure.index[bl], self._candidate.bit[bl.element],
-             bl.negated) for bl in conditions]
+            (index[str(bl)], self._candidate.bit[bl.element], bl.negated)
+            for bl in conditions]
 
     def decode(self, x: int) -> Interpretation:
         return frozenset(a for i, a in enumerate(self.object_atoms)

@@ -158,21 +158,20 @@ class _Builder:
     def add_sccs(self) -> None:
         graph = consequence.dependency_graph(self.program)
         decomposition = consequence.sccs(graph, self.program)
-        members: list[tuple[int, Term]] = []
+        # in first-occurrence order, each once
+        members: dict[tuple[int, Term], None] = {}
         ignore: list[ReifiedFact] = []
         for component in decomposition.nontrivial():
             assert component.label is not None
             for atom in sorted_atoms(component.atoms):
-                members.append((component.label, _atom_term(atom)))
+                members[(component.label, _atom_term(atom))] = None
             for element in component.connecting:
                 if isinstance(element, SumConstraint):
                     term = self._sum_term(element, ignore)
                 else:
                     term = Term(
                         "conjunction", (self._conjunction(element, ignore),))
-                entry = (component.label, term)
-                if entry not in members:
-                    members.append(entry)
+                members[(component.label, term)] = None
         assert not ignore, "scc members must already be labeled"
         for label, term in members:
             self.facts.append(ReifiedFact("scc", (label, term)))

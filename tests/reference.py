@@ -7,14 +7,17 @@ operator on syntax objects is a second answer-set route beside the
 compiled least-model check and the subset-minimality oracle.  The
 brute-force loops try every interpretation, or every hold-projection of
 a meta candidate, with the compiled checks, as enumeration did before
-it searched."""
+it searched.  ``closure_of_rules`` compiles positive syntax-object rules
+into a ``HornClosure`` on its own, and ``row_of_rule`` writes such a rule
+as a row of the check program's counterexample side."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
-from aspkit.compiled import CompiledProgram
+from aspkit.compiled import CompiledProgram, HornClosure, HornRule
 from aspkit.consequence import dependency_graph, sccs
 from aspkit.core import (
     DEFAULT_ATOM_CAP,
@@ -200,3 +203,56 @@ def brute_stable_candidates(solver) -> list[int]:
         if candidate.is_answer_set(held):
             found.append(held)
     return found
+
+
+def closure_of_rules(rules: Iterable[Rule],
+                     atoms: Iterable[Atom] = ()) -> HornClosure:
+    """The closure of positive ground rules with one-atom heads.  The
+    atoms in ``atoms`` are indexed first, in their order, and other atoms
+    in order of first occurrence."""
+    order: dict[Atom, int] = {
+        atom: i for i, atom in enumerate(dict.fromkeys(atoms))}
+
+    def idx(atom: Atom) -> int:
+        return order.setdefault(atom, len(order))
+
+    compiled: list[HornRule] = []
+    for rule in rules:
+        if not isinstance(rule.head, Disjunction) or len(rule.head.atoms) != 1:
+            raise ContractViolationError(
+                f"closure rule needs a one-atom head: {rule}")
+        head = idx(rule.head.atoms[0])
+        plain: list[int] = []
+        sums: list[tuple[int, list[tuple[int, int]]]] = []
+        for bl in rule.body:
+            element = bl.element
+            if bl.negated or (isinstance(element, SumConstraint) and any(
+                    wl.literal.negated for wl in element.elements)):
+                raise ContractViolationError(
+                    f"closure rule must be positive: {rule}")
+            if isinstance(element, Atom):
+                plain.append(idx(element))
+            else:
+                sums.append((element.lower or 0, [
+                    (idx(wl.literal.atom), wl.weight)
+                    for wl in element.elements]))
+        compiled.append((head, plain, sums))
+    return HornClosure(list(order), compiled)
+
+
+def row_of_rule(rule: Rule):
+    """A positive rule with a one-atom head as a row of the evaluate,
+    check or saturate part: head name, body atom names, and lower-bounded
+    sums as (lower, ((name, weight), ...))."""
+    (head,) = rule.head.atoms
+    body: list[str] = []
+    sums = []
+    for bl in rule.body:
+        assert not bl.negated
+        if isinstance(bl.element, Atom):
+            body.append(bl.element.name)
+        else:
+            sums.append((bl.element.lower or 0, tuple(
+                (wl.literal.atom.name, wl.weight)
+                for wl in bl.element.elements)))
+    return head.name, tuple(body), tuple(sums)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspkit import consequence, core, semantics
-from aspkit.compiled import CompiledProgram, HornClosure, Search
+from aspkit.compiled import CompiledProgram, Search
 from aspkit.core import (
     Atom,
     BodyLiteral,
@@ -42,6 +42,7 @@ from generators import (
 from reference import (
     brute_answer_sets,
     brute_stable_candidates,
+    closure_of_rules,
     is_answer_set,
     is_minimal_model,
     reduct,
@@ -214,9 +215,10 @@ def reference_refutes(mp, x, y):
             resolved.append(core.Rule(rule.head, tuple(body)))
     seed = [mp.true_atoms[a] if a in y else mp.fail_atoms[a]
             for a in mp.candidate_atoms]
-    closure = HornClosure.of_rules(
-        mp.evaluate + mp.check + mp.saturate + tuple(resolved),
-        [mp.bot, *seed])
+    static = dataclasses.replace(
+        mp, candidate_definitions=(), candidate_rules=(), guess=(),
+        compare=(), accept=()).program.rules
+    closure = closure_of_rules(static + tuple(resolved), [mp.bot, *seed])
     index = closure.index
     return closure.start([index[a] for a in seed], index[mp.bot]) is None
 
@@ -451,7 +453,7 @@ def test_duplicates_change_no_result(seed, entry):
 
 class TestHornClosure:
     def closure(self, text):
-        return HornClosure.of_rules(parse_program(text).rules)
+        return closure_of_rules(parse_program(text).rules)
 
     def derives(self, closure, seed, target):
         index = closure.index

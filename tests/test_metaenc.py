@@ -16,7 +16,7 @@ from aspkit.core import (
     ContractViolationError,
     CriteriaSet,
     Disjunction,
-    Program,
+    Rule,
     SumConstraint,
 )
 from aspkit.metaenc import (
@@ -31,6 +31,7 @@ from aspkit.parser import parse_criteria, parse_program, render_program
 from aspkit.reify import facts_to_text, parse_reified, reify, text_to_facts
 from aspkit.semantics import enumerate_answer_sets
 from generators import choice_program, iset, random_criteria, random_program
+from reference import row_of_rule
 
 INCL = parse_criteria("optimize(1,1,incl).")
 CARD = parse_criteria("optimize(1,1,card).")
@@ -180,13 +181,75 @@ class TestStructure:
 
     def test_counterexample_side_avoids_negation(self, toy_min):
         mp = build(toy_min, INCL)
-        for rule in mp.guess + mp.evaluate + mp.check + mp.saturate:
+        side = dataclasses.replace(
+            mp, candidate_definitions=(), candidate_rules=(), compare=(),
+            accept=())
+        printed = parse_program(side.to_text()).rules
+        assert printed == side.program.rules
+        assert len(printed) == len(mp.guess) + len(mp.evaluate) \
+            + len(mp.check) + len(mp.saturate)
+        for rule in printed:
             for bl in rule.body:
                 assert not bl.negated
         for rule in mp.compare:
             for bl in rule.body:
                 if bl.negated:
                     assert bl.element in mp.candidate_side
+
+
+#: ``chain4`` of the benchmark's chain family: four choices, a chain of
+#: ``b`` atoms, a covering constraint and one minimize group.
+CHAIN4_TEXT = """\
+{a0}. {a1}. {a2}. {a3}.
+b0 :- a0, not a1.
+b1 :- a1, not a2.
+b2 :- a2, not a3.
+:- not a0, not a1, not a2, not a3.
+#minimize[a0=1@1, a1=1@1, a2=1@1, a3=1@1].
+"""
+
+
+class TestRowsMakeNoRules:
+    """The evaluate, check and saturate parts are rows: building and
+    printing a check program, or solving it, makes a ``Rule`` only for
+    the candidate, guess, compare and accept parts."""
+
+    @staticmethod
+    def rules_made(monkeypatch) -> list:
+        made = []
+        init = Rule.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Rule, "__init__", counted)
+        return made
+
+    @staticmethod
+    def rule_parts(mp) -> int:
+        return (len(mp.candidate) + len(mp.guess) + len(mp.compare)
+                + len(mp.accept))
+
+    def test_build_and_print_of_a_long_cycle(self, monkeypatch):
+        n = 30
+        program = parse_program("{a0}.\na1 :- a0.\n" + "".join(
+            f"a{i % n + 1} :- a{i}.\n" for i in range(1, n + 1)))
+        made = self.rules_made(monkeypatch)
+        mp = build(program)
+        text = mp.to_text()
+        assert len(made) == self.rule_parts(mp)
+        assert len(mp.check) > n * n > len(made)
+        monkeypatch.undo()
+        assert parse_program(text).rules == mp.program.rules
+
+    def test_crosscheck_of_chain4(self, monkeypatch):
+        program = parse_program(CHAIN4_TEXT)
+        expected = self.rule_parts(build(program, INCL))
+        made = self.rules_made(monkeypatch)
+        report = crosscheck(program, INCL)
+        assert report.agree and len(report.meta) == 4
+        assert len(made) == expected
 
 
 def check_text(program) -> str:
@@ -433,8 +496,7 @@ class TestPairProjection:
     def test_two_answer_set_program(self):
         program = parse_program("a :- not b. b :- not a.")
         mp = build(program)
-        partial = Program(mp.candidate + mp.guess + mp.evaluate + mp.check
-                          + mp.saturate)
+        partial = dataclasses.replace(mp, compare=(), accept=()).program
         object_sets = set(enumerate_answer_sets(program))
         pairs = []
         for z in enumerate_answer_sets(partial, cap=16):
@@ -548,10 +610,17 @@ class TestSaturationSoundness:
         ("compare", "bot :- 1 #sum[hold_atom_p=1]."),
         ("evaluate", "true_conj_0 :- hold_atom_p."),
         ("check", "true_atom_p :- true_conj_0."),
+        # compare rules outside the closure's shape
+        ("compare", "a :- not b."),
+        ("compare", "a :- 1 #sum[not b=1]."),
+        ("compare", "a | b."),
+        ("compare", ":- a."),
     ])
     def test_split_structure_is_checked(self, toy_min, part, text):
         mp = build(toy_min, INCL)
         extra = parse_program(text).rules
+        if part != "compare":
+            extra = tuple(map(row_of_rule, extra))
         tampered = dataclasses.replace(mp, **{part: getattr(mp, part) + extra})
         with pytest.raises(ContractViolationError):
             MetaSolver(tampered)
