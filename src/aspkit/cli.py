@@ -123,7 +123,7 @@ def cmd_check(args) -> int:
             consequence.dependency_graph(program), program)
         for component in decomposition.nontrivial():
             waiting = consequence.wait_levels(program, x, component.label,
-                                              decomposition)
+                                              decomposition, compiled)
             if waiting.waiting_true:
                 names_ = ",".join(sorted(a.name for a in waiting.waiting_true))
                 print(f"component {component.label}: {names_} "

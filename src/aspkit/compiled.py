@@ -9,8 +9,9 @@ reduct, and every check of an interpretation reads these masks.  Every
 model of the reduct inside the interpretation holds the least model of
 the reduct's rules with one head atom in it, which comes from
 :class:`HornClosure`, the watch-list closure of Dowling and Gallier
-(1984) that also serves the meta solver's counterexample side.  Without
-proper disjunctions, minimal means equal to that least model; with
+(1984) that also serves the wait levels of :mod:`aspkit.consequence`
+and the meta solver's counterexample side.  Without proper
+disjunctions, minimal means equal to that least model; with
 them, that no model of the whole reduct lies between the two, which a
 depth-first search decides by branching only on the head atoms of a
 rule whose body holds, as in minimal model generation with positive
@@ -176,14 +177,19 @@ class HornClosure:
         child = (derived, list(missing), list(need))
         return None if self._close([idx], *child, goal) else child
 
-    def least_model(self, active: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
-        """Atom indexes derived from the empty set by the ``active`` rules,
-        given as (rule id, its sums' lower bounds) pairs; other rules
-        never fire."""
+    def least_model(self, active: Iterable[tuple[int, Sequence[int]]],
+                    seed: Iterable[int] = ()) -> list[int]:
+        """Atom indexes derived from the atom indexes ``seed`` by the
+        ``active`` rules, given as (rule id, its sums' lower bounds)
+        pairs, the seed included; other rules never fire."""
         missing = [self._OUT] * len(self.heads)
         need = list(self.bounds)
         derived = bytearray(len(self.index))
         queue: list[int] = []
+        for idx in seed:
+            if not derived[idx]:
+                derived[idx] = 1
+                queue.append(idx)
         for rid, lowers in active:
             count = self.plain[rid]
             slot = self.first[rid]
@@ -400,35 +406,42 @@ class CompiledProgram:
                 supported |= rule.supported
         return not x & ~supported
 
+    @staticmethod
+    def reduct_rules(x: int, rules: Iterable[_Rule],
+                     heads: int) -> Iterator[tuple[int, Sequence[int]]]:
+        """The reduct of ``rules`` by the model ``x`` as (closure rule id,
+        reduced lower bounds) pairs for :meth:`HornClosure.least_model`,
+        one per atom of ``heads`` that a rule supports.  The reduct keeps a
+        rule's positive body atoms and its non-negated sums, each lower
+        bound reduced by the weight of negated entries made true by
+        absence."""
+        for rule in rules:
+            lowers = [s.lower - s.absent(x) for s in rule.reduced] \
+                if rule.reduced else ()
+            for rid, bit in rule.closure:
+                if heads & bit:
+                    yield rid, lowers
+
     def is_reduct_minimal(self, x: int, applied: Sequence[_Rule]) -> bool:
         """Whether the model ``x`` is a minimal model of its reduct, given
-        ``applied``, the rules whose body holds in ``x``: the reduct keeps
-        those rules with negated body parts dropped, sum lower bounds
-        reduced by the weight of negated entries made true by absence,
-        and a sum head split into one rule per positive atom of ``x``.
+        ``applied``, the rules whose body holds in ``x``; a sum head's
+        reduct is one rule per positive atom of ``x``.
 
         Below ``x``, a rule with one head atom in ``x`` is definite, so
         every model of the reduct inside ``x`` holds the least model of
         those rules.  Without a proper disjunction left, ``x`` must equal
         that least model; otherwise no set between the two may be a model
         of the whole reduct."""
-        definite: list[tuple[int, Sequence[int]]] = []
-        disjunctive = False
+        definite: list[_Rule] = []
         for rule in applied:
             heads = rule.supported & x
-            if rule.head_sum is None and heads & (heads - 1):
-                disjunctive = True
-                continue
-            lowers = [s.lower - s.absent(x) for s in rule.reduced] \
-                if rule.reduced else ()
-            for rid, bit in rule.closure:
-                if heads & bit:
-                    definite.append((rid, lowers))
-        derived = self.horn.least_model(definite)
+            if rule.head_sum is not None or not heads & (heads - 1):
+                definite.append(rule)
+        derived = self.horn.least_model(self.reduct_rules(x, definite, x))
         # The least model lies inside x, so equal sizes mean equal sets.
         if len(derived) == x.bit_count():
             return True
-        return disjunctive and self._no_model_between(
+        return len(definite) < len(applied) and self._no_model_between(
             sum(1 << i for i in derived), x, applied)
 
     def _no_model_between(self, least: int, x: int,

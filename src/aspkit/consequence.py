@@ -4,9 +4,12 @@ models, and wait levels.
 A model is an answer set exactly when iterating the immediate
 consequence operator on its reduct reproduces it, and the iteration can
 be localized to the strongly connected components of the positive
-dependency graph.  Wait levels compute the complement of that local
+dependency graph.  Wait levels are the complement of that local
 fixpoint: the true atoms of a component that are still underivable
-after as many steps as the component has atoms.
+after as many steps as the component has atoms.  They are read off one
+least model of the compiled reduct, seeded with the true atoms outside
+the component, which :class:`aspkit.compiled.HornClosure` computes in
+time linear in the program.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .core import (
     positive_part,
     sorted_atoms,
 )
-from .semantics import compile_program, satisfies
+from .compiled import CompiledProgram
+from .semantics import compile_program
 
 #: A component member beyond its atoms: a body conjunction or a sum.
 ComponentElement = Union[SumConstraint, Body]
@@ -154,86 +158,42 @@ def is_supported_model(program: Program, x: Interpretation) -> bool:
 
 @dataclass(frozen=True)
 class ComponentWait:
-    """Wait table of one non-trivial component: ``wait[element, step]``
-    for steps 0..z, plus the true atoms still waiting at step z."""
+    """The true atoms of one non-trivial component of ``z`` atoms that
+    still wait at step ``z``."""
 
     label: int
     z: int
-    wait: dict
     waiting_true: frozenset[Atom]
 
 
 def wait_levels(program: Program, x: Interpretation, label: int,
-                decomposition: SccDecomposition | None = None) -> ComponentWait:
-    """Underivability table for one component.
+                decomposition: SccDecomposition | None = None,
+                compiled: CompiledProgram | None = None) -> ComponentWait:
+    """The true atoms of one component that are still underivable after
+    as many steps as the component has atoms.
 
-    Every component atom waits at step 0.  An atom keeps waiting while
-    it is false, or has no true-bodied rule supporting it from outside
-    the component and all its component-internal supporting bodies
-    waited one step earlier.  A conjunction waits while it is false or
-    some internal positive member waits; a sum constraint waits while it
-    is false or the weight of false entries plus waiting internal atoms
-    exceeds what its lower bound can spare.
+    Those steps reach the local fixpoint, so the answer is the true
+    atoms of the component outside one least model: that of the reduct
+    rules whose body holds in ``x`` and that support a true atom of the
+    component (a disjunctive head supports each of its atoms), closed
+    from the true atoms outside the component.
 
-    ``decomposition`` is the program's SCC decomposition, computed here
-    when not given.
+    ``decomposition`` is the program's SCC decomposition and
+    ``compiled`` the program as :func:`aspkit.semantics.compile_program`
+    compiles it; each is computed here when not given.
     """
     if decomposition is None:
         decomposition = sccs(dependency_graph(program), program)
-    component = decomposition.by_label(label)
-    members = component.atoms
-    connecting = set(component.connecting)
-    z = len(members)
-
-    internal_bodies: dict[Atom, list[Body]] = {a: [] for a in members}
-    external_true: dict[Atom, bool] = {a: False for a in members}
-    for rule in program.rules:
-        for atom in atoms_of(positive_part(rule.head)) & members:
-            if rule.body in connecting:
-                if rule.body not in internal_bodies[atom]:
-                    internal_bodies[atom].append(rule.body)
-            elif satisfies(x, rule.body):
-                external_true[atom] = True
-
-    sums = [e for e in component.connecting if isinstance(e, SumConstraint)]
-    conjunctions = [e for e in component.connecting if isinstance(e, tuple)]
-    wait: dict = {}
-
-    def excluded(sc: SumConstraint, step: int) -> int:
-        total = 0
-        for wl in sc.elements:
-            lit = wl.literal
-            if not lit.negated and lit.atom in members:
-                if wait[(lit.atom, step)]:
-                    total += wl.weight
-            elif not satisfies(x, lit):
-                total += wl.weight
-        return total
-
-    for step in range(z + 1):
-        for atom in members:
-            if step == 0:
-                wait[(atom, 0)] = True
-            else:
-                wait[(atom, step)] = atom not in x or (
-                    not external_true[atom]
-                    and all(wait[(body, step - 1)]
-                            for body in internal_bodies[atom]))
-        for sc in sums:
-            lower = sc.lower if sc.lower is not None else 0
-            wait[(sc, step)] = (not satisfies(x, sc)
-                                or excluded(sc, step) > sc.total - lower)
-        for body in conjunctions:
-            waiting = False
-            for bl in body:
-                if bl.negated:
-                    continue
-                element = bl.element
-                if isinstance(element, Atom) and element in members:
-                    waiting = waiting or wait[(element, step)]
-                elif isinstance(element, SumConstraint) and element in connecting:
-                    waiting = waiting or wait[(element, step)]
-            wait[(body, step)] = not satisfies(x, body) or waiting
-
-    waiting_true = frozenset(a for a in members if a in x and wait[(a, z)])
-    return ComponentWait(label, z, wait, waiting_true)
+    if compiled is None:
+        compiled = compile_program(program)
+    members = decomposition.by_label(label).atoms
+    mask = compiled.encode(x.intersection(compiled.bit))
+    inside = mask & compiled.encode(members)
+    applied = [rule for rule in compiled.rules
+               if rule.supported & inside and rule.body_holds(mask)]
+    index = compiled.horn.index
+    derived = compiled.horn.least_model(
+        compiled.reduct_rules(mask, applied, inside),
+        [index[a] for a in x - members if a in index])
+    underived = inside & ~sum(1 << idx for idx in derived)
+    return ComponentWait(label, len(members), compiled.decode(underived))

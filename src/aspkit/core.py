@@ -141,8 +141,9 @@ class Rule:
 
     def __str__(self) -> str:
         # Atom heads and atom body literals are printed here directly:
-        # the rule parts of a check program are made of them, and on a
-        # small program printing them costs half as much this way.
+        # the candidate, guess and accept parts of a check program are
+        # made of them, and printing a small check program this way
+        # costs about a seventh less.
         head = self.head
         if type(head) is Disjunction and len(head.atoms) == 1:
             head = head.atoms[0].name

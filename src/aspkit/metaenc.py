@@ -21,14 +21,15 @@ Its parts:
 * saturate: floods the guess atoms from ``bot``;
 * accept: the final constraint ``:- not bot.``.
 
-The evaluate, check and saturate parts, the counterexample side without
-the comparison, are positive Horn rules, and most of a large check
-program's rules are among them (the wait levels grow quadratically in a
-component's size).  They are kept as name-level rows (see :data:`Row`),
-which :meth:`MetaProgram.to_text` prints and :class:`MetaSolver` compiles
-directly; ``Rule`` objects for them are made only when
-:attr:`MetaProgram.program` is asked for.  The other parts are ``Rule``
-tuples.
+The evaluate, check, saturate and compare parts, the counterexample
+side, are positive Horn rules once a candidate is fixed, and most of a
+large check program's rules are among them (the wait levels grow
+quadratically in a component's size).  They are kept as name-level rows
+(see :data:`Row`), which :meth:`MetaProgram.to_text` prints and
+:class:`MetaSolver` compiles directly, with no ``Rule`` object made for
+them.  The candidate, guess and accept parts are ``Rule`` tuples; a
+whole program as rules is ``parse_program(mp.to_text())``, the paper's
+route.
 
 :func:`solve_meta` exploits exactly this structure: the candidates are
 the answer sets of the candidate part alone, found by the search of
@@ -41,7 +42,7 @@ on the lowest bits first once the choice heads are decided, settles
 them before the definition atoms.  It compiles the counterexample side
 (evaluate, check, saturate and compare) once, as one closure whose facts
 are closed when it is built and in which each candidate-side body
-literal of the compare rules is a condition that a candidate seeds.
+literal of the compare rows is a condition that a candidate seeds.
 Those rules are positive, so a partial guess that derives ``bot``
 refutes every guess extending it: the solver walks the guess bits depth
 first once per candidate and drops such subtrees.  It checks the
@@ -51,7 +52,7 @@ structure that makes this sound when it is built.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import core
 from .core import (
@@ -138,12 +139,19 @@ _FALSITY = Disjunction(())
 #: Positions in an entry of ``_Shared``.
 _ATOM, _LITERAL, _HEAD = 0, 1, 2
 
-#: A rule of the evaluate, check or saturate part: head name, body atom
-#: names, and lower-bounded sums as (lower, ((name, weight), ...)); the
-#: shape of :data:`aspkit.compiled.HornRule` with meta atom names in
-#: place of indexes.  A fact has an empty body.
+#: A rule of the evaluate, check, saturate or compare part: head name,
+#: body atom names, and lower-bounded sums as (lower, ((name, weight),
+#: ...)); the shape of :data:`aspkit.compiled.HornRule` with meta atom
+#: names in place of indexes.  A fact has an empty body.  A compare
+#: row's body may also hold a candidate condition as its literal text,
+#: ``hold_atom_a`` or ``not hold_atom_a``, the key the closure gives it.
 Row = tuple[str, tuple[str, ...],
             tuple[tuple[int, tuple[tuple[str, int], ...]], ...]]
+
+
+def _row(head: str, *body: str) -> Row:
+    """A row without sums."""
+    return head, body, ()
 
 
 def _row_text(row: Row) -> str:
@@ -172,8 +180,8 @@ class _Shared(dict):
     """One build's objects by meta atom name.  A name seen for the first
     time gets its ``Atom`` (so the name is validated once), its positive
     ``BodyLiteral`` and its single-atom head ``Disjunction``, made together
-    as one (atom, literal, head) entry that every rule of the build
-    shares."""
+    as one (atom, literal, head) entry that every rule of the build's
+    ``Rule`` parts shares."""
 
     def __missing__(self, name: str) -> tuple[Atom, BodyLiteral, Disjunction]:
         atom = Atom(name)
@@ -185,10 +193,9 @@ class _Shared(dict):
 class MetaProgram:
     """The generated program with its parts kept separable.
 
-    The candidate, guess, compare and accept parts are ``Rule`` tuples;
-    the evaluate, check and saturate parts are :data:`Row` tuples.
-    :attr:`program` turns the rows into rules of the build's ``shared``
-    objects each time it is asked for."""
+    The candidate, guess and accept parts are ``Rule`` tuples; the
+    evaluate, check, saturate and compare parts are :data:`Row`
+    tuples."""
 
     candidate_definitions: tuple[Rule, ...]
     candidate_rules: tuple[Rule, ...]
@@ -196,36 +203,17 @@ class MetaProgram:
     evaluate: tuple[Row, ...]
     check: tuple[Row, ...]
     saturate: tuple[Row, ...]
-    compare: tuple[Rule, ...]
+    compare: tuple[Row, ...]
     accept: tuple[Rule, ...]
     candidate_atoms: dict[Atom, Atom]
     true_atoms: dict[Atom, Atom]
     fail_atoms: dict[Atom, Atom]
     bot: Atom
     candidate_side: frozenset[Atom]
-    shared: _Shared = field(default_factory=_Shared, repr=False,
-                            compare=False)
 
     @property
     def candidate(self) -> tuple[Rule, ...]:
         return self.candidate_definitions + self.candidate_rules
-
-    @property
-    def program(self) -> Program:
-        return Program(self.candidate + self.guess + self._rules(self.evaluate)
-                       + self._rules(self.check) + self._rules(self.saturate)
-                       + self.compare + self.accept)
-
-    def _rules(self, rows: tuple[Row, ...]) -> tuple[Rule, ...]:
-        shared = self.shared
-        rules: list[Rule] = []
-        for head, body, sums in rows:
-            literals = [shared[name][_LITERAL] for name in body]
-            literals += (BodyLiteral(SumConstraint(lower, tuple(
-                WeightedLiteral(Literal(shared[name][_ATOM]), w)
-                for name, w in entries))) for lower, entries in sums)
-            rules.append(Rule(shared[head][_HEAD], tuple(literals)))
-        return tuple(rules)
 
     def to_text(self) -> str:
         sections = (
@@ -234,7 +222,7 @@ class MetaProgram:
             ("counterexample evaluation", self.evaluate, _row_text),
             ("answer-set check", self.check, _row_text),
             ("saturation", self.saturate, _row_text),
-            ("comparison", self.compare, str),
+            ("comparison", self.compare, _row_text),
             ("acceptance", self.accept, str),
         )
         lines: list[str] = []
@@ -297,10 +285,10 @@ class _View:
 
 class _Builder:
     """Emits the parts of one check program.  Rules are written with
-    meta atom names: the rows of the evaluate, check and saturate parts
-    hold the names themselves, and the other parts' rules are made of the
-    objects ``shared`` holds for them, one table per build; negative
-    literals are made where used."""
+    meta atom names: the rows of the evaluate, check, saturate and
+    compare parts hold the names themselves, and the other parts' rules
+    are made of the objects ``shared`` holds for them, one table per
+    build; negative literals are made where used."""
 
     def __init__(self, view: _View, crit: CriteriaSet):
         self.view = view
@@ -496,42 +484,44 @@ class _Builder:
 
     # -- comparison ------------------------------------------------------
 
-    def _cand_holds(self, literal: Literal) -> BodyLiteral:
-        return self._literal(f"hold_atom_{literal.atom.name}", literal.negated)
+    @staticmethod
+    def _cand_holds(literal: Literal) -> str:
+        """The candidate condition that ``literal`` holds."""
+        name = f"hold_atom_{literal.atom.name}"
+        return f"not {name}" if literal.negated else name
 
-    def _cand_fails(self, literal: Literal) -> BodyLiteral:
-        return self._literal(f"hold_atom_{literal.atom.name}",
-                             not literal.negated)
+    @staticmethod
+    def _cand_fails(literal: Literal) -> str:
+        """The candidate condition that ``literal`` does not hold."""
+        name = f"hold_atom_{literal.atom.name}"
+        return name if literal.negated else f"not {name}"
 
-    def compare(self) -> list[Rule]:
-        pos, rule = self._pos, self._rule
+    def compare(self) -> list[Row]:
         if not self.crit.relations:
-            return [rule("bot")]
-        rules: list[Rule] = []
-        lit_rules: dict[str, list[Rule]] = {}
+            return [_row("bot")]
+        rows: list[Row] = []
+        lit_rows: dict[str, list[Row]] = {}
         levels = self.cxopt.levels()
         for level, weight, criterion in self.cxopt.relations:
-            rules.extend(self._criterion_rules(
-                level, weight, criterion, lit_rules))
-        for name in sorted(lit_rules):
-            rules.extend(lit_rules[name])
+            rows.extend(self._criterion_rows(
+                level, weight, criterion, lit_rows))
+        for name in sorted(lit_rows):
+            rows.extend(lit_rows[name])
         for level in levels:
-            body = tuple(
-                pos(f"equal_{_num(lv)}_{_num(w)}_{o}")
-                for lv, w, o in self.cxopt.relations if lv == level)
-            rules.append(rule(f"eqlevel_{_num(level)}", body))
-        rules.append(rule(f"inspect_{_num(levels[0])}"))
+            rows.append(_row(f"eqlevel_{_num(level)}", *(
+                f"equal_{_num(lv)}_{_num(w)}_{o}"
+                for lv, w, o in self.cxopt.relations if lv == level)))
+        rows.append(_row(f"inspect_{_num(levels[0])}"))
         for higher, lower_ in zip(levels, levels[1:]):
-            rules.append(rule(f"inspect_{_num(lower_)}", (
-                pos(f"inspect_{_num(higher)}"),
-                pos(f"eqlevel_{_num(higher)}"))))
+            rows.append(_row(f"inspect_{_num(lower_)}",
+                             f"inspect_{_num(higher)}",
+                             f"eqlevel_{_num(higher)}"))
         for level in levels:
-            rules.append(rule("bot", (
-                pos(f"inspect_{_num(level)}"), pos(f"worse_{_num(level)}"))))
-        rules.append(rule("bot", (
-            pos(f"inspect_{_num(levels[-1])}"),
-            pos(f"eqlevel_{_num(levels[-1])}"))))
-        return rules
+            rows.append(_row("bot", f"inspect_{_num(level)}",
+                             f"worse_{_num(level)}"))
+        rows.append(_row("bot", f"inspect_{_num(levels[-1])}",
+                         f"eqlevel_{_num(levels[-1])}"))
+        return rows
 
     def _group(self, level: int, weight: int):
         """(index, literal) pairs of the minimize group, in list order."""
@@ -539,8 +529,8 @@ class _Builder:
                      in enumerate(self.view.minimize.get(level, ()))
                      if wl.weight == weight)
 
-    def _criterion_rules(self, level: int, weight: int, criterion: str,
-                         lit_rules) -> list[Rule]:
+    def _criterion_rows(self, level: int, weight: int, criterion: str,
+                        lit_rows) -> list[Row]:
         group = self._group(level, weight)
         label = self.view.minimize_label.get(level, 0)
         key = f"{_num(level)}_{_num(weight)}"
@@ -548,17 +538,16 @@ class _Builder:
         equal = f"equal_{key}_{criterion}"
         worse = f"worse_{_num(level)}"
         if criterion == "card":
-            return self._card_rules(group, skey, equal, worse)
+            return self._card_rows(group, skey, equal, worse)
         if criterion == "incl":
-            return self._incl_rules(group, equal, worse, lit_rules)
-        return self._pref_rules(group, skey, equal, worse, lit_rules)
+            return self._incl_rows(group, equal, worse, lit_rows)
+        return self._pref_rows(group, skey, equal, worse, lit_rows)
 
-    def _card_rules(self, group, skey: str, equal: str,
-                    worse: str) -> list[Rule]:
-        pos, rule = self._pos, self._rule
+    def _card_rows(self, group, skey: str, equal: str,
+                   worse: str) -> list[Row]:
         if not group:
-            return [rule(equal)]
-        rules: list[Rule] = []
+            return [_row(equal)]
+        rows: list[Row] = []
         size = len(group)
 
         def count(position: int, value: int) -> str:
@@ -568,32 +557,31 @@ class _Builder:
             return f"cdown_{skey}_{_num(position)}_{_num(value)}"
 
         first_q, first_lit = group[0]
-        rules.append(rule(count(first_q, 1), (self._cand_holds(first_lit),)))
-        rules.append(rule(count(first_q, 0), (self._cand_fails(first_lit),)))
+        rows.append(_row(count(first_q, 1), self._cand_holds(first_lit)))
+        rows.append(_row(count(first_q, 0), self._cand_fails(first_lit)))
         for i in range(1, size):
             q, lit = group[i]
             prev_q = group[i - 1][0]
             holds, fails = self._cand_holds(lit), self._cand_fails(lit)
             for value in range(i + 1):
-                prev = pos(count(prev_q, value))
-                rules.append(rule(count(q, value + 1), (prev, holds)))
-                rules.append(rule(count(q, value), (prev, fails)))
+                prev = count(prev_q, value)
+                rows.append(_row(count(q, value + 1), prev, holds))
+                rows.append(_row(count(q, value), prev, fails))
         last_q = group[-1][0]
         for value in range(size + 1):
-            rules.append(rule(cdown(last_q, value),
-                              (pos(count(last_q, value)),)))
+            rows.append(_row(cdown(last_q, value), count(last_q, value)))
         for i in range(size - 1, -1, -1):
             q, lit = group[i]
             prev = group[i - 1][0] if i else -1
-            y_holds = pos(_ce_lit(lit, True))
+            y_holds = _ce_lit(lit, True)
             for value in range(size + 1):
-                rules.append(rule(cdown(prev, value - 1), (
-                    pos(cdown(q, value)), y_holds)))
+                rows.append(_row(cdown(prev, value - 1), cdown(q, value),
+                                 y_holds))
             for value in range(-1, size + 1):
-                rules.append(rule(cdown(prev, value), (pos(cdown(q, value)),)))
-        rules.append(rule(equal, (pos(cdown(-1, 0)),)))
-        rules.append(rule(worse, (pos(cdown(-1, -1)),)))
-        return rules
+                rows.append(_row(cdown(prev, value), cdown(q, value)))
+        rows.append(_row(equal, cdown(-1, 0)))
+        rows.append(_row(worse, cdown(-1, -1)))
+        return rows
 
     def _literals(self, group) -> list[Literal]:
         seen: list[Literal] = []
@@ -602,29 +590,27 @@ class _Builder:
                 seen.append(lit)
         return seen
 
-    def _incl_rules(self, group, equal: str, worse: str,
-                    lit_rules) -> list[Rule]:
-        pos, rule = self._pos, self._rule
+    def _incl_rows(self, group, equal: str, worse: str,
+                   lit_rows) -> list[Row]:
         literals = self._literals(group)
         if not literals:
-            return [rule(equal)]
-        rules: list[Rule] = []
+            return [_row(equal)]
+        rows: list[Row] = []
         for lit in literals:
             ndiff = f"ndiff_{_lit_suffix(lit)}"
-            true_y, fails_x = pos(_ce_lit(lit, True)), self._cand_fails(lit)
-            lit_rules.setdefault(ndiff, [
-                rule(ndiff, (fails_x,)), rule(ndiff, (true_y,))])
-            rules.append(rule(worse, (true_y, fails_x)))
-        rules.append(rule(equal, tuple(
-            pos(f"ndiff_{_lit_suffix(lit)}") for lit in literals)))
-        return rules
+            true_y, fails_x = _ce_lit(lit, True), self._cand_fails(lit)
+            lit_rows.setdefault(ndiff, [
+                _row(ndiff, fails_x), _row(ndiff, true_y)])
+            rows.append(_row(worse, true_y, fails_x))
+        rows.append(_row(equal, *(
+            f"ndiff_{_lit_suffix(lit)}" for lit in literals)))
+        return rows
 
-    def _pref_rules(self, group, skey: str, equal: str, worse: str,
-                    lit_rules) -> list[Rule]:
-        pos, rule = self._pos, self._rule
+    def _pref_rows(self, group, skey: str, equal: str, worse: str,
+                   lit_rows) -> list[Row]:
         literals = self._literals(group)
         if not literals:
-            return [rule(worse)]
+            return [_row(worse)]
         inside = set(literals)
         pairs = [(a, b) for a, b in self.crit.prefer
                  if a in inside and b in inside]
@@ -634,20 +620,19 @@ class _Builder:
 
         for lit in literals:
             holds_x, fails_x = self._cand_holds(lit), self._cand_fails(lit)
-            true_y = pos(_ce_lit(lit, True))
-            fail_y = pos(_ce_lit(lit, False))
+            true_y, fail_y = _ce_lit(lit, True), _ce_lit(lit, False)
             defs = {
-                "cando": [rule(one("cando", lit), (holds_x, fail_y))],
-                "nocan": [rule(one("nocan", lit), (fails_x,)),
-                          rule(one("nocan", lit), (true_y,))],
-                "condo": [rule(one("condo", lit), (true_y, fails_x))],
-                "nocon": [rule(one("nocon", lit), (fail_y,)),
-                          rule(one("nocon", lit), (holds_x,))],
+                "cando": [_row(one("cando", lit), holds_x, fail_y)],
+                "nocan": [_row(one("nocan", lit), fails_x),
+                          _row(one("nocan", lit), true_y)],
+                "condo": [_row(one("condo", lit), true_y, fails_x)],
+                "nocon": [_row(one("nocon", lit), fail_y),
+                          _row(one("nocon", lit), holds_x)],
             }
-            for family, rule_list in defs.items():
-                lit_rules.setdefault(one(family, lit), rule_list)
+            for family, row_list in defs.items():
+                lit_rows.setdefault(one(family, lit), row_list)
 
-        rules: list[Rule] = []
+        rows: list[Row] = []
         defeaters = {
             lit: [d for d in literals
                   if (d, lit) in pairs and (lit, d) not in pairs]
@@ -657,21 +642,19 @@ class _Builder:
         for lit in literals:
             grp = f"candog_{skey}_{_lit_suffix(lit)}"
             for succ in successors[lit]:
-                rules.append(rule(grp, (
-                    pos(one("cando", lit)), pos(one("condo", succ)))))
+                rows.append(_row(grp, one("cando", lit), one("condo", succ)))
             if successors[lit]:
-                rules.append(rule(equal, (
-                    pos(grp), *(pos(one("nocon", d)) for d in defeaters[lit]))))
+                rows.append(_row(equal, grp, *(
+                    one("nocon", d) for d in defeaters[lit])))
         for lit in literals:
             grp = f"nocong_{skey}_{_lit_suffix(lit)}"
-            rules.append(rule(grp, (pos(one("nocon", lit)),)))
-            rules.append(rule(grp, tuple(
-                pos(one("nocan", s)) for s in successors[lit])))
+            rows.append(_row(grp, one("nocon", lit)))
+            rows.append(_row(grp, *(one("nocan", s) for s in successors[lit])))
             for d in defeaters[lit]:
-                rules.append(rule(grp, (pos(one("cando", d)),)))
-        rules.append(rule(worse, tuple(
-            pos(f"nocong_{skey}_{_lit_suffix(lit)}") for lit in literals)))
-        return rules
+                rows.append(_row(grp, one("cando", d)))
+        rows.append(_row(worse, *(
+            f"nocong_{skey}_{_lit_suffix(lit)}" for lit in literals)))
+        return rows
 
 
 def build_meta_program(program: Program, crit: CriteriaSet) -> MetaProgram:
@@ -698,23 +681,20 @@ def build_meta_program(program: Program, crit: CriteriaSet) -> MetaProgram:
         fail_atoms={a: atom(f"fail_atom_{a.name}") for a in view.atoms},
         bot=atom("bot"),
         candidate_side=candidate_side,
-        shared=builder.shared,
     )
 
 
-def _compare_conditions(
-        mp: MetaProgram) -> tuple[list[Row], list[BodyLiteral]]:
-    """The compare rules as rows, and their candidate-side body literals
-    in order of first occurrence, once the structure that makes the
-    counterexample side a positive closure over the guess atoms and these
-    conditions is checked: the static rows (evaluate, check, saturate)
-    mention no candidate-side atom and derive guess atoms only from
-    ``bot``; compare heads are single atoms, and those other than ``bot``
-    occur nowhere else; compare bodies read the static rows only through
-    guess atoms, the candidate only through whole literals, and are
-    positive otherwise.  In a compare row, a condition stands as the
-    literal's text: a candidate-side name, which these checks keep out
-    of every other row and head, or that name after ``not``."""
+def _compare_conditions(mp: MetaProgram) -> list[str]:
+    """The candidate conditions of the compare rows in order of first
+    occurrence, once the structure that makes the counterexample side a
+    positive closure over the guess atoms and these conditions is
+    checked: the static rows (evaluate, check, saturate) mention no
+    candidate-side atom and derive guess atoms only from ``bot``; compare
+    heads other than ``bot`` occur nowhere else; compare bodies read the
+    static rows only through guess atoms, the candidate only through
+    whole literals, and are positive otherwise.  A condition is a
+    literal's text: a candidate-side name, which these checks keep out of
+    every other row and head, or that name after ``not``."""
     bot = mp.bot.name
     guess = {a.name for a in (*mp.true_atoms.values(),
                               *mp.fail_atoms.values())}
@@ -734,43 +714,34 @@ def _compare_conditions(
         raise ContractViolationError(
             "counterexample rules mention candidate atoms: "
             f"{sorted(static & candidate)}")
-    heads = set()
-    for rule in mp.compare:
-        if not isinstance(rule.head, Disjunction) or len(rule.head.atoms) != 1:
-            raise ContractViolationError(
-                f"compare rule needs a one-atom head: {rule}")
-        heads.add(rule.head.atoms[0].name)
+    foreign = candidate | (static - guess)
+    conditions: dict[str, None] = {}
+    for row in mp.compare:
+        _, body, sums = row
+        for text in body:
+            name = text.removeprefix("not ")
+            if name in candidate:
+                conditions[text] = None
+            elif name != text:
+                raise ContractViolationError(
+                    f"compare rule must be positive: {_row_text(row)}")
+            elif name in foreign:
+                raise ContractViolationError(
+                    f"compare rule reads outside the compare part: "
+                    f"{_row_text(row)}")
+        for _, entries in sums:
+            if any(name in foreign or name.startswith("not ")
+                   for name, _ in entries):
+                raise ContractViolationError(
+                    f"compare sum must be positive over the compare part: "
+                    f"{_row_text(row)}")
+    heads = {head for head, _, _ in mp.compare}
     heads.discard(bot)
-    shared = heads & (static | guess | candidate)
+    shared = heads & (static | guess | candidate | conditions.keys())
     if shared:
         raise ContractViolationError(
             f"compare rules derive atoms used outside them: {sorted(shared)}")
-    foreign = candidate | (static - guess)
-    conditions: dict[BodyLiteral, None] = {}
-    rows: list[Row] = []
-    for rule in mp.compare:
-        body: list[str] = []
-        sums = []
-        for bl in rule.body:
-            element = bl.element
-            if element in mp.candidate_side:
-                conditions[bl] = None
-                body.append(str(bl))
-            elif any(a.name in foreign for a in core.atoms_of(element)):
-                raise ContractViolationError(
-                    f"compare rule reads outside the compare part: {rule}")
-            elif bl.negated or isinstance(element, SumConstraint) and any(
-                    wl.literal.negated for wl in element.elements):
-                raise ContractViolationError(
-                    f"compare rule must be positive: {rule}")
-            elif isinstance(element, Atom):
-                body.append(element.name)
-            else:
-                sums.append((element.lower or 0, tuple(
-                    (wl.literal.atom.name, wl.weight)
-                    for wl in element.elements)))
-        rows.append((rule.head.atoms[0].name, tuple(body), tuple(sums)))
-    return rows, list(conditions)
+    return list(conditions)
 
 
 class MetaSolver:
@@ -797,10 +768,10 @@ class MetaSolver:
         # fail_atom at n + i and bot at 2n, so a guess atom is an int;
         # the conditions follow, then other names in order of first
         # occurrence.
-        compare, conditions = _compare_conditions(mp)
+        conditions = _compare_conditions(mp)
         keys = ([mp.true_atoms[a].name for a in self.object_atoms]
                 + [mp.fail_atoms[a].name for a in self.object_atoms]
-                + [mp.bot.name] + [str(bl) for bl in conditions])
+                + [mp.bot.name] + conditions)
         index = {key: i for i, key in enumerate(keys)}
 
         def idx(name: str) -> int:
@@ -811,12 +782,14 @@ class MetaSolver:
              [(lower, [(idx(name), w) for name, w in entries])
               for lower, entries in sums])
             for head, body, sums in (*mp.evaluate, *mp.check, *mp.saturate,
-                                     *compare)]
+                                     *mp.compare)]
         self._bot = 2 * n
         self._closure = HornClosure(list(index), horn)
+        bit = {a.name: b for a, b in self._candidate.bit.items()}
         self._condition_bits = [
-            (index[str(bl)], self._candidate.bit[bl.element], bl.negated)
-            for bl in conditions]
+            (index[text], bit[text.removeprefix("not ")],
+             text.startswith("not "))
+            for text in conditions]
 
     def decode(self, x: int) -> Interpretation:
         return frozenset(a for i, a in enumerate(self.object_atoms)

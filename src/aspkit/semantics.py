@@ -5,7 +5,8 @@ minimal-model semantics for disjunctions: an interpretation is an
 answer set if it is a model of the program and a minimal model of its
 own reduct.  Every answer-set check runs on the program compiled to
 bitmasks (:mod:`aspkit.compiled`); :func:`satisfies` and
-:func:`is_model` evaluate the syntax objects.
+:func:`is_model` evaluate the syntax objects, for library callers and
+tests: no command uses them.
 
 :func:`answer_set_masks` searches the compiled program with
 :class:`aspkit.compiled.Search`: depth first, with completion

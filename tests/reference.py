@@ -4,12 +4,13 @@ command line path uses them.
 The reduct, subset minimality and support on syntax objects are the
 oracle for the compiled answer-set checks.  The immediate consequence
 operator on syntax objects is a second answer-set route beside the
-compiled least-model check and the subset-minimality oracle.  The
+compiled least-model check and the subset-minimality oracle, and,
+localized to a component, the oracle for its wait levels.  The
 brute-force loops try every interpretation, or every hold-projection of
 a meta candidate, with the compiled checks, as enumeration did before
 it searched.  ``closure_of_rules`` compiles positive syntax-object rules
-into a ``HornClosure`` on its own, and ``row_of_rule`` writes such a rule
-as a row of the check program's counterexample side."""
+into a ``HornClosure`` on its own, and ``row_of_rule`` writes a rule as a
+row of the check program's counterexample side."""
 
 from __future__ import annotations
 
@@ -241,18 +242,20 @@ def closure_of_rules(rules: Iterable[Rule],
 
 
 def row_of_rule(rule: Rule):
-    """A positive rule with a one-atom head as a row of the evaluate,
-    check or saturate part: head name, body atom names, and lower-bounded
-    sums as (lower, ((name, weight), ...))."""
+    """A rule with a one-atom head as a row of the check program's
+    counterexample side: head name, body atom names, and lower-bounded
+    sums as (lower, ((name, weight), ...)).  A negated atom, in the body
+    or in a sum, is written as its literal text ``not name``, the form a
+    compare row gives a candidate condition."""
     (head,) = rule.head.atoms
     body: list[str] = []
     sums = []
     for bl in rule.body:
-        assert not bl.negated
         if isinstance(bl.element, Atom):
-            body.append(bl.element.name)
+            body.append(str(bl))
         else:
+            assert not bl.negated
             sums.append((bl.element.lower or 0, tuple(
-                (wl.literal.atom.name, wl.weight)
+                (str(wl.literal), wl.weight)
                 for wl in bl.element.elements)))
     return head.name, tuple(body), tuple(sums)

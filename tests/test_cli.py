@@ -162,6 +162,17 @@ class TestCheck:
         assert out.splitlines() == [
             "supported-model", "component 0: r,t wait at step 3"]
 
+    def test_disjunctive_head_supports_each_of_its_atoms(self, capsys,
+                                                          tmp_path):
+        # a's only support is a | b :- c, inside the component {a,b,c}
+        path = tmp_path / "disjunctive_support.lp"
+        path.write_text("a | b :- c.\nc :- a.\nc :- b.\nd.\ne | f.\ne :- f.\n")
+        code, out, _ = run(capsys, "check", str(path),
+                           "--interpretation", "a,c,d,e")
+        assert code == 0
+        assert out.splitlines() == [
+            "supported-model", "component 0: a,c wait at step 3"]
+
     def test_non_model(self, capsys, toy_file):
         code, out, _ = run(capsys, "check", toy_file, "--interpretation", "")
         assert code == 0 and out == "non-model\n"

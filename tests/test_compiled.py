@@ -198,27 +198,29 @@ def test_candidate_stable_matches_reference(seed):
 
 def reference_refutes(mp, x, y):
     """The refutation test as the meta solver first defined it: resolve
-    the compare rules against the candidate ``x``, close them together
+    the compare rows against the candidate ``x``, close them together
     with the evaluate, check and saturate rules over the guess ``y``, and
     look for bot."""
-    interp = reference_interpretation(mp, x)
+    held = {a.name for a in reference_interpretation(mp, x)}
+    candidate = {a.name for a in mp.candidate_side}
     resolved = []
-    for rule in mp.compare:
-        body = []
-        for bl in rule.body:
-            if isinstance(bl.element, Atom) and bl.element in mp.candidate_side:
-                if (bl.element in interp) == bl.negated:
-                    break
-            else:
-                body.append(bl)
+    for head, body, sums in mp.compare:
+        kept = []
+        for text in body:
+            name = text.removeprefix("not ")
+            if name not in candidate:
+                kept.append(text)
+            elif (name in held) == (name != text):
+                break
         else:
-            resolved.append(core.Rule(rule.head, tuple(body)))
+            resolved.append((head, tuple(kept), sums))
     seed = [mp.true_atoms[a] if a in y else mp.fail_atoms[a]
             for a in mp.candidate_atoms]
-    static = dataclasses.replace(
+    side = dataclasses.replace(
         mp, candidate_definitions=(), candidate_rules=(), guess=(),
-        compare=(), accept=()).program.rules
-    closure = closure_of_rules(static + tuple(resolved), [mp.bot, *seed])
+        compare=tuple(resolved), accept=())
+    rules = parse_program(side.to_text()).rules
+    closure = closure_of_rules(rules, [mp.bot, *seed])
     index = closure.index
     return closure.start([index[a] for a in seed], index[mp.bot]) is None
 

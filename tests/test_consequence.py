@@ -214,7 +214,6 @@ class TestWaitLevels:
     def test_toy_cyclic_model_waits(self, toy):
         result = wait_levels(toy, iset("r,t"), 0)
         assert result.waiting_true == iset("r,t")
-        assert result.wait[(Atom("r"), 3)] and result.wait[(Atom("t"), 3)]
 
     def test_external_support_clears_waiting(self):
         program = parse_program("a :- b. b :- a. b :- c. c.")
@@ -224,23 +223,6 @@ class TestWaitLevels:
     def test_unknown_label(self, toy):
         with pytest.raises(ValueError):
             wait_levels(toy, iset("p,r"), 7)
-
-    def test_monotone_decreasing(self):
-        rng = random.Random(37)
-        for _ in range(60):
-            program = random_program(rng, max_atoms=6, max_rules=8)
-            decomposition = sccs(dependency_graph(program), program)
-            if not decomposition.nontrivial():
-                continue
-            universe = sorted(atoms(program))
-            x = frozenset(a for a in universe if rng.random() < 0.5)
-            for component in decomposition.nontrivial():
-                table = wait_levels(program, x, component.label)
-                elements = {e for e, _ in table.wait}
-                for element in elements:
-                    for step in range(table.z):
-                        if not table.wait[(element, step)]:
-                            assert not table.wait[(element, step + 1)]
 
     def test_duality_with_local_fixpoint(self):
         rng = random.Random(41)
