@@ -15,14 +15,11 @@ time linear in the program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .core import (
     Atom,
-    Body,
     Interpretation,
     Program,
-    SumConstraint,
     atoms,
     atoms_of,
     positive_part,
@@ -30,9 +27,6 @@ from .core import (
 )
 from .compiled import CompiledProgram
 from .semantics import compile_program
-
-#: A component member beyond its atoms: a body conjunction or a sum.
-ComponentElement = Union[SumConstraint, Body]
 
 
 @dataclass(frozen=True)
@@ -43,13 +37,14 @@ class DependencyGraph:
 
 @dataclass(frozen=True)
 class SccComponent:
-    """One SCC: its atoms plus, for non-trivial components, the body
-    conjunctions and sum constraints of rules contributing its edges
-    (atom-shaped components of such rules are covered by ``atoms``)."""
+    """One SCC: its atoms, and whether it has an internal edge.  The
+    members a reification lists for a non-trivial component C are its
+    atoms, the conjunction of each rule with a positive head atom in C
+    and a positive body atom or a positive entry of a non-negated body
+    sum in C, and each such sum; :mod:`aspkit.reify` computes them."""
 
     label: int | None
     atoms: frozenset[Atom]
-    connecting: tuple[ComponentElement, ...]
     nontrivial: bool
 
 
@@ -81,9 +76,9 @@ def dependency_graph(program: Program) -> DependencyGraph:
     return DependencyGraph(atoms(program), frozenset(edges))
 
 
-def sccs(graph: DependencyGraph, program: Program) -> SccDecomposition:
+def sccs(graph: DependencyGraph) -> SccDecomposition:
     """Tarjan decomposition; non-trivial components are labeled 0,1,...
-    in first-discovery order."""
+    in completion order, the topological order of ``components``."""
     succ: dict[Atom, list[Atom]] = {a: [] for a in sorted_atoms(graph.nodes)}
     for a, b in graph.edges:
         succ[a].append(b)
@@ -121,29 +116,11 @@ def sccs(graph: DependencyGraph, program: Program) -> SccDecomposition:
             connect(v)
 
     components: list[SccComponent] = []
-    next_label = 0
+    labels = iter(range(len(found)))
     for members in found:
         nontrivial = len(members) > 1 or any(a in succ[a] for a in members)
-        connecting: list[ComponentElement] = []
-        if nontrivial:
-            for rule in program.rules:
-                if not atoms_of(positive_part(rule.head)) & members:
-                    continue
-                inner = [
-                    element for element in positive_part(rule.body)
-                    if isinstance(element, SumConstraint)
-                    and atoms_of(positive_part(element)) & members]
-                contributes = inner or any(
-                    isinstance(element, Atom) and element in members
-                    for element in positive_part(rule.body))
-                if contributes and rule.body not in connecting:
-                    connecting.append(rule.body)
-                connecting.extend(e for e in inner if e not in connecting)
-        label = next_label if nontrivial else None
-        if nontrivial:
-            next_label += 1
-        components.append(
-            SccComponent(label, members, tuple(connecting), nontrivial))
+        label = next(labels) if nontrivial else None
+        components.append(SccComponent(label, members, nontrivial))
     return SccDecomposition(tuple(components))
 
 
@@ -183,7 +160,7 @@ def wait_levels(program: Program, x: Interpretation, label: int,
     compiles it; each is computed here when not given.
     """
     if decomposition is None:
-        decomposition = sccs(dependency_graph(program), program)
+        decomposition = sccs(dependency_graph(program))
     if compiled is None:
         compiled = compile_program(program)
     members = decomposition.by_label(label).atoms

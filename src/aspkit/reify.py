@@ -11,18 +11,24 @@ A reification is an ordered list of ground facts over this vocabulary
     wlist(S,Q,L,W).                    entry Q of weighted-literal list
                                        S: literal pos(atom(a)) or
                                        neg(atom(a)) with weight W
-    scc(C,E).                          membership of atoms and
-                                       connecting body elements in the
-                                       non-trivial SCC labeled C
+    scc(C,E).                          member E of the non-trivial
+                                       SCC labeled C: its atoms, the
+                                       conjunction of each rule with a
+                                       positive head atom in C and a
+                                       positive body atom or a positive
+                                       entry of a non-negated body sum
+                                       in C, and each such sum
     minimize(J,S).                     minimize list of priority level J
 
 List indexes Q run consecutively from 0, so duplicates in multisets
-survive.  Absent bounds are materialized: 0 as lower, the total weight
-as upper.  Structurally identical weighted-literal lists share one
-label, as do identical conjunctions; the two label spaces are separate.
-Proper disjunction heads and sums with no entries (no wlist/4 fact
-could name their list; only the library API builds them) are outside
-this format: :func:`reify` rejects both.
+survive.  An SCC lists its atoms by name, then rule by rule a
+conjunction before its sums, each member once.  Absent bounds are
+materialized: 0 as lower, the total weight as upper.  Structurally
+identical weighted-literal lists share one label, as do identical
+conjunctions; the two label spaces are separate.  Proper disjunction
+heads and sums with no entries (no wlist/4 fact could name their list;
+only the library API builds them) are outside this format:
+:func:`reify` rejects both.
 """
 
 from __future__ import annotations
@@ -43,7 +49,9 @@ from .core import (
     Rule,
     SumConstraint,
     WeightedLiteral,
+    atoms_of,
     is_extended,
+    positive_part,
     sorted_atoms,
 )
 from .parser import _TokenStream
@@ -96,6 +104,8 @@ class _Builder:
         self.program = program
         self._wlist_labels: dict[tuple, int] = {}
         self._conj_labels: dict[tuple, int] = {}
+        #: per rule: its conjunction label and member terms
+        self.bodies: list[tuple[int, tuple[Term, ...]]] = []
         self.facts: list[ReifiedFact] = []
 
     def _wlist(self, entries: tuple[tuple[Term, int], ...],
@@ -119,7 +129,9 @@ class _Builder:
         upper = sc.upper if sc.upper is not None else sc.total
         return Term("sum", (lower, label, upper))
 
-    def _conjunction(self, body: Body, out: list[ReifiedFact]) -> int:
+    def _conjunction(self, body: Body, out: list[ReifiedFact]
+                     ) -> tuple[int, tuple[Term, ...]]:
+        """The conjunction's label and its member terms, in body order."""
         members: list[Term] = []
         member_facts: list[list[ReifiedFact]] = []
         for bl in body:
@@ -136,7 +148,7 @@ class _Builder:
             for member, facts in zip(members, member_facts):
                 out.append(ReifiedFact("set", (label, member)))
                 out.extend(facts)
-        return label
+        return label, key
 
     def add_rule(self, rule: Rule) -> None:
         head_facts: list[ReifiedFact] = []
@@ -148,7 +160,8 @@ class _Builder:
         else:
             head = self._sum_term(rule.head, head_facts)
         body_facts: list[ReifiedFact] = []
-        label = self._conjunction(rule.body, body_facts)
+        label, members = self._conjunction(rule.body, body_facts)
+        self.bodies.append((label, members))
         self.facts.append(ReifiedFact(
             "rule", (_signed(head, False),
                      _signed(Term("conjunction", (label,)), False))))
@@ -156,25 +169,35 @@ class _Builder:
         self.facts.extend(body_facts)
 
     def add_sccs(self) -> None:
+        """The scc facts, from one pass over the rules."""
         graph = consequence.dependency_graph(self.program)
-        decomposition = consequence.sccs(graph, self.program)
-        # in first-occurrence order, each once
-        members: dict[tuple[int, Term], None] = {}
-        ignore: list[ReifiedFact] = []
-        for component in decomposition.nontrivial():
-            assert component.label is not None
-            for atom in sorted_atoms(component.atoms):
-                members[(component.label, _atom_term(atom))] = None
-            for element in component.connecting:
-                if isinstance(element, SumConstraint):
-                    term = self._sum_term(element, ignore)
+        label_of: dict[Atom, int] = {}
+        members: list[dict[Term, None]] = []
+        for component in consequence.sccs(graph).nontrivial():
+            label_of.update(dict.fromkeys(component.atoms, component.label))
+            members.append(dict.fromkeys(
+                map(_atom_term, sorted_atoms(component.atoms))))
+        if not members:
+            return
+        for rule, (label, terms) in zip(self.program.rules, self.bodies):
+            heads = set(map(label_of.get,
+                            atoms_of(positive_part(rule.head)))) - {None}
+            conjunction = Term("conjunction", (label,))
+            for bl, term in zip(rule.body, terms):
+                if bl.negated:
+                    continue
+                if isinstance(bl.element, Atom):
+                    inside, sums = {label_of.get(bl.element)}, ()
                 else:
-                    term = Term(
-                        "conjunction", (self._conjunction(element, ignore),))
-                members[(component.label, term)] = None
-        assert not ignore, "scc members must already be labeled"
-        for label, term in members:
-            self.facts.append(ReifiedFact("scc", (label, term)))
+                    inside = {label_of.get(wl.literal.atom)
+                              for wl in positive_part(bl.element)}
+                    sums = (term.args[0],)
+                for component in inside & heads:
+                    members[component].update(
+                        dict.fromkeys((conjunction, *sums)))
+        for component, terms in enumerate(members):
+            for term in terms:
+                self.facts.append(ReifiedFact("scc", (component, term)))
 
     def add_minimize(self, statement: MinimizeStatement) -> None:
         for level in statement.levels():

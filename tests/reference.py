@@ -5,12 +5,14 @@ The reduct, subset minimality and support on syntax objects are the
 oracle for the compiled answer-set checks.  The immediate consequence
 operator on syntax objects is a second answer-set route beside the
 compiled least-model check and the subset-minimality oracle, and,
-localized to a component, the oracle for its wait levels.  The
-brute-force loops try every interpretation, or every hold-projection of
-a meta candidate, with the compiled checks, as enumeration did before
-it searched.  ``closure_of_rules`` compiles positive syntax-object rules
-into a ``HornClosure`` on its own, and ``row_of_rule`` writes a rule as a
-row of the check program's counterexample side."""
+localized to a component, the oracle for its wait levels.  A rescan
+of every rule per component is the oracle for the members of the scc
+facts of a reification.  The brute-force loops try every
+interpretation, or every hold-projection of a meta candidate, with the
+compiled checks, as enumeration did before it searched.
+``closure_of_rules`` compiles positive syntax-object rules into a
+``HornClosure`` on its own, and ``row_of_rule`` writes a rule as a row
+of the check program's counterexample side."""
 
 from __future__ import annotations
 
@@ -158,7 +160,7 @@ def scc_fixpoint_check(program: Program, x: Interpretation) -> bool:
     and require the union of the local results to reproduce ``x``."""
     if not is_model(x, program):
         return False
-    decomposition = sccs(dependency_graph(program), program)
+    decomposition = sccs(dependency_graph(program))
     reduced = reduct(program, x)
     covered: set[Atom] = set()
     for component in decomposition.components:
@@ -166,6 +168,30 @@ def scc_fixpoint_check(program: Program, x: Interpretation) -> bool:
         covered |= local & component.atoms
     return covered == x
 
+
+def scc_members(
+        program: Program) -> set[tuple[int, Atom | Body | SumConstraint]]:
+    """Oracle for the members of the scc facts: per non-trivial
+    component, its atoms and, scanning every rule once per component,
+    the bodies and sums of rules with a positive head atom in it that
+    reach it through a positive body atom or a positive entry of a
+    non-negated body sum."""
+    members: set[tuple[int, Atom | Body | SumConstraint]] = set()
+    for component in sccs(dependency_graph(program)).nontrivial():
+        label, inside = component.label, component.atoms
+        members.update((label, atom) for atom in inside)
+        for rule in program.rules:
+            if not atoms_of(positive_part(rule.head)) & inside:
+                continue
+            positive = positive_part(rule.body)
+            sums = [element for element in positive
+                    if isinstance(element, SumConstraint)
+                    and atoms_of(positive_part(element)) & inside]
+            if sums or any(isinstance(element, Atom) and element in inside
+                           for element in positive):
+                members.add((label, rule.body))
+            members.update((label, element) for element in sums)
+    return members
 
 
 def brute_answer_sets(program: Program) -> list[Interpretation]:

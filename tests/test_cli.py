@@ -216,9 +216,9 @@ class TestCheck:
         sccs = consequence.sccs
         calls = []
 
-        def counted(graph, program):
-            calls.append(program)
-            return sccs(graph, program)
+        def counted(graph):
+            calls.append(graph)
+            return sccs(graph)
 
         monkeypatch.setattr(consequence, "sccs", counted)
         code, out, _ = run(capsys, "check", str(path),
@@ -365,9 +365,9 @@ def test_one_decomposition_per_command(capsys, toy_file, monkeypatch, argv):
     sccs = consequence.sccs
     calls = []
 
-    def counted(graph, program):
-        calls.append(program)
-        return sccs(graph, program)
+    def counted(graph):
+        calls.append(graph)
+        return sccs(graph)
 
     monkeypatch.setattr(consequence, "sccs", counted)
     code, _, _ = run(capsys, argv[0], toy_file, *argv[1:])

@@ -50,22 +50,15 @@ class TestDependencyGraph:
 
 class TestSccs:
     def test_toy_decomposition(self, toy):
-        decomposition = sccs(dependency_graph(toy), toy)
+        decomposition = sccs(dependency_graph(toy))
         sets = [c.atoms for c in decomposition.components]
         assert sets == [iset("s"), iset("p,r,t"), iset("q")]
         nontrivial = decomposition.nontrivial()
         assert len(nontrivial) == 1 and nontrivial[0].label == 0
 
-    def test_toy_connecting_elements(self, toy):
-        component = sccs(dependency_graph(toy), toy).by_label(0)
-        body_of = lambda i: toy.rules[i].body
-        sum_of = lambda i: toy.rules[i].body[0].element
-        assert component.connecting == (
-            body_of(0), sum_of(0), body_of(1), sum_of(1))
-
     def test_acyclic_all_trivial(self):
         program = parse_program("a :- b. b :- c. c.")
-        decomposition = sccs(dependency_graph(program), program)
+        decomposition = sccs(dependency_graph(program))
         assert all(not c.nontrivial for c in decomposition.components)
         assert all(c.label is None for c in decomposition.components)
 
@@ -74,7 +67,7 @@ class TestSccs:
         for _ in range(40):
             program = random_program(rng, max_atoms=6, max_rules=8)
             graph = dependency_graph(program)
-            decomposition = sccs(graph, program)
+            decomposition = sccs(graph)
             position = {}
             for i, component in enumerate(decomposition.components):
                 for atom in component.atoms:
@@ -84,7 +77,7 @@ class TestSccs:
 
     def test_self_loop_is_nontrivial(self):
         program = parse_program("a :- a.")
-        decomposition = sccs(dependency_graph(program), program)
+        decomposition = sccs(dependency_graph(program))
         assert decomposition.by_label(0).atoms == iset("a")
 
     def test_nontrivial_flags_match_internal_edges(self):
@@ -95,7 +88,7 @@ class TestSccs:
                 (rng.choice(nodes), rng.choice(nodes))
                 for _ in range(rng.randint(0, 2 * len(nodes))))
             graph = DependencyGraph(frozenset(nodes), edges)
-            decomposition = sccs(graph, Program())
+            decomposition = sccs(graph)
             assert sorted(a for c in decomposition.components
                           for a in c.atoms) == sorted(nodes)
             for component in decomposition.components:
@@ -190,7 +183,7 @@ class TestSupportedModel:
         seen = 0
         for _ in range(120):
             program = random_program(rng, max_atoms=5, max_rules=6)
-            decomposition = sccs(dependency_graph(program), program)
+            decomposition = sccs(dependency_graph(program))
             if decomposition.nontrivial():
                 continue
             seen += 1
@@ -228,7 +221,7 @@ class TestWaitLevels:
         rng = random.Random(41)
         for _ in range(80):
             program = random_program(rng, max_atoms=6, max_rules=8)
-            decomposition = sccs(dependency_graph(program), program)
+            decomposition = sccs(dependency_graph(program))
             if not decomposition.nontrivial():
                 continue
             universe = sorted(atoms(program))

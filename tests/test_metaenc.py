@@ -190,9 +190,9 @@ class TestStructure:
     def test_one_decomposition_per_build(self, toy_min, monkeypatch):
         calls = []
 
-        def counted(graph, program):
-            calls.append(program)
-            return sccs(graph, program)
+        def counted(graph):
+            calls.append(graph)
+            return sccs(graph)
 
         monkeypatch.setattr(consequence, "sccs", counted)
         build_meta_program(toy_min, INCL)

@@ -23,6 +23,7 @@ from aspkit.metaenc import crosscheck
 from aspkit.parser import ParseError, parse_program
 from aspkit.reify import (
     MAX_TERM_DEPTH,
+    FactReader,
     ReifyError,
     facts_to_text,
     parse_reified,
@@ -31,7 +32,8 @@ from aspkit.reify import (
 )
 from aspkit.semantics import enumerate_answer_sets
 from conftest import TOY_MIN_TEXT
-from generators import random_program
+from generators import choice_program, random_program
+from reference import scc_members
 
 TOY_MIN_FACTS = """\
 rule(pos(sum(1,0,2)),pos(conjunction(0))).
@@ -103,6 +105,47 @@ class TestReifyShapes:
             reify(program)
         with pytest.raises(ContractViolationError, match="empty sum"):
             crosscheck(program, CriteriaSet())
+
+    def test_components_sharing_a_choice_head(self):
+        """A choice head spanning two components connects each; a
+        duplicate body is listed once, and a body sum whose only entry in
+        the component is negated, or a negated body sum, is no member."""
+        program = parse_program(
+            "{a, c} :- b. b :- a. b :- a. c :- d, 1 {not c, x}. "
+            "d :- c, not 1 {d}. d :- 1 {c, x} 2. x :- not y.")
+        scc_lines = [line for line in facts_to_text(reify(program)).split()
+                     if line.startswith("scc(")]
+        assert scc_lines == [
+            "scc(0,atom(a)).", "scc(0,atom(b)).",
+            "scc(0,conjunction(0)).", "scc(0,conjunction(1)).",
+            "scc(1,atom(c)).", "scc(1,atom(d)).",
+            "scc(1,conjunction(2)).", "scc(1,conjunction(3)).",
+            "scc(1,conjunction(4)).", "scc(1,sum(1,3,2))."]
+
+    def test_scc_members_match_the_rule_scan(self):
+        """The one-pass members equal the per-component rescan of every
+        rule, with sums normalized on both sides."""
+
+        def normal(member):
+            if isinstance(member, SumConstraint):
+                return normalize(Program((Rule(member),))).rules[0].head
+            if isinstance(member, tuple):
+                rule = Rule(Disjunction(()), member)
+                return normalize(Program((rule,))).rules[0].body
+            return member
+
+        rng = random.Random(17)
+        seen = 0
+        for i in range(400):
+            program = (random_program(rng, max_atoms=5, max_rules=8)
+                       if i % 4 else choice_program(rng, max_atoms=5))
+            expected = {(label, normal(m))
+                        for label, m in scc_members(program)}
+            got = {(label, normal(m)) for label, m
+                   in FactReader(reify(program)).scc_members()}
+            assert got == expected
+            seen += any(not isinstance(m, Atom) for _, m in got)
+        assert seen >= 100
 
     def test_minimize_levels_get_separate_lists(self):
         program = parse_program("#minimize[a=1@2, b=2@1, not a=1@2].")
@@ -185,6 +228,13 @@ class TestValidation:
         with pytest.raises(ReifyError, match="scc"):
             parse_reified(text_to_facts(broken))
         extra = TOY_MIN_FACTS + "scc(1,atom(q)).\n"
+        with pytest.raises(ReifyError, match="scc"):
+            parse_reified(text_to_facts(extra))
+        # connecting members are checked as well as atoms
+        broken = self.fact_text_without("scc(0,sum(1,0,2)).\n")
+        with pytest.raises(ReifyError, match="scc"):
+            parse_reified(text_to_facts(broken))
+        extra = TOY_MIN_FACTS + "scc(0,conjunction(2)).\n"
         with pytest.raises(ReifyError, match="scc"):
             parse_reified(text_to_facts(extra))
 
