@@ -148,9 +148,15 @@ def cmd_crosscheck(args) -> int:
     meta = " ".join(_format(s) for s in report.meta)
     print(f"native ({len(report.native)}): {native}")
     print(f"meta   ({len(report.meta)}): {meta}")
+    rejections = dict(report.rejections)
     for x in report.difference:
         side = "native" if x in report.native else "meta"
-        print(f"only {side}: {_format(x)}")
+        reason = ""
+        if x in rejections:
+            guess = rejections[x]
+            reason = " (not a stable candidate)" if guess is None \
+                else f" (escaped by {_format(guess)})"
+        print(f"only {side}: {_format(x)}{reason}")
     print("PASS" if report.agree else "FAIL")
     return EXIT_OK if report.agree else EXIT_DISAGREE
 

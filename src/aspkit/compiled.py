@@ -20,8 +20,8 @@ answer set of a compiled program by depth-first search with Clark
 completion propagation, as in conflict-driven answer-set enumeration
 (Gebser, Kaufmann, Neumann and Schaub, 2007), but with no unfounded-set
 reasoning.  Every complete assignment that survives propagation is a
-supported model, and a supported model none of whose true atoms can
-reach a positive loop is an answer set (Fages, 1994; Erdem and
+supported model, and a supported model none of whose true atoms lies
+on a positive loop is an answer set (Fages, 1994; Erdem and
 Lifschitz, 2003), so without proper disjunctions the least-model check
 decides only the complete assignments that make such an atom true.
 """
@@ -57,10 +57,10 @@ class HornClosure:
     below their lower bound, and each sum the weight it still lacks;
     deriving an atom updates only the rules watching it, so a closure
     costs time linear in the rules' size.  The facts are closed once,
-    into :attr:`root`; :meth:`start` adds a seed to a copy of it and
-    :meth:`extend` one atom to a copy of a closed state.  Atoms are keys
-    indexed in the order of ``atoms``; a key need not be an
-    :class:`Atom`.
+    into :attr:`root`; :meth:`start` adds a seed to a copy of it, or of
+    another closed state, and :meth:`extend` one atom to a copy of a
+    closed state.  Atoms are keys indexed in the order of ``atoms``; a
+    key need not be an :class:`Atom`.
     """
 
     #: Missing count of a rule left out of a closure: no sequence of
@@ -146,11 +146,13 @@ class HornClosure:
                             queue.append(head)
         return False
 
-    def start(self, seed: Iterable[int], goal: int) -> ClosureState | None:
-        """The closure of all rules over the atom indexes ``seed``, or
-        None once it contains the atom index ``goal``; it extends a copy
-        of :attr:`root`, which stays as it was."""
-        derived, missing, need = self.root
+    def start(self, seed: Iterable[int], goal: int,
+              state: ClosureState | None = None) -> ClosureState | None:
+        """The closure of all rules over the closed ``state`` (by default
+        :attr:`root`) and the atom indexes ``seed``, or None once it
+        contains the atom index ``goal``; it extends a copy of ``state``,
+        which stays as it was, so only what ``seed`` adds is closed."""
+        derived, missing, need = self.root if state is None else state
         derived = bytearray(derived)
         queue = []
         for idx in seed:
@@ -484,12 +486,15 @@ class CompiledProgram:
 
 
 def _loop_atoms(program: CompiledProgram) -> int:
-    """The mask of the atoms from which positive edges lead to a cycle, a
-    superset of the atoms on positive loops.  An edge runs from each atom
-    a rule supports to each atom of its positive body and to each
-    positive entry of its non-negated body sums, the atoms the reduct's
-    rule for it needs.  Atoms with no edge to an atom still left are
-    peeled off, without recursion, until none is left."""
+    """The mask of the atoms that both reach a cycle and are reached from
+    one along positive edges, a superset of the atoms on positive loops
+    (every atom on a cycle does both).  An edge runs from each atom a
+    rule supports to each atom of its positive body and to each positive
+    entry of its non-negated body sums, the atoms the reduct's rule for
+    it needs.  Atoms with no edge to an atom still left are peeled off,
+    without recursion, until none is left; then so are atoms with no
+    edge from one.  Peeling the latter makes no atom lose an edge to one
+    still left, so one pass each suffices."""
     n = len(program.atoms)
     successors = [0] * n
     for rule in program.rules:
@@ -500,19 +505,21 @@ def _loop_atoms(program: CompiledProgram) -> int:
         if needs:
             for idx in _indexes(rule.supported):
                 successors[idx] |= needs
-    predecessors: list[list[int]] = [[] for _ in range(n)]
+    predecessors = [0] * n
     for idx, mask in enumerate(successors):
         for target in _indexes(mask):
-            predecessors[target].append(idx)
-    out = [mask.bit_count() for mask in successors]
+            predecessors[target] |= 1 << idx
     loops = (1 << n) - 1
-    peeled = [idx for idx in range(n) if not out[idx]]
-    for idx in peeled:  # grows while it is read
-        loops ^= 1 << idx
-        for source in predecessors[idx]:
-            out[source] -= 1
-            if not out[source]:
-                peeled.append(source)
+    for edges, back in ((successors, predecessors),
+                        (predecessors, successors)):
+        degree = [(mask & loops).bit_count() for mask in edges]
+        peeled = [idx for idx in _indexes(loops) if not degree[idx]]
+        for idx in peeled:  # grows while it is read
+            loops ^= 1 << idx
+            for source in _indexes(back[idx] & loops):
+                degree[source] -= 1
+                if not degree[source]:
+                    peeled.append(source)
     return loops
 
 
@@ -536,9 +543,9 @@ class Search:
     taken for one: the least model of the reduct without proper
     disjunctions, no smaller model of it otherwise.  Without proper
     disjunctions, the least model is only built for a model that makes
-    an atom of :attr:`loops` true: a true atom from which no positive
-    edge leads to a cycle is derived in the reduct from its supporting
-    rule, by induction along those edges.
+    an atom of :attr:`loops` true: otherwise the positive edges among
+    its true atoms form no cycle, and each true atom is derived in the
+    reduct from its supporting rule, by induction along those edges.
 
     The search branches first on atoms occurring positively in a sum
     head, rule by rule, then on the rest, lowest bit first, trying false

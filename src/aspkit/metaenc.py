@@ -45,7 +45,9 @@ are closed when it is built and in which each candidate-side body
 literal of the compare rows is a condition that a candidate seeds.
 Those rules are positive, so a partial guess that derives ``bot``
 refutes every guess extending it: the solver walks the guess bits depth
-first once per candidate and drops such subtrees.  It checks the
+first and drops such subtrees.  A complete guess that escapes ``bot``
+is a better answer set; the solver keeps it, and tests each later
+candidate against the kept guesses before it walks.  It checks the
 structure that makes this sound when it is built.
 """
 
@@ -72,6 +74,7 @@ from .core import (
     sorted_atoms,
 )
 from .compiled import (
+    ClosureState,
     CompiledProgram,
     HornClosure,
     HornRule,
@@ -785,6 +788,8 @@ class MetaSolver:
                                      *mp.compare)]
         self._bot = 2 * n
         self._closure = HornClosure(list(index), horn)
+        #: closed states of the guesses that escaped, tried in this order
+        self._kept: list[ClosureState] = []
         bit = {a.name: b for a, b in self._candidate.bit.items()}
         self._condition_bits = [
             (index[text], bit[text.removeprefix("not ")],
@@ -817,18 +822,39 @@ class MetaSolver:
         """Whether the counterexample side derives bot for every guess,
         given a candidate's ``conditions``.
 
-        A depth-first walk fixes guess bit i at depth i, as fail_atom_i
-        or true_atom_i, each child closing only its one new atom on a
-        copy of its parent's closure.  The rules are positive, so once a
-        partial guess derives bot every completion does too, and its
-        subtree is dropped; a complete guess that escapes bot ends the
-        walk."""
+        The guesses that escaped for earlier candidates are tried first,
+        the one that escaped last first: each is kept as the closure of
+        its guess atoms alone, on which only the conditions are closed.
+        The side is positive, so a kept guess that escapes bot under these
+        conditions is itself a better answer set, and the candidate is
+        rejected without a walk.
+
+        Otherwise a depth-first walk fixes guess bit i at depth i, as
+        fail_atom_i or true_atom_i, each child closing only its one new
+        atom on a copy of its parent's closure.  Once a partial guess
+        derives bot every completion does too, and its subtree is
+        dropped; a complete guess that escapes bot ends the walk and is
+        kept."""
+        return self._escape(conditions) is None
+
+    def _escape(self, conditions: list[int]) -> ClosureState | None:
+        """A closed state of a guess that escapes bot under
+        ``conditions`` (see :meth:`refutes`), or None when there is none."""
         closure = self._closure
         bot = self._bot
+        kept = self._kept
+        for k, guess in enumerate(kept):
+            state = closure.start(conditions, bot, guess)
+            if state is not None:
+                if k:
+                    kept.insert(0, kept.pop(k))
+                return state
         n = len(self.object_atoms)
+        leaves = []
 
         def escapes(state, i: int) -> bool:
             if i == n:
+                leaves.append(state)
                 return True
             for atom in (n + i, i):
                 child = closure.extend(state, atom, bot)
@@ -837,12 +863,35 @@ class MetaSolver:
             return False
 
         root = closure.start(conditions, bot)
-        return root is None or not escapes(root, 0)
+        if root is None or not escapes(root, 0):
+            return None
+        # guess atoms are derived only with bot, so the leaf's derived
+        # guess atoms are the ones the walk fixed
+        leaf = leaves[0]
+        derived = leaf[0]
+        kept.insert(0, closure.start(
+            [i if derived[i] else n + i for i in range(n)], bot))
+        return leaf
 
     def accepted(self, held: int) -> bool:
         """Whether the stable candidate with candidate-side mask ``held``
         survives every guess."""
         return self.refutes(self.conditions(held))
+
+    def rejection(self, x: int) -> Interpretation | None:
+        """Why the object mask ``x`` is not accepted: the guess that
+        escapes refutation for the stable candidate projecting to ``x``,
+        or None when no stable candidate projects to ``x``.  Raises
+        ValueError when ``x`` is accepted."""
+        for held in self.stable_candidates():
+            if self.project(held) == x:
+                state = self._escape(self.conditions(held))
+                if state is None:
+                    raise ValueError(f"{x:#b} is accepted")
+                derived = state[0]
+                return frozenset(a for i, a in enumerate(self.object_atoms)
+                                 if derived[i])
+        return None
 
     def solve(self, limit: int | None = None) -> list[Interpretation]:
         core.check_limit(limit)
@@ -863,6 +912,9 @@ def solve_meta(mp: MetaProgram,
 class CrosscheckReport:
     native: tuple[Interpretation, ...]
     meta: tuple[Interpretation, ...]
+    #: each set only native has, with the guess that escapes refutation
+    #: for it, or None when it is not a stable candidate
+    rejections: tuple[tuple[Interpretation, Interpretation | None], ...] = ()
 
     @property
     def agree(self) -> bool:
@@ -876,8 +928,19 @@ class CrosscheckReport:
 def crosscheck(program: Program, crit: CriteriaSet,
                cap: int = core.DEFAULT_ATOM_CAP) -> CrosscheckReport:
     """Optimal answer sets computed natively and via the reify -> build
-    -> solve pipeline; both sides apply the same criteria defaulting."""
+    -> solve pipeline; both sides apply the same criteria defaulting.  A
+    set only the native side has comes with the meta solver's reason to
+    reject it."""
     native = optimal_answer_sets(
         program, effective_criteria(crit, program.minimize), cap=cap)
-    meta = solve_meta(build_meta_program(program, crit))
-    return CrosscheckReport(tuple(native), tuple(meta))
+    mp = build_meta_program(program, crit)
+    meta = solve_meta(mp)
+    found = set(meta)
+    lacking = [x for x in native if x not in found]
+    rejections = ()
+    if lacking:
+        solver = MetaSolver(mp)
+        bit = {a: 1 << i for i, a in enumerate(solver.object_atoms)}
+        rejections = tuple((x, solver.rejection(sum(map(bit.get, x))))
+                           for x in lacking)
+    return CrosscheckReport(tuple(native), tuple(meta), rejections)

@@ -12,7 +12,9 @@ interpretation, or every hold-projection of a meta candidate, with the
 compiled checks, as enumeration did before it searched.
 ``closure_of_rules`` compiles positive syntax-object rules into a
 ``HornClosure`` on its own, and ``row_of_rule`` writes a rule as a row
-of the check program's counterexample side."""
+of the check program's counterexample side.  ``fresh_meta_solve`` asks
+a new meta solver about each stable candidate, so no candidate is
+tested against a guess kept for another."""
 
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from aspkit.core import (
     atoms_of,
     positive_part,
 )
+from aspkit.metaenc import MetaProgram, MetaSolver
 from aspkit.semantics import canonical_order, is_model, satisfies
 
 
@@ -230,6 +233,17 @@ def brute_stable_candidates(solver) -> list[int]:
         if candidate.is_answer_set(held):
             found.append(held)
     return found
+
+
+def fresh_meta_solve(mp: MetaProgram) -> list[Interpretation]:
+    """The hold-projections of the stable candidates that a fresh
+    ``MetaSolver`` of ``mp``, one per candidate, accepts by its own walk;
+    in canonical order."""
+    solver = MetaSolver(mp)
+    return canonical_order(
+        solver.decode(solver.project(held))
+        for held in solver.stable_candidates()
+        if MetaSolver(mp).accepted(held))
 
 
 def closure_of_rules(rules: Iterable[Rule],

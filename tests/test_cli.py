@@ -341,19 +341,31 @@ class TestCrosscheck:
                                                  monkeypatch):
         p, q, r = (Atom(n) for n in "pqr")
         report = metaenc.CrosscheckReport(
-            native=(frozenset({p}), frozenset({p, q})),
-            meta=(frozenset({p}), frozenset({r}), frozenset()))
+            native=(frozenset({p}), frozenset({p, q}), frozenset({q})),
+            meta=(frozenset({p}), frozenset({r}), frozenset()),
+            rejections=((frozenset({p, q}), frozenset({p})),
+                        (frozenset({q}), None)))
         monkeypatch.setattr(metaenc, "crosscheck", lambda *_, **__: report)
         code, out, _ = run(capsys, "crosscheck", toy_file)
         assert code == 1
         assert out.splitlines() == [
-            "native (2): {p} {p,q}",
+            "native (3): {p} {p,q} {q}",
             "meta   (3): {p} {r} {}",
             "only meta: {}",
-            "only native: {p,q}",
+            "only native: {p,q} (escaped by {p})",
+            "only native: {q} (not a stable candidate)",
             "only meta: {r}",
             "FAIL",
         ]
+
+    def test_fail_without_rejections_prints_bare_sets(self, capsys, toy_file,
+                                                      monkeypatch):
+        p = Atom("p")
+        report = metaenc.CrosscheckReport(native=(frozenset({p}),), meta=())
+        monkeypatch.setattr(metaenc, "crosscheck", lambda *_, **__: report)
+        code, out, _ = run(capsys, "crosscheck", toy_file)
+        assert code == 1 and out.splitlines()[-2:] == ["only native: {p}",
+                                                        "FAIL"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -311,8 +311,9 @@ def loop_mask(program):
     # without the check, {a,b,c,d} is not
     ("a :- b. b :- a. c :- 1 #sum[not a=1]. d :- not 1 #sum[b=1].",
      ["c,d"], "a,b"),
-    # c depends on a false loop, so a supported model with c is checked
-    ("a :- b. b :- a. c :- a. {d}.", ["", "d"], "a,b,c"),
+    # c needs the loop but lies on none: only a model that makes a or b
+    # true is checked, and a supported model with c is one
+    ("a :- b. b :- a. c :- a. {d}.", ["", "d"], "a,b"),
     # the same loop with outside support
     ("a :- b. b :- a. a :- c. {c}.", ["", "a,b,c"], "a,b"),
     # a chain whose last link is a choice has no loop

@@ -31,7 +31,7 @@ from aspkit.parser import parse_criteria, parse_program, render_program
 from aspkit.reify import facts_to_text, parse_reified, reify, text_to_facts
 from aspkit.semantics import enumerate_answer_sets
 from generators import choice_program, iset, random_criteria, random_program
-from reference import row_of_rule
+from reference import fresh_meta_solve, row_of_rule
 
 INCL = parse_criteria("optimize(1,1,incl).")
 CARD = parse_criteria("optimize(1,1,card).")
@@ -226,6 +226,17 @@ b2 :- a2, not a3.
 :- not a0, not a1, not a2, not a3.
 #minimize[a0=1@1, a1=1@1, a2=1@1, a3=1@1].
 """
+
+
+def chain_text(k: int) -> str:
+    """A k-choice chain like CHAIN4_TEXT: under inclusion its optima are
+    the k singletons, each a_i with b_i (but a_k-1 alone)."""
+    lines = [f"{{a{i}}}." for i in range(k)]
+    lines += [f"b{i} :- a{i}, not a{i + 1}." for i in range(k - 1)]
+    lines.append(":- " + ", ".join(f"not a{i}" for i in range(k)) + ".")
+    lines.append("#minimize[" + ", ".join(f"a{i}=1@1" for i in range(k))
+                 + "].")
+    return "\n".join(lines) + "\n"
 
 
 class TestRowsMakeNoRules:
@@ -575,13 +586,17 @@ class TestSaturationSoundness:
         prefix_of = {}
         alive = []  # keeps every state alive, so its id stays unique
 
-        def start(seed, goal):
-            state = HornClosure.start(closure, seed, goal)
-            walks.append((list(seed), {}))
-            if state is not None:
-                prefix_of[id(state)] = ()
-                alive.append(state)
-            return state
+        def start(seed, goal, state=None):
+            seed = list(seed)
+            closed = HornClosure.start(closure, seed, goal, state)
+            # a walk starts from root with the conditions alone; a kept
+            # guess is closed from root too, but from its guess atoms
+            if state is None and all(i > bot for i in seed):
+                walks.append((seed, {}))
+                if closed is not None:
+                    prefix_of[id(closed)] = ()
+                    alive.append(closed)
+            return closed
 
         def extend(state, atom, goal):
             seed, visited = walks[-1]
@@ -598,8 +613,10 @@ class TestSaturationSoundness:
 
         closure.start, closure.extend = start, extend
         assert solver.solve() == [iset("p,q"), iset("p,r"), iset("s,t")]
-        # one walk per stable candidate, all its conditions closed once
-        assert len(walks) == 5
+        # one walk per accepted candidate and one for the first rejected
+        # one, all its conditions closed once; the guess that walk kept
+        # rejects the other dominated candidate without a walk
+        assert len(walks) == 4 and len(solver._kept) == 1
         for seed, visited in walks:
             for prefix, survived in visited.items():
                 refuted = HornClosure.start(closure, seed + list(prefix), bot)
@@ -607,6 +624,40 @@ class TestSaturationSoundness:
         # pruning keeps each walk under half the tree of partial guesses
         full_tree = 2 * ((1 << n) - 1)
         assert all(len(visited) < full_tree // 2 for _, visited in walks)
+
+    @staticmethod
+    def walks(solver) -> list[list[int]]:
+        """The seeds of the walks ``solver`` makes from now on: each
+        starts from root with its candidate's conditions alone."""
+        closure, bot = solver._closure, solver._bot
+        seeds = []
+
+        def start(seed, goal, state=None):
+            seed = list(seed)
+            if state is None and all(i > bot for i in seed):
+                seeds.append(seed)
+            return HornClosure.start(closure, seed, goal, state)
+
+        closure.start = start
+        return seeds
+
+    def test_kept_guesses_reject_a_chain_without_walks(self):
+        k = 8
+        solver = MetaSolver(build(parse_program(chain_text(k)), INCL))
+        walks = self.walks(solver)
+        optima = [iset(f"a{i},b{i}") for i in range(k - 1)]
+        assert solver.solve() == optima + [iset(f"a{k - 1}")]
+        # a walk per optimum, and one per kept guess; without the kept
+        # guesses, each of the 2^k - 1 stable candidates walks
+        assert len(walks) == 2 * k - 1 and len(solver._kept) == k - 1
+
+    def test_nothing_kept_when_every_candidate_is_optimal(self):
+        text = "{a}. {b}. {c}.\n#minimize[" + ", ".join(
+            f"{lit}=1@1" for a in "abc" for lit in (a, f"not {a}")) + "]."
+        solver = MetaSolver(build(parse_program(text), INCL))
+        walks = self.walks(solver)
+        assert len(solver.solve()) == 8
+        assert len(walks) == 8 and solver._kept == []
 
     def test_solver_memory_does_not_grow_with_guesses(self):
         text = "".join(f"{{a{i}}}.\n" for i in range(26))
@@ -713,6 +764,73 @@ class TestCrosscheck:
     def test_report_difference(self, toy_min):
         report = crosscheck(toy_min, INCL)
         assert report.difference == ()
+
+
+def kept_guesses_met(program, crit) -> int:
+    """Kept guesses change no answer: one solver for every candidate
+    accepts what a fresh solver per candidate accepts.  Returns how many
+    stable candidates met a kept guess."""
+    mp = build(program, crit)
+    assert solve_meta(mp) == fresh_meta_solve(mp)
+    solver = MetaSolver(mp)
+    met = 0
+    for held in solver.stable_candidates():
+        met += bool(solver._kept)
+        solver.accepted(held)
+    return met
+
+
+def test_kept_guesses_accept_what_fresh_walks_accept():
+    """``random_program`` draws seldom have two answer sets, so the loop
+    is long and counts the candidates that met a kept guess."""
+    rng = random.Random(83)
+    met = 0
+    for _ in range(600):
+        program = random_program(rng, max_atoms=6, max_rules=6,
+                                 minimize=True)
+        met += kept_guesses_met(program, random_criteria(rng, program))
+    assert met >= 30, met
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_kept_guesses_accept_what_fresh_walks_accept_on_choices(seed):
+    rng = random.Random(seed)
+    program = choice_program(rng, max_atoms=5)
+    kept_guesses_met(program, random_criteria(rng, program))
+
+
+class TestRejection:
+    """Why the meta route rejects an object set, on a 3-choice chain."""
+
+    def solver(self):
+        return MetaSolver(build(parse_program(chain_text(3)), INCL))
+
+    def test_two_set_is_escaped_by_a_singleton(self):
+        solver = self.solver()
+        assert solver.rejection(mask(solver, iset("a0,a2,b0"))) == iset("a2")
+
+    def test_optimum_gets_no_witness(self):
+        solver = self.solver()
+        with pytest.raises(ValueError):
+            solver.rejection(mask(solver, iset("a0,b0")))
+
+    def test_non_answer_sets_are_not_stable_candidates(self):
+        solver = self.solver()
+        for x in (iset("a0"), iset("")):
+            assert solver.rejection(mask(solver, x)) is None
+
+    def test_crosscheck_reports_each_set_only_native_has(self, monkeypatch):
+        program = parse_program(chain_text(3))
+        claimed = [iset("a0,b0"), iset("a0,a2,b0"), iset("a0")]
+        monkeypatch.setattr("aspkit.metaenc.optimal_answer_sets",
+                            lambda *_, **__: claimed)
+        report = crosscheck(program, INCL)
+        assert not report.agree
+        assert report.rejections == (
+            (iset("a0,a2,b0"), iset("a2")), (iset("a0"), None))
+        monkeypatch.undo()
+        assert crosscheck(program, INCL).rejections == ()
 
 
 class TestTheoremEquivalenceDirect:
