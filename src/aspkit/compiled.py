@@ -29,6 +29,7 @@ decides only the complete assignments that make such an atom true.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Sequence
+from functools import cached_property
 
 from .core import (
     Atom,
@@ -348,6 +349,15 @@ class _Rule:
             return bool(x & self.head)
         return self.head_sum.holds(x)
 
+    def reads(self) -> int:
+        """The mask of the atoms the body reads: its plain atoms and the
+        entries of its sums."""
+        reads = self.pos | self.neg
+        for s, _ in self.sums:
+            for b, _ in s.positive + s.negative:
+                reads |= b
+        return reads
+
 
 class CompiledProgram:
     """A rule list compiled against a fixed atom order; interpretations
@@ -370,6 +380,15 @@ class CompiledProgram:
                 rule.closure.append((len(horn), 1 << idx))
                 horn.append((idx, plain, sums))
         self.horn = HornClosure(self.atoms, horn)
+
+    @cached_property
+    def supporting(self) -> list[list[_Rule]]:
+        """Per atom index, the rules that support the atom."""
+        supporting: list[list[_Rule]] = [[] for _ in self.atoms]
+        for rule in self.rules:
+            for idx in _indexes(rule.supported):
+                supporting[idx].append(rule)
+        return supporting
 
     def decode(self, x: int) -> Interpretation:
         return frozenset(map(self.atoms.__getitem__, _indexes(x)))

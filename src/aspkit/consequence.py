@@ -7,14 +7,16 @@ be localized to the strongly connected components of the positive
 dependency graph.  Wait levels are the complement of that local
 fixpoint: the true atoms of a component that are still underivable
 after as many steps as the component has atoms.  They are read off one
-least model of the compiled reduct, seeded with the true atoms outside
-the component, which :class:`aspkit.compiled.HornClosure` computes in
-time linear in the program.
+least model of the component's part of the compiled reduct, seeded with
+the true atoms outside the component that this part reads, which
+:class:`aspkit.compiled.HornClosure` computes in time linear in the
+program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     Atom,
@@ -25,7 +27,7 @@ from .core import (
     positive_part,
     sorted_atoms,
 )
-from .compiled import CompiledProgram
+from .compiled import CompiledProgram, _indexes
 from .semantics import compile_program
 
 
@@ -57,11 +59,15 @@ class SccDecomposition:
     def nontrivial(self) -> tuple[SccComponent, ...]:
         return tuple(c for c in self.components if c.nontrivial)
 
+    @cached_property
+    def _labeled(self) -> dict[int, SccComponent]:
+        return {c.label: c for c in self.components if c.nontrivial}
+
     def by_label(self, label: int) -> SccComponent:
-        for component in self.components:
-            if component.label == label:
-                return component
-        raise ValueError(f"unknown component label {label}")
+        try:
+            return self._labeled[label]
+        except KeyError:
+            raise ValueError(f"unknown component label {label}") from None
 
 
 def dependency_graph(program: Program) -> DependencyGraph:
@@ -153,24 +159,37 @@ def wait_levels(program: Program, x: Interpretation, label: int,
     atoms of the component outside one least model: that of the reduct
     rules whose body holds in ``x`` and that support a true atom of the
     component (a disjunctive head supports each of its atoms), closed
-    from the true atoms outside the component.
+    from the true atoms outside the component that those rules read.
 
     ``decomposition`` is the program's SCC decomposition and
     ``compiled`` the program as :func:`aspkit.semantics.compile_program`
-    compiles it; each is computed here when not given.
+    compiles it; each is computed here when not given.  Given both, a
+    call reads only the rules that support a true atom of the component
+    and the atoms those rules read, so a call per component costs time
+    linear in the program in all.
     """
     if decomposition is None:
         decomposition = sccs(dependency_graph(program))
     if compiled is None:
         compiled = compile_program(program)
     members = decomposition.by_label(label).atoms
-    mask = compiled.encode(x.intersection(compiled.bit))
-    inside = mask & compiled.encode(members)
-    applied = [rule for rule in compiled.rules
-               if rule.supported & inside and rule.body_holds(mask)]
-    index = compiled.horn.index
+    bit = compiled.bit
+    inside = sum(bit[a] for a in members if a in x)
+    reads = {rule: rule.reads() for idx in _indexes(inside)
+             for rule in compiled.supporting[idx]}
+    # x on the atoms these rules read, which is all that their bodies
+    # and reducts look at
+    read = 0
+    for rule_reads in reads.values():
+        read |= rule_reads
+    mask = inside | sum(bit[a] for a in compiled.decode(read) - members
+                        if a in x)
+    applied = [rule for rule in reads if rule.body_holds(mask)]
+    seed = 0
+    for rule in applied:
+        seed |= reads[rule]
     derived = compiled.horn.least_model(
         compiled.reduct_rules(mask, applied, inside),
-        [index[a] for a in x - members if a in index])
+        _indexes(seed & mask & ~inside))
     underived = inside & ~sum(1 << idx for idx in derived)
     return ComponentWait(label, len(members), compiled.decode(underived))

@@ -19,12 +19,22 @@ names are lowercase-initial; an uppercase-initial token anywhere is
 rejected as non-ground input.  At most one ``#minimize`` statement is
 accepted.  Criteria are a separate input of ``optimize(J,W,O).`` and
 ``prefer(L1,L2).`` facts.
+
+Program, criteria and fact text (:func:`aspkit.reify.text_to_facts`)
+share one lexer: one ``findall`` of one pattern gives the tokens as
+strings, with whitespace and comments skipped inside the pattern and
+``""`` at the end, and each reader walks that list by index.  A
+variable-like token or a bad character anywhere is reported before any
+syntax error.  A line and column are worked out only for an error, by
+lexing again up to the failing token.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import (
     Atom,
@@ -60,20 +70,23 @@ class ParseError(Exception):
         self.span = span
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<hashword>\#[A-Za-z]+)
-  | (?P<name>[a-z][A-Za-z0-9_]*)
-  | (?P<upper>[A-Z_][A-Za-z0-9_]*)
-  | (?P<int>-?[0-9]+)
-  | (?P<arrow>:-)
-  | (?P<punct>[.,|{}\[\]()=@])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+#: Whitespace and ``%`` comments, skipped between tokens.
+_SKIP = r"\s+|%[^\n]*"
+#: Hashwords, names, integers, the arrow and punctuation; a token's kind
+#: is told by its first character.
+_VALID = r"#[A-Za-z]+|[a-z][A-Za-z0-9_]*|-?[0-9]+|:-|[.,|{}\[\]()=@]"
+#: One token per match, after the skipped text: a valid token, a
+#: variable-like token, any other single character, or ``""`` at the
+#: end of the text.  Trailing skipped text gives a second ``""``.
+_TOKEN_RE = re.compile(rf"(?:{_SKIP})*({_VALID}|[A-Z_][A-Za-z0-9_]*|.|\Z)",
+                       re.DOTALL)
+#: The longest prefix of skipped text and valid tokens: it ends where the
+#: first variable-like token or bad character starts.
+_VALID_RE = re.compile(rf"(?:{_SKIP}|{_VALID})*")
+
+_LOWER = frozenset(string.ascii_lowercase)
+_UPPER = frozenset(string.ascii_uppercase + "_")
+_INT_START = frozenset("-" + string.digits)
 
 
 def _span(text: str, pos: int) -> SourceSpan:
@@ -82,230 +95,300 @@ def _span(text: str, pos: int) -> SourceSpan:
                       pos - text.rfind("\n", 0, pos))
 
 
-#: A token: kind, text and offset in the source.
-_Token = tuple[str, str, int]
+def _lex(text: str) -> list[str]:
+    """The tokens of program, criteria or fact text, ending with ``""``.
+
+    A variable-like token or a bad character anywhere is reported here,
+    before any syntax error."""
+    end = _VALID_RE.match(text).end()
+    if end < len(text):
+        token = _TOKEN_RE.match(text, end)[1]
+        if token[0] in _UPPER:
+            message = f"non-ground input: variable-like token {token!r}"
+        else:
+            message = f"unexpected character {token!r}"
+        raise ParseError(message, _span(text, end))
+    return _TOKEN_RE.findall(text)
 
 
-def tokenize(text: str) -> list[_Token]:
-    """Lex program, criteria, or fact text into tokens, ending with eof."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        value = m.group()
-        if kind == "name" and value == "not":
-            kind = "not"
-        elif kind == "upper":
-            raise ParseError(f"non-ground input: variable-like token {value!r}",
-                             _span(text, m.start()))
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {value!r}",
-                             _span(text, m.start()))
-        tokens.append((kind, value, m.start()))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+class _Failure(Exception):
+    """A syntax error at the token of index ``index``; :func:`_read`
+    gives it a line and column."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.message = message
+        self.index = index
 
 
-class _TokenStream:
-    """A cursor over the tokens of ``text``; spans are made only for errors."""
-
-    def __init__(self, text: str):
-        self._text = text
-        self._tokens = tokenize(text)
-        self._pos = 0
-
-    @property
-    def current(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def error(self, message: str, token: _Token) -> ParseError:
-        return ParseError(message, _span(self._text, token[2]))
-
-    def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self._tokens[self._pos]
-        return tok[0] == kind and (value is None or tok[1] == value)
-
-    def take(self, kind: str, value: str | None = None) -> _Token:
-        tok = self._tokens[self._pos]
-        if not self.at(kind, value):
-            want = value if value is not None else kind
-            raise self.error(f"expected {want!r}, found {tok[1]!r}", tok)
-        self._pos += 1
-        return tok
-
-    def take_if(self, kind: str, value: str | None = None) -> _Token | None:
-        if self.at(kind, value):
-            return self.take(kind, value)
-        return None
+def _read(text: str, reader):
+    """``reader`` applied to the tokens of ``text``.  The offset of a
+    failing token is found only for its error, by lexing again up to it."""
+    tokens = _lex(text)
+    try:
+        return reader(tokens)
+    except _Failure as failure:
+        match = next(islice(_TOKEN_RE.finditer(text), failure.index, None))
+        raise ParseError(failure.message,
+                         _span(text, match.start(1))) from None
 
 
-def _parse_atom(ts: _TokenStream) -> Atom:
-    return Atom(ts.take("name")[1])
+def _is_name(token: str) -> bool:
+    return token[:1] in _LOWER and token != "not"
 
 
-def _parse_literal(ts: _TokenStream) -> Literal:
-    negated = ts.take_if("not") is not None
-    return Literal(_parse_atom(ts), negated)
+def _expected(want: str, tokens: list[str], i: int) -> _Failure:
+    return _Failure(f"expected {want!r}, found {tokens[i]!r}", i)
 
 
-def _at_sum(ts: _TokenStream) -> bool:
-    return ts.at("int") or ts.at("punct", "{") or ts.at("hashword", "#sum")
+def _take(tokens: list[str], i: int, want: str) -> int:
+    """The index after token ``i``, which must be ``want``."""
+    if tokens[i] != want:
+        raise _expected(want, tokens, i)
+    return i + 1
 
 
-def _parse_sum(ts: _TokenStream) -> SumConstraint:
-    lower = None
-    if tok := ts.take_if("int"):
-        lower = int(tok[1])
-    elements: list[WeightedLiteral] = []
-    if ts.take_if("punct", "{"):
+def _int(tokens: list[str], i: int) -> int:
+    token = tokens[i]
+    if token[:1] not in _INT_START:
+        raise _expected("int", tokens, i)
+    return int(token)
+
+
+def _at_sum(token: str) -> bool:
+    return token[:1] in _INT_START or token == "{" or token == "#sum"
+
+
+#: The head of every integrity constraint.
+_FALSITY = Disjunction(())
+
+
+class _ProgramReader:
+    """Reads a program from its tokens.  Each distinct atom, literal, atom
+    body literal and one-atom head is built once per reader and shared:
+    all of them are immutable.  Methods take the index of their first
+    token; those that read more than one token also return the index
+    after their last."""
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.atoms: dict[str, Atom] = {}
+        #: by name, one dict per sign: not negated, then negated
+        self.literals: tuple[dict[str, Literal], ...] = ({}, {})
+        self.body_literals: tuple[dict[str, BodyLiteral], ...] = ({}, {})
+        self.heads: dict[str, Disjunction] = {}
+
+    def atom(self, i: int) -> Atom:
+        name = self.tokens[i]
+        atom = self.atoms.get(name)
+        if atom is None:
+            if not _is_name(name):
+                raise _expected("name", self.tokens, i)
+            atom = self.atoms[name] = Atom(name)
+        return atom
+
+    def literal(self, i: int) -> tuple[Literal, int]:
+        negated = self.tokens[i] == "not"
+        i += negated
+        name = self.tokens[i]
+        cache = self.literals[negated]
+        literal = cache.get(name)
+        if literal is None:
+            literal = cache[name] = Literal(self.atom(i), negated)
+        return literal, i + 1
+
+    def sum(self, i: int) -> tuple[SumConstraint, int]:
+        tokens = self.tokens
+        lower = upper = None
+        if tokens[i][:1] in _INT_START:
+            lower = int(tokens[i])
+            i += 1
+        elements: list[WeightedLiteral] = []
+        if tokens[i] == "{":
+            i += 1
+            while True:
+                literal, i = self.literal(i)
+                elements.append(WeightedLiteral(literal, 1))
+                if tokens[i] != ",":
+                    break
+                i += 1
+            i = _take(tokens, i, "}")
+        else:
+            i = _take(tokens, _take(tokens, i, "#sum"), "[")
+            while True:
+                literal, i = self.literal(i)
+                weight = 1
+                if tokens[i] == "=":
+                    weight = _int(tokens, i + 1)
+                    if weight < 0:
+                        raise _Failure("negative weight in #sum constraint",
+                                       i + 1)
+                    i += 2
+                elements.append(WeightedLiteral(literal, weight))
+                if tokens[i] != ",":
+                    break
+                i += 1
+            i = _take(tokens, i, "]")
+        if tokens[i][:1] in _INT_START:
+            upper = int(tokens[i])
+            i += 1
+        return SumConstraint(lower, tuple(elements), upper), i
+
+    def head(self, i: int) -> tuple[Disjunction | SumConstraint, int]:
+        tokens = self.tokens
+        name = tokens[i]
+        head = self.heads.get(name)
+        if head is None:
+            if _at_sum(name):
+                return self.sum(i)
+            head = self.heads[name] = Disjunction((self.atom(i),))
+        i += 1
+        if tokens[i] != "|":
+            return head, i
+        atoms = list(head.atoms)
+        while tokens[i] == "|":
+            atoms.append(self.atom(i + 1))
+            i += 2
+        return Disjunction(tuple(atoms)), i
+
+    def body(self, i: int) -> tuple[Body, int]:
+        tokens = self.tokens
+        literals: list[BodyLiteral] = []
         while True:
-            elements.append(WeightedLiteral(_parse_literal(ts), 1))
-            if not ts.take_if("punct", ","):
-                break
-        ts.take("punct", "}")
-    else:
-        ts.take("hashword", "#sum")
-        ts.take("punct", "[")
-        while True:
-            literal = _parse_literal(ts)
-            weight = 1
-            if ts.take_if("punct", "="):
-                wtok = ts.take("int")
-                weight = int(wtok[1])
-                if weight < 0:
-                    raise ts.error("negative weight in #sum constraint", wtok)
-            elements.append(WeightedLiteral(literal, weight))
-            if not ts.take_if("punct", ","):
-                break
-        ts.take("punct", "]")
-    upper = None
-    if tok := ts.take_if("int"):
-        upper = int(tok[1])
-    return SumConstraint(lower, tuple(elements), upper)
+            negated = tokens[i] == "not"
+            i += negated
+            name = tokens[i]
+            cache = self.body_literals[negated]
+            literal = cache.get(name)
+            if literal is not None:
+                i += 1
+            elif _at_sum(name):
+                element, i = self.sum(i)
+                literal = BodyLiteral(element, negated)
+            else:
+                literal = cache[name] = BodyLiteral(self.atom(i), negated)
+                i += 1
+            literals.append(literal)
+            if tokens[i] != ",":
+                return tuple(literals), i
+            i += 1
 
+    def minimize_entries(self, i: int) -> tuple[tuple[MinimizeEntry, ...], int]:
+        tokens = self.tokens
+        i = _take(tokens, i, "[")
+        entries: list[MinimizeEntry] = []
+        if tokens[i] != "]":
+            while True:
+                literal, i = self.literal(i)
+                weight = level = 1
+                if tokens[i] == "=":
+                    weight = _int(tokens, i + 1)
+                    i += 2
+                if tokens[i] == "@":
+                    level = _int(tokens, i + 1)
+                    i += 2
+                entries.append(MinimizeEntry(literal, weight, level))
+                if tokens[i] != ",":
+                    break
+                i += 1
+        return tuple(entries), _take(tokens, i, "]")
 
-def _parse_head(ts: _TokenStream):
-    if _at_sum(ts):
-        return _parse_sum(ts)
-    atoms = [_parse_atom(ts)]
-    while ts.take_if("punct", "|"):
-        atoms.append(_parse_atom(ts))
-    return Disjunction(tuple(atoms))
-
-
-def _parse_body(ts: _TokenStream) -> Body:
-    literals: list[BodyLiteral] = []
-    while True:
-        negated = ts.take_if("not") is not None
-        element = _parse_sum(ts) if _at_sum(ts) else _parse_atom(ts)
-        literals.append(BodyLiteral(element, negated))
-        if not ts.take_if("punct", ","):
-            break
-    return tuple(literals)
-
-
-def _parse_minimize_entries(ts: _TokenStream) -> tuple[MinimizeEntry, ...]:
-    ts.take("punct", "[")
-    entries: list[MinimizeEntry] = []
-    if not ts.at("punct", "]"):
-        while True:
-            literal = _parse_literal(ts)
-            weight, level = 1, 1
-            if ts.take_if("punct", "="):
-                weight = int(ts.take("int")[1])
-            if ts.take_if("punct", "@"):
-                level = int(ts.take("int")[1])
-            entries.append(MinimizeEntry(literal, weight, level))
-            if not ts.take_if("punct", ","):
-                break
-    ts.take("punct", "]")
-    return tuple(entries)
+    def program(self) -> Program:
+        tokens = self.tokens
+        rules: list[Rule] = []
+        minimize: MinimizeStatement | None = None
+        i = 0
+        while token := tokens[i]:
+            if token[0] == "#" and token != "#sum":
+                if token != "#minimize":
+                    raise _Failure(f"unknown directive {token!r}", i)
+                if minimize is not None:
+                    raise _Failure("duplicate #minimize statement", i)
+                entries, i = self.minimize_entries(i + 1)
+                minimize = MinimizeStatement(entries)
+                i = _take(tokens, i, ".")
+                continue
+            if token == ":-":
+                head: Disjunction | SumConstraint = _FALSITY
+                i += 1
+            else:
+                head, i = self.head(i)
+                if tokens[i] != ".":
+                    if tokens[i] != ":-":
+                        raise _expected("arrow", tokens, i)
+                    i += 1
+            body: Body = ()
+            if tokens[i] != ".":
+                body, i = self.body(i)
+            i = _take(tokens, i, ".")
+            rules.append(Rule(head, body))
+        return Program(tuple(rules), minimize or MinimizeStatement())
 
 
 def parse_program(text: str) -> Program:
     """Parse program text; raises :class:`ParseError` with a source span."""
-    ts = _TokenStream(text)
-    rules: list[Rule] = []
-    minimize: MinimizeStatement | None = None
-    while not ts.at("eof"):
-        if ts.at("hashword", "#minimize"):
-            tok = ts.take("hashword")
-            if minimize is not None:
-                raise ts.error("duplicate #minimize statement", tok)
-            minimize = MinimizeStatement(_parse_minimize_entries(ts))
-            ts.take("punct", ".")
-            continue
-        if ts.at("hashword") and ts.current[1] != "#sum":
-            raise ts.error(f"unknown directive {ts.current[1]!r}", ts.current)
-        if ts.take_if("arrow"):
-            head: Disjunction | SumConstraint = Disjunction(())
+    return _read(text, lambda tokens: _ProgramReader(tokens).program())
+
+
+def _literal_term(tokens: list[str], i: int) -> tuple[Literal, int]:
+    """A ``pos(atom(a))`` or ``neg(atom(a))`` term from index ``i``."""
+    wrapper = tokens[i]
+    if not _is_name(wrapper):
+        raise _expected("name", tokens, i)
+    if wrapper not in ("pos", "neg"):
+        raise _Failure("expected pos(...) or neg(...) literal term", i)
+    i = _take(tokens, _take(tokens, _take(tokens, i + 1, "("), "atom"), "(")
+    if not _is_name(tokens[i]):
+        raise _expected("name", tokens, i)
+    literal = Literal(Atom(tokens[i]), wrapper == "neg")
+    return literal, _take(tokens, _take(tokens, i + 1, ")"), ")")
+
+
+def _criteria(tokens: list[str]) -> CriteriaSet:
+    relations: list[tuple[int, int, str]] = []
+    seen: dict[tuple[int, int], str] = {}
+    prefer: list[tuple[Literal, Literal]] = []
+    i = 0
+    while token := tokens[i]:
+        if token == "optimize":
+            i = _take(tokens, i + 1, "(")
+            level = _int(tokens, i)
+            i = _take(tokens, i + 1, ",")
+            weight = _int(tokens, i)
+            i = _take(tokens, i + 1, ",")
+            criterion, at = tokens[i], i
+            if not _is_name(criterion):
+                raise _expected("name", tokens, i)
+            if criterion not in ("card", "incl", "pref"):
+                raise _Failure(f"unknown criterion {criterion!r}", i)
+            i = _take(tokens, i + 1, ")")
+            key = (level, weight)
+            if key in seen and seen[key] != criterion:
+                raise _Failure(
+                    f"conflicting criteria for level {level}, weight {weight}",
+                    at)
+            if key not in seen:
+                seen[key] = criterion
+                relations.append((level, weight, criterion))
+        elif token == "prefer":
+            first, i = _literal_term(tokens, _take(tokens, i + 1, "("))
+            second, i = _literal_term(tokens, _take(tokens, i, ","))
+            i = _take(tokens, i, ")")
+            pair = (first, second)
+            if pair not in prefer:
+                prefer.append(pair)
+        elif not _is_name(token):
+            raise _expected("name", tokens, i)
         else:
-            head = _parse_head(ts)
-            if not ts.at("punct", "."):
-                ts.take("arrow")
-        body: Body = ()
-        if not ts.at("punct", "."):
-            body = _parse_body(ts)
-        ts.take("punct", ".")
-        rules.append(Rule(head, body))
-    return Program(tuple(rules), minimize or MinimizeStatement())
-
-
-def _parse_literal_term(ts: _TokenStream) -> Literal:
-    tok = ts.take("name")
-    if tok[1] not in ("pos", "neg"):
-        raise ts.error("expected pos(...) or neg(...) literal term", tok)
-    ts.take("punct", "(")
-    ts.take("name", "atom")
-    ts.take("punct", "(")
-    atom = _parse_atom(ts)
-    ts.take("punct", ")")
-    ts.take("punct", ")")
-    return Literal(atom, tok[1] == "neg")
+            raise _Failure(
+                f"expected optimize(...) or prefer(...), found {token!r}", i)
+        i = _take(tokens, i, ".")
+    return CriteriaSet(tuple(relations), tuple(prefer))
 
 
 def parse_criteria(text: str) -> CriteriaSet:
     """Parse ``optimize(J,W,O).`` and ``prefer(L1,L2).`` facts."""
-    ts = _TokenStream(text)
-    relations: list[tuple[int, int, str]] = []
-    seen: dict[tuple[int, int], str] = {}
-    prefer: list[tuple[Literal, Literal]] = []
-    while not ts.at("eof"):
-        tok = ts.take("name")
-        if tok[1] == "optimize":
-            ts.take("punct", "(")
-            level = int(ts.take("int")[1])
-            ts.take("punct", ",")
-            weight = int(ts.take("int")[1])
-            ts.take("punct", ",")
-            crit_tok = ts.take("name")
-            criterion = crit_tok[1]
-            if criterion not in ("card", "incl", "pref"):
-                raise ts.error(f"unknown criterion {criterion!r}", crit_tok)
-            ts.take("punct", ")")
-            key = (level, weight)
-            if key in seen and seen[key] != criterion:
-                raise ts.error(
-                    f"conflicting criteria for level {level}, weight {weight}",
-                    crit_tok)
-            if key not in seen:
-                seen[key] = criterion
-                relations.append((level, weight, criterion))
-        elif tok[1] == "prefer":
-            ts.take("punct", "(")
-            first = _parse_literal_term(ts)
-            ts.take("punct", ",")
-            second = _parse_literal_term(ts)
-            ts.take("punct", ")")
-            pair = (first, second)
-            if pair not in prefer:
-                prefer.append(pair)
-        else:
-            raise ts.error(
-                f"expected optimize(...) or prefer(...), found {tok[1]!r}", tok)
-        ts.take("punct", ".")
-    return CriteriaSet(tuple(relations), tuple(prefer))
+    return _read(text, _criteria)
 
 
 def render_program(program: Program) -> str:

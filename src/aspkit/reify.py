@@ -54,7 +54,7 @@ from .core import (
     positive_part,
     sorted_atoms,
 )
-from .parser import _TokenStream
+from .parser import _INT_START, _Failure, _is_name, _expected, _read, _take
 
 
 class ReifyError(Exception):
@@ -233,35 +233,44 @@ def facts_to_text(facts) -> str:
 MAX_TERM_DEPTH = 100
 
 
-def _parse_term(ts, depth: int = 1) -> Term | int:
-    if ts.at("int"):
-        return int(ts.take("int")[1])
-    token = ts.take("name")
+def _term(tokens: list[str], i: int, depth: int) -> tuple[Term | int, int]:
+    """The term from token ``i`` at nesting ``depth``, and the index
+    after it."""
+    token = tokens[i]
+    if token[:1] in _INT_START:
+        return int(token), i + 1
+    if not _is_name(token):
+        raise _expected("name", tokens, i)
     if depth > MAX_TERM_DEPTH:
-        raise ts.error(
-            f"term nested deeper than {MAX_TERM_DEPTH} levels", token)
+        raise _Failure(f"term nested deeper than {MAX_TERM_DEPTH} levels", i)
+    i += 1
     args: list[Term | int] = []
-    if ts.take_if("punct", "("):
+    if tokens[i] == "(":
         while True:
-            args.append(_parse_term(ts, depth + 1))
-            if not ts.take_if("punct", ","):
+            arg, i = _term(tokens, i + 1, depth + 1)
+            args.append(arg)
+            if tokens[i] != ",":
                 break
-        ts.take("punct", ")")
-    return Term(token[1], tuple(args))
+        i = _take(tokens, i, ")")
+    return Term(token, tuple(args)), i
+
+
+def _facts(tokens: list[str]) -> list[ReifiedFact]:
+    facts: list[ReifiedFact] = []
+    i = 0
+    while tokens[i]:
+        start = i
+        term, i = _term(tokens, i, 1)
+        i = _take(tokens, i, ".")
+        if isinstance(term, int) or not term.args:
+            raise _Failure("expected a fact with arguments", start)
+        facts.append(ReifiedFact(term.functor, term.args))
+    return facts
 
 
 def text_to_facts(text: str) -> list[ReifiedFact]:
     """Parse fact text; syntax errors carry source spans."""
-    ts = _TokenStream(text)
-    facts: list[ReifiedFact] = []
-    while not ts.at("eof"):
-        start = ts.current
-        term = _parse_term(ts)
-        ts.take("punct", ".")
-        if isinstance(term, int) or not term.args:
-            raise ts.error("expected a fact with arguments", start)
-        facts.append(ReifiedFact(term.functor, term.args))
-    return facts
+    return _read(text, _facts)
 
 
 def _expect_int(value, what: str) -> int:

@@ -246,3 +246,27 @@ def test_criterion_10_check_at_ground_scale(criterion, capsys, tmp_path):
 
     criterion(10, "check classifies every atom of a 5,000-atom chain true "
                       "as an answer set", 1.5, body)
+
+
+def test_criterion_11_check_over_many_components(criterion, capsys,
+                                                  tmp_path):
+    # 1,000 two-atom cycles ai :- bi. bi :- ai. with every atom true: a
+    # supported model whose every component waits.  Each component's
+    # wait levels read only its own rules, so the whole check stays
+    # linear in the number of components.
+    n = 1000
+    path = tmp_path / "cycles.lp"
+    path.write_text("".join(f"a{i} :- b{i}. b{i} :- a{i}.\n"
+                            for i in range(n)))
+    interpretation = ",".join(f"{p}{i}" for i in range(n) for p in "ab")
+
+    def body():
+        code = main(["check", str(path), "--interpretation", interpretation])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and lines[0] == "supported-model"
+        assert len(lines) == n + 1
+        assert lines[1] == "component 0: a0,b0 wait at step 2"
+
+    criterion(11, "check reports the wait levels of 1,000 two-atom cycles",
+              1.5, body)
+

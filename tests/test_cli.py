@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import tempfile
 
 import pytest
@@ -11,7 +12,10 @@ from aspkit import cli, consequence, metaenc
 from aspkit.cli import main
 from aspkit.compiled import CompiledProgram
 from aspkit.core import Atom
+from aspkit.parser import render_program
+from aspkit.semantics import compile_program
 from conftest import TOY_MIN_TEXT, TOY_TEXT
+from generators import random_program
 
 
 @pytest.fixture
@@ -248,6 +252,46 @@ class TestCheck:
                            "--interpretation", true)
         assert code == 0 and out.splitlines()[0] == verdict
         assert len(calls) == 1
+
+    def test_component_lines_are_one_wait_levels_call_each(self, capsys,
+                                                            tmp_path):
+        """The lines after ``supported-model`` are those of one fresh
+        ``wait_levels`` call per non-trivial component, with no shared
+        decomposition or compiled program."""
+        rng = random.Random(53)
+        path = tmp_path / "program.lp"
+        seen = 0
+        for _ in range(300):
+            program = random_program(rng, max_atoms=6, max_rules=9,
+                                     disjunctive=rng.random() < 0.3)
+            components = consequence.sccs(
+                consequence.dependency_graph(program)).nontrivial()
+            if not components:
+                continue
+            path.write_text(render_program(program))
+            compiled = compile_program(program)
+            for mask in range(1 << len(compiled.atoms)):
+                if not (compiled.is_model(mask) and compiled.supports(mask)):
+                    continue
+                x = compiled.decode(mask)
+                code, out, _ = run(capsys, "check", str(path),
+                                   "--interpretation",
+                                   ",".join(a.name for a in x))
+                lines = out.splitlines()
+                if lines[0] != "supported-model":
+                    continue
+                expected = []
+                for component in components:
+                    wait = consequence.wait_levels(program, x,
+                                                   component.label)
+                    if wait.waiting_true:
+                        names = ",".join(sorted(
+                            a.name for a in wait.waiting_true))
+                        expected.append(f"component {component.label}: "
+                                        f"{names} wait at step {wait.z}")
+                assert code == 0 and lines[1:] == expected
+                seen += bool(expected)
+        assert seen >= 40
 
     @pytest.mark.parametrize("names", ["A", "a b", "p,Q"])
     def test_invalid_atom_name(self, capsys, toy_file, names):

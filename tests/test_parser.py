@@ -142,6 +142,27 @@ PINNED_ERRORS = [
      "conflicting criteria for level 1, weight 2", 2, 14),
     (parse_criteria, "optimize(1,1,card).\r\n\tminimize(a).",
      "expected optimize(...) or prefer(...), found 'minimize'", 2, 2),
+    # Where a one-regex lexer can go wrong: a comment at eof with no
+    # newline, trailing whitespace (which lexes to a second eof token),
+    # a lone '#', ':' or '-', a lexical error after an earlier syntax
+    # error, and no-break space, NEL and CRLF between tokens.
+    (parse_program, "a :- b % end", "expected '.', found ''", 1, 13),
+    (parse_program, "a :- b \n\t ", "expected '.', found ''", 2, 3),
+    (parse_criteria, "optimize(1,1,card) % end", "expected '.', found ''",
+     1, 25),
+    (parse_program, "a :- #.", "unexpected character '#'", 1, 6),
+    (parse_program, "a : b.", "unexpected character ':'", 1, 3),
+    (parse_program, "a :- -.", "unexpected character '-'", 1, 6),
+    (parse_criteria, "optimize(1,1,card).\n#", "unexpected character '#'",
+     2, 1),
+    (parse_program, "a b.\nc :- D.",
+     "non-ground input: variable-like token 'D'", 2, 6),
+    (parse_criteria, "optimize(1 1,card).\nprefer(X).",
+     "non-ground input: variable-like token 'X'", 2, 8),
+    (parse_program, "a\xa0:-\x85b,\r\nC.",
+     "non-ground input: variable-like token 'C'", 2, 1),
+    (parse_program, "a :- b.\n% x\n:- c d.\r\n", "expected '.', found 'd'",
+     3, 6),
 ]
 
 
@@ -153,6 +174,34 @@ def test_error_message_and_position_are_pinned(parse, text, message, line,
     assert err.value.message == message
     assert (err.value.span.line, err.value.span.column) == (line, column)
     assert str(err.value) == f"{line}:{column}: {message}"
+
+
+@pytest.mark.parametrize("text", ["", "   \n", "% only\n  \t", "% end"])
+def test_skipped_text_alone_is_empty(text):
+    assert parse_program(text) == Program()
+    assert parse_criteria(text) == parse_criteria("")
+
+
+def test_skipped_text_between_tokens():
+    expected = parse_program("a :- b.\nc.\n")
+    assert parse_program("a. % end") == parse_program("a.")
+    assert parse_program("a\xa0:-\x85b.\r\nc.") == expected
+    assert parse_program("a :- b. \t\n c.  \n\t") == expected
+    assert parse_criteria("optimize(1,\xa01,card).\r\n\x85% c\n"
+                          "optimize(2,1,incl). % end") == \
+        parse_criteria("optimize(1,1,card). optimize(2,1,incl).")
+
+
+def test_one_object_per_distinct_atom_literal_and_head():
+    program = parse_program("a :- b, not c. a :- b, not c. "
+                            "{b, not c} :- a. #minimize[b, not c].")
+    first, second, choice = program.rules
+    assert first.head is second.head
+    assert all(x is y for x, y in zip(first.body, second.body))
+    assert first.head.atoms[0] is choice.body[0].element
+    assert first.body[0].element is choice.head.elements[0].literal.atom
+    assert choice.head.elements[1].literal is \
+        program.minimize.entries[1].literal
 
 
 class TestCriteria:

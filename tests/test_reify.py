@@ -256,6 +256,17 @@ class TestValidation:
         ("rule(pos(a),pos(b)).\n\n  % atom\n  atom.",
          "expected a fact with arguments", 4, 3),
         ("set(1,pos(a))\n", "expected '.', found ''", 2, 1),
+        # a comment at eof with no newline, and trailing whitespace
+        ("set(1,pos(a)) % end", "expected '.', found ''", 1, 20),
+        ("set(1,pos(a)) \n\t", "expected '.', found ''", 2, 2),
+        ("set(1,#).", "unexpected character '#'", 1, 7),
+        ("set(1,:).", "unexpected character ':'", 1, 7),
+        ("set(1,-).", "unexpected character '-'", 1, 7),
+        # the lexical error wins over an earlier syntax error
+        ("set(1 pos(a)).\nset(X).",
+         "non-ground input: variable-like token 'X'", 2, 5),
+        ("set(1,\xa0pos(a)).\r\n\x85set(2,Neg).",
+         "non-ground input: variable-like token 'Neg'", 2, 8),
     ])
     def test_fact_syntax_error_position_is_pinned(self, text, message, line,
                                                   column):
@@ -263,6 +274,16 @@ class TestValidation:
             text_to_facts(text)
         assert err.value.message == message
         assert (err.value.span.line, err.value.span.column) == (line, column)
+
+    @pytest.mark.parametrize("text", [
+        "set(1,pos(a)). % end", "set(1,pos(a)). \n\t",
+        "set(1,\xa0pos(a)).\r\n\x85", "% only\n set(1,pos(a)).\r\n"])
+    def test_skipped_text_is_not_read(self, text):
+        assert text_to_facts(text) == text_to_facts("set(1,pos(a)).")
+
+    @pytest.mark.parametrize("text", ["", " \n\t", "% c", " \n% c"])
+    def test_skipped_text_alone_has_no_facts(self, text):
+        assert text_to_facts(text) == []
 
     def test_deeply_nested_term_is_a_parse_error(self):
         text = "f(" * 3000 + "a" + ")" * 3000 + "."
