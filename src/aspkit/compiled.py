@@ -10,12 +10,13 @@ model of the reduct inside the interpretation holds the least model of
 the reduct's rules with one head atom in it, which comes from
 :class:`HornClosure`, the watch-list closure of Dowling and Gallier
 (1984) that also serves the wait levels of :mod:`aspkit.consequence`
-and the meta solver's counterexample side.  Without proper
-disjunctions, minimal means equal to that least model; with
-them, that no model of the whole reduct lies between the two, which a
-depth-first search decides by branching only on the head atoms of a
-rule whose body holds, as in minimal model generation with positive
-hyper tableaux (Bry and Yahya, 2000).  :class:`Search` finds every
+and the meta solver's counterexample side.  The interpretation is
+minimal when a depth-first search over closed states of the same
+closure, rooted at that least model, finds no smaller model of the
+whole reduct; it branches only on the head atoms of a rule whose body
+holds, as in minimal model generation with positive hyper tableaux
+(Bry and Yahya, 2000), and without proper disjunctions it ends at the
+root.  :class:`Search` finds every
 answer set of a compiled program by depth-first search with Clark
 completion propagation, as in conflict-driven answer-set enumeration
 (Gebser, Kaufmann, Neumann and Schaub, 2007), but with no unfounded-set
@@ -181,10 +182,11 @@ class HornClosure:
         return None if self._close([idx], *child, goal) else child
 
     def least_model(self, active: Iterable[tuple[int, Sequence[int]]],
-                    seed: Iterable[int] = ()) -> list[int]:
-        """Atom indexes derived from the atom indexes ``seed`` by the
+                    seed: Iterable[int] = ()) -> ClosureState:
+        """The closed state derived from the atom indexes ``seed`` by the
         ``active`` rules, given as (rule id, its sums' lower bounds)
-        pairs, the seed included; other rules never fire."""
+        pairs, the seed included; other rules never fire, there or in a
+        state :meth:`extend` makes from it."""
         missing = [self._OUT] * len(self.heads)
         need = list(self.bounds)
         derived = bytearray(len(self.index))
@@ -207,7 +209,7 @@ class HornClosure:
                     derived[head] = 1
                     queue.append(head)
         self._close(queue, derived, missing, need)
-        return queue
+        return derived, missing, need
 
 
 def _indexes(mask: int) -> list[int]:
@@ -303,10 +305,11 @@ class _Rule:
     """One compiled rule: ``head`` is the mask of every head atom and
     ``supported`` that of the atoms it supports, those positive in the
     head; ``closure`` lists the (closure rule id, head bit) pairs it
-    contributes to the reduct's closure."""
+    contributes to the reduct's closure, and ``key`` is the closure index
+    of the key a proper disjunction derives when its body holds, or -1."""
 
     __slots__ = ("head", "head_sum", "supported", "pos", "neg", "sums",
-                 "reduced", "closure")
+                 "reduced", "closure", "key")
 
     def __init__(self, rule: Rule, bit: dict[Atom, int]):
         self.head = self.supported = 0
@@ -335,6 +338,7 @@ class _Rule:
         self.sums = tuple(sums)
         self.reduced = tuple(s for s, negated in sums if not negated)
         self.closure: list[tuple[int, int]] = []
+        self.key = -1
 
     def body_holds(self, x: int) -> bool:
         if x & self.pos != self.pos or x & self.neg:
@@ -370,16 +374,23 @@ class CompiledProgram:
         self.extended = is_extended(Program(rules))
         self.rules = [_Rule(rule, self.bit) for rule in rules]
         # The reduct keeps a rule's body and splits its head into one
-        # rule per supported atom.
+        # rule per supported atom; a proper disjunction also derives a key
+        # of its own, placed after the atoms, when its body holds.
         horn: list[HornRule] = []
+        n = keys = len(self.atoms)
         for rule in self.rules:
             plain = _indexes(rule.pos)
             sums = [(s.lower, [(b.bit_length() - 1, w) for b, w in s.positive])
                     for s in rule.reduced]
-            for idx in _indexes(rule.supported):
+            heads = _indexes(rule.supported)
+            if rule.head_sum is None and len(heads) > 1:
+                rule.key = keys
+                heads.append(keys)
+                keys += 1
+            for idx in heads:
                 rule.closure.append((len(horn), 1 << idx))
                 horn.append((idx, plain, sums))
-        self.horn = HornClosure(self.atoms, horn)
+        self.horn = HornClosure([*self.atoms, *range(n, keys)], horn)
 
     @cached_property
     def supporting(self) -> list[list[_Rule]]:
@@ -432,9 +443,9 @@ class CompiledProgram:
                      heads: int) -> Iterator[tuple[int, Sequence[int]]]:
         """The reduct of ``rules`` by the model ``x`` as (closure rule id,
         reduced lower bounds) pairs for :meth:`HornClosure.least_model`,
-        one per atom of ``heads`` that a rule supports.  The reduct keeps a
-        rule's positive body atoms and its non-negated sums, each lower
-        bound reduced by the weight of negated entries made true by
+        one per atom or key of ``heads`` that a rule derives.  The reduct
+        keeps a rule's positive body atoms and its non-negated sums, each
+        lower bound reduced by the weight of negated entries made true by
         absence."""
         for rule in rules:
             lowers = [s.lower - s.absent(x) for s in rule.reduced] \
@@ -450,58 +461,42 @@ class CompiledProgram:
 
         Below ``x``, a rule with one head atom in ``x`` is definite, so
         every model of the reduct inside ``x`` holds the least model of
-        those rules.  Without a proper disjunction left, ``x`` must equal
-        that least model; otherwise no set between the two may be a model
-        of the whole reduct."""
+        those rules.  From that least model, a depth-first search over
+        closed :class:`HornClosure` states looks for such a model other
+        than ``x``: a rule with two or more head atoms in ``x``, whose
+        body holds in the state (its key is derived) and none of whose
+        head atoms in ``x`` is derived, branches on each of them.  A
+        state that no such rule extends is a model of the reduct; every
+        state lies inside ``x``, so one as large as ``x`` is ``x``."""
         definite: list[_Rule] = []
+        choices: list[_Rule] = []
         for rule in applied:
             heads = rule.supported & x
-            if rule.head_sum is not None or not heads & (heads - 1):
+            if rule.head_sum is None and heads & (heads - 1):
+                choices.append(rule)
+            else:
                 definite.append(rule)
-        derived = self.horn.least_model(self.reduct_rules(x, definite, x))
-        # The least model lies inside x, so equal sizes mean equal sets.
-        if len(derived) == x.bit_count():
-            return True
-        return len(definite) < len(applied) and self._no_model_between(
-            sum(1 << i for i in derived), x, applied)
-
-    def _no_model_between(self, least: int, x: int,
-                          applied: Iterable[_Rule]) -> bool:
-        """Whether no set from ``least`` up to, but not including, ``x`` is
-        a model of the reduct of :meth:`is_reduct_minimal`, by depth-first
-        search over the sets from ``t`` up to ``p``.  A rule whose body
-        holds in ``t`` (its positive body atoms, and each reduced lower
-        bound) and whose head misses ``t`` needs a head atom in ``p``:
-        with none the branch fails, with one that atom joins ``t``, and
-        with more the search branches on the lowest one, left out first.
-        A branch where no rule needs anything has found a model."""
-        reduct: list[tuple[int, tuple[tuple[_Sum, int], ...], int]] = []
-        for rule in applied:
-            heads = [rule.head] if rule.head_sum is None \
-                else [1 << idx for idx in _indexes(rule.supported & x)]
-            sums = tuple((s, s.lower - s.absent(x)) for s in rule.reduced)
-            reduct += [(rule.pos, sums, head) for head in heads]
-        stack = [(least, x)]
-        while stack:
-            t, p = stack.pop()
-            grown = -1
-            while grown != t:
-                grown, choice = t, 0
-                for pos, sums, head in reduct:
-                    if not t & head and t & pos == pos and all(
-                            s.present(t) >= lower for s, lower in sums):
-                        needed = head & p
-                        if needed & (needed - 1):
-                            choice = needed
-                        else:  # with no atom in p, the head takes t past p
-                            t |= needed or head
-            if t & ~p or t == x:
-                continue
-            if not choice:
-                return False
-            low = choice & -choice
-            stack += [(t | low, p), (t, p & ~low)]
-        return True
+        horn, n, size = self.horn, len(self.atoms), x.bit_count()
+        # every bit from n up is a key's
+        state = horn.least_model([*self.reduct_rules(x, definite, x),
+                                  *self.reduct_rules(x, choices, -1 << n)])
+        branches = [(rule.key, _indexes(rule.supported & x))
+                    for rule in choices]
+        # (state, head atom) pairs, each extended only once popped
+        stack: list[tuple[ClosureState, int]] = []
+        while True:
+            derived = state[0]
+            if derived.count(1, 0, n) != size:
+                for key, heads in branches:
+                    if derived[key] and not any(
+                            map(derived.__getitem__, heads)):
+                        stack += [(state, h) for h in heads]
+                        break
+                else:
+                    return False
+            if not stack:
+                return True
+            state = horn.extend(*stack.pop(), -1)
 
 
 def _loop_atoms(program: CompiledProgram) -> int:

@@ -190,6 +190,6 @@ def wait_levels(program: Program, x: Interpretation, label: int,
         seed |= reads[rule]
     derived = compiled.horn.least_model(
         compiled.reduct_rules(mask, applied, inside),
-        _indexes(seed & mask & ~inside))
-    underived = inside & ~sum(1 << idx for idx in derived)
+        _indexes(seed & mask & ~inside))[0]
+    underived = sum(1 << idx for idx in _indexes(inside) if not derived[idx])
     return ComponentWait(label, len(members), compiled.decode(underived))

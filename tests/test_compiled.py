@@ -129,6 +129,23 @@ def test_mask_minimality_matches_oracle():
      "a,b,c,d", False),
     ("a :- b. b :- a.", "a,b", False),
     ("", "", True),
+    # c | d :- a fires only once the branch on a | b derives a, and then
+    # each of c and d derives the other
+    ("a | b. a :- b. b :- a. c | d :- a. c :- d. d :- c.", "a,b,c,d", True),
+    # a | c has one head atom in x, so it is definite: a is derived, which
+    # meets a | b, and {a} is a smaller model
+    ("a | b. a | c.", "a,b", False),
+    # three head atoms in x: a and c each derive x, b alone is a model
+    ("a | b | c. c :- a. a :- c. b :- a.", "a,b,c", False),
+    # c is outside x, so the search branches only on a and b, and each
+    # derives the other
+    ("a | b | c. a :- b. b :- a.", "a,b", True),
+    # not d adds 1 by absence, so the reduct's body asks only for c, and
+    # then a | b needs a or b, each of which derives the other
+    ("c. a | b :- 2 #sum[c=1, not d=1]. a :- b. b :- a.", "a,b,c", True),
+    # the sum head's reduct makes b a fact once a holds, and {b} meets
+    # a | b alone
+    ("a | b. 1 {b, c} 2 :- a.", "a,b", False),
 ])
 def test_mask_minimality_pins(text, true, expected):
     program = parse_program(text)
