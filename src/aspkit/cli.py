@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 success (solutions found / oracles agree), 1 crosscheck
-disagreement, 2 usage error, 3 parse error, 4 cap exceeded, 10 no
-answer set or empty optimum, 130 interrupted (Ctrl-C).
+disagreement, 2 usage error, 3 parse error, 4 cap exceeded or out of
+memory, 10 no answer set or empty optimum, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -245,6 +245,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("cap exceeded: out of memory", file=sys.stderr)
         return EXIT_CAP
     except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -84,49 +84,62 @@ def dependency_graph(program: Program) -> DependencyGraph:
 
 def sccs(graph: DependencyGraph) -> SccDecomposition:
     """Tarjan decomposition; non-trivial components are labeled 0,1,...
-    in completion order, the topological order of ``components``."""
-    succ: dict[Atom, list[Atom]] = {a: [] for a in sorted_atoms(graph.nodes)}
+    in completion order, the topological order of ``components``.
+
+    The search runs over atom indexes: the atoms are numbered once in
+    name order, and each atom's successors are a list of ints sorted
+    once.  Its depth-first search is still recursive, one frame per
+    level, so a path longer than Python's recursion limit raises
+    ``RecursionError`` (ROADMAP item 7)."""
+    order = sorted_atoms(graph.nodes)
+    number = {atom.name: i for i, atom in enumerate(order)}
+    succ: list[list[int]] = [[] for _ in order]
     for a, b in graph.edges:
-        succ[a].append(b)
-    succ = {a: sorted_atoms(targets) for a, targets in succ.items()}
+        succ[number[a.name]].append(number[b.name])
+    for targets in succ:
+        targets.sort()
 
-    index: dict[Atom, int] = {}
-    lowlink: dict[Atom, int] = {}
-    stack: list[Atom] = []
-    on_stack: set[Atom] = set()
-    counter = iter(range(len(succ)))
-    found: list[frozenset[Atom]] = []
+    index = [-1] * len(order)
+    lowlink = [0] * len(order)
+    on_stack = bytearray(len(order))
+    stack: list[int] = []
+    found: list[list[int]] = []
+    counter = 0
 
-    def connect(v: Atom) -> None:
-        index[v] = lowlink[v] = next(counter)
+    def connect(v: int) -> None:
+        nonlocal counter
+        index[v] = low = counter
+        counter += 1
+        bottom = len(stack)
         stack.append(v)
-        on_stack.add(v)
+        on_stack[v] = 1
         for w in succ[v]:
-            if w not in index:
+            if index[w] < 0:
                 connect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index[w])
-        if lowlink[v] == index[v]:
-            scc = set()
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                scc.add(w)
-                if w == v:
-                    break
-            found.append(frozenset(scc))
+                if lowlink[w] < low:
+                    low = lowlink[w]
+            elif on_stack[w] and index[w] < low:
+                low = index[w]
+        lowlink[v] = low
+        if low == index[v]:
+            members = stack[bottom:]
+            del stack[bottom:]
+            for w in members:
+                on_stack[w] = 0
+            found.append(members)
 
-    for v in succ:
-        if v not in index:
+    for v in range(len(order)):
+        if index[v] < 0:
             connect(v)
 
     components: list[SccComponent] = []
-    labels = iter(range(len(found)))
+    label = 0
     for members in found:
-        nontrivial = len(members) > 1 or any(a in succ[a] for a in members)
-        label = next(labels) if nontrivial else None
-        components.append(SccComponent(label, members, nontrivial))
+        nontrivial = len(members) > 1 or members[0] in succ[members[0]]
+        components.append(SccComponent(
+            label if nontrivial else None,
+            frozenset([order[i] for i in members]), nontrivial))
+        label += nontrivial
     return SccDecomposition(tuple(components))
 
 

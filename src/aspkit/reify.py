@@ -25,7 +25,11 @@ survive.  An SCC lists its atoms by name, then rule by rule a
 conjunction before its sums, each member once.  Absent bounds are
 materialized: 0 as lower, the total weight as upper.  Structurally
 identical weighted-literal lists share one label, as do identical
-conjunctions; the two label spaces are separate.  Proper disjunction
+conjunctions; the two label spaces are separate.  Sum lists and
+minimize lists share the one list label space, so a minimize level
+whose entries equal a sum's elements names that sum's list.  Each
+distinct term is built once per reification, and every fact that
+holds it shares that one object.  Proper disjunction
 heads and sums with no entries (no wlist/4 fact could name their list;
 only the library API builds them) are outside this format:
 :func:`reify` rejects both.
@@ -49,10 +53,7 @@ from .core import (
     Rule,
     SumConstraint,
     WeightedLiteral,
-    atoms_of,
     is_extended,
-    positive_part,
-    sorted_atoms,
 )
 from .parser import _INT_START, _Failure, _is_name, _expected, _read, _take
 
@@ -85,70 +86,98 @@ class ReifiedFact:
 
 FALSE = Term("false")
 
+_POS_FALSE = Term("pos", (FALSE,))
 
-def _atom_term(atom: Atom) -> Term:
-    return Term("atom", (Term(atom.name),))
-
-
-def _literal_term(literal: Literal) -> Term:
-    wrapper = "neg" if literal.negated else "pos"
-    return Term(wrapper, (_atom_term(literal.atom),))
-
-
-def _signed(term: Term, negated: bool) -> Term:
-    return Term("neg" if negated else "pos", (term,))
+#: The wrapper of a signed member, indexed by its ``negated`` flag.
+_SIGN = ("pos", "neg")
 
 
 class _Builder:
+    """One reification.  Each distinct atom term, signed member (``pos``
+    or ``neg`` of an atom or sum term) and conjunction term is one
+    ``Term`` of the build, found by a plain key: an atom's name, and a
+    member's sign with its atom's name or its sum's (lower, label,
+    upper).  Conjunction and list labels are keyed by tuples of such
+    keys, so no ``Term`` is hashed."""
+
     def __init__(self, program: Program):
         self.program = program
         self._wlist_labels: dict[tuple, int] = {}
         self._conj_labels: dict[tuple, int] = {}
+        self._atoms: dict[str, Term] = {}
+        self._members: dict[tuple, Term] = {}
+        #: per conjunction label: conjunction(S) and pos(conjunction(S))
+        self._conjunctions: list[tuple[Term, Term]] = []
         #: per rule: its conjunction label and member terms
         self.bodies: list[tuple[int, tuple[Term, ...]]] = []
         self.facts: list[ReifiedFact] = []
 
-    def _wlist(self, entries: tuple[tuple[Term, int], ...],
-               out: list[ReifiedFact]) -> int:
-        label = self._wlist_labels.get(entries)
+    def _atom(self, name: str) -> Term:
+        term = self._atoms.get(name)
+        if term is None:
+            term = self._atoms[name] = Term("atom", (Term(name),))
+        return term
+
+    def _member(self, key: tuple) -> Term:
+        """The signed member of ``key``: ``pos(X)`` or ``neg(X)`` for
+        (negated, atom name) or (negated, lower, label, upper)."""
+        term = self._members.get(key)
+        if term is None:
+            negated, *inner = key
+            inner_term = (self._atom(inner[0]) if len(inner) == 1
+                          else Term("sum", tuple(inner)))
+            term = self._members[key] = Term(_SIGN[negated], (inner_term,))
+        return term
+
+    def _wlist(self, entries, out: list[ReifiedFact]) -> int:
+        """The label of a weighted-literal list: a sum's elements or one
+        minimize level's entries.  Both kinds are keyed alike, by
+        (negated, atom name, weight) per entry, so they share labels."""
+        key = tuple((e.literal.negated, e.literal.atom.name, e.weight)
+                    for e in entries)
+        label = self._wlist_labels.get(key)
         if label is None:
-            label = len(self._wlist_labels)
-            self._wlist_labels[entries] = label
-            for index, (literal, weight) in enumerate(entries):
-                out.append(
-                    ReifiedFact("wlist", (label, index, literal, weight)))
+            label = self._wlist_labels[key] = len(self._wlist_labels)
+            for index, (negated, name, weight) in enumerate(key):
+                out.append(ReifiedFact("wlist", (
+                    label, index, self._member((negated, name)), weight)))
         return label
 
-    def _sum_term(self, sc: SumConstraint, out: list[ReifiedFact]) -> Term:
+    def _sum(self, sc: SumConstraint, out: list[ReifiedFact]
+             ) -> tuple[int, int, int]:
+        """A sum's (lower, label, upper), its bounds materialized."""
         if not sc.elements:
             raise ContractViolationError(f"empty sums cannot be reified: {sc}")
-        entries = tuple(
-            (_literal_term(wl.literal), wl.weight) for wl in sc.elements)
-        label = self._wlist(entries, out)
+        label = self._wlist(sc.elements, out)
         lower = sc.lower if sc.lower is not None else 0
         upper = sc.upper if sc.upper is not None else sc.total
-        return Term("sum", (lower, label, upper))
+        return lower, label, upper
 
     def _conjunction(self, body: Body, out: list[ReifiedFact]
                      ) -> tuple[int, tuple[Term, ...]]:
         """The conjunction's label and its member terms, in body order."""
+        keys: list[tuple] = []
         members: list[Term] = []
         member_facts: list[list[ReifiedFact]] = []
         for bl in body:
             facts: list[ReifiedFact] = []
-            inner = (_atom_term(bl.element) if isinstance(bl.element, Atom)
-                     else self._sum_term(bl.element, facts))
-            members.append(_signed(inner, bl.negated))
+            key = ((bl.negated, bl.element.name)
+                   if isinstance(bl.element, Atom)
+                   else (bl.negated, *self._sum(bl.element, facts)))
+            keys.append(key)
+            members.append(self._member(key))
             member_facts.append(facts)
-        key = tuple(members)
+        key = tuple(keys)
         label = self._conj_labels.get(key)
         if label is None:
-            label = len(self._conj_labels)
-            self._conj_labels[key] = label
+            label = self._conj_labels[key] = len(self._conj_labels)
+            conjunction = Term("conjunction", (label,))
+            self._conjunctions.append(
+                (conjunction, Term("pos", (conjunction,))))
             for member, facts in zip(members, member_facts):
                 out.append(ReifiedFact("set", (label, member)))
                 out.extend(facts)
-        return label, key
+        return label, tuple(members)
 
     def add_rule(self, rule: Rule) -> None:
         head_facts: list[ReifiedFact] = []
@@ -156,58 +185,71 @@ class _Builder:
             if len(rule.head.atoms) > 1:
                 raise ContractViolationError(
                     "proper disjunction heads cannot be reified")
-            head = _atom_term(rule.head.atoms[0]) if rule.head.atoms else FALSE
+            head = (self._member((False, rule.head.atoms[0].name))
+                    if rule.head.atoms else _POS_FALSE)
         else:
-            head = self._sum_term(rule.head, head_facts)
+            head = self._member((False, *self._sum(rule.head, head_facts)))
         body_facts: list[ReifiedFact] = []
         label, members = self._conjunction(rule.body, body_facts)
         self.bodies.append((label, members))
         self.facts.append(ReifiedFact(
-            "rule", (_signed(head, False),
-                     _signed(Term("conjunction", (label,)), False))))
+            "rule", (head, self._conjunctions[label][1])))
         self.facts.extend(head_facts)
         self.facts.extend(body_facts)
 
     def add_sccs(self) -> None:
-        """The scc facts, from one pass over the rules."""
+        """The scc facts, from one pass over the rules.  Members are
+        collected by key: an atom by name, a conjunction by label, a sum
+        by (lower, label, upper)."""
         graph = consequence.dependency_graph(self.program)
-        label_of: dict[Atom, int] = {}
-        members: list[dict[Term, None]] = []
+        label_of: dict[str, int] = {}
+        members: list[dict] = []
         for component in consequence.sccs(graph).nontrivial():
-            label_of.update(dict.fromkeys(component.atoms, component.label))
-            members.append(dict.fromkeys(
-                map(_atom_term, sorted_atoms(component.atoms))))
+            names = sorted(atom.name for atom in component.atoms)
+            label_of.update(dict.fromkeys(names, component.label))
+            members.append({name: self._atom(name) for name in names})
         if not members:
             return
         for rule, (label, terms) in zip(self.program.rules, self.bodies):
-            heads = set(map(label_of.get,
-                            atoms_of(positive_part(rule.head)))) - {None}
-            conjunction = Term("conjunction", (label,))
+            heads = {label_of.get(name) for name in _positive_names(rule.head)}
+            heads.discard(None)
+            if not heads:
+                continue
+            conjunction = self._conjunctions[label][0]
             for bl, term in zip(rule.body, terms):
                 if bl.negated:
                     continue
                 if isinstance(bl.element, Atom):
-                    inside, sums = {label_of.get(bl.element)}, ()
+                    inside, sums = {label_of.get(bl.element.name)}, ()
                 else:
-                    inside = {label_of.get(wl.literal.atom)
-                              for wl in positive_part(bl.element)}
+                    inside = {label_of.get(name)
+                              for name in _positive_names(bl.element)}
                     sums = (term.args[0],)
                 for component in inside & heads:
-                    members[component].update(
-                        dict.fromkeys((conjunction, *sums)))
+                    found = members[component]
+                    found.setdefault(label, conjunction)
+                    for inner in sums:
+                        found.setdefault(inner.args, inner)
         for component, terms in enumerate(members):
-            for term in terms:
+            for term in terms.values():
                 self.facts.append(ReifiedFact("scc", (component, term)))
 
     def add_minimize(self, statement: MinimizeStatement) -> None:
         for level in statement.levels():
-            entries = tuple(
-                (_literal_term(e.literal), e.weight)
-                for e in statement.entries if e.level == level)
             facts: list[ReifiedFact] = []
-            label = self._wlist(entries, facts)
+            label = self._wlist(
+                [e for e in statement.entries if e.level == level], facts)
             self.facts.append(ReifiedFact("minimize", (level, label)))
             self.facts.extend(facts)
+
+
+def _positive_names(head_or_sum: Disjunction | SumConstraint) -> list[str]:
+    """Names of the atoms of a disjunction, or of a sum's positive
+    entries, in order."""
+    if isinstance(head_or_sum, Disjunction):
+        return [atom.name for atom in head_or_sum.atoms]
+    return [wl.literal.atom.name for wl in head_or_sum.elements
+            if not wl.literal.negated]
 
 
 def reify(program: Program) -> list[ReifiedFact]:

@@ -16,7 +16,9 @@ of the check program's counterexample side.  ``fresh_meta_solve`` asks
 a new meta solver about each stable candidate, so no candidate is
 tested against a guess kept for another.  The token-stream readers of
 program, criteria and fact text are the oracle for the shared lexer's
-readers."""
+readers.  A reification that builds a new term per occurrence, and a
+Tarjan decomposition over atoms, are the oracles of ``reify`` and
+``sccs``."""
 
 from __future__ import annotations
 
@@ -26,7 +28,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from aspkit.compiled import CompiledProgram, HornClosure, HornRule
-from aspkit.consequence import dependency_graph, sccs
+from aspkit.consequence import (
+    DependencyGraph,
+    SccComponent,
+    SccDecomposition,
+    dependency_graph,
+    sccs,
+)
 from aspkit.core import (
     DEFAULT_ATOM_CAP,
     Atom,
@@ -46,7 +54,9 @@ from aspkit.core import (
     WeightedLiteral,
     atoms,
     atoms_of,
+    is_extended,
     positive_part,
+    sorted_atoms,
 )
 from aspkit.metaenc import MetaProgram, MetaSolver
 from aspkit.parser import ParseError, SourceSpan
@@ -597,3 +607,201 @@ def reference_text_to_facts(text: str) -> list[ReifiedFact]:
             raise ts.error("expected a fact with arguments", start)
         facts.append(ReifiedFact(term.functor, term.args))
     return facts
+
+
+# -- the reification and SCC decomposition on syntax objects ----------------
+
+# The reification builder and the Tarjan decomposition as they were before
+# the builder shared one term per distinct atom, sum and signed member and
+# keyed its labels by plain tuples, and before the decomposition numbered
+# the atoms: a new ``Term`` per occurrence, labels keyed by tuples of
+# ``Term``s, and Tarjan over dicts and sets of atoms.  They are the
+# differential oracle of ``reify`` and ``sccs``: equal fact lists, and
+# equal components, labels and order.
+
+
+def reference_sccs(graph: DependencyGraph) -> SccDecomposition:
+    """Recursive Tarjan over atoms; non-trivial components are labeled
+    0,1,... in completion order."""
+    succ: dict[Atom, list[Atom]] = {a: [] for a in sorted_atoms(graph.nodes)}
+    for a, b in graph.edges:
+        succ[a].append(b)
+    succ = {a: sorted_atoms(targets) for a, targets in succ.items()}
+
+    index: dict[Atom, int] = {}
+    lowlink: dict[Atom, int] = {}
+    stack: list[Atom] = []
+    on_stack: set[Atom] = set()
+    counter = iter(range(len(succ)))
+    found: list[frozenset[Atom]] = []
+
+    def connect(v: Atom) -> None:
+        index[v] = lowlink[v] = next(counter)
+        stack.append(v)
+        on_stack.add(v)
+        for w in succ[v]:
+            if w not in index:
+                connect(w)
+                lowlink[v] = min(lowlink[v], lowlink[w])
+            elif w in on_stack:
+                lowlink[v] = min(lowlink[v], index[w])
+        if lowlink[v] == index[v]:
+            scc = set()
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                scc.add(w)
+                if w == v:
+                    break
+            found.append(frozenset(scc))
+
+    for v in succ:
+        if v not in index:
+            connect(v)
+
+    components: list[SccComponent] = []
+    labels = iter(range(len(found)))
+    for members in found:
+        nontrivial = len(members) > 1 or any(a in succ[a] for a in members)
+        label = next(labels) if nontrivial else None
+        components.append(SccComponent(label, members, nontrivial))
+    return SccDecomposition(tuple(components))
+
+
+_FALSE_TERM = Term("false")
+
+
+def _atom_term(atom: Atom) -> Term:
+    return Term("atom", (Term(atom.name),))
+
+
+def _literal_term(literal: Literal) -> Term:
+    wrapper = "neg" if literal.negated else "pos"
+    return Term(wrapper, (_atom_term(literal.atom),))
+
+
+def _signed(term: Term, negated: bool) -> Term:
+    return Term("neg" if negated else "pos", (term,))
+
+
+class _ReifyBuilder:
+    def __init__(self, program: Program):
+        self.program = program
+        self._wlist_labels: dict[tuple, int] = {}
+        self._conj_labels: dict[tuple, int] = {}
+        #: per rule: its conjunction label and member terms
+        self.bodies: list[tuple[int, tuple[Term, ...]]] = []
+        self.facts: list[ReifiedFact] = []
+
+    def _wlist(self, entries: tuple[tuple[Term, int], ...],
+               out: list[ReifiedFact]) -> int:
+        label = self._wlist_labels.get(entries)
+        if label is None:
+            label = len(self._wlist_labels)
+            self._wlist_labels[entries] = label
+            for index, (literal, weight) in enumerate(entries):
+                out.append(
+                    ReifiedFact("wlist", (label, index, literal, weight)))
+        return label
+
+    def _sum_term(self, sc: SumConstraint, out: list[ReifiedFact]) -> Term:
+        if not sc.elements:
+            raise ContractViolationError(f"empty sums cannot be reified: {sc}")
+        entries = tuple(
+            (_literal_term(wl.literal), wl.weight) for wl in sc.elements)
+        label = self._wlist(entries, out)
+        lower = sc.lower if sc.lower is not None else 0
+        upper = sc.upper if sc.upper is not None else sc.total
+        return Term("sum", (lower, label, upper))
+
+    def _conjunction(self, body: Body, out: list[ReifiedFact]
+                     ) -> tuple[int, tuple[Term, ...]]:
+        members: list[Term] = []
+        member_facts: list[list[ReifiedFact]] = []
+        for bl in body:
+            facts: list[ReifiedFact] = []
+            inner = (_atom_term(bl.element) if isinstance(bl.element, Atom)
+                     else self._sum_term(bl.element, facts))
+            members.append(_signed(inner, bl.negated))
+            member_facts.append(facts)
+        key = tuple(members)
+        label = self._conj_labels.get(key)
+        if label is None:
+            label = len(self._conj_labels)
+            self._conj_labels[key] = label
+            for member, facts in zip(members, member_facts):
+                out.append(ReifiedFact("set", (label, member)))
+                out.extend(facts)
+        return label, key
+
+    def add_rule(self, rule: Rule) -> None:
+        head_facts: list[ReifiedFact] = []
+        if isinstance(rule.head, Disjunction):
+            if len(rule.head.atoms) > 1:
+                raise ContractViolationError(
+                    "proper disjunction heads cannot be reified")
+            head = (_atom_term(rule.head.atoms[0]) if rule.head.atoms
+                    else _FALSE_TERM)
+        else:
+            head = self._sum_term(rule.head, head_facts)
+        body_facts: list[ReifiedFact] = []
+        label, members = self._conjunction(rule.body, body_facts)
+        self.bodies.append((label, members))
+        self.facts.append(ReifiedFact(
+            "rule", (_signed(head, False),
+                     _signed(Term("conjunction", (label,)), False))))
+        self.facts.extend(head_facts)
+        self.facts.extend(body_facts)
+
+    def add_sccs(self) -> None:
+        graph = dependency_graph(self.program)
+        label_of: dict[Atom, int] = {}
+        members: list[dict[Term, None]] = []
+        for component in reference_sccs(graph).nontrivial():
+            label_of.update(dict.fromkeys(component.atoms, component.label))
+            members.append(dict.fromkeys(
+                map(_atom_term, sorted_atoms(component.atoms))))
+        if not members:
+            return
+        for rule, (label, terms) in zip(self.program.rules, self.bodies):
+            heads = set(map(label_of.get,
+                            atoms_of(positive_part(rule.head)))) - {None}
+            conjunction = Term("conjunction", (label,))
+            for bl, term in zip(rule.body, terms):
+                if bl.negated:
+                    continue
+                if isinstance(bl.element, Atom):
+                    inside, sums = {label_of.get(bl.element)}, ()
+                else:
+                    inside = {label_of.get(wl.literal.atom)
+                              for wl in positive_part(bl.element)}
+                    sums = (term.args[0],)
+                for component in inside & heads:
+                    members[component].update(
+                        dict.fromkeys((conjunction, *sums)))
+        for component, terms in enumerate(members):
+            for term in terms:
+                self.facts.append(ReifiedFact("scc", (component, term)))
+
+    def add_minimize(self, statement: MinimizeStatement) -> None:
+        for level in statement.levels():
+            entries = tuple(
+                (_literal_term(e.literal), e.weight)
+                for e in statement.entries if e.level == level)
+            facts: list[ReifiedFact] = []
+            label = self._wlist(entries, facts)
+            self.facts.append(ReifiedFact("minimize", (level, label)))
+            self.facts.extend(facts)
+
+
+def reference_reify(program: Program) -> list[ReifiedFact]:
+    """The fact list describing ``program``, one new term per occurrence."""
+    if not is_extended(program):
+        raise ContractViolationError(
+            "only extended programs (no proper disjunctions) can be reified")
+    builder = _ReifyBuilder(program)
+    for rule in program.rules:
+        builder.add_rule(rule)
+    builder.add_sccs()
+    builder.add_minimize(program.minimize)
+    return builder.facts

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspkit import cli, consequence, metaenc
+from aspkit import cli, consequence, metaenc, optimize
 from aspkit.cli import main
 from aspkit.compiled import CompiledProgram
 from aspkit.core import Atom
@@ -526,6 +526,18 @@ class TestUsage:
         code, out, err = run(capsys, "solve", toy_file)
         assert code == 130 and out == ""
         assert err == "interrupted\n"
+
+    def test_out_of_memory_exits_4(self, capsys, toy_min_file, monkeypatch):
+        """Running out of memory is a cap, not a crosscheck mismatch:
+        exit 4 with one stderr line and no traceback."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(optimize, "optimal_answer_sets", exhausted)
+        code, out, err = run(capsys, "optimize", toy_min_file)
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1 and "memory" in err
+        assert "Traceback" not in err
 
 
 class TestReuse:

@@ -18,6 +18,7 @@ from reference import (
     PositiveProgram,
     is_answer_set,
     reduct,
+    reference_sccs,
     scc_fixpoint_check,
     tp_iterate,
     tp_step,
@@ -95,6 +96,28 @@ class TestSccs:
                 internal = any(a in component.atoms and b in component.atoms
                                for a, b in edges)
                 assert component.nontrivial == internal
+
+    def test_matches_reference(self):
+        """The search over atom indexes finds the components, labels and
+        order of the recursive Tarjan over atoms, on graphs with
+        self-loops whose atoms are named apart from their creation order
+        and whose edges are given shuffled."""
+        rng = random.Random(31)
+        self_loops = cycles = 0
+        for _ in range(1000):
+            names = rng.sample(range(1000), rng.randint(1, 30))
+            nodes = [Atom(f"v{name}") for name in names]
+            edges = [(rng.choice(nodes), rng.choice(nodes))
+                     for _ in range(rng.randint(0, 3 * len(nodes)))]
+            edges += [(a, a) for a in nodes if rng.random() < 0.1]
+            rng.shuffle(edges)
+            graph = DependencyGraph(frozenset(nodes), frozenset(edges))
+            got = sccs(graph)
+            assert got == reference_sccs(graph)
+            self_loops += any(len(c.atoms) == 1 and c.nontrivial
+                              for c in got.components)
+            cycles += any(len(c.atoms) > 1 for c in got.components)
+        assert self_loops >= 100 and cycles >= 100
 
 
 class TestTpOperator:

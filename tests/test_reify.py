@@ -32,8 +32,8 @@ from aspkit.reify import (
 )
 from aspkit.semantics import enumerate_answer_sets
 from conftest import TOY_MIN_TEXT
-from generators import choice_program, random_program
-from reference import scc_members
+from generators import choice_program, random_program, random_sum
+from reference import reference_reify, scc_members
 
 TOY_MIN_FACTS = """\
 rule(pos(sum(1,0,2)),pos(conjunction(0))).
@@ -178,6 +178,82 @@ class TestRoundTrip:
     def test_duplicate_body_elements_survive(self):
         program = parse_program("a :- b, b.")
         assert parse_reified(reify(program)) == normalize(program)
+
+
+class TestLabelSharing:
+    def test_sum_and_minimize_list_share_one_label(self):
+        """A minimize level whose entries equal a sum's elements names the
+        sum's list: one wlist fact, and minimize(1,0)."""
+        text = facts_to_text(reify(parse_program("{a}. #minimize[a=1@1].")))
+        assert text == ("rule(pos(sum(0,0,1)),pos(conjunction(0))).\n"
+                        "wlist(0,0,pos(atom(a)),1).\n"
+                        "minimize(1,0).\n")
+
+
+def shared_program(rng: random.Random) -> Program:
+    """A random extended program built from small pools, so that sums
+    repeat in heads and bodies, sums differ only in a bound, bodies
+    repeat whole, and some minimize levels list exactly the elements of
+    one of the sums."""
+    pool = [Atom(n) for n in "abcdef"[:rng.randint(2, 6)]]
+    sums = [random_sum(rng, pool) for _ in range(rng.randint(1, 3))]
+    sums += [SumConstraint(rng.choice((None, 0, 1)), sc.elements,
+                           rng.choice((None, sc.total, sc.total + 1)))
+             for sc in sums]
+    bodies = []
+    for _ in range(rng.randint(1, 4)):
+        bodies.append(tuple(
+            BodyLiteral(rng.choice(sums) if rng.random() < 0.5
+                        else rng.choice(pool), rng.random() < 0.3)
+            for _ in range(rng.randint(0, 2))))
+    rules = []
+    for _ in range(rng.randint(1, 8)):
+        dice = rng.random()
+        head = (rng.choice(sums) if dice < 0.4
+                else Disjunction((rng.choice(pool),)) if dice < 0.85
+                else Disjunction(()))
+        rules.append(Rule(head, rng.choice(bodies)))
+    entries = []
+    for level in rng.sample((1, 2, 3), rng.randint(0, 3)):
+        if rng.random() < 0.6:
+            entries += [MinimizeEntry(wl.literal, wl.weight, level)
+                        for wl in rng.choice(sums).elements]
+        else:
+            entries.append(MinimizeEntry(
+                Literal(rng.choice(pool), rng.random() < 0.3),
+                rng.randint(-1, 2), level))
+    return Program(tuple(rules), MinimizeStatement(tuple(entries)))
+
+
+class TestAgainstReference:
+    """The builder that shares one term per distinct atom, sum and
+    signed member prints what the one-term-per-occurrence reference
+    prints."""
+
+    def test_random_programs(self):
+        rng = random.Random(21)
+        for _ in range(2000):
+            program = random_program(rng, minimize=True)
+            facts, expected = reify(program), reference_reify(program)
+            assert facts == expected
+            assert facts_to_text(facts) == facts_to_text(expected)
+
+    def test_repeated_sums_bodies_and_lists(self):
+        rng = random.Random(22)
+        shared_lists = 0
+        for _ in range(1000):
+            program = shared_program(rng)
+            facts = reify(program)
+            assert facts_to_text(facts) == \
+                facts_to_text(reference_reify(program))
+            # heads of rule facts and members of set facts
+            signed = [fact.args[fact.predicate == "set"] for fact in facts
+                      if fact.predicate in ("rule", "set")]
+            sum_labels = {term.args[0].args[1] for term in signed
+                          if term.args[0].functor == "sum"}
+            shared_lists += any(fact.args[1] in sum_labels for fact in facts
+                                if fact.predicate == "minimize")
+        assert shared_lists >= 100
 
 
 ATOMS = st.sampled_from([Atom(n) for n in "abcd"])
