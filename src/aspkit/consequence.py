@@ -18,15 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import (
-    Atom,
-    Interpretation,
-    Program,
-    atoms,
-    atoms_of,
-    positive_part,
-    sorted_atoms,
-)
+from .core import Atom, Disjunction, Interpretation, Program, sorted_atoms
 from .compiled import CompiledProgram, _indexes
 from .semantics import compile_program
 
@@ -71,15 +63,42 @@ class SccDecomposition:
 
 
 def dependency_graph(program: Program) -> DependencyGraph:
-    """Edges from positive head atoms to positive body atoms."""
+    """Edges from positive head atoms to positive body atoms: the atoms
+    of a disjunctive head and the positive entries of a sum head lead to
+    each positive body atom and each positive entry of a non-negated body
+    sum.  One walk over the rules reads the edges and every atom of the
+    program, the minimize entries' atoms too, as the nodes."""
+    nodes: set[Atom] = set()
     edges: set[tuple[Atom, Atom]] = set()
     for rule in program.rules:
-        heads = atoms_of(positive_part(rule.head))
-        for element in positive_part(rule.body):
-            targets = ({element} if isinstance(element, Atom)
-                       else atoms_of(positive_part(element)))
-            edges.update((a, b) for a in heads for b in targets)
-    return DependencyGraph(atoms(program), frozenset(edges))
+        head = rule.head
+        if type(head) is Disjunction:
+            heads = head.atoms
+            nodes.update(heads)
+        else:
+            heads = []
+            for wl in head.elements:
+                literal = wl.literal
+                nodes.add(literal.atom)
+                if not literal.negated:
+                    heads.append(literal.atom)
+        targets = []
+        for bl in rule.body:
+            element = bl.element
+            if type(element) is Atom:
+                nodes.add(element)
+                if not bl.negated:
+                    targets.append(element)
+                continue
+            for wl in element.elements:
+                literal = wl.literal
+                nodes.add(literal.atom)
+                if not (bl.negated or literal.negated):
+                    targets.append(literal.atom)
+        if heads and targets:
+            edges.update([(a, b) for a in heads for b in targets])
+    nodes.update([entry.literal.atom for entry in program.minimize.entries])
+    return DependencyGraph(frozenset(nodes), frozenset(edges))
 
 
 def sccs(graph: DependencyGraph) -> SccDecomposition:

@@ -55,6 +55,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 
 from . import core
 from .core import (
@@ -167,6 +169,15 @@ def _row_text(row: Row) -> str:
     return f"{head} :- {', '.join(body)}." if body else f"{head}."
 
 
+def _rows_text(rows) -> list[str]:
+    """Rows as rules of the core language; the sum-free ones, most rows
+    of a large program, are written here inline."""
+    return [_row_text(row) if row[2]
+            else f"{row[0]} :- {', '.join(row[1])}." if row[1]
+            else f"{row[0]}."
+            for row in rows]
+
+
 def _bounded_sums(parts, total: int):
     """Lower-bound sums of a row; None when some bound is unreachable,
     trivial bounds dropped (an all-trivial body yields a fact)."""
@@ -219,21 +230,22 @@ class MetaProgram:
         return self.candidate_definitions + self.candidate_rules
 
     def to_text(self) -> str:
+        rules_text = partial(map, str)
         sections = (
-            ("candidate generation", self.candidate, str),
-            ("counterexample guess", self.guess, str),
-            ("counterexample evaluation", self.evaluate, _row_text),
-            ("answer-set check", self.check, _row_text),
-            ("saturation", self.saturate, _row_text),
-            ("comparison", self.compare, _row_text),
-            ("acceptance", self.accept, str),
+            ("candidate generation", self.candidate, rules_text),
+            ("counterexample guess", self.guess, rules_text),
+            ("counterexample evaluation", self.evaluate, _rows_text),
+            ("answer-set check", self.check, _rows_text),
+            ("saturation", self.saturate, _rows_text),
+            ("comparison", self.compare, _rows_text),
+            ("acceptance", self.accept, rules_text),
         )
         lines: list[str] = []
         for title, rules, text in sections:
             if not rules:
                 continue
             lines.append(f"% {title}")
-            lines.extend(map(text, rules))
+            lines.extend(text(rules))
         return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -407,67 +419,72 @@ class _Builder:
         return rows
 
     def _component_rules(self, label: int, supports) -> list[Row]:
-        """Wait-level rows of one component, in time linear in their
-        number: each element's wait atom names are made once, indexed by
-        step, and membership in the component is a set lookup."""
+        """Wait-level rows of one component, made in bulk: the step
+        suffixes ``_0`` ... ``_z`` are made once, each element's wait
+        atom names are its prefix plus each suffix, and the rows of a
+        family are zipped from those name lists and repeated bodies, so
+        no step's row is built by a Python statement of its own.  The
+        rows of a conjunction or sum interleave by step.  Membership in
+        the component is a dict lookup."""
         names, conj_labels, sum_terms = self.view.components[label]
         names = sorted(names)
         steps = len(names)
         internal_conjs = set(conj_labels)
+        suffixes = [f"_{step}" for step in range(steps + 1)]
         # wait atom names by step: atoms (keyed by name) at 0..steps,
         # conjunctions and sums at 0..steps-1
-        wait_atom = {a: [f"wait_atom_{a}_{step}" for step in range(steps + 1)]
+        wait_atom = {a: list(map(f"wait_atom_{a}".__add__, suffixes))
                      for a in names}
-        wait_conj = {c: [f"wait_conj_{c}_{step}" for step in range(steps)]
+        suffixes = suffixes[:steps]
+        wait_conj = {c: list(map(f"wait_conj_{c}".__add__, suffixes))
                      for c in conj_labels}
-        wait_sum = {}
-        for term in sum_terms:
-            name = _entity("wait", term)
-            wait_sum[term] = [f"{name}_{step}" for step in range(steps)]
+        wait_sum = {term: list(map(_entity("wait", term).__add__, suffixes))
+                    for term in sum_terms}
+        no_sums = repeat(())
         rows: list[Row] = [(wait_atom[a][0], (), ()) for a in names]
-
         for a in names:
-            fail = (f"fail_atom_{a}",)
-            rows.extend((wait, fail, ()) for wait in wait_atom[a][1:])
+            rows.extend(zip(wait_atom[a][1:], repeat((f"fail_atom_{a}",)),
+                            no_sums))
         for a in names:
             internal = [wait_conj[s] for s in supports[a]
                         if s in internal_conjs]
             sccw = f"sccw_atom_{a}"
             rows.append((sccw, tuple(f"fail_conj_{s}" for s in supports[a]
                                      if s not in internal_conjs), ()))
-            for step, wait in enumerate(wait_atom[a][1:]):
-                rows.append((wait, (sccw, *[waits[step] for waits in internal]),
-                             ()))
+            rows.extend(zip(wait_atom[a][1:], zip(repeat(sccw), *internal),
+                            no_sums))
         for conj in conj_labels:
-            fail = (f"fail_conj_{conj}",)
+            waits = wait_conj[conj]
             members = [
                 wait_atom.get(inner.args[0].functor)
                 if inner.functor == "atom" else wait_sum.get(inner)
                 for negated, inner in self.view.conjunctions[conj]
                 if not negated]
-            members = [waits for waits in members if waits is not None]
-            for step, wait in enumerate(wait_conj[conj]):
-                rows.append((wait, fail, ()))
-                rows.extend((wait, (waits[step],), ()) for waits in members)
+            # per step: the fail row, then one row per internal member
+            streams = [zip(waits, repeat((f"fail_conj_{conj}",)), no_sums)]
+            streams.extend(zip(waits, zip(member), no_sums)
+                           for member in members if member is not None)
+            rows.extend(chain.from_iterable(zip(*streams)))
         for term in sum_terms:
+            waits = wait_sum[term]
             sc = self.view.sums[term]
             total = sc.total
             threshold = total - sc.lower + 1
-            fail = (_entity("fail", term),)
-            # per entry: its wait atom names by step, or its fixed guess atom
-            entries = [
-                (wait_atom.get(wl.literal.atom.name)
-                 if not wl.literal.negated else None,
-                 _ce_lit(wl.literal, False), wl.weight)
-                for wl in sc.elements]
-            for step, wait in enumerate(wait_sum[term]):
-                rows.append((wait, fail, ()))
-                if threshold <= 0:
-                    rows.append((wait, (), ()))
-                elif threshold <= total:
-                    counted = tuple((waits[step] if waits else fixed, weight)
-                                    for waits, fixed, weight in entries)
-                    rows.append((wait, (), ((threshold, counted),)))
+            streams = [zip(waits, repeat((_entity("fail", term),)), no_sums)]
+            if threshold <= 0:
+                streams.append(zip(waits, no_sums, no_sums))
+            elif threshold <= total:
+                # per entry: its wait atom names by step, or its fixed
+                # guess atom at every step
+                columns = [
+                    zip(wait_atom[wl.literal.atom.name], repeat(wl.weight))
+                    if not wl.literal.negated
+                    and wl.literal.atom.name in wait_atom
+                    else repeat((_ce_lit(wl.literal, False), wl.weight))
+                    for wl in sc.elements]
+                sums = (((threshold, counted),) for counted in zip(*columns))
+                streams.append(zip(waits, no_sums, sums))
+            rows.extend(chain.from_iterable(zip(*streams)))
         rows.extend(("bot", (f"true_atom_{a}", wait_atom[a][steps]), ())
                     for a in names)
         return rows
@@ -668,8 +685,10 @@ def build_meta_program(program: Program, crit: CriteriaSet) -> MetaProgram:
     candidate_defs = tuple(builder.candidate_definitions())
     candidate_rules = tuple(builder.candidate_rules())
     candidate_atoms = {a: atom(f"hold_atom_{a.name}") for a in view.atoms}
-    candidate_side = frozenset(candidate_atoms.values()) | core.atoms(
-        Program(candidate_defs + candidate_rules))
+    # the names registered so far are the candidate part's atoms and
+    # the hold atoms; the guess part registers the next ones
+    candidate_side = frozenset([shared[_ATOM]
+                                for shared in builder.shared.values()])
     return MetaProgram(
         candidate_definitions=candidate_defs,
         candidate_rules=candidate_rules,

@@ -266,7 +266,23 @@ def reify(program: Program) -> list[ReifiedFact]:
 
 
 def facts_to_text(facts) -> str:
-    return "".join(f"{fact}\n" for fact in facts)
+    """The facts, one a line, as ``str`` prints each.  A term object that
+    several facts share, as a reification's do, is printed once per
+    call."""
+    printed: dict[int, str] = {}
+
+    def text(arg) -> str:
+        if type(arg) is not Term:
+            return str(arg)
+        known = printed.get(id(arg))
+        if known is None:
+            known = printed[id(arg)] = (
+                f"{arg.functor}({','.join(map(text, arg.args))})"
+                if arg.args else arg.functor)
+        return known
+
+    return "".join([f"{fact.predicate}({','.join(map(text, fact.args))}).\n"
+                    for fact in facts])
 
 
 #: Deepest term nesting ``text_to_facts`` reads, counting the fact

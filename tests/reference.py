@@ -18,7 +18,10 @@ tested against a guess kept for another.  The token-stream readers of
 program, criteria and fact text are the oracle for the shared lexer's
 readers.  A reification that builds a new term per occurrence, and a
 Tarjan decomposition over atoms, are the oracles of ``reify`` and
-``sccs``."""
+``sccs``.  The dependency graph read through ``positive_part`` and
+``atoms_of`` rule by rule, and the wait-level rows built one row at a
+time, are the oracles of ``dependency_graph`` and of the meta build's
+component rows."""
 
 from __future__ import annotations
 
@@ -58,7 +61,7 @@ from aspkit.core import (
     positive_part,
     sorted_atoms,
 )
-from aspkit.metaenc import MetaProgram, MetaSolver
+from aspkit.metaenc import MetaProgram, MetaSolver, _ce_lit, _entity
 from aspkit.parser import ParseError, SourceSpan
 from aspkit.reify import MAX_TERM_DEPTH, ReifiedFact, Term
 from aspkit.semantics import canonical_order, is_model, satisfies
@@ -805,3 +808,89 @@ def reference_reify(program: Program) -> list[ReifiedFact]:
     builder.add_sccs()
     builder.add_minimize(program.minimize)
     return builder.facts
+
+
+# -- the dependency graph and the wait-level rows, one object at a time -----
+
+# The dependency graph and the wait-level rows of one component as they
+# were before the graph was read in one walk and the rows were zipped from
+# name lists: ``positive_part``/``atoms_of`` per rule plus a separate
+# ``atoms`` pass, and one tuple built per row.  They are the differential
+# oracles of ``dependency_graph`` and ``_Builder._component_rules``: equal
+# graphs, and equal rows in equal order.
+
+
+def reference_dependency_graph(program: Program) -> DependencyGraph:
+    """Edges from positive head atoms to positive body atoms."""
+    edges: set[tuple[Atom, Atom]] = set()
+    for rule in program.rules:
+        heads = atoms_of(positive_part(rule.head))
+        for element in positive_part(rule.body):
+            targets = ({element} if isinstance(element, Atom)
+                       else atoms_of(positive_part(element)))
+            edges.update((a, b) for a in heads for b in targets)
+    return DependencyGraph(atoms(program), frozenset(edges))
+
+
+def reference_component_rules(view, label: int, supports) -> list:
+    """Wait-level rows of the component ``label`` of a meta build's
+    ``view``, one tuple built per row; ``supports`` maps each atom name
+    to its supporting rules' conjunction labels."""
+    names, conj_labels, sum_terms = view.components[label]
+    names = sorted(names)
+    steps = len(names)
+    internal_conjs = set(conj_labels)
+    wait_atom = {a: [f"wait_atom_{a}_{step}" for step in range(steps + 1)]
+                 for a in names}
+    wait_conj = {c: [f"wait_conj_{c}_{step}" for step in range(steps)]
+                 for c in conj_labels}
+    wait_sum = {}
+    for term in sum_terms:
+        name = _entity("wait", term)
+        wait_sum[term] = [f"{name}_{step}" for step in range(steps)]
+    rows = [(wait_atom[a][0], (), ()) for a in names]
+
+    for a in names:
+        fail = (f"fail_atom_{a}",)
+        rows.extend((wait, fail, ()) for wait in wait_atom[a][1:])
+    for a in names:
+        internal = [wait_conj[s] for s in supports[a]
+                    if s in internal_conjs]
+        sccw = f"sccw_atom_{a}"
+        rows.append((sccw, tuple(f"fail_conj_{s}" for s in supports[a]
+                                 if s not in internal_conjs), ()))
+        for step, wait in enumerate(wait_atom[a][1:]):
+            rows.append((wait, (sccw, *[waits[step] for waits in internal]),
+                         ()))
+    for conj in conj_labels:
+        fail = (f"fail_conj_{conj}",)
+        members = [
+            wait_atom.get(inner.args[0].functor)
+            if inner.functor == "atom" else wait_sum.get(inner)
+            for negated, inner in view.conjunctions[conj]
+            if not negated]
+        members = [waits for waits in members if waits is not None]
+        for step, wait in enumerate(wait_conj[conj]):
+            rows.append((wait, fail, ()))
+            rows.extend((wait, (waits[step],), ()) for waits in members)
+    for term in sum_terms:
+        sc = view.sums[term]
+        total = sc.total
+        threshold = total - sc.lower + 1
+        fail = (_entity("fail", term),)
+        entries = [
+            (wait_atom.get(wl.literal.atom.name)
+             if not wl.literal.negated else None,
+             _ce_lit(wl.literal, False), wl.weight)
+            for wl in sc.elements]
+        for step, wait in enumerate(wait_sum[term]):
+            rows.append((wait, fail, ()))
+            if threshold <= 0:
+                rows.append((wait, (), ()))
+            elif threshold <= total:
+                counted = tuple((waits[step] if waits else fixed, weight)
+                                for waits, fixed, weight in entries)
+                rows.append((wait, (), ((threshold, counted),)))
+    rows.extend(("bot", (f"true_atom_{a}", wait_atom[a][steps]), ())
+                for a in names)
+    return rows

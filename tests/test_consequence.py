@@ -18,6 +18,7 @@ from reference import (
     PositiveProgram,
     is_answer_set,
     reduct,
+    reference_dependency_graph,
     reference_sccs,
     scc_fixpoint_check,
     tp_iterate,
@@ -47,6 +48,31 @@ class TestDependencyGraph:
     def test_negative_occurrences_contribute_nothing(self):
         graph = dependency_graph(parse_program("a :- not b, not 1 {c}."))
         assert graph.edges == frozenset()
+
+    def test_matches_reference(self):
+        """The one-walk graph equals the graph read rule by rule through
+        the positive parts, on draws with sum heads, negated body sums,
+        negated sum entries, constraints, proper disjunctions and atoms
+        that occur only in the minimize statement."""
+        rng = random.Random(37)
+        seen = dict.fromkeys(("sum head", "negated sum", "negated entry",
+                              "constraint", "minimize only"), 0)
+        for i in range(1000):
+            program = random_program(rng, minimize=True, disjunctive=i % 2)
+            assert dependency_graph(program) == \
+                reference_dependency_graph(program)
+            heads = [rule.head for rule in program.rules]
+            sums = [bl for rule in program.rules for bl in rule.body
+                    if not isinstance(bl.element, Atom)]
+            seen["sum head"] += any(not isinstance(h, Disjunction)
+                                    for h in heads)
+            seen["negated sum"] += any(bl.negated for bl in sums)
+            seen["negated entry"] += any(wl.literal.negated for bl in sums
+                                         for wl in bl.element.elements)
+            seen["constraint"] += Disjunction(()) in heads
+            seen["minimize only"] += bool(
+                atoms(program) - atoms(Program(program.rules)))
+        assert min(seen.values()) >= 100, seen
 
 
 class TestSccs:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from aspkit import consequence
 from aspkit.compiled import HornClosure
 from aspkit.consequence import sccs
+from aspkit import core
 from aspkit.core import (
     Atom,
     CapExceededError,
@@ -21,6 +22,7 @@ from aspkit.core import (
 )
 from aspkit.metaenc import (
     MetaSolver,
+    _Builder,
     build_meta_program,
     crosscheck,
     effective_criteria,
@@ -31,7 +33,7 @@ from aspkit.parser import parse_criteria, parse_program, render_program
 from aspkit.reify import facts_to_text, parse_reified, reify, text_to_facts
 from aspkit.semantics import enumerate_answer_sets
 from generators import choice_program, iset, random_criteria, random_program
-from reference import fresh_meta_solve, row_of_rule
+from reference import fresh_meta_solve, reference_component_rules, row_of_rule
 
 INCL = parse_criteria("optimize(1,1,incl).")
 CARD = parse_criteria("optimize(1,1,card).")
@@ -279,6 +281,87 @@ class TestRowsMakeNoRules:
         report = crosscheck(program, INCL)
         assert report.agree and len(report.meta) == 4
         assert len(made) == expected
+
+
+def ring_text(n: int) -> str:
+    """A positive ring of ``n`` atoms entered from a choice atom."""
+    return "{e}.\nr0 :- e.\n" + "".join(
+        f"r{(i + 1) % n} :- r{i}.\n" for i in range(n))
+
+
+#: Sums inside components: a lower bound above the total (every step's
+#: sum row is a fact), a negated entry, an entry outside the component
+#: and a negated sum; and a self-loop through a sum.
+COMPONENT_SUM_TEXTS = (
+    "a :- b. b :- a, 5 #sum[a=1, not b=1, c=2]. c :- a, b.",
+    "{e}. a :- e. a :- b, 1 #sum[b=1, not e=1] 1.\n"
+    "b :- a, not 2 #sum[a=1, b=1].",
+    "a :- 1 #sum[a=2, not a=1]. b :- a, 0 #sum[b=1] 0.",
+)
+
+
+class TestComponentRowsAgainstReference:
+    """The wait-level rows of every component equal, row for row and in
+    order, those of the reference that builds one row at a time."""
+
+    @staticmethod
+    def assert_rows_match(program, monkeypatch) -> list:
+        calls = []
+        rows_of = _Builder._component_rules
+
+        def recorded(self, label, supports):
+            rows = rows_of(self, label, supports)
+            calls.append((self.view, label, supports, rows))
+            return rows
+
+        monkeypatch.setattr(_Builder, "_component_rules", recorded)
+        build(program)
+        monkeypatch.undo()
+        for view, label, supports, rows in calls:
+            assert rows == reference_component_rules(view, label, supports)
+        return [(view.components[label], view) for view, label, *_ in calls]
+
+    def test_random_draws(self, monkeypatch):
+        rng = random.Random(71)
+        with_sums = self_loops = several_conjunctions = 0
+        for _ in range(1000):
+            program = random_program(rng, max_atoms=6, max_rules=12)
+            for (names, conjs, sums), _ in self.assert_rows_match(
+                    program, monkeypatch):
+                with_sums += bool(sums)
+                self_loops += len(names) == 1
+                several_conjunctions += len(conjs) >= 2
+        assert min(with_sums, self_loops, several_conjunctions) >= 200
+
+    def test_sums_inside_components(self, monkeypatch):
+        thresholds = set()
+        for text in COMPONENT_SUM_TEXTS:
+            components = self.assert_rows_match(
+                parse_program(text), monkeypatch)
+            for (_, _, sums), view in components:
+                for term in sums:
+                    sc = view.sums[term]
+                    threshold = sc.total - sc.lower + 1
+                    thresholds.add((threshold > 0) + (threshold > sc.total))
+        assert thresholds == {0, 1, 2}
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_rings(self, n, monkeypatch):
+        components = self.assert_rows_match(
+            parse_program(ring_text(n)), monkeypatch)
+        assert [len(names) for (names, _, _), _ in components] == [n]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_candidate_side_is_the_candidate_parts_atoms(seed):
+    """The candidate side read off the build's names is the hold atoms
+    and the atoms of the candidate part's rules."""
+    rng = random.Random(seed)
+    program = random_program(rng, max_atoms=6, minimize=True)
+    mp = build(program, random_criteria(rng, program))
+    assert mp.candidate_side == frozenset(mp.candidate_atoms.values()) \
+        | core.atoms(core.Program(mp.candidate))
 
 
 def check_text(program) -> str:
