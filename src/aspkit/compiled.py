@@ -304,12 +304,14 @@ class _Sum:
 class _Rule:
     """One compiled rule: ``head`` is the mask of every head atom and
     ``supported`` that of the atoms it supports, those positive in the
-    head; ``closure`` lists the (closure rule id, head bit) pairs it
-    contributes to the reduct's closure, and ``key`` is the closure index
-    of the key a proper disjunction derives when its body holds, or -1."""
+    head; ``reads`` is the mask of the atoms the body reads, its plain
+    atoms and the entries of its sums; ``closure`` lists the (closure
+    rule id, head bit) pairs it contributes to the reduct's closure, and
+    ``key`` is the closure index of the key a proper disjunction derives
+    when its body holds, or -1."""
 
-    __slots__ = ("head", "head_sum", "supported", "pos", "neg", "sums",
-                 "reduced", "closure", "key")
+    __slots__ = ("head", "head_sum", "supported", "pos", "neg", "reads",
+                 "sums", "reduced", "closure", "key")
 
     def __init__(self, rule: Rule, bit: dict[Atom, int]):
         self.head = self.supported = 0
@@ -325,7 +327,7 @@ class _Rule:
             for b, _ in self.head_sum.negative:
                 self.head |= b
         self.head |= self.supported
-        self.pos = self.neg = 0
+        self.pos = self.neg = self.reads = 0
         sums: list[tuple[_Sum, bool]] = []
         for bl in rule.body:
             if isinstance(bl.element, Atom):
@@ -334,7 +336,11 @@ class _Rule:
                 else:
                     self.pos |= bit[bl.element]
             else:
-                sums.append((_Sum(bl.element, bit), bl.negated))
+                s = _Sum(bl.element, bit)
+                sums.append((s, bl.negated))
+                for b, _ in s.positive + s.negative:
+                    self.reads |= b
+        self.reads |= self.pos | self.neg
         self.sums = tuple(sums)
         self.reduced = tuple(s for s, negated in sums if not negated)
         self.closure: list[tuple[int, int]] = []
@@ -352,15 +358,6 @@ class _Rule:
         if self.head_sum is None:
             return bool(x & self.head)
         return self.head_sum.holds(x)
-
-    def reads(self) -> int:
-        """The mask of the atoms the body reads: its plain atoms and the
-        entries of its sums."""
-        reads = self.pos | self.neg
-        for s, _ in self.sums:
-            for b, _ in s.positive + s.negative:
-                reads |= b
-        return reads
 
 
 class CompiledProgram:
@@ -581,11 +578,7 @@ class Search:
         for rid, rule in enumerate(program.rules):
             if rule.head_sum is not None:
                 chosen += _indexes(rule.supported)
-            mentioned = rule.head | rule.pos | rule.neg
-            for s, _ in rule.sums:
-                for b, _ in s.positive + s.negative:
-                    mentioned |= b
-            for idx in _indexes(mentioned):
+            for idx in _indexes(rule.head | rule.reads):
                 self.watch[idx].append(rid)
             supports = tuple((idx, 1 << idx)
                              for idx in _indexes(rule.supported))

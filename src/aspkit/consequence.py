@@ -207,19 +207,19 @@ def wait_levels(program: Program, x: Interpretation, label: int,
     members = decomposition.by_label(label).atoms
     bit = compiled.bit
     inside = sum(bit[a] for a in members if a in x)
-    reads = {rule: rule.reads() for idx in _indexes(inside)
-             for rule in compiled.supporting[idx]}
+    rules = dict.fromkeys(rule for idx in _indexes(inside)
+                          for rule in compiled.supporting[idx])
     # x on the atoms these rules read, which is all that their bodies
     # and reducts look at
     read = 0
-    for rule_reads in reads.values():
-        read |= rule_reads
+    for rule in rules:
+        read |= rule.reads
     mask = inside | sum(bit[a] for a in compiled.decode(read) - members
                         if a in x)
-    applied = [rule for rule in reads if rule.body_holds(mask)]
+    applied = [rule for rule in rules if rule.body_holds(mask)]
     seed = 0
     for rule in applied:
-        seed |= reads[rule]
+        seed |= rule.reads
     derived = compiled.horn.least_model(
         compiled.reduct_rules(mask, applied, inside),
         _indexes(seed & mask & ~inside))[0]

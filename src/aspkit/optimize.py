@@ -11,15 +11,18 @@ The default semantics instead sums weights per level.
 
 :class:`CompiledCriteria` compiles the criteria against the minimize
 statement and an atom order once and scores each answer set, as the
-mask the search found it as, once per criterion group; dominance then
-compares two score vectors with integer operations.  Answer sets are
-decoded only when they are returned.
+mask the search found it as, once per criterion group.  Dominance is
+one sweep over the levels, most significant first, of masks over the
+distinct score vectors: each relation gives a vector its standing, the
+vectors at least as good as it there and those it is not at least as
+good as, and the sweep intersects the former level by level until one
+of the latter meets them.  Answer sets are decoded only when they are
+returned.
 """
 
 from __future__ import annotations
 
 import logging
-import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -46,11 +49,6 @@ class DominanceVerdict:
 
 
 _UNDOMINATED = DominanceVerdict(False)
-
-
-def _included(x: int, y: int) -> bool:
-    """``incl``: every group literal ``x`` satisfies, ``y`` satisfies."""
-    return not x & ~y
 
 
 def _preference(literals: tuple[Literal, ...], prefer, level: int,
@@ -87,45 +85,59 @@ def _preference(literals: tuple[Literal, ...], prefer, level: int,
     return preferable
 
 
-def _card_table(buckets: dict[int, int]) -> dict[int, tuple[int, int]]:
-    """``card`` tables from one running OR over the ascending counts."""
+# A standing builder takes one relation's column of values, value k
+# belonging to the vector at bit k, and returns ``standing(v) -> (as_good,
+# better)``: the masks of the vectors whose value u has u <= v, and of
+# those whose value u has not v <= u.
+
+
+def _buckets(column: list[int]) -> dict[int, int]:
+    """The mask of the vectors holding each distinct value."""
+    buckets: dict[int, int] = {}
+    for k, v in enumerate(column):
+        buckets[v] = buckets.get(v, 0) | 1 << k
+    return buckets
+
+
+def _card(column: list[int]):
+    """``card`` standings from one running OR over the ascending counts."""
     table = {}
     below = 0
-    for v in sorted(buckets):
-        as_good = below | buckets[v]
+    for v, mask in sorted(_buckets(column).items()):
+        as_good = below | mask
         table[v] = (as_good, below)
         below = as_good
-    return table
+    return table.__getitem__
 
 
-def _incl_table(buckets: dict[int, int],
-                width: int) -> dict[int, tuple[int, int]]:
-    """``incl`` tables over masks of ``width`` literals, from the mask
+def _incl(width: int, column: list[int]):
+    """``incl`` standings over masks of ``width`` literals, from the mask
     ``lacking[b]`` of the vectors whose value lacks literal bit b: u <= v
     when u lacks every bit v lacks, and not v <= u when u lacks a bit of
-    v."""
-    everything = 0
-    lacking = [0] * width
-    for u, mask in buckets.items():
-        everything |= mask
-        for b in range(width):
-            if not u >> b & 1:
-                lacking[b] |= mask
-    table = {}
-    for v in buckets:
-        as_good, better = everything, 0
-        for b in range(width):
+    v.  Each ``lacking[b]`` is read off one 0/1 string of the column's
+    complements, last vector first; a standing is made on each call, -1
+    standing for every vector."""
+    full, spec = (1 << width) - 1, f"0{width}b"
+    text = "".join(format(full ^ v, spec) for v in reversed(column))
+    lacking = [int(text[width - 1 - b::width] or "0", 2)
+               for b in range(width)]
+
+    def standing(v: int) -> tuple[int, int]:
+        as_good, better = -1, 0
+        for b, lacks in enumerate(lacking):
             if v >> b & 1:
-                better |= lacking[b]
+                better |= lacks
             else:
-                as_good &= lacking[b]
-        table[v] = (as_good, better)
-    return table
+                as_good &= lacks
+        return as_good, better
+
+    return standing
 
 
-def _pairwise_table(buckets: dict[int, int],
-                    leq) -> dict[int, tuple[int, int]]:
-    """Tables of any relation ``leq``, comparing every pair of values."""
+def _pairwise(leq, column: list[int]):
+    """Standings of any relation ``leq``, comparing every pair of
+    values."""
+    buckets = _buckets(column)
     table = {}
     for v in buckets:
         as_good = better = 0
@@ -135,50 +147,49 @@ def _pairwise_table(buckets: dict[int, int],
             if not leq(v, u):
                 better |= mask
         table[v] = (as_good, better)
-    return table
+    return table.__getitem__
 
 
 class CompiledCriteria:
     """Criteria compiled against one minimize statement and one atom
     order, ``bit`` giving each atom its bit in an interpretation mask.
 
-    Relations are kept most significant first.  :meth:`score` maps an
-    interpretation mask to one int per relation: a ``card`` relation's
-    satisfied-occurrence count (duplicates count), an ``incl`` or
-    ``pref`` relation's mask of satisfied group literals, bit i standing
-    for the i-th distinct literal of the group.  A group without
-    minimize occurrences scores 0, so ``card`` and ``incl`` hold on it
-    and ``pref`` never does.
+    Relations are kept most significant first, each with its standing
+    builder.  :meth:`score` maps an interpretation mask to one int per
+    relation: a ``card`` relation's satisfied-occurrence count
+    (duplicates count), an ``incl`` or ``pref`` relation's mask of
+    satisfied group literals, bit i standing for the i-th distinct
+    literal of the group.  A group without minimize occurrences scores
+    0, so ``card`` and ``incl`` hold on it and ``pref`` never does.
+    :meth:`dominates` and :meth:`undominated` share one sweep over the
+    levels.
     """
 
     def __init__(self, m: MinimizeStatement, crit: CriteriaSet,
                  bit: dict[Atom, int]):
         ordered = sorted(crit.relations, key=lambda r: (-r[0], r[1], r[2]))
         self._groups = []
-        leqs = []
-        tables = []
-        for level, weight, criterion in ordered:
+        self._builders = []
+        #: (level, [(relation index, weight), ...]), most significant first
+        self._levels: list[tuple[int, list[tuple[int, int]]]] = []
+        for i, (level, weight, criterion) in enumerate(ordered):
+            if not self._levels or self._levels[-1][0] != level:
+                self._levels.append((level, []))
+            self._levels[-1][1].append((i, weight))
             occurrences = tuple(e.literal for e in m.group(level, weight))
             if criterion == "card":
                 self._groups.append((
                     [(bit[l.atom], l.negated) for l in occurrences], True))
-                leqs.append(operator.le)
-                tables.append(_card_table)
+                self._builders.append(_card)
                 continue
             literals = tuple(dict.fromkeys(occurrences))
             self._groups.append((
                 [(bit[l.atom], l.negated) for l in literals], False))
             if criterion == "incl":
-                leqs.append(_included)
-                tables.append(partial(_incl_table, width=len(literals)))
+                self._builders.append(partial(_incl, len(literals)))
             else:
-                leqs.append(_preference(literals, crit.prefer, level, weight))
-                tables.append(partial(_pairwise_table, leq=leqs[-1]))
-        self._relations = tuple(
-            (level, weight, leqs[i], tables[i],
-             tuple((j, leqs[j]) for j, other in enumerate(ordered)
-                   if other[0] >= level))
-            for i, (level, weight, _) in enumerate(ordered))
+                self._builders.append(partial(_pairwise, _preference(
+                    literals, crit.prefer, level, weight)))
 
     def score(self, x: int) -> tuple[int, ...]:
         vector = []
@@ -194,51 +205,54 @@ class CompiledCriteria:
             vector.append(value)
         return tuple(vector)
 
+    def _standings(self, vectors: list[tuple[int, ...]]) -> list:
+        return [build([vector[i] for vector in vectors])
+                for i, build in enumerate(self._builders)]
+
+    def _witness(self, standings: list,
+                 x: tuple[int, ...]) -> tuple[int, int] | None:
+        """The (level, weight) of the first relation, most significant
+        first, at which some vector dominates ``x``: ``alike`` keeps the
+        vectors at least as good as ``x`` at every relation of the
+        levels swept so far, and a vector in it that ``x`` is not at
+        least as good as at a relation of the current level dominates
+        ``x``.  None when ``alike`` runs empty or the levels run out."""
+        alike = -1
+        for level, relations in self._levels:
+            found = [standings[i](x[i]) for i, _ in relations]
+            for as_good, _ in found:
+                alike &= as_good
+            if not alike:
+                return None
+            for (_, weight), (_, better) in zip(relations, found):
+                if better & alike:
+                    return level, weight
+        return None
+
     def dominates(self, y: tuple[int, ...],
                   x: tuple[int, ...]) -> DominanceVerdict:
         """Whether score vector ``y`` dominates ``x``: some criterion
         group (J, w) fails x <= y while every criterion at a level >= J
-        has y <= x."""
-        for i, (level, weight, leq, _, at_or_above) in enumerate(self._relations):
-            if leq(x[i], y[i]):
-                continue
-            if all(leq_j(y[j], x[j]) for j, leq_j in at_or_above):
-                return DominanceVerdict(True, level, weight)
-        return _UNDOMINATED
+        has y <= x.  This is the sweep over the two vectors y and x; no
+        vector dominates itself."""
+        witness = self._witness(self._standings([y, x]), x)
+        if witness is None:
+            return _UNDOMINATED
+        return DominanceVerdict(True, *witness)
 
     def undominated(self, scores: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
         """The score vectors in ``scores`` that none of them dominates.
 
         Equal vectors dominate the same vectors and never each other, so
         only distinct vectors are compared, each standing for bit k of a
-        mask by its position k.  Per relation and distinct value v,
-        ``as_good[v]`` masks the vectors whose value u there has u <= v,
-        and ``better[v]`` those whose value u has not v <= u; ``card``
-        and ``incl`` build these tables in time linear per value, and
-        ``pref`` compares every pair of values once.  A vector x is then
-        dominated exactly when, for some relation i, ``better[x_i]``
-        meets ``as_good[x_j]`` of every relation j at a level >= that of
-        i."""
+        mask by its position k.  Each relation's builder turns its column
+        of values into standings, and each vector is then swept over the
+        levels once: ``card`` and ``pref`` look a standing up in a table
+        per distinct value, ``incl`` makes it from one mask per literal,
+        so its memory is linear in the vectors."""
         distinct = list(dict.fromkeys(scores))
-        tables = []
-        for i, (_, _, _, tabulate, _) in enumerate(self._relations):
-            buckets: dict[int, int] = {}
-            for k, vector in enumerate(distinct):
-                buckets[vector[i]] = buckets.get(vector[i], 0) | 1 << k
-            tables.append(tabulate(buckets))
-        out = set()
-        for x in distinct:
-            for i, (_, _, _, _, at_or_above) in enumerate(self._relations):
-                witnesses = tables[i][x[i]][1]
-                for j, _ in at_or_above:
-                    witnesses &= tables[j][x[j]][0]
-                    if not witnesses:
-                        break
-                if witnesses:
-                    break
-            else:
-                out.add(x)
-        return out
+        standings = self._standings(distinct)
+        return {x for x in distinct if self._witness(standings, x) is None}
 
 
 def dominates(y: Interpretation, x: Interpretation, m: MinimizeStatement,

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import random
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -23,13 +24,14 @@ from aspkit.core import (
 )
 from aspkit.metaenc import build_meta_program, solve_meta
 from aspkit.optimize import (
+    CompiledCriteria,
     DominanceVerdict,
     default_optimal,
     dominates,
     optimal_answer_sets,
 )
 from aspkit.parser import parse_criteria, parse_program
-from aspkit.semantics import enumerate_answer_sets, satisfies
+from aspkit.semantics import answer_set_masks, enumerate_answer_sets, satisfies
 from generators import choice_program, iset, random_criteria, random_program
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -447,6 +449,17 @@ def test_group_without_occurrences():
             UNDOMINATED if criterion == "pref" else DOMINATED)
 
 
+def test_witness_is_the_first_relation_of_its_level():
+    # {} ties with x at level 2 and is at least as good at every relation
+    # of level 1; the verdict names the first level-1 relation x fails
+    m = statement("c=1@2, a=1@1, b=2@1")
+    crit = CriteriaSet(((2, 1, "card"), (1, 1, "incl"), (1, 2, "card")))
+    for x, weight in (("a,b", 1), ("b", 2), ("a", 1)):
+        found = dominates(iset(""), iset(x), m, crit)
+        assert found == reference_dominates(iset(""), iset(x), m, crit)
+        assert found == DominanceVerdict(True, 1, weight)
+
+
 def free_program(text) -> Program:
     """Independent choices over the atoms of the minimize statement
     ``text``, under it: every subset is an answer set."""
@@ -460,42 +473,79 @@ BOTH_POLARITIES = ", ".join(f"{a}=1@{{level}}, not {a}=1@{{level}}"
                             for a in "abcdefgh")
 
 
+def pairs(text) -> tuple[tuple[Literal, Literal], ...]:
+    """Prefer pairs written ``l1>l2``, a ``-`` marking a negated literal."""
+    def literal(name):
+        return Literal(Atom(name.lstrip("-")), name.startswith("-"))
+    return tuple(tuple(map(literal, pair.split(">"))) for pair in text.split())
+
+
 @pytest.mark.parametrize("text,relations,optimal", [
     # the frontier shape: 256 distinct incl values at the top level, two
     # of which always differ both ways, so nothing is dominated; below
     # it a card group with duplicate occurrences and a relation at a
     # group without occurrences
     (BOTH_POLARITIES.format(level=2) + ", a=1@1, a=1@1, b=1@1, c=2@1",
-     ((2, 1, "incl"), (1, 1, "card"), (1, 2, "incl"), (3, 5, "card")), 256),
+     CriteriaSet(((2, 1, "incl"), (1, 1, "card"), (1, 2, "incl"),
+                  (3, 5, "card"))), 256),
     # the same incl group below a card group with duplicate occurrences,
     # which alone decides, and incl and card relations at groups without
     # occurrences at the top
     (BOTH_POLARITIES.format(level=1) + ", a=1@2, a=1@2, b=1@2, c=1@2",
-     ((1, 1, "incl"), (2, 1, "card"), (3, 5, "incl"), (3, 6, "card")), 32),
+     CriteriaSet(((1, 1, "incl"), (2, 1, "card"), (3, 5, "incl"),
+                  (3, 6, "card"))), 32),
     # two incl groups at one level, Pareto-wise: every atom positive in
     # one (256 distinct values), four atoms negated in the other; only
     # the subsets of those four are undominated
     ("a=1, b=1, c=1, d=1, e=1, f=1, g=1, h=1, "
      "not a=2, not b=2, not c=2, not d=2",
-     ((1, 1, "incl"), (1, 2, "incl")), 16),
+     CriteriaSet(((1, 1, "incl"), (1, 2, "incl"))), 16),
     # incl and card with duplicate occurrences at one level: only {}
     # and {c} keep the fewest occurrences among their subsets
     ("a=1, b=1, c=1, d=1, e=1, f=1, g=1, h=1, a=2, a=2, b=2, not c=2",
-     ((1, 1, "incl"), (1, 2, "card")), 2),
+     CriteriaSet(((1, 1, "incl"), (1, 2, "card"))), 2),
+    # pref over 256 distinct values: a chain a < b < c < d < not e of
+    # prefer pairs, and g defeating c; the card group below decides
+    # between sets preferable to each other
+    (BOTH_POLARITIES.format(level=2) + ", a=1@1, b=1@1, c=1@1",
+     CriteriaSet(((2, 1, "pref"), (1, 1, "card")),
+                 pairs("a>b b>c c>d d>-e g>c")), 36),
 ])
 def test_dominance_tables_match_reference(text, relations, optimal):
-    """The linear-time card and incl tables select what the pairwise
-    reference selects, on 256 answer sets."""
+    """The card and incl standings, made in time linear per value, and
+    the pairwise pref tables select what the pairwise reference selects,
+    on 256 answer sets.  ``relations`` holds the criteria."""
     program = free_program(text)
-    crit = CriteriaSet(relations)
     m = program.minimize
     answer_sets = enumerate_answer_sets(program)
     assert len(answer_sets) == 256
     expected = [x for x in answer_sets
-                if not any(reference_dominates(y, x, m, crit).dominated
+                if not any(reference_dominates(y, x, m, relations).dominated
                            for y in answer_sets if y != x)]
     assert len(expected) == optimal
-    assert optimal_answer_sets(program, crit) == expected
+    assert optimal_answer_sets(program, relations) == expected
+
+
+def test_incl_standings_memory_is_linear_in_the_vectors():
+    """12 independent choices under one incl group holding both
+    polarities of every atom: all 4,096 answer sets are optimal, and
+    ``undominated`` finds them within memory linear in the vectors (two
+    masks per distinct value take over 5 MiB here)."""
+    names = [f"a{i}" for i in range(12)]
+    program = free_program(", ".join(f"{a}=1@2, not {a}=1@2"
+                                     for a in names))
+    compiled, masks = answer_set_masks(program, 12)
+    criteria = CompiledCriteria(program.minimize,
+                                CriteriaSet(((2, 1, "incl"),)), compiled.bit)
+    scores = [criteria.score(x) for x in masks]
+    tracemalloc.start()
+    try:
+        undominated = criteria.undominated(scores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(undominated) == 4096
+    assert peak < 1 << 20
 
 
 # -- metamorphic properties of the optimum ------------------------------------
