@@ -4,7 +4,11 @@ models, and wait levels.
 A model is an answer set exactly when iterating the immediate
 consequence operator on its reduct reproduces it, and the iteration can
 be localized to the strongly connected components of the positive
-dependency graph.  Wait levels are the complement of that local
+dependency graph.  One recursive Tarjan search over vertex indexes,
+:func:`strong_components`, finds those components: :mod:`aspkit.reify`
+runs it on the graph over atom indexes (:func:`indexed_graph`), and
+:func:`sccs` over the atoms of a :class:`DependencyGraph`, for ``check``
+and the tests.  Wait levels are the complement of that local
 fixpoint: the true atoms of a component that are still underivable
 after as many steps as the component has atoms.  They are read off one
 least model of the component's part of the compiled reduct, seeded with
@@ -62,65 +66,78 @@ class SccDecomposition:
             raise ValueError(f"unknown component label {label}") from None
 
 
-def dependency_graph(program: Program) -> DependencyGraph:
-    """Edges from positive head atoms to positive body atoms: the atoms
-    of a disjunctive head and the positive entries of a sum head lead to
-    each positive body atom and each positive entry of a non-negated body
-    sum.  One walk over the rules reads the edges and every atom of the
-    program, the minimize entries' atoms too, as the nodes."""
-    nodes: set[Atom] = set()
-    edges: set[tuple[Atom, Atom]] = set()
+def indexed_graph(program: Program) -> tuple[list[Atom], list[list[int]]]:
+    """The positive dependency graph over atom indexes: the atoms of the
+    program, the minimize entries' too, in name order, and per atom the
+    indexes of its successors, ascending and each once.  Edges lead from
+    positive head atoms to positive body atoms: the atoms of a
+    disjunctive head and the positive entries of a sum head lead to each
+    positive body atom and each positive entry of a non-negated body
+    sum.  One walk over the rules reads the edges and the atoms, keyed
+    by name, so no ``Atom`` is hashed."""
+    found: dict[str, Atom] = {}
+    pairs: list[tuple[list[str], list[str]]] = []
     for rule in program.rules:
         head = rule.head
+        heads = []
         if type(head) is Disjunction:
-            heads = head.atoms
-            nodes.update(heads)
+            for atom in head.atoms:
+                found[atom.name] = atom
+                heads.append(atom.name)
         else:
-            heads = []
             for wl in head.elements:
-                literal = wl.literal
-                nodes.add(literal.atom)
-                if not literal.negated:
-                    heads.append(literal.atom)
+                atom = wl.literal.atom
+                found[atom.name] = atom
+                if not wl.literal.negated:
+                    heads.append(atom.name)
         targets = []
         for bl in rule.body:
             element = bl.element
             if type(element) is Atom:
-                nodes.add(element)
+                found[element.name] = element
                 if not bl.negated:
-                    targets.append(element)
+                    targets.append(element.name)
                 continue
             for wl in element.elements:
-                literal = wl.literal
-                nodes.add(literal.atom)
-                if not (bl.negated or literal.negated):
-                    targets.append(literal.atom)
+                atom = wl.literal.atom
+                found[atom.name] = atom
+                if not (bl.negated or wl.literal.negated):
+                    targets.append(atom.name)
         if heads and targets:
-            edges.update([(a, b) for a in heads for b in targets])
-    nodes.update([entry.literal.atom for entry in program.minimize.entries])
-    return DependencyGraph(frozenset(nodes), frozenset(edges))
-
-
-def sccs(graph: DependencyGraph) -> SccDecomposition:
-    """Tarjan decomposition; non-trivial components are labeled 0,1,...
-    in completion order, the topological order of ``components``.
-
-    The search runs over atom indexes: the atoms are numbered once in
-    name order, and each atom's successors are a list of ints sorted
-    once.  Its depth-first search is still recursive, one frame per
-    level, so a path longer than Python's recursion limit raises
-    ``RecursionError`` (ROADMAP item 7)."""
-    order = sorted_atoms(graph.nodes)
-    number = {atom.name: i for i, atom in enumerate(order)}
+            pairs.append((heads, targets))
+    for entry in program.minimize.entries:
+        found[entry.literal.atom.name] = entry.literal.atom
+    order = sorted(found)
+    number = {name: i for i, name in enumerate(order)}
     succ: list[list[int]] = [[] for _ in order]
-    for a, b in graph.edges:
-        succ[number[a.name]].append(number[b.name])
-    for targets in succ:
-        targets.sort()
+    for heads, targets in pairs:
+        ends = [number[name] for name in targets]
+        for name in heads:
+            succ[number[name]].extend(ends)
+    for i, ends in enumerate(succ):
+        if len(ends) > 1:
+            succ[i] = sorted(set(ends))
+    return [found[name] for name in order], succ
 
-    index = [-1] * len(order)
-    lowlink = [0] * len(order)
-    on_stack = bytearray(len(order))
+
+def dependency_graph(program: Program) -> DependencyGraph:
+    """The graph of :func:`indexed_graph` as sets of atoms and edges."""
+    nodes, succ = indexed_graph(program)
+    return DependencyGraph(frozenset(nodes), frozenset([
+        (nodes[a], nodes[b]) for a, ends in enumerate(succ) for b in ends]))
+
+
+def strong_components(succ: list[list[int]]) -> list[list[int]]:
+    """Tarjan decomposition of the graph whose vertex i leads to the
+    vertexes ``succ[i]``: each component as a list of vertexes, in
+    completion order, the topological order (no edge leads to a later
+    component).  The search starts from the vertexes in index order and
+    follows each one's successors in list order.  It is recursive, one
+    frame per level, so a path longer than Python's recursion limit
+    raises ``RecursionError`` (ROADMAP item 7)."""
+    index = [-1] * len(succ)
+    lowlink = [0] * len(succ)
+    on_stack = bytearray(len(succ))
     stack: list[int] = []
     found: list[list[int]] = []
     counter = 0
@@ -147,14 +164,34 @@ def sccs(graph: DependencyGraph) -> SccDecomposition:
                 on_stack[w] = 0
             found.append(members)
 
-    for v in range(len(order)):
+    for v in range(len(succ)):
         if index[v] < 0:
             connect(v)
+    return found
 
+
+def cyclic(members: list[int], succ: list[list[int]]) -> bool:
+    """Whether a component of :func:`strong_components` has an internal
+    edge: more than one vertex, or a self-loop."""
+    return len(members) > 1 or members[0] in succ[members[0]]
+
+
+def sccs(graph: DependencyGraph) -> SccDecomposition:
+    """The components of :func:`strong_components` over the atoms
+    numbered in name order, each atom's successors sorted; non-trivial
+    components are labeled 0,1,... in completion order, the topological
+    order of ``components``."""
+    order = sorted_atoms(graph.nodes)
+    number = {atom.name: i for i, atom in enumerate(order)}
+    succ: list[list[int]] = [[] for _ in order]
+    for a, b in graph.edges:
+        succ[number[a.name]].append(number[b.name])
+    for ends in succ:
+        ends.sort()
     components: list[SccComponent] = []
     label = 0
-    for members in found:
-        nontrivial = len(members) > 1 or members[0] in succ[members[0]]
+    for members in strong_components(succ):
+        nontrivial = cyclic(members, succ)
         components.append(SccComponent(
             label if nontrivial else None,
             frozenset([order[i] for i in members]), nontrivial))

@@ -140,27 +140,10 @@ class Rule:
     body: Body = ()
 
     def __str__(self) -> str:
-        # Atom heads and atom body literals are printed here directly:
-        # the candidate, guess and accept parts of a check program are
-        # made of them, and printing a small check program this way
-        # costs about a seventh less.
-        head = self.head
-        if type(head) is Disjunction and len(head.atoms) == 1:
-            head = head.atoms[0].name
-        else:
-            head = str(head)
+        head = str(self.head)
         if not self.body:
             return f"{head}." if head else ":-."
-        parts = []
-        for bl in self.body:
-            element = bl.element
-            if type(element) is not Atom:
-                parts.append(str(bl))
-            elif bl.negated:
-                parts.append("not " + element.name)
-            else:
-                parts.append(element.name)
-        body = ", ".join(parts)
+        body = ", ".join(map(str, self.body))
         return f"{head} :- {body}." if head else f":- {body}."
 
 

@@ -1,10 +1,11 @@
 """Saturation-based disjunctive check programs over reified input.
 
 :func:`build_meta_program` reifies an extended object program once and
-assembles from those facts, in the toolkit's own core language, a ground
-disjunctive program whose answer sets project onto the optimal answer
-sets of the object program (outside facts go through ``parse_reified``).
-Its parts:
+assembles from that reification's label tables
+(:func:`aspkit.reify.tables`), in the toolkit's own core language, a
+ground disjunctive program whose answer sets project onto the optimal
+answer sets of the object program (outside facts go through
+``parse_reified``).  Its parts:
 
 * candidate: re-derives the object program over ``hold_*`` atoms
   (choice heads become trivial-bound sum heads, each sum and body
@@ -21,19 +22,21 @@ Its parts:
 * saturate: floods the guess atoms from ``bot``;
 * accept: the final constraint ``:- not bot.``.
 
-The evaluate, check, saturate and compare parts, the counterexample
-side, are positive Horn rules once a candidate is fixed, and most of a
-large check program's rules are among them (the wait levels grow
-quadratically in a component's size).  They are kept as name-level rows
-(see :data:`Row`), which :meth:`MetaProgram.to_text` prints and
-:class:`MetaSolver` compiles directly, with no ``Rule`` object made for
-them.  The candidate, guess and accept parts are ``Rule`` tuples; a
-whole program as rules is ``parse_program(mp.to_text())``, the paper's
-route.
+Every part is written with meta atom names, and no fact, term or
+``Rule`` object is made to build or print it.  The evaluate, check,
+saturate and compare parts, the counterexample side, are positive Horn
+rules once a candidate is fixed, and most of a large check program's
+rules are among them (the wait levels grow quadratically in a
+component's size).  They are kept as name-level rows (see :data:`Row`),
+which :meth:`MetaProgram.to_text` prints and :class:`MetaSolver`
+compiles directly.  The candidate, guess and accept parts are kept as
+the lines that :meth:`MetaProgram.to_text` prints; a whole program as
+rules is ``parse_program(mp.to_text())``, the paper's route.
 
 :func:`solve_meta` exploits exactly this structure: the candidates are
 the answer sets of the candidate part alone, found by the search of
-:class:`aspkit.compiled.Search`, and a candidate is accepted iff the
+:class:`aspkit.compiled.Search` over ``parse_program`` of exactly the
+candidate lines that are printed, and a candidate is accepted iff the
 counterexample side derives ``bot`` for every guess, which by saturation
 is equivalent to the meta program having a (unique) answer set with
 that hold-projection.  :class:`MetaSolver` gives the ``hold_atom_*`` of
@@ -55,24 +58,18 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 from itertools import chain, repeat
 
 from . import core
 from .core import (
     Atom,
-    BodyLiteral,
     CapExceededError,
     ContractViolationError,
     CriteriaSet,
-    Disjunction,
     Interpretation,
-    Literal,
     MinimizeStatement,
     Program,
-    Rule,
-    SumConstraint,
-    WeightedLiteral,
     sorted_atoms,
 )
 from .compiled import (
@@ -84,7 +81,8 @@ from .compiled import (
     canonical_masks,
 )
 from .optimize import optimal_answer_sets
-from .reify import FactReader, Term, reify
+from .parser import parse_program
+from .reify import Entry, Inner, tables
 from .semantics import canonical_order
 
 #: Cap on guessed candidate-side atoms in solve_meta.
@@ -110,39 +108,36 @@ def _num(n: int) -> str:
     return str(n) if n >= 0 else f"m{-n}"
 
 
-def _entity(family: str, term: Term) -> str:
-    """Meta atom name for atom(a), conjunction(S), sum(L,S,U), false."""
-    if term.functor == "atom":
-        return f"{family}_atom_{term.args[0].functor}"
-    if term.functor == "conjunction":
-        return f"{family}_conj_{term.args[0]}"
-    if term.functor == "sum":
-        lower, label, upper = term.args
-        return f"{family}_sum_{_num(lower)}_{label}_{_num(upper)}"
-    if term.functor == "false":
+def _entity(family: str, key: Inner | int | None) -> str:
+    """Meta atom name for an atom (its name), a conjunction (its label),
+    a sum (its (lower, label, upper)) or falsity (None)."""
+    if type(key) is str:
+        return f"{family}_atom_{key}"
+    if type(key) is int:
+        return f"{family}_conj_{key}"
+    if key is None:
         return f"{family}_false"
-    raise ValueError(f"unexpected entity term: {term}")
+    lower, label, upper = key
+    return f"{family}_sum_{_num(lower)}_{label}_{_num(upper)}"
 
 
-def _lit_suffix(literal: Literal) -> str:
-    return f"{'neg' if literal.negated else 'pos'}_{literal.atom.name}"
+#: A literal of a minimize list or prefer pair: (negated, atom name).
+Lit = tuple[bool, str]
 
 
-def _ce_lit(literal: Literal, holds: bool) -> str:
+def _lit_suffix(lit: Lit) -> str:
+    return f"{'neg' if lit[0] else 'pos'}_{lit[1]}"
+
+
+def _ce_lit(negated: bool, name: str, holds: bool) -> str:
     """Guess atom name standing for 'literal holds' (or does not hold)."""
-    family = "true" if holds != literal.negated else "fail"
-    return f"{family}_atom_{literal.atom.name}"
+    family = "true" if holds != negated else "fail"
+    return f"{family}_atom_{name}"
 
 
-def _ce_member(negated: bool, inner: Term, holds: bool) -> str:
+def _ce_member(negated: bool, inner: Inner, holds: bool) -> str:
     return _entity("true" if holds != negated else "fail", inner)
 
-
-#: The head of every constraint.
-_FALSITY = Disjunction(())
-
-#: Positions in an entry of ``_Shared``.
-_ATOM, _LITERAL, _HEAD = 0, 1, 2
 
 #: A rule of the evaluate, check, saturate or compare part: head name,
 #: body atom names, and lower-bounded sums as (lower, ((name, weight),
@@ -190,213 +185,198 @@ def _bounded_sums(parts, total: int):
     return tuple(sums)
 
 
-class _Shared(dict):
-    """One build's objects by meta atom name.  A name seen for the first
-    time gets its ``Atom`` (so the name is validated once), its positive
-    ``BodyLiteral`` and its single-atom head ``Disjunction``, made together
-    as one (atom, literal, head) entry that every rule of the build's
-    ``Rule`` parts shares."""
-
-    def __missing__(self, name: str) -> tuple[Atom, BodyLiteral, Disjunction]:
-        atom = Atom(name)
-        shared = self[name] = (atom, BodyLiteral(atom), Disjunction((atom,)))
-        return shared
-
-
 @dataclass
 class MetaProgram:
     """The generated program with its parts kept separable.
 
-    The candidate, guess and accept parts are ``Rule`` tuples; the
-    evaluate, check, saturate and compare parts are :data:`Row`
-    tuples."""
+    The candidate, guess and accept parts are lines of text, one rule
+    each, as :meth:`to_text` prints them; the evaluate, check, saturate
+    and compare parts are :data:`Row` tuples.  The object atoms are kept
+    by name, sorted; the maps from object atoms to their meta atoms,
+    ``bot``, the candidate part as rules and the candidate side are made
+    when first asked for."""
 
-    candidate_definitions: tuple[Rule, ...]
-    candidate_rules: tuple[Rule, ...]
-    guess: tuple[Rule, ...]
+    atom_names: tuple[str, ...]
+    candidate_definitions: tuple[str, ...]
+    candidate_rules: tuple[str, ...]
+    guess: tuple[str, ...]
     evaluate: tuple[Row, ...]
     check: tuple[Row, ...]
     saturate: tuple[Row, ...]
     compare: tuple[Row, ...]
-    accept: tuple[Rule, ...]
-    candidate_atoms: dict[Atom, Atom]
-    true_atoms: dict[Atom, Atom]
-    fail_atoms: dict[Atom, Atom]
-    bot: Atom
-    candidate_side: frozenset[Atom]
+    accept: tuple[str, ...]
 
     @property
-    def candidate(self) -> tuple[Rule, ...]:
+    def candidate(self) -> tuple[str, ...]:
         return self.candidate_definitions + self.candidate_rules
 
+    @cached_property
+    def candidate_program(self) -> Program:
+        """The candidate part as rules: its printed lines, parsed."""
+        return parse_program("\n".join(self.candidate))
+
+    def _meta_atoms(self, prefix: str) -> dict[Atom, Atom]:
+        return {Atom(name): Atom(prefix + name) for name in self.atom_names}
+
+    @cached_property
+    def candidate_atoms(self) -> dict[Atom, Atom]:
+        return self._meta_atoms("hold_atom_")
+
+    @cached_property
+    def true_atoms(self) -> dict[Atom, Atom]:
+        return self._meta_atoms("true_atom_")
+
+    @cached_property
+    def fail_atoms(self) -> dict[Atom, Atom]:
+        return self._meta_atoms("fail_atom_")
+
+    @property
+    def bot(self) -> Atom:
+        return Atom("bot")
+
+    @cached_property
+    def candidate_side(self) -> frozenset[Atom]:
+        """The hold atoms and the atoms of the candidate part."""
+        return frozenset(self.candidate_atoms.values()) \
+            | core.atoms(self.candidate_program)
+
     def to_text(self) -> str:
-        rules_text = partial(map, str)
         sections = (
-            ("candidate generation", self.candidate, rules_text),
-            ("counterexample guess", self.guess, rules_text),
-            ("counterexample evaluation", self.evaluate, _rows_text),
-            ("answer-set check", self.check, _rows_text),
-            ("saturation", self.saturate, _rows_text),
-            ("comparison", self.compare, _rows_text),
-            ("acceptance", self.accept, rules_text),
+            ("candidate generation", self.candidate),
+            ("counterexample guess", self.guess),
+            ("counterexample evaluation", _rows_text(self.evaluate)),
+            ("answer-set check", _rows_text(self.check)),
+            ("saturation", _rows_text(self.saturate)),
+            ("comparison", _rows_text(self.compare)),
+            ("acceptance", self.accept),
         )
         lines: list[str] = []
-        for title, rules, text in sections:
-            if not rules:
-                continue
-            lines.append(f"% {title}")
-            lines.extend(text(rules))
+        for title, part in sections:
+            if part:
+                lines.append(f"% {title}")
+                lines.extend(part)
         return "\n".join(lines) + "\n" if lines else ""
 
 
 class _View:
-    """Decoded lookups over a program's canonical fact list."""
+    """A program's canonical labels, read off the tables of its
+    reification (:func:`aspkit.reify.tables`); no fact is made."""
 
     def __init__(self, program: Program):
-        reader = FactReader(reify(program))
+        labels = tables(program)
         self.program = program
-        self.atoms: list[Atom] = sorted_atoms(core.atoms(program))
-        #: per rule: head term and body conjunction label
-        self.rules: list[tuple[Term, int]] = [
-            (head, body.args[0]) for head, body in reader.rule_facts]
-        self.conjunctions: dict[int, tuple[tuple[bool, Term], ...]] = {
-            label: tuple((member.functor == "neg", member.args[0])
-                         for member in reader.set_facts.get(label, ()))
-            for _, label in self.rules}
-        # sum terms in first-occurrence order over heads, then bodies
-        self.sums: dict[Term, SumConstraint] = {}
+        # the tables as aspkit.reify._Builder keeps them
+        self.atoms: list[str] = labels.names
+        self.rules: list[tuple[Inner | None, int]] = labels.rules
+        self.conjunctions: list[tuple[tuple[bool, Inner], ...]] = \
+            labels.conjunctions
+        self.lists: list[tuple[Entry, ...]] = labels.lists
+        # sum keys and their entries, in first-occurrence order over
+        # heads, then bodies
+        self.sums: dict[tuple[int, int, int], tuple[Entry, ...]] = {}
         for head, label in self.rules:
-            members = (inner for _, inner in self.conjunctions[label])
-            for term in (head, *members):
-                if term.functor == "sum" and term not in self.sums:
-                    self.sums[term] = reader.decode_sum(term)
-        self.minimize: dict[int, tuple[WeightedLiteral, ...]] = {
-            level: reader.weighted(label)
-            for level, label in reader.minimize_facts}
-        self.minimize_label = dict(reader.minimize_facts)
-        # components: label -> (atom names, conjunction labels, sum terms)
-        self.components: dict[
-            int, tuple[list[str], list[int], list[Term]]] = {}
-        for label, term in reader.scc_facts:
-            entry = self.components.setdefault(label, ([], [], []))
-            if term.functor == "atom":
-                entry[0].append(term.args[0].functor)
-            elif term.functor == "conjunction":
-                entry[1].append(term.args[0])
-            else:
-                entry[2].append(term)
+            for inner in (head, *(inner for _, inner
+                                  in self.conjunctions[label])):
+                if type(inner) is tuple and inner not in self.sums:
+                    self.sums[inner] = self.lists[inner[1]]
+        #: minimize list label by level
+        self.minimize: dict[int, int] = dict(labels.minimize)
+        #: per component label: (atom names, conjunction labels, sum keys)
+        self.components: list[tuple[list[str], list[int], list[tuple]]] = [
+            ([key for key in found if type(key) is str],
+             [key for key in found if type(key) is int],
+             [key for key in found if type(key) is tuple])
+            for found in labels.components]
 
-    def head_support(self, head: Term) -> tuple[str, ...]:
-        """Names of the atoms occurring positively in a head term, in
-        order."""
-        if head.functor == "atom":
-            return (head.args[0].functor,)
-        if head.functor == "false":
+    def head_support(self, head: Inner | None) -> tuple[str, ...]:
+        """Names of the atoms occurring positively in a head, in order."""
+        if type(head) is str:
+            return (head,)
+        if head is None:
             return ()
         return tuple(dict.fromkeys(
-            wl.literal.atom.name for wl in self.sums[head].elements
-            if not wl.literal.negated))
+            name for negated, name, _ in self.sums[head] if not negated))
 
 
 class _Builder:
-    """Emits the parts of one check program.  Rules are written with
-    meta atom names: the rows of the evaluate, check, saturate and
-    compare parts hold the names themselves, and the other parts' rules
-    are made of the objects ``shared`` holds for them, one table per
-    build; negative literals are made where used."""
+    """Emits the parts of one check program, every rule written with
+    meta atom names: the candidate, guess and accept parts as lines of
+    text, the evaluate, check, saturate and compare parts as rows."""
 
     def __init__(self, view: _View, crit: CriteriaSet):
         self.view = view
         self.crit = crit
         self.cxopt = effective_criteria(crit, view.program.minimize)
-        self.shared = _Shared()
-
-    def _atom(self, name: str) -> Atom:
-        return self.shared[name][_ATOM]
-
-    def _pos(self, name: str) -> BodyLiteral:
-        return self.shared[name][_LITERAL]
-
-    def _literal(self, name: str, negated: bool) -> BodyLiteral:
-        return BodyLiteral(self._atom(name), True) if negated \
-            else self._pos(name)
-
-    def _rule(self, head: str, body=()) -> Rule:
-        return Rule(self.shared[head][_HEAD], tuple(body))
 
     # -- candidate part ------------------------------------------------
 
-    def candidate_definitions(self) -> list[Rule]:
-        atom = self._atom
-        rules: list[Rule] = []
-        for term, sc in self.view.sums.items():
-            elements = tuple(
-                WeightedLiteral(
-                    Literal(atom(f"hold_atom_{wl.literal.atom.name}"),
-                            wl.literal.negated), wl.weight)
-                for wl in sc.elements)
-            rules.append(self._rule(_entity("hold", term), (BodyLiteral(
-                SumConstraint(sc.lower, elements, sc.upper)),)))
-        for label in sorted(self.view.conjunctions):
-            body = tuple(self._literal(_entity("hold", inner), neg)
-                         for neg, inner in self.view.conjunctions[label])
-            rules.append(self._rule(f"hold_conj_{label}", body))
-        return rules
+    def candidate_definitions(self) -> list[str]:
+        lines: list[str] = []
+        for key, entries in self.view.sums.items():
+            lower, _, upper = key
+            elements = ",".join(
+                f"{'not ' if negated else ''}hold_atom_{name}={weight}"
+                for negated, name, weight in entries)
+            lines.append(f"{_entity('hold', key)} :- "
+                         f"{lower} #sum[{elements}] {upper}.")
+        for label, members in enumerate(self.view.conjunctions):
+            body = ", ".join([("not " if negated else "")
+                              + _entity("hold", inner)
+                              for negated, inner in members])
+            lines.append(f"hold_conj_{label} :- {body}." if body
+                         else f"hold_conj_{label}.")
+        return lines
 
-    def candidate_rules(self) -> list[Rule]:
-        rules: list[Rule] = []
+    def candidate_rules(self) -> list[str]:
+        lines: list[str] = []
         for head, label in self.view.rules:
-            trigger = self._pos(f"hold_conj_{label}")
-            if head.functor == "atom":
-                rules.append(self._rule(_entity("hold", head), (trigger,)))
-            elif head.functor == "false":
-                rules.append(Rule(_FALSITY, (trigger,)))
+            trigger = f"hold_conj_{label}"
+            if head is None:
+                lines.append(f":- {trigger}.")
+            elif type(head) is str:
+                lines.append(f"hold_atom_{head} :- {trigger}.")
             else:
                 choosable = self.view.head_support(head)
                 if choosable:
-                    head_sum = SumConstraint(None, tuple(
-                        WeightedLiteral(Literal(self._atom(f"hold_atom_{a}")))
-                        for a in choosable))
-                    rules.append(Rule(head_sum, (trigger,)))
-                rules.append(Rule(_FALSITY, (
-                    trigger, self._literal(_entity("hold", head), True))))
-        return rules
+                    elements = ",".join([f"hold_atom_{name}=1"
+                                         for name in choosable])
+                    lines.append(f"#sum[{elements}] :- {trigger}.")
+                lines.append(f":- {trigger}, not {_entity('hold', head)}.")
+        return lines
 
     # -- counterexample guess and evaluation ---------------------------
 
-    def guess(self) -> list[Rule]:
-        atom = self._atom
-        return [
-            Rule(Disjunction((atom(f"true_atom_{a.name}"),
-                              atom(f"fail_atom_{a.name}"))))
-            for a in self.view.atoms]
+    def guess(self) -> list[str]:
+        return [f"true_atom_{name} | fail_atom_{name}."
+                for name in self.view.atoms]
 
     def evaluate(self) -> list[Row]:
         rows: list[Row] = []
-        if any(head.functor == "false" for head, _ in self.view.rules):
+        if any(head is None for head, _ in self.view.rules):
             rows.append(("fail_false", (), ()))
-        for term, sc in self.view.sums.items():
-            total = sc.total
-            holds = tuple((_ce_lit(wl.literal, True), wl.weight)
-                          for wl in sc.elements)
-            fails = tuple((_ce_lit(wl.literal, False), wl.weight)
-                          for wl in sc.elements)
+        for key, entries in self.view.sums.items():
+            lower, _, upper = key
+            total = sum(weight for _, _, weight in entries)
+            holds = tuple((_ce_lit(negated, name, True), weight)
+                          for negated, name, weight in entries)
+            fails = tuple((_ce_lit(negated, name, False), weight)
+                          for negated, name, weight in entries)
             sums = _bounded_sums(
-                [(sc.lower, holds), (total - sc.upper, fails)], total)
+                [(lower, holds), (total - upper, fails)], total)
             if sums is not None:
-                rows.append((_entity("true", term), (), sums))
-            for bound, entries in ((total - sc.lower + 1, fails),
-                                   (sc.upper + 1, holds)):
-                sums = _bounded_sums([(bound, entries)], total)
+                rows.append((_entity("true", key), (), sums))
+            for bound, counted in ((total - lower + 1, fails),
+                                   (upper + 1, holds)):
+                sums = _bounded_sums([(bound, counted)], total)
                 if sums is not None:
-                    rows.append((_entity("fail", term), (), sums))
-        for label in sorted(self.view.conjunctions):
-            members = self.view.conjunctions[label]
+                    rows.append((_entity("fail", key), (), sums))
+        for label, members in enumerate(self.view.conjunctions):
             rows.append((f"true_conj_{label}", tuple(
-                _ce_member(neg, inner, True) for neg, inner in members), ()))
+                _ce_member(negated, inner, True)
+                for negated, inner in members), ()))
             fail = f"fail_conj_{label}"
-            rows.extend((fail, (_ce_member(neg, inner, False),), ())
-                        for neg, inner in members)
+            rows.extend((fail, (_ce_member(negated, inner, False),), ())
+                        for negated, inner in members)
         return rows
 
     # -- answer-set check ----------------------------------------------
@@ -407,14 +387,14 @@ class _Builder:
             for head, label in self.view.rules]
         # labels of each atom's supporting rules, in first-occurrence order
         supports: dict[str, dict[int, None]] = {
-            a.name: {} for a in self.view.atoms}
+            name: {} for name in self.view.atoms}
         for head, label in self.view.rules:
             for name in self.view.head_support(head):
                 supports[name][label] = None
         for name, labels in supports.items():
             rows.append(("bot", (f"true_atom_{name}",
                                 *(f"fail_conj_{s}" for s in labels)), ()))
-        for label in sorted(self.view.components):
+        for label in range(len(self.view.components)):
             rows.extend(self._component_rules(label, supports))
         return rows
 
@@ -426,7 +406,7 @@ class _Builder:
         no step's row is built by a Python statement of its own.  The
         rows of a conjunction or sum interleave by step.  Membership in
         the component is a dict lookup."""
-        names, conj_labels, sum_terms = self.view.components[label]
+        names, conj_labels, sum_keys = self.view.components[label]
         names = sorted(names)
         steps = len(names)
         internal_conjs = set(conj_labels)
@@ -438,8 +418,8 @@ class _Builder:
         suffixes = suffixes[:steps]
         wait_conj = {c: list(map(f"wait_conj_{c}".__add__, suffixes))
                      for c in conj_labels}
-        wait_sum = {term: list(map(_entity("wait", term).__add__, suffixes))
-                    for term in sum_terms}
+        wait_sum = {key: list(map(_entity("wait", key).__add__, suffixes))
+                    for key in sum_keys}
         no_sums = repeat(())
         rows: list[Row] = [(wait_atom[a][0], (), ()) for a in names]
         for a in names:
@@ -456,8 +436,7 @@ class _Builder:
         for conj in conj_labels:
             waits = wait_conj[conj]
             members = [
-                wait_atom.get(inner.args[0].functor)
-                if inner.functor == "atom" else wait_sum.get(inner)
+                (wait_atom if type(inner) is str else wait_sum).get(inner)
                 for negated, inner in self.view.conjunctions[conj]
                 if not negated]
             # per step: the fail row, then one row per internal member
@@ -465,23 +444,22 @@ class _Builder:
             streams.extend(zip(waits, zip(member), no_sums)
                            for member in members if member is not None)
             rows.extend(chain.from_iterable(zip(*streams)))
-        for term in sum_terms:
-            waits = wait_sum[term]
-            sc = self.view.sums[term]
-            total = sc.total
-            threshold = total - sc.lower + 1
-            streams = [zip(waits, repeat((_entity("fail", term),)), no_sums)]
+        for key in sum_keys:
+            waits = wait_sum[key]
+            entries = self.view.sums[key]
+            total = sum(weight for _, _, weight in entries)
+            threshold = total - key[0] + 1
+            streams = [zip(waits, repeat((_entity("fail", key),)), no_sums)]
             if threshold <= 0:
                 streams.append(zip(waits, no_sums, no_sums))
             elif threshold <= total:
                 # per entry: its wait atom names by step, or its fixed
                 # guess atom at every step
                 columns = [
-                    zip(wait_atom[wl.literal.atom.name], repeat(wl.weight))
-                    if not wl.literal.negated
-                    and wl.literal.atom.name in wait_atom
-                    else repeat((_ce_lit(wl.literal, False), wl.weight))
-                    for wl in sc.elements]
+                    zip(wait_atom[name], repeat(weight))
+                    if not negated and name in wait_atom
+                    else repeat((_ce_lit(negated, name, False), weight))
+                    for negated, name, weight in entries]
                 sums = (((threshold, counted),) for counted in zip(*columns))
                 streams.append(zip(waits, no_sums, sums))
             rows.extend(chain.from_iterable(zip(*streams)))
@@ -494,27 +472,24 @@ class _Builder:
     def saturate(self) -> list[Row]:
         bot = ("bot",)
         rows: list[Row] = []
-        for a in self.view.atoms:
-            rows.append((f"true_atom_{a.name}", bot, ()))
-            rows.append((f"fail_atom_{a.name}", bot, ()))
+        for name in self.view.atoms:
+            rows.append((f"true_atom_{name}", bot, ()))
+            rows.append((f"fail_atom_{name}", bot, ()))
         return rows
-
-    def accept(self) -> list[Rule]:
-        return [Rule(_FALSITY, (self._literal("bot", True),))]
 
     # -- comparison ------------------------------------------------------
 
     @staticmethod
-    def _cand_holds(literal: Literal) -> str:
-        """The candidate condition that ``literal`` holds."""
-        name = f"hold_atom_{literal.atom.name}"
-        return f"not {name}" if literal.negated else name
+    def _cand_holds(lit: Lit) -> str:
+        """The candidate condition that ``lit`` holds."""
+        name = f"hold_atom_{lit[1]}"
+        return f"not {name}" if lit[0] else name
 
     @staticmethod
-    def _cand_fails(literal: Literal) -> str:
-        """The candidate condition that ``literal`` does not hold."""
-        name = f"hold_atom_{literal.atom.name}"
-        return name if literal.negated else f"not {name}"
+    def _cand_fails(lit: Lit) -> str:
+        """The candidate condition that ``lit`` does not hold."""
+        name = f"hold_atom_{lit[1]}"
+        return name if lit[0] else f"not {name}"
 
     def compare(self) -> list[Row]:
         if not self.crit.relations:
@@ -543,16 +518,17 @@ class _Builder:
                          f"eqlevel_{_num(levels[-1])}"))
         return rows
 
-    def _group(self, level: int, weight: int):
+    def _group(self, level: int, weight: int) -> tuple[tuple[int, Lit], ...]:
         """(index, literal) pairs of the minimize group, in list order."""
-        return tuple((index, wl.literal) for index, wl
-                     in enumerate(self.view.minimize.get(level, ()))
-                     if wl.weight == weight)
+        label = self.view.minimize.get(level)
+        entries = () if label is None else self.view.lists[label]
+        return tuple((index, (negated, name)) for index, (negated, name, w)
+                     in enumerate(entries) if w == weight)
 
     def _criterion_rows(self, level: int, weight: int, criterion: str,
                         lit_rows) -> list[Row]:
         group = self._group(level, weight)
-        label = self.view.minimize_label.get(level, 0)
+        label = self.view.minimize.get(level, 0)
         key = f"{_num(level)}_{_num(weight)}"
         skey = f"{label}_{_num(weight)}"
         equal = f"equal_{key}_{criterion}"
@@ -593,7 +569,7 @@ class _Builder:
         for i in range(size - 1, -1, -1):
             q, lit = group[i]
             prev = group[i - 1][0] if i else -1
-            y_holds = _ce_lit(lit, True)
+            y_holds = _ce_lit(*lit, True)
             for value in range(size + 1):
                 rows.append(_row(cdown(prev, value - 1), cdown(q, value),
                                  y_holds))
@@ -603,12 +579,9 @@ class _Builder:
         rows.append(_row(worse, cdown(-1, -1)))
         return rows
 
-    def _literals(self, group) -> list[Literal]:
-        seen: list[Literal] = []
-        for _, lit in group:
-            if lit not in seen:
-                seen.append(lit)
-        return seen
+    @staticmethod
+    def _literals(group) -> list[Lit]:
+        return list(dict.fromkeys(lit for _, lit in group))
 
     def _incl_rows(self, group, equal: str, worse: str,
                    lit_rows) -> list[Row]:
@@ -618,7 +591,7 @@ class _Builder:
         rows: list[Row] = []
         for lit in literals:
             ndiff = f"ndiff_{_lit_suffix(lit)}"
-            true_y, fails_x = _ce_lit(lit, True), self._cand_fails(lit)
+            true_y, fails_x = _ce_lit(*lit, True), self._cand_fails(lit)
             lit_rows.setdefault(ndiff, [
                 _row(ndiff, fails_x), _row(ndiff, true_y)])
             rows.append(_row(worse, true_y, fails_x))
@@ -632,15 +605,16 @@ class _Builder:
         if not literals:
             return [_row(worse)]
         inside = set(literals)
-        pairs = [(a, b) for a, b in self.crit.prefer
-                 if a in inside and b in inside]
+        prefer = [((a.negated, a.atom.name), (b.negated, b.atom.name))
+                  for a, b in self.crit.prefer]
+        pairs = [(a, b) for a, b in prefer if a in inside and b in inside]
 
-        def one(family: str, lit: Literal) -> str:
+        def one(family: str, lit: Lit) -> str:
             return f"{family}_{_lit_suffix(lit)}"
 
         for lit in literals:
             holds_x, fails_x = self._cand_holds(lit), self._cand_fails(lit)
-            true_y, fail_y = _ce_lit(lit, True), _ce_lit(lit, False)
+            true_y, fail_y = _ce_lit(*lit, True), _ce_lit(*lit, False)
             defs = {
                 "cando": [_row(one("cando", lit), holds_x, fail_y)],
                 "nocan": [_row(one("nocan", lit), fails_x),
@@ -678,31 +652,19 @@ class _Builder:
 
 
 def build_meta_program(program: Program, crit: CriteriaSet) -> MetaProgram:
-    """Assemble the check program from ``program``'s canonical facts."""
+    """Assemble the check program from ``program``'s canonical labels."""
     view = _View(program)
     builder = _Builder(view, crit)
-    atom = builder._atom
-    candidate_defs = tuple(builder.candidate_definitions())
-    candidate_rules = tuple(builder.candidate_rules())
-    candidate_atoms = {a: atom(f"hold_atom_{a.name}") for a in view.atoms}
-    # the names registered so far are the candidate part's atoms and
-    # the hold atoms; the guess part registers the next ones
-    candidate_side = frozenset([shared[_ATOM]
-                                for shared in builder.shared.values()])
     return MetaProgram(
-        candidate_definitions=candidate_defs,
-        candidate_rules=candidate_rules,
+        atom_names=tuple(view.atoms),
+        candidate_definitions=tuple(builder.candidate_definitions()),
+        candidate_rules=tuple(builder.candidate_rules()),
         guess=tuple(builder.guess()),
         evaluate=tuple(builder.evaluate()),
         check=tuple(builder.check()),
         saturate=tuple(builder.saturate()),
         compare=tuple(builder.compare()),
-        accept=tuple(builder.accept()),
-        candidate_atoms=candidate_atoms,
-        true_atoms={a: atom(f"true_atom_{a.name}") for a in view.atoms},
-        fail_atoms={a: atom(f"fail_atom_{a.name}") for a in view.atoms},
-        bot=atom("bot"),
-        candidate_side=candidate_side,
+        accept=(":- not bot.",),
     )
 
 
@@ -717,9 +679,9 @@ def _compare_conditions(mp: MetaProgram) -> list[str]:
     whole literals, and are positive otherwise.  A condition is a
     literal's text: a candidate-side name, which these checks keep out of
     every other row and head, or that name after ``not``."""
-    bot = mp.bot.name
-    guess = {a.name for a in (*mp.true_atoms.values(),
-                              *mp.fail_atoms.values())}
+    bot = "bot"
+    guess = {f"{family}_atom_{name}" for name in mp.atom_names
+             for family in ("true", "fail")}
     candidate = {a.name for a in mp.candidate_side}
     static: set[str] = set()
     for row in mp.evaluate + mp.check + mp.saturate:
@@ -775,14 +737,15 @@ class MetaSolver:
 
     def __init__(self, mp: MetaProgram):
         self.mp = mp
-        self.object_atoms = sorted_atoms(mp.candidate_atoms)
-        n = len(self.object_atoms)
+        names = mp.atom_names
+        n = len(names)
         if n > DEFAULT_META_CAP:
             raise CapExceededError(
                 f"{n} candidate atoms exceed meta cap {DEFAULT_META_CAP}")
-        holds = [mp.candidate_atoms[a] for a in self.object_atoms]
+        self.object_atoms = [Atom(name) for name in names]
+        holds = [Atom(f"hold_atom_{name}") for name in names]
         self._candidate = CompiledProgram(
-            mp.candidate,
+            mp.candidate_program.rules,
             holds + sorted_atoms(mp.candidate_side.difference(holds)))
         self._objects = (1 << n) - 1
         self._search = Search(self._candidate)
@@ -791,9 +754,9 @@ class MetaSolver:
         # the conditions follow, then other names in order of first
         # occurrence.
         conditions = _compare_conditions(mp)
-        keys = ([mp.true_atoms[a].name for a in self.object_atoms]
-                + [mp.fail_atoms[a].name for a in self.object_atoms]
-                + [mp.bot.name] + conditions)
+        keys = ([f"true_atom_{name}" for name in names]
+                + [f"fail_atom_{name}" for name in names]
+                + ["bot"] + conditions)
         index = {key: i for i, key in enumerate(keys)}
 
         def idx(name: str) -> int:

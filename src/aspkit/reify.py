@@ -27,9 +27,11 @@ materialized: 0 as lower, the total weight as upper.  Structurally
 identical weighted-literal lists share one label, as do identical
 conjunctions; the two label spaces are separate.  Sum lists and
 minimize lists share the one list label space, so a minimize level
-whose entries equal a sum's elements names that sum's list.  Each
-distinct term is built once per reification, and every fact that
-holds it shares that one object.  Proper disjunction
+whose entries equal a sum's elements names that sum's list.  The labels
+are assigned on tables of plain keys (:func:`tables`), which the meta
+build reads without any fact being made; :func:`reify` renders the
+facts from them.  Each distinct term is built once per reification,
+and every fact that holds it shares that one object.  Proper disjunction
 heads and sums with no entries (no wlist/4 fact could name their list;
 only the library API builds them) are outside this format:
 :func:`reify` rejects both.
@@ -91,178 +93,229 @@ _POS_FALSE = Term("pos", (FALSE,))
 #: The wrapper of a signed member, indexed by its ``negated`` flag.
 _SIGN = ("pos", "neg")
 
+#: An atom by its name, or a sum by (lower, list label, upper).
+Inner = str | tuple[int, int, int]
+
+#: A weighted-literal list entry: (negated, atom name, weight).
+Entry = tuple[bool, str, int]
+
 
 class _Builder:
-    """One reification.  Each distinct atom term, signed member (``pos``
-    or ``neg`` of an atom or sum term) and conjunction term is one
-    ``Term`` of the build, found by a plain key: an atom's name, and a
-    member's sign with its atom's name or its sum's (lower, label,
-    upper).  Conjunction and list labels are keyed by tuples of such
-    keys, so no ``Term`` is hashed."""
+    """One reification's canonical labels, kept as tables of plain keys:
+    an atom is keyed by its name, a sum by (lower, list label, upper)
+    with its bounds materialized, a conjunction member by (negated, atom
+    name or sum key), and a list entry by (negated, atom name, weight).
+    Conjunction and list labels are keyed by tuples of these, so no
+    syntax object is hashed and no fact or term is made while the
+    labels are assigned; :class:`_Facts` renders the facts from the
+    tables."""
 
     def __init__(self, program: Program):
         self.program = program
-        self._wlist_labels: dict[tuple, int] = {}
-        self._conj_labels: dict[tuple, int] = {}
-        self._atoms: dict[str, Term] = {}
-        self._members: dict[tuple, Term] = {}
-        #: per conjunction label: conjunction(S) and pos(conjunction(S))
-        self._conjunctions: list[tuple[Term, Term]] = []
-        #: per rule: its conjunction label and member terms
-        self.bodies: list[tuple[int, tuple[Term, ...]]] = []
-        self.facts: list[ReifiedFact] = []
+        self._list_labels: dict[tuple[Entry, ...], int] = {}
+        self._conj_labels: dict[tuple[tuple[bool, Inner], ...], int] = {}
+        #: per list label: its entries
+        self.lists: list[tuple[Entry, ...]] = []
+        #: per conjunction label: its members, in body order
+        self.conjunctions: list[tuple[tuple[bool, Inner], ...]] = []
+        #: per rule: its head (None for false, an atom name or a sum key)
+        #: and its conjunction label
+        self.rules: list[tuple[Inner | None, int]] = []
+        #: every atom name of the program, sorted
+        self.names: list[str] = []
+        #: per non-trivial component, by label: its members in fact
+        #: order, as atom names, conjunction labels and sum keys
+        self.components: list[dict[Inner | int, None]] = []
+        #: per minimize level, ascending: (level, list label)
+        self.minimize: list[tuple[int, int]] = []
 
-    def _atom(self, name: str) -> Term:
-        term = self._atoms.get(name)
-        if term is None:
-            term = self._atoms[name] = Term("atom", (Term(name),))
-        return term
-
-    def _member(self, key: tuple) -> Term:
-        """The signed member of ``key``: ``pos(X)`` or ``neg(X)`` for
-        (negated, atom name) or (negated, lower, label, upper)."""
-        term = self._members.get(key)
-        if term is None:
-            negated, *inner = key
-            inner_term = (self._atom(inner[0]) if len(inner) == 1
-                          else Term("sum", tuple(inner)))
-            term = self._members[key] = Term(_SIGN[negated], (inner_term,))
-        return term
-
-    def _wlist(self, entries, out: list[ReifiedFact]) -> int:
+    def _list(self, entries: tuple[Entry, ...]) -> int:
         """The label of a weighted-literal list: a sum's elements or one
-        minimize level's entries.  Both kinds are keyed alike, by
-        (negated, atom name, weight) per entry, so they share labels."""
-        key = tuple((e.literal.negated, e.literal.atom.name, e.weight)
-                    for e in entries)
-        label = self._wlist_labels.get(key)
+        minimize level's entries, which therefore share labels."""
+        label = self._list_labels.get(entries)
         if label is None:
-            label = self._wlist_labels[key] = len(self._wlist_labels)
-            for index, (negated, name, weight) in enumerate(key):
-                out.append(ReifiedFact("wlist", (
-                    label, index, self._member((negated, name)), weight)))
+            label = self._list_labels[entries] = len(self.lists)
+            self.lists.append(entries)
         return label
 
-    def _sum(self, sc: SumConstraint, out: list[ReifiedFact]
-             ) -> tuple[int, int, int]:
+    def _sum(self, sc: SumConstraint) -> tuple[int, int, int]:
         """A sum's (lower, label, upper), its bounds materialized."""
         if not sc.elements:
             raise ContractViolationError(f"empty sums cannot be reified: {sc}")
-        label = self._wlist(sc.elements, out)
+        label = self._list(tuple(
+            (wl.literal.negated, wl.literal.atom.name, wl.weight)
+            for wl in sc.elements))
         lower = sc.lower if sc.lower is not None else 0
         upper = sc.upper if sc.upper is not None else sc.total
         return lower, label, upper
 
-    def _conjunction(self, body: Body, out: list[ReifiedFact]
-                     ) -> tuple[int, tuple[Term, ...]]:
-        """The conjunction's label and its member terms, in body order."""
-        keys: list[tuple] = []
-        members: list[Term] = []
-        member_facts: list[list[ReifiedFact]] = []
-        for bl in body:
-            facts: list[ReifiedFact] = []
-            key = ((bl.negated, bl.element.name)
-                   if isinstance(bl.element, Atom)
-                   else (bl.negated, *self._sum(bl.element, facts)))
-            keys.append(key)
-            members.append(self._member(key))
-            member_facts.append(facts)
-        key = tuple(keys)
-        label = self._conj_labels.get(key)
-        if label is None:
-            label = self._conj_labels[key] = len(self._conj_labels)
-            conjunction = Term("conjunction", (label,))
-            self._conjunctions.append(
-                (conjunction, Term("pos", (conjunction,))))
-            for member, facts in zip(members, member_facts):
-                out.append(ReifiedFact("set", (label, member)))
-                out.extend(facts)
-        return label, tuple(members)
-
     def add_rule(self, rule: Rule) -> None:
-        head_facts: list[ReifiedFact] = []
-        if isinstance(rule.head, Disjunction):
-            if len(rule.head.atoms) > 1:
+        head = rule.head
+        if type(head) is Disjunction:
+            if len(head.atoms) > 1:
                 raise ContractViolationError(
                     "proper disjunction heads cannot be reified")
-            head = (self._member((False, rule.head.atoms[0].name))
-                    if rule.head.atoms else _POS_FALSE)
+            key = head.atoms[0].name if head.atoms else None
         else:
-            head = self._member((False, *self._sum(rule.head, head_facts)))
-        body_facts: list[ReifiedFact] = []
-        label, members = self._conjunction(rule.body, body_facts)
-        self.bodies.append((label, members))
-        self.facts.append(ReifiedFact(
-            "rule", (head, self._conjunctions[label][1])))
-        self.facts.extend(head_facts)
-        self.facts.extend(body_facts)
+            key = self._sum(head)
+        members = tuple(
+            (bl.negated, bl.element.name if type(bl.element) is Atom
+             else self._sum(bl.element))
+            for bl in rule.body)
+        label = self._conj_labels.get(members)
+        if label is None:
+            label = self._conj_labels[members] = len(self.conjunctions)
+            self.conjunctions.append(members)
+        self.rules.append((key, label))
+
+    def _positive(self, inner: Inner | None) -> list[str]:
+        """Names of the atoms occurring positively in a head or sum."""
+        if type(inner) is tuple:
+            return [name for negated, name, _ in self.lists[inner[1]]
+                    if not negated]
+        return [] if inner is None else [inner]
 
     def add_sccs(self) -> None:
-        """The scc facts, from one pass over the rules.  Members are
-        collected by key: an atom by name, a conjunction by label, a sum
-        by (lower, label, upper)."""
-        graph = consequence.dependency_graph(self.program)
+        """The components of the positive dependency graph, and the
+        members of the non-trivial ones from one pass over the rules."""
+        atoms, succ = consequence.indexed_graph(self.program)
+        self.names = [atom.name for atom in atoms]
         label_of: dict[str, int] = {}
-        members: list[dict] = []
-        for component in consequence.sccs(graph).nontrivial():
-            names = sorted(atom.name for atom in component.atoms)
-            label_of.update(dict.fromkeys(names, component.label))
-            members.append({name: self._atom(name) for name in names})
-        if not members:
+        for members in consequence.strong_components(succ):
+            if consequence.cyclic(members, succ):
+                names = [self.names[i] for i in sorted(members)]
+                label_of.update(dict.fromkeys(names, len(self.components)))
+                self.components.append(dict.fromkeys(names))
+        if not self.components:
             return
-        for rule, (label, terms) in zip(self.program.rules, self.bodies):
-            heads = {label_of.get(name) for name in _positive_names(rule.head)}
+        for head, label in self.rules:
+            heads = set(map(label_of.get, self._positive(head)))
             heads.discard(None)
             if not heads:
                 continue
-            conjunction = self._conjunctions[label][0]
-            for bl, term in zip(rule.body, terms):
-                if bl.negated:
+            for negated, inner in self.conjunctions[label]:
+                if negated:
                     continue
-                if isinstance(bl.element, Atom):
-                    inside, sums = {label_of.get(bl.element.name)}, ()
-                else:
-                    inside = {label_of.get(name)
-                              for name in _positive_names(bl.element)}
-                    sums = (term.args[0],)
-                for component in inside & heads:
-                    found = members[component]
-                    found.setdefault(label, conjunction)
-                    for inner in sums:
-                        found.setdefault(inner.args, inner)
-        for component, terms in enumerate(members):
-            for term in terms.values():
-                self.facts.append(ReifiedFact("scc", (component, term)))
+                for component in heads.intersection(
+                        map(label_of.get, self._positive(inner))):
+                    found = self.components[component]
+                    found.setdefault(label)
+                    if type(inner) is tuple:
+                        found.setdefault(inner)
 
     def add_minimize(self, statement: MinimizeStatement) -> None:
         for level in statement.levels():
-            facts: list[ReifiedFact] = []
-            label = self._wlist(
-                [e for e in statement.entries if e.level == level], facts)
-            self.facts.append(ReifiedFact("minimize", (level, label)))
-            self.facts.extend(facts)
+            self.minimize.append((level, self._list(tuple(
+                (e.literal.negated, e.literal.atom.name, e.weight)
+                for e in statement.entries if e.level == level))))
 
 
-def _positive_names(head_or_sum: Disjunction | SumConstraint) -> list[str]:
-    """Names of the atoms of a disjunction, or of a sum's positive
-    entries, in order."""
-    if isinstance(head_or_sum, Disjunction):
-        return [atom.name for atom in head_or_sum.atoms]
-    return [wl.literal.atom.name for wl in head_or_sum.elements
-            if not wl.literal.negated]
+class _Facts:
+    """The fact list of a builder's tables, rendered part by part in the
+    order of first use: each rule fact is followed by the list facts of a
+    head sum and the set facts of a conjunction seen first there, each
+    set fact by the list facts of its sum if seen first there; then the
+    scc facts; then each minimize fact with its list facts if seen first
+    there.  Each distinct term is made once, and every fact that holds it
+    shares that one object."""
+
+    def __init__(self, tables: _Builder):
+        self.tables = tables
+        self.out: list[ReifiedFact] = []
+        self._terms: dict[Inner, Term] = {}
+        self._members: dict[tuple[bool, Inner], Term] = {}
+        self._conjunctions: list[Term] = []
+        #: the next list and conjunction labels to render: labels are
+        #: given in order of first use
+        self._listed = self._set = 0
+
+    def _term(self, inner: Inner) -> Term:
+        """``atom(a)`` or ``sum(L,S,U)``."""
+        term = self._terms.get(inner)
+        if term is None:
+            term = self._terms[inner] = (
+                Term("atom", (Term(inner),)) if type(inner) is str
+                else Term("sum", inner))
+        return term
+
+    def _member(self, key: tuple[bool, Inner]) -> Term:
+        term = self._members.get(key)
+        if term is None:
+            term = self._members[key] = Term(
+                _SIGN[key[0]], (self._term(key[1]),))
+        return term
+
+    def _list(self, label: int) -> None:
+        if label == self._listed:
+            self._listed += 1
+            member, out = self._member, self.out
+            for index, (negated, name, weight) in enumerate(
+                    self.tables.lists[label]):
+                out.append(ReifiedFact("wlist", (
+                    label, index, member((negated, name)), weight)))
+
+    def rules(self) -> None:
+        tables, out, member = self.tables, self.out, self._member
+        conjunctions = self._conjunctions
+        conjunctions.extend(Term("conjunction", (label,))
+                            for label in range(len(tables.conjunctions)))
+        bodies = [Term("pos", (term,)) for term in conjunctions]
+        for head, label in tables.rules:
+            out.append(ReifiedFact("rule", (
+                _POS_FALSE if head is None else member((False, head)),
+                bodies[label])))
+            if type(head) is tuple:
+                self._list(head[1])
+            if label == self._set:
+                self._set += 1
+                for key in tables.conjunctions[label]:
+                    out.append(ReifiedFact("set", (label, member(key))))
+                    if type(key[1]) is tuple:
+                        self._list(key[1][1])
+
+    def sccs(self) -> None:
+        for component, found in enumerate(self.tables.components):
+            self.out.extend(ReifiedFact("scc", (
+                component, self._conjunctions[key] if type(key) is int
+                else self._term(key))) for key in found)
+
+    def minimize(self) -> None:
+        for level, label in self.tables.minimize:
+            self.out.append(ReifiedFact("minimize", (level, label)))
+            self._list(label)
 
 
-def reify(program: Program) -> list[ReifiedFact]:
-    """The fact list describing ``program`` (deterministic)."""
+def _rules(program: Program) -> _Builder:
     if not is_extended(program):
         raise ContractViolationError(
             "only extended programs (no proper disjunctions) can be reified")
     builder = _Builder(program)
     for rule in program.rules:
         builder.add_rule(rule)
+    return builder
+
+
+def tables(program: Program) -> _Builder:
+    """The canonical labels of ``program`` as tables; no fact or term is
+    made."""
+    builder = _rules(program)
     builder.add_sccs()
     builder.add_minimize(program.minimize)
-    return builder.facts
+    return builder
+
+
+def reify(program: Program) -> list[ReifiedFact]:
+    """The fact list describing ``program`` (deterministic).  Each part
+    is rendered as soon as its tables are complete, the rules before the
+    components are computed."""
+    builder = _rules(program)
+    facts = _Facts(builder)
+    facts.rules()
+    builder.add_sccs()
+    facts.sccs()
+    builder.add_minimize(program.minimize)
+    facts.minimize()
+    return facts.out
 
 
 def facts_to_text(facts) -> str:

@@ -836,7 +836,7 @@ def reference_component_rules(view, label: int, supports) -> list:
     """Wait-level rows of the component ``label`` of a meta build's
     ``view``, one tuple built per row; ``supports`` maps each atom name
     to its supporting rules' conjunction labels."""
-    names, conj_labels, sum_terms = view.components[label]
+    names, conj_labels, sum_keys = view.components[label]
     names = sorted(names)
     steps = len(names)
     internal_conjs = set(conj_labels)
@@ -845,9 +845,9 @@ def reference_component_rules(view, label: int, supports) -> list:
     wait_conj = {c: [f"wait_conj_{c}_{step}" for step in range(steps)]
                  for c in conj_labels}
     wait_sum = {}
-    for term in sum_terms:
-        name = _entity("wait", term)
-        wait_sum[term] = [f"{name}_{step}" for step in range(steps)]
+    for key in sum_keys:
+        name = _entity("wait", key)
+        wait_sum[key] = [f"{name}_{step}" for step in range(steps)]
     rows = [(wait_atom[a][0], (), ()) for a in names]
 
     for a in names:
@@ -865,31 +865,31 @@ def reference_component_rules(view, label: int, supports) -> list:
     for conj in conj_labels:
         fail = (f"fail_conj_{conj}",)
         members = [
-            wait_atom.get(inner.args[0].functor)
-            if inner.functor == "atom" else wait_sum.get(inner)
+            wait_atom.get(inner) if isinstance(inner, str)
+            else wait_sum.get(inner)
             for negated, inner in view.conjunctions[conj]
             if not negated]
         members = [waits for waits in members if waits is not None]
         for step, wait in enumerate(wait_conj[conj]):
             rows.append((wait, fail, ()))
             rows.extend((wait, (waits[step],), ()) for waits in members)
-    for term in sum_terms:
-        sc = view.sums[term]
-        total = sc.total
-        threshold = total - sc.lower + 1
-        fail = (_entity("fail", term),)
-        entries = [
-            (wait_atom.get(wl.literal.atom.name)
-             if not wl.literal.negated else None,
-             _ce_lit(wl.literal, False), wl.weight)
-            for wl in sc.elements]
-        for step, wait in enumerate(wait_sum[term]):
+    for key in sum_keys:
+        lower, _, _ = key
+        entries = view.sums[key]
+        total = sum(weight for _, _, weight in entries)
+        threshold = total - lower + 1
+        fail = (_entity("fail", key),)
+        columns = [
+            (wait_atom.get(name) if not negated else None,
+             _ce_lit(negated, name, False), weight)
+            for negated, name, weight in entries]
+        for step, wait in enumerate(wait_sum[key]):
             rows.append((wait, fail, ()))
             if threshold <= 0:
                 rows.append((wait, (), ()))
             elif threshold <= total:
                 counted = tuple((waits[step] if waits else fixed, weight)
-                                for waits, fixed, weight in entries)
+                                for waits, fixed, weight in columns)
                 rows.append((wait, (), ((threshold, counted),)))
     rows.extend(("bot", (f"true_atom_{a}", wait_atom[a][steps]), ())
                 for a in names)

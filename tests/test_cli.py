@@ -417,15 +417,17 @@ class TestCrosscheck:
     ["crosscheck"]], ids=lambda argv: argv[0])
 def test_one_decomposition_per_command(capsys, toy_file, monkeypatch, argv):
     """Each command decomposes the program into components once: the
-    meta build reads the program's own reification, not a second one."""
-    sccs = consequence.sccs
+    meta build reads the program's own reification, not a second one.
+    ``strong_components`` is the one decomposition that ``reify`` and
+    ``sccs`` share."""
+    strong_components = consequence.strong_components
     calls = []
 
-    def counted(graph):
-        calls.append(graph)
-        return sccs(graph)
+    def counted(succ):
+        calls.append(succ)
+        return strong_components(succ)
 
-    monkeypatch.setattr(consequence, "sccs", counted)
+    monkeypatch.setattr(consequence, "strong_components", counted)
     code, _, _ = run(capsys, argv[0], toy_file, *argv[1:])
     assert code == 0 and len(calls) == 1
 

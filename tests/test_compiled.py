@@ -179,10 +179,11 @@ def reference_interpretation(mp, x):
     """The candidate's meta atoms: the definitions closed over the hold
     atoms of ``x``."""
     interp = {mp.candidate_atoms[a] for a in x}
+    definitions = parse_program("\n".join(mp.candidate_definitions)).rules
     changed = True
     while changed:
         changed = False
-        for rule in mp.candidate_definitions:
+        for rule in definitions:
             head = rule.head.atoms[0]
             if head not in interp and satisfies(frozenset(interp), rule.body):
                 interp.add(head)
@@ -196,7 +197,7 @@ def reference_candidate_stable(solver, x):
     part, and iterate the consequence operator on its reduct."""
     mp = solver.mp
     interp = reference_interpretation(mp, x)
-    candidate = Program(mp.candidate)
+    candidate = parse_program("\n".join(mp.candidate))
     if not is_model(interp, candidate):
         return False
     steps = len(core.atoms(candidate))

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from aspkit import consequence
 from aspkit.compiled import HornClosure
-from aspkit.consequence import sccs
+from aspkit.consequence import strong_components
 from aspkit import core
 from aspkit.core import (
     Atom,
     CapExceededError,
     ContractViolationError,
     CriteriaSet,
-    Disjunction,
     Rule,
-    SumConstraint,
 )
 from aspkit.metaenc import (
     MetaSolver,
@@ -30,7 +28,14 @@ from aspkit.metaenc import (
 )
 from aspkit.optimize import optimal_answer_sets
 from aspkit.parser import parse_criteria, parse_program, render_program
-from aspkit.reify import facts_to_text, parse_reified, reify, text_to_facts
+from aspkit.reify import (
+    ReifiedFact,
+    Term,
+    facts_to_text,
+    parse_reified,
+    reify,
+    text_to_facts,
+)
 from aspkit.semantics import enumerate_answer_sets
 from generators import choice_program, iset, random_criteria, random_program
 from reference import fresh_meta_solve, reference_component_rules, row_of_rule
@@ -78,16 +83,15 @@ ROW_PARTS = {"evaluate", "check", "saturate", "compare"}
 
 
 def assert_reparses(mp) -> None:
-    """The printed program parses back, part by part, into the ``Rule``
-    parts themselves and into rules that ``row_of_rule`` writes as the
-    row parts."""
+    """The printed program parses back, part by part, into rules that
+    print as the line parts' own lines and that ``row_of_rule`` writes as
+    the row parts."""
     rules = parse_program(mp.to_text()).rules
     for part in PARTS:
         items = getattr(mp, part)
         printed, rules = rules[:len(items)], rules[len(items):]
-        if part in ROW_PARTS:
-            printed = tuple(map(row_of_rule, printed))
-        assert printed == items, part
+        write = row_of_rule if part in ROW_PARTS else str
+        assert tuple(map(write, printed)) == items, part
     assert not rules
 
 
@@ -155,48 +159,14 @@ class TestStructure:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             GROUND_SHAPED_DIGEST
 
-    def test_one_object_per_meta_name(self):
-        """A build shares one atom, one positive body literal and one
-        single-atom head per meta atom name across the rules of its
-        ``Rule`` parts."""
-        objects: dict[tuple[str, str], set[int]] = {}
-
-        def note(kind: str, name: str, obj) -> None:
-            objects.setdefault((kind, name), set()).add(id(obj))
-
-        mp = build(GROUND_SHAPED, GROUND_CRITERIA)
-        for rule in mp.candidate + mp.guess + mp.accept:
-            head = rule.head
-            if isinstance(head, Disjunction):
-                if len(head.atoms) == 1:
-                    note("head", head.atoms[0].name, head)
-                for atom in head.atoms:
-                    note("atom", atom.name, atom)
-            for bl in rule.body:
-                if isinstance(bl.element, Atom):
-                    note("atom", bl.element.name, bl.element)
-                    if not bl.negated:
-                        note("literal", bl.element.name, bl)
-            sums = [bl.element for bl in rule.body
-                    if isinstance(bl.element, SumConstraint)]
-            if isinstance(head, SumConstraint):
-                sums.append(head)
-            for sc in sums:
-                for wl in sc.elements:
-                    note("atom", wl.literal.atom.name, wl.literal.atom)
-        kinds = {kind for kind, _ in objects}
-        assert kinds == {"head", "atom", "literal"}
-        shared = {key for key, ids in objects.items() if len(ids) > 1}
-        assert not shared
-
     def test_one_decomposition_per_build(self, toy_min, monkeypatch):
         calls = []
 
-        def counted(graph):
-            calls.append(graph)
-            return sccs(graph)
+        def counted(succ):
+            calls.append(succ)
+            return strong_components(succ)
 
-        monkeypatch.setattr(consequence, "sccs", counted)
+        monkeypatch.setattr(consequence, "strong_components", counted)
         build_meta_program(toy_min, INCL)
         assert len(calls) == 1
 
@@ -242,45 +212,45 @@ def chain_text(k: int) -> str:
 
 
 class TestRowsMakeNoRules:
-    """The evaluate, check, saturate and compare parts are rows: building
-    and printing a check program, or solving it, makes a ``Rule`` only
-    for the candidate, guess and accept parts."""
+    """Every part of a check program is written with meta atom names:
+    building and printing one makes no ``Rule``, ``ReifiedFact`` or
+    ``Term``, and solving one makes a ``Rule`` only by parsing the
+    candidate part's printed lines."""
 
     @staticmethod
-    def rules_made(monkeypatch) -> list:
+    def made(monkeypatch, *classes) -> list:
+        """The objects of ``classes`` constructed from now on."""
         made = []
-        init = Rule.__init__
+        for cls in classes:
+            init = cls.__init__
 
-        def counted(self, *args, **kwargs):
-            made.append(self)
-            init(self, *args, **kwargs)
+            def counted(self, *args, init=init, **kwargs):
+                made.append(self)
+                init(self, *args, **kwargs)
 
-        monkeypatch.setattr(Rule, "__init__", counted)
+            monkeypatch.setattr(cls, "__init__", counted)
         return made
-
-    @staticmethod
-    def rule_parts(mp) -> int:
-        return len(mp.candidate) + len(mp.guess) + len(mp.accept)
 
     def test_build_and_print_of_a_long_cycle(self, monkeypatch):
         n = 30
         program = parse_program("{a0}.\na1 :- a0.\n" + "".join(
             f"a{i % n + 1} :- a{i}.\n" for i in range(1, n + 1)))
-        made = self.rules_made(monkeypatch)
-        mp = build(program)
+        made = self.made(monkeypatch, Rule, ReifiedFact, Term)
+        mp = build(program, GROUND_CRITERIA)
         mp.to_text()
-        assert len(made) == self.rule_parts(mp)
-        assert len(mp.check) > n * n > len(made)
+        build(GROUND_SHAPED, GROUND_CRITERIA).to_text()
+        assert made == []
+        assert len(mp.check) > n * n
         monkeypatch.undo()
         assert_reparses(mp)
 
     def test_crosscheck_of_chain4(self, monkeypatch):
         program = parse_program(CHAIN4_TEXT)
-        expected = self.rule_parts(build(program, INCL))
-        made = self.rules_made(monkeypatch)
+        candidate = build(program, INCL).candidate
+        made = self.made(monkeypatch, Rule)
         report = crosscheck(program, INCL)
         assert report.agree and len(report.meta) == 4
-        assert len(made) == expected
+        assert tuple(map(str, made)) == candidate
 
 
 def ring_text(n: int) -> str:
@@ -339,10 +309,10 @@ class TestComponentRowsAgainstReference:
             components = self.assert_rows_match(
                 parse_program(text), monkeypatch)
             for (_, _, sums), view in components:
-                for term in sums:
-                    sc = view.sums[term]
-                    threshold = sc.total - sc.lower + 1
-                    thresholds.add((threshold > 0) + (threshold > sc.total))
+                for key in sums:
+                    total = sum(weight for _, _, weight in view.sums[key])
+                    threshold = total - key[0] + 1
+                    thresholds.add((threshold > 0) + (threshold > total))
         assert thresholds == {0, 1, 2}
 
     @pytest.mark.parametrize("n", [50, 100])
@@ -360,8 +330,26 @@ def test_candidate_side_is_the_candidate_parts_atoms(seed):
     rng = random.Random(seed)
     program = random_program(rng, max_atoms=6, minimize=True)
     mp = build(program, random_criteria(rng, program))
+    header = "% candidate generation\n"
+    printed = "".join(section.removeprefix(header) for section in
+                      mp.to_text().split("\n%") if section.startswith(header))
     assert mp.candidate_side == frozenset(mp.candidate_atoms.values()) \
-        | core.atoms(core.Program(mp.candidate))
+        | core.atoms(parse_program(printed))
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_build_from_printed_facts_is_the_same(seed, choices):
+    """The build reads the reification's label tables, never its facts:
+    the check program built from a program equals the one built from
+    its printed facts read back through ``parse_reified``, so the tables
+    and the facts rendered from them describe one program."""
+    rng = random.Random(seed)
+    program = (choice_program(rng, max_atoms=6) if choices
+               else random_program(rng, minimize=True))
+    crit = random_criteria(rng, program)
+    read = parse_reified(text_to_facts(facts_to_text(reify(program))))
+    assert build(read, crit).to_text() == build(program, crit).to_text()
 
 
 def check_text(program) -> str:
