@@ -119,7 +119,7 @@ def cmd_check(args) -> int:
         print("answer-set")
     elif compiled.supports(mask):
         print("supported-model")
-        decomposition = consequence.sccs(consequence.dependency_graph(program))
+        decomposition = consequence.sccs(program)
         for component in decomposition.nontrivial():
             waiting = consequence.wait_levels(program, x, component.label,
                                               decomposition, compiled)

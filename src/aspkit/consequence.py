@@ -4,17 +4,17 @@ models, and wait levels.
 A model is an answer set exactly when iterating the immediate
 consequence operator on its reduct reproduces it, and the iteration can
 be localized to the strongly connected components of the positive
-dependency graph.  One recursive Tarjan search over vertex indexes,
-:func:`strong_components`, finds those components: :mod:`aspkit.reify`
-runs it on the graph over atom indexes (:func:`indexed_graph`), and
-:func:`sccs` over the atoms of a :class:`DependencyGraph`, for ``check``
-and the tests.  Wait levels are the complement of that local
-fixpoint: the true atoms of a component that are still underivable
-after as many steps as the component has atoms.  They are read off one
-least model of the component's part of the compiled reduct, seeded with
-the true atoms outside the component that this part reads, which
-:class:`aspkit.compiled.HornClosure` computes in time linear in the
-program.
+dependency graph.  :func:`indexed_graph` reads that graph over atom
+indexes in one walk over the rules, and one recursive Tarjan search
+over vertex indexes, :func:`strong_components`, finds its components:
+:mod:`aspkit.reify` runs the two directly, and :func:`sccs` labels their
+result with atoms for ``check`` and the tests.  Wait levels are the
+complement of that local fixpoint: the true atoms of a component that
+are still underivable after as many steps as the component has atoms.
+They are read off one least model of the component's part of the
+compiled reduct, seeded with the true atoms outside the component that
+this part reads, which :class:`aspkit.compiled.HornClosure` computes in
+time linear in the program.
 """
 
 from __future__ import annotations
@@ -22,15 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Atom, Disjunction, Interpretation, Program, sorted_atoms
+from .core import Atom, Disjunction, Interpretation, Program
 from .compiled import CompiledProgram, _indexes
 from .semantics import compile_program
-
-
-@dataclass(frozen=True)
-class DependencyGraph:
-    nodes: frozenset[Atom]
-    edges: frozenset[tuple[Atom, Atom]]
 
 
 @dataclass(frozen=True)
@@ -120,13 +114,6 @@ def indexed_graph(program: Program) -> tuple[list[Atom], list[list[int]]]:
     return [found[name] for name in order], succ
 
 
-def dependency_graph(program: Program) -> DependencyGraph:
-    """The graph of :func:`indexed_graph` as sets of atoms and edges."""
-    nodes, succ = indexed_graph(program)
-    return DependencyGraph(frozenset(nodes), frozenset([
-        (nodes[a], nodes[b]) for a, ends in enumerate(succ) for b in ends]))
-
-
 def strong_components(succ: list[list[int]]) -> list[list[int]]:
     """Tarjan decomposition of the graph whose vertex i leads to the
     vertexes ``succ[i]``: each component as a list of vertexes, in
@@ -176,25 +163,18 @@ def cyclic(members: list[int], succ: list[list[int]]) -> bool:
     return len(members) > 1 or members[0] in succ[members[0]]
 
 
-def sccs(graph: DependencyGraph) -> SccDecomposition:
-    """The components of :func:`strong_components` over the atoms
-    numbered in name order, each atom's successors sorted; non-trivial
-    components are labeled 0,1,... in completion order, the topological
-    order of ``components``."""
-    order = sorted_atoms(graph.nodes)
-    number = {atom.name: i for i, atom in enumerate(order)}
-    succ: list[list[int]] = [[] for _ in order]
-    for a, b in graph.edges:
-        succ[number[a.name]].append(number[b.name])
-    for ends in succ:
-        ends.sort()
+def sccs(program: Program) -> SccDecomposition:
+    """The components of :func:`strong_components` over
+    :func:`indexed_graph`; non-trivial components are labeled 0,1,... in
+    completion order, the topological order of ``components``."""
+    nodes, succ = indexed_graph(program)
     components: list[SccComponent] = []
     label = 0
     for members in strong_components(succ):
         nontrivial = cyclic(members, succ)
         components.append(SccComponent(
             label if nontrivial else None,
-            frozenset([order[i] for i in members]), nontrivial))
+            frozenset([nodes[i] for i in members]), nontrivial))
         label += nontrivial
     return SccDecomposition(tuple(components))
 
@@ -238,7 +218,7 @@ def wait_levels(program: Program, x: Interpretation, label: int,
     linear in the program in all.
     """
     if decomposition is None:
-        decomposition = sccs(dependency_graph(program))
+        decomposition = sccs(program)
     if compiled is None:
         compiled = compile_program(program)
     members = decomposition.by_label(label).atoms

@@ -2,10 +2,10 @@
 
 :func:`build_meta_program` reifies an extended object program once and
 assembles from that reification's label tables
-(:func:`aspkit.reify.tables`), in the toolkit's own core language, a
-ground disjunctive program whose answer sets project onto the optimal
-answer sets of the object program (outside facts go through
-``parse_reified``).  Its parts:
+(:class:`aspkit.reify.Tables`, read as they are, with no copy or view),
+in the toolkit's own core language, a ground disjunctive program whose
+answer sets project onto the optimal answer sets of the object program
+(outside facts go through ``parse_reified``).  Its parts:
 
 * candidate: re-derives the object program over ``hold_*`` atoms
   (choice heads become trivial-bound sum heads, each sum and body
@@ -82,7 +82,7 @@ from .compiled import (
 )
 from .optimize import optimal_answer_sets
 from .parser import parse_program
-from .reify import Entry, Inner, tables
+from .reify import Inner, Tables, tables
 from .semantics import canonical_order
 
 #: Cap on guessed candidate-side atoms in solve_meta.
@@ -258,68 +258,29 @@ class MetaProgram:
         return "\n".join(lines) + "\n" if lines else ""
 
 
-class _View:
-    """A program's canonical labels, read off the tables of its
-    reification (:func:`aspkit.reify.tables`); no fact is made."""
-
-    def __init__(self, program: Program):
-        labels = tables(program)
-        self.program = program
-        # the tables as aspkit.reify._Builder keeps them
-        self.atoms: list[str] = labels.names
-        self.rules: list[tuple[Inner | None, int]] = labels.rules
-        self.conjunctions: list[tuple[tuple[bool, Inner], ...]] = \
-            labels.conjunctions
-        self.lists: list[tuple[Entry, ...]] = labels.lists
-        # sum keys and their entries, in first-occurrence order over
-        # heads, then bodies
-        self.sums: dict[tuple[int, int, int], tuple[Entry, ...]] = {}
-        for head, label in self.rules:
-            for inner in (head, *(inner for _, inner
-                                  in self.conjunctions[label])):
-                if type(inner) is tuple and inner not in self.sums:
-                    self.sums[inner] = self.lists[inner[1]]
-        #: minimize list label by level
-        self.minimize: dict[int, int] = dict(labels.minimize)
-        #: per component label: (atom names, conjunction labels, sum keys)
-        self.components: list[tuple[list[str], list[int], list[tuple]]] = [
-            ([key for key in found if type(key) is str],
-             [key for key in found if type(key) is int],
-             [key for key in found if type(key) is tuple])
-            for found in labels.components]
-
-    def head_support(self, head: Inner | None) -> tuple[str, ...]:
-        """Names of the atoms occurring positively in a head, in order."""
-        if type(head) is str:
-            return (head,)
-        if head is None:
-            return ()
-        return tuple(dict.fromkeys(
-            name for negated, name, _ in self.sums[head] if not negated))
-
-
 class _Builder:
     """Emits the parts of one check program, every rule written with
     meta atom names: the candidate, guess and accept parts as lines of
     text, the evaluate, check, saturate and compare parts as rows."""
 
-    def __init__(self, view: _View, crit: CriteriaSet):
-        self.view = view
+    def __init__(self, labels: Tables, crit: CriteriaSet,
+                 minimize: MinimizeStatement):
+        self.labels = labels
         self.crit = crit
-        self.cxopt = effective_criteria(crit, view.program.minimize)
+        self.cxopt = effective_criteria(crit, minimize)
 
     # -- candidate part ------------------------------------------------
 
     def candidate_definitions(self) -> list[str]:
         lines: list[str] = []
-        for key, entries in self.view.sums.items():
+        for key, entries in self.labels.sums.items():
             lower, _, upper = key
             elements = ",".join(
                 f"{'not ' if negated else ''}hold_atom_{name}={weight}"
                 for negated, name, weight in entries)
             lines.append(f"{_entity('hold', key)} :- "
                          f"{lower} #sum[{elements}] {upper}.")
-        for label, members in enumerate(self.view.conjunctions):
+        for label, members in enumerate(self.labels.conjunctions):
             body = ", ".join([("not " if negated else "")
                               + _entity("hold", inner)
                               for negated, inner in members])
@@ -329,14 +290,14 @@ class _Builder:
 
     def candidate_rules(self) -> list[str]:
         lines: list[str] = []
-        for head, label in self.view.rules:
+        for head, label in self.labels.rules:
             trigger = f"hold_conj_{label}"
             if head is None:
                 lines.append(f":- {trigger}.")
             elif type(head) is str:
                 lines.append(f"hold_atom_{head} :- {trigger}.")
             else:
-                choosable = self.view.head_support(head)
+                choosable = self.labels.support(head)
                 if choosable:
                     elements = ",".join([f"hold_atom_{name}=1"
                                          for name in choosable])
@@ -348,13 +309,13 @@ class _Builder:
 
     def guess(self) -> list[str]:
         return [f"true_atom_{name} | fail_atom_{name}."
-                for name in self.view.atoms]
+                for name in self.labels.names]
 
     def evaluate(self) -> list[Row]:
         rows: list[Row] = []
-        if any(head is None for head, _ in self.view.rules):
+        if any(head is None for head, _ in self.labels.rules):
             rows.append(("fail_false", (), ()))
-        for key, entries in self.view.sums.items():
+        for key, entries in self.labels.sums.items():
             lower, _, upper = key
             total = sum(weight for _, _, weight in entries)
             holds = tuple((_ce_lit(negated, name, True), weight)
@@ -370,7 +331,7 @@ class _Builder:
                 sums = _bounded_sums([(bound, counted)], total)
                 if sums is not None:
                     rows.append((_entity("fail", key), (), sums))
-        for label, members in enumerate(self.view.conjunctions):
+        for label, members in enumerate(self.labels.conjunctions):
             rows.append((f"true_conj_{label}", tuple(
                 _ce_member(negated, inner, True)
                 for negated, inner in members), ()))
@@ -384,17 +345,17 @@ class _Builder:
     def check(self) -> list[Row]:
         rows: list[Row] = [
             ("bot", (f"true_conj_{label}", _entity("fail", head)), ())
-            for head, label in self.view.rules]
+            for head, label in self.labels.rules]
         # labels of each atom's supporting rules, in first-occurrence order
         supports: dict[str, dict[int, None]] = {
-            name: {} for name in self.view.atoms}
-        for head, label in self.view.rules:
-            for name in self.view.head_support(head):
+            name: {} for name in self.labels.names}
+        for head, label in self.labels.rules:
+            for name in self.labels.support(head):
                 supports[name][label] = None
         for name, labels in supports.items():
             rows.append(("bot", (f"true_atom_{name}",
                                 *(f"fail_conj_{s}" for s in labels)), ()))
-        for label in range(len(self.view.components)):
+        for label in range(len(self.labels.components)):
             rows.extend(self._component_rules(label, supports))
         return rows
 
@@ -404,10 +365,13 @@ class _Builder:
         atom names are its prefix plus each suffix, and the rows of a
         family are zipped from those name lists and repeated bodies, so
         no step's row is built by a Python statement of its own.  The
-        rows of a conjunction or sum interleave by step.  Membership in
-        the component is a dict lookup."""
-        names, conj_labels, sum_keys = self.view.components[label]
-        names = sorted(names)
+        rows of a conjunction or sum interleave by step.  The component's
+        members are split by key type, its atom names coming first and
+        sorted.  Membership in the component is a dict lookup."""
+        found = self.labels.components[label]
+        names = [key for key in found if type(key) is str]
+        conj_labels = [key for key in found if type(key) is int]
+        sum_keys = [key for key in found if type(key) is tuple]
         steps = len(names)
         internal_conjs = set(conj_labels)
         suffixes = [f"_{step}" for step in range(steps + 1)]
@@ -437,7 +401,7 @@ class _Builder:
             waits = wait_conj[conj]
             members = [
                 (wait_atom if type(inner) is str else wait_sum).get(inner)
-                for negated, inner in self.view.conjunctions[conj]
+                for negated, inner in self.labels.conjunctions[conj]
                 if not negated]
             # per step: the fail row, then one row per internal member
             streams = [zip(waits, repeat((f"fail_conj_{conj}",)), no_sums)]
@@ -446,7 +410,7 @@ class _Builder:
             rows.extend(chain.from_iterable(zip(*streams)))
         for key in sum_keys:
             waits = wait_sum[key]
-            entries = self.view.sums[key]
+            entries = self.labels.sums[key]
             total = sum(weight for _, _, weight in entries)
             threshold = total - key[0] + 1
             streams = [zip(waits, repeat((_entity("fail", key),)), no_sums)]
@@ -472,7 +436,7 @@ class _Builder:
     def saturate(self) -> list[Row]:
         bot = ("bot",)
         rows: list[Row] = []
-        for name in self.view.atoms:
+        for name in self.labels.names:
             rows.append((f"true_atom_{name}", bot, ()))
             rows.append((f"fail_atom_{name}", bot, ()))
         return rows
@@ -520,15 +484,15 @@ class _Builder:
 
     def _group(self, level: int, weight: int) -> tuple[tuple[int, Lit], ...]:
         """(index, literal) pairs of the minimize group, in list order."""
-        label = self.view.minimize.get(level)
-        entries = () if label is None else self.view.lists[label]
+        label = self.labels.minimize.get(level)
+        entries = () if label is None else self.labels.lists[label]
         return tuple((index, (negated, name)) for index, (negated, name, w)
                      in enumerate(entries) if w == weight)
 
     def _criterion_rows(self, level: int, weight: int, criterion: str,
                         lit_rows) -> list[Row]:
         group = self._group(level, weight)
-        label = self.view.minimize.get(level, 0)
+        label = self.labels.minimize.get(level, 0)
         key = f"{_num(level)}_{_num(weight)}"
         skey = f"{label}_{_num(weight)}"
         equal = f"equal_{key}_{criterion}"
@@ -653,10 +617,10 @@ class _Builder:
 
 def build_meta_program(program: Program, crit: CriteriaSet) -> MetaProgram:
     """Assemble the check program from ``program``'s canonical labels."""
-    view = _View(program)
-    builder = _Builder(view, crit)
+    labels = tables(program)
+    builder = _Builder(labels, crit, program.minimize)
     return MetaProgram(
-        atom_names=tuple(view.atoms),
+        atom_names=tuple(labels.names),
         candidate_definitions=tuple(builder.candidate_definitions()),
         candidate_rules=tuple(builder.candidate_rules()),
         guess=tuple(builder.guess()),

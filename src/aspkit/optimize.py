@@ -135,19 +135,19 @@ def _incl(width: int, column: list[int]):
 
 
 def _pairwise(leq, column: list[int]):
-    """Standings of any relation ``leq``, comparing every pair of
-    values."""
+    """Standings of any relation ``leq``, from one test per ordered pair
+    of values: u <= v puts u's vectors in v's ``as_good``, and its
+    failure puts v's vectors in u's ``better``."""
     buckets = _buckets(column)
-    table = {}
-    for v in buckets:
-        as_good = better = 0
-        for u, mask in buckets.items():
+    as_good = dict.fromkeys(buckets, 0)
+    better = dict.fromkeys(buckets, 0)
+    for u, u_mask in buckets.items():
+        for v, v_mask in buckets.items():
             if leq(u, v):
-                as_good |= mask
-            if not leq(v, u):
-                better |= mask
-        table[v] = (as_good, better)
-    return table.__getitem__
+                as_good[v] |= u_mask
+            else:
+                better[u] |= v_mask
+    return {v: (as_good[v], better[v]) for v in buckets}.__getitem__
 
 
 class CompiledCriteria:

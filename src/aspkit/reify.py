@@ -28,13 +28,16 @@ identical weighted-literal lists share one label, as do identical
 conjunctions; the two label spaces are separate.  Sum lists and
 minimize lists share the one list label space, so a minimize level
 whose entries equal a sum's elements names that sum's list.  The labels
-are assigned on tables of plain keys (:func:`tables`), which the meta
-build reads without any fact being made; :func:`reify` renders the
-facts from them.  Each distinct term is built once per reification,
-and every fact that holds it shares that one object.  Proper disjunction
-heads and sums with no entries (no wlist/4 fact could name their list;
-only the library API builds them) are outside this format:
-:func:`reify` rejects both.
+are assigned on one table of plain keys per program (:func:`tables`,
+a :class:`Tables`), which also holds each sum's entries, the
+components' members and the positive support of each head and sum.
+The meta build reads those tables without any fact being made, and
+:func:`reify` renders the facts from the complete tables in one pass.
+Each distinct term is built once per reification, and every fact that
+holds it shares that one object.  Proper disjunction heads and sums
+with no entries (no wlist/4 fact could name their list; only the
+library API builds them) are outside this format: :func:`reify`
+rejects both.
 """
 
 from __future__ import annotations
@@ -100,22 +103,24 @@ Inner = str | tuple[int, int, int]
 Entry = tuple[bool, str, int]
 
 
-class _Builder:
+class Tables:
     """One reification's canonical labels, kept as tables of plain keys:
     an atom is keyed by its name, a sum by (lower, list label, upper)
     with its bounds materialized, a conjunction member by (negated, atom
     name or sum key), and a list entry by (negated, atom name, weight).
     Conjunction and list labels are keyed by tuples of these, so no
     syntax object is hashed and no fact or term is made while the
-    labels are assigned; :class:`_Facts` renders the facts from the
-    tables."""
+    labels are assigned.  :func:`tables` fills them; :func:`reify`
+    renders the facts from them and the meta build reads them."""
 
-    def __init__(self, program: Program):
-        self.program = program
+    def __init__(self):
         self._list_labels: dict[tuple[Entry, ...], int] = {}
         self._conj_labels: dict[tuple[tuple[bool, Inner], ...], int] = {}
         #: per list label: its entries
         self.lists: list[tuple[Entry, ...]] = []
+        #: per sum key, in order of first occurrence over each rule's
+        #: head, then its body: the sum's entries
+        self.sums: dict[tuple[int, int, int], tuple[Entry, ...]] = {}
         #: per conjunction label: its members, in body order
         self.conjunctions: list[tuple[tuple[bool, Inner], ...]] = []
         #: per rule: its head (None for false, an atom name or a sum key)
@@ -124,10 +129,10 @@ class _Builder:
         #: every atom name of the program, sorted
         self.names: list[str] = []
         #: per non-trivial component, by label: its members in fact
-        #: order, as atom names, conjunction labels and sum keys
+        #: order, as atom names (sorted), conjunction labels and sum keys
         self.components: list[dict[Inner | int, None]] = []
-        #: per minimize level, ascending: (level, list label)
-        self.minimize: list[tuple[int, int]] = []
+        #: minimize list label by level, ascending
+        self.minimize: dict[int, int] = {}
 
     def _list(self, entries: tuple[Entry, ...]) -> int:
         """The label of a weighted-literal list: a sum's elements or one
@@ -147,7 +152,19 @@ class _Builder:
             for wl in sc.elements))
         lower = sc.lower if sc.lower is not None else 0
         upper = sc.upper if sc.upper is not None else sc.total
-        return lower, label, upper
+        key = lower, label, upper
+        self.sums.setdefault(key, self.lists[label])
+        return key
+
+    def support(self, inner: Inner | None) -> tuple[str, ...]:
+        """Names of the atoms occurring positively in a head or sum, in
+        order, each once."""
+        if type(inner) is str:
+            return (inner,)
+        if inner is None:
+            return ()
+        return tuple(dict.fromkeys(
+            name for negated, name, _ in self.sums[inner] if not negated))
 
     def add_rule(self, rule: Rule) -> None:
         head = rule.head
@@ -168,17 +185,10 @@ class _Builder:
             self.conjunctions.append(members)
         self.rules.append((key, label))
 
-    def _positive(self, inner: Inner | None) -> list[str]:
-        """Names of the atoms occurring positively in a head or sum."""
-        if type(inner) is tuple:
-            return [name for negated, name, _ in self.lists[inner[1]]
-                    if not negated]
-        return [] if inner is None else [inner]
-
-    def add_sccs(self) -> None:
+    def add_sccs(self, program: Program) -> None:
         """The components of the positive dependency graph, and the
         members of the non-trivial ones from one pass over the rules."""
-        atoms, succ = consequence.indexed_graph(self.program)
+        atoms, succ = consequence.indexed_graph(program)
         self.names = [atom.name for atom in atoms]
         label_of: dict[str, int] = {}
         for members in consequence.strong_components(succ):
@@ -189,7 +199,7 @@ class _Builder:
         if not self.components:
             return
         for head, label in self.rules:
-            heads = set(map(label_of.get, self._positive(head)))
+            heads = set(map(label_of.get, self.support(head)))
             heads.discard(None)
             if not heads:
                 continue
@@ -197,7 +207,7 @@ class _Builder:
                 if negated:
                     continue
                 for component in heads.intersection(
-                        map(label_of.get, self._positive(inner))):
+                        map(label_of.get, self.support(inner))):
                     found = self.components[component]
                     found.setdefault(label)
                     if type(inner) is tuple:
@@ -205,117 +215,89 @@ class _Builder:
 
     def add_minimize(self, statement: MinimizeStatement) -> None:
         for level in statement.levels():
-            self.minimize.append((level, self._list(tuple(
+            self.minimize[level] = self._list(tuple(
                 (e.literal.negated, e.literal.atom.name, e.weight)
-                for e in statement.entries if e.level == level))))
+                for e in statement.entries if e.level == level))
 
 
-class _Facts:
-    """The fact list of a builder's tables, rendered part by part in the
-    order of first use: each rule fact is followed by the list facts of a
-    head sum and the set facts of a conjunction seen first there, each
-    set fact by the list facts of its sum if seen first there; then the
-    scc facts; then each minimize fact with its list facts if seen first
-    there.  Each distinct term is made once, and every fact that holds it
-    shares that one object."""
-
-    def __init__(self, tables: _Builder):
-        self.tables = tables
-        self.out: list[ReifiedFact] = []
-        self._terms: dict[Inner, Term] = {}
-        self._members: dict[tuple[bool, Inner], Term] = {}
-        self._conjunctions: list[Term] = []
-        #: the next list and conjunction labels to render: labels are
-        #: given in order of first use
-        self._listed = self._set = 0
-
-    def _term(self, inner: Inner) -> Term:
-        """``atom(a)`` or ``sum(L,S,U)``."""
-        term = self._terms.get(inner)
-        if term is None:
-            term = self._terms[inner] = (
-                Term("atom", (Term(inner),)) if type(inner) is str
-                else Term("sum", inner))
-        return term
-
-    def _member(self, key: tuple[bool, Inner]) -> Term:
-        term = self._members.get(key)
-        if term is None:
-            term = self._members[key] = Term(
-                _SIGN[key[0]], (self._term(key[1]),))
-        return term
-
-    def _list(self, label: int) -> None:
-        if label == self._listed:
-            self._listed += 1
-            member, out = self._member, self.out
-            for index, (negated, name, weight) in enumerate(
-                    self.tables.lists[label]):
-                out.append(ReifiedFact("wlist", (
-                    label, index, member((negated, name)), weight)))
-
-    def rules(self) -> None:
-        tables, out, member = self.tables, self.out, self._member
-        conjunctions = self._conjunctions
-        conjunctions.extend(Term("conjunction", (label,))
-                            for label in range(len(tables.conjunctions)))
-        bodies = [Term("pos", (term,)) for term in conjunctions]
-        for head, label in tables.rules:
-            out.append(ReifiedFact("rule", (
-                _POS_FALSE if head is None else member((False, head)),
-                bodies[label])))
-            if type(head) is tuple:
-                self._list(head[1])
-            if label == self._set:
-                self._set += 1
-                for key in tables.conjunctions[label]:
-                    out.append(ReifiedFact("set", (label, member(key))))
-                    if type(key[1]) is tuple:
-                        self._list(key[1][1])
-
-    def sccs(self) -> None:
-        for component, found in enumerate(self.tables.components):
-            self.out.extend(ReifiedFact("scc", (
-                component, self._conjunctions[key] if type(key) is int
-                else self._term(key))) for key in found)
-
-    def minimize(self) -> None:
-        for level, label in self.tables.minimize:
-            self.out.append(ReifiedFact("minimize", (level, label)))
-            self._list(label)
-
-
-def _rules(program: Program) -> _Builder:
+def tables(program: Program) -> Tables:
+    """The canonical labels of ``program`` as tables; no fact or term is
+    made."""
     if not is_extended(program):
         raise ContractViolationError(
             "only extended programs (no proper disjunctions) can be reified")
-    builder = _Builder(program)
+    built = Tables()
     for rule in program.rules:
-        builder.add_rule(rule)
-    return builder
-
-
-def tables(program: Program) -> _Builder:
-    """The canonical labels of ``program`` as tables; no fact or term is
-    made."""
-    builder = _rules(program)
-    builder.add_sccs()
-    builder.add_minimize(program.minimize)
-    return builder
+        built.add_rule(rule)
+    built.add_sccs(program)
+    built.add_minimize(program.minimize)
+    return built
 
 
 def reify(program: Program) -> list[ReifiedFact]:
-    """The fact list describing ``program`` (deterministic).  Each part
-    is rendered as soon as its tables are complete, the rules before the
-    components are computed."""
-    builder = _rules(program)
-    facts = _Facts(builder)
-    facts.rules()
-    builder.add_sccs()
-    facts.sccs()
-    builder.add_minimize(program.minimize)
-    facts.minimize()
-    return facts.out
+    """The fact list describing ``program`` (deterministic), rendered in
+    one pass from its complete tables, in the order of first use: each
+    rule fact is followed by the list facts of a head sum and the set
+    facts of a conjunction seen first there, each set fact by the list
+    facts of its sum if seen first there; then the scc facts; then each
+    minimize fact with its list facts if seen first there.  Each
+    distinct term is made once, and every fact that holds it shares that
+    one object."""
+    labels = tables(program)
+    out: list[ReifiedFact] = []
+    terms: dict[Inner, Term] = {}
+    members: dict[tuple[bool, Inner], Term] = {}
+    # the next list and conjunction labels to render: labels are given
+    # in order of first use
+    listed = placed = 0
+
+    def term(inner: Inner) -> Term:
+        """``atom(a)`` or ``sum(L,S,U)``."""
+        found = terms.get(inner)
+        if found is None:
+            found = terms[inner] = (
+                Term("atom", (Term(inner),)) if type(inner) is str
+                else Term("sum", inner))
+        return found
+
+    def member(key: tuple[bool, Inner]) -> Term:
+        found = members.get(key)
+        if found is None:
+            found = members[key] = Term(_SIGN[key[0]], (term(key[1]),))
+        return found
+
+    def wlist(label: int) -> None:
+        nonlocal listed
+        if label == listed:
+            listed += 1
+            for index, (negated, name, weight) in enumerate(
+                    labels.lists[label]):
+                out.append(ReifiedFact("wlist", (
+                    label, index, member((negated, name)), weight)))
+
+    conjunctions = [Term("conjunction", (label,))
+                    for label in range(len(labels.conjunctions))]
+    bodies = [Term("pos", (conjunction,)) for conjunction in conjunctions]
+    for head, label in labels.rules:
+        out.append(ReifiedFact("rule", (
+            _POS_FALSE if head is None else member((False, head)),
+            bodies[label])))
+        if type(head) is tuple:
+            wlist(head[1])
+        if label == placed:
+            placed += 1
+            for key in labels.conjunctions[label]:
+                out.append(ReifiedFact("set", (label, member(key))))
+                if type(key[1]) is tuple:
+                    wlist(key[1][1])
+    for component, found in enumerate(labels.components):
+        out.extend(ReifiedFact("scc", (
+            component, conjunctions[key] if type(key) is int
+            else term(key))) for key in found)
+    for level, label in labels.minimize.items():
+        out.append(ReifiedFact("minimize", (level, label)))
+        wlist(label)
+    return out
 
 
 def facts_to_text(facts) -> str:

@@ -19,9 +19,10 @@ program, criteria and fact text are the oracle for the shared lexer's
 readers.  A reification that builds a new term per occurrence, and a
 Tarjan decomposition over atoms, are the oracles of ``reify`` and
 ``sccs``.  The dependency graph read through ``positive_part`` and
-``atoms_of`` rule by rule, and the wait-level rows built one row at a
-time, are the oracles of ``dependency_graph`` and of the meta build's
-component rows."""
+``atoms_of`` rule by rule, as a :class:`Graph` of atoms and atom
+pairs, and the wait-level rows built one row at a time, are the
+oracles of ``indexed_graph`` and of the meta build's component
+rows."""
 
 from __future__ import annotations
 
@@ -31,13 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from aspkit.compiled import CompiledProgram, HornClosure, HornRule
-from aspkit.consequence import (
-    DependencyGraph,
-    SccComponent,
-    SccDecomposition,
-    dependency_graph,
-    sccs,
-)
+from aspkit.consequence import SccComponent, SccDecomposition, sccs
 from aspkit.core import (
     DEFAULT_ATOM_CAP,
     Atom,
@@ -186,7 +181,7 @@ def scc_fixpoint_check(program: Program, x: Interpretation) -> bool:
     and require the union of the local results to reproduce ``x``."""
     if not is_model(x, program):
         return False
-    decomposition = sccs(dependency_graph(program))
+    decomposition = sccs(program)
     reduced = reduct(program, x)
     covered: set[Atom] = set()
     for component in decomposition.components:
@@ -203,7 +198,7 @@ def scc_members(
     reach it through a positive body atom or a positive entry of a
     non-negated body sum."""
     members: set[tuple[int, Atom | Body | SumConstraint]] = set()
-    for component in sccs(dependency_graph(program)).nontrivial():
+    for component in sccs(program).nontrivial():
         label, inside = component.label, component.atoms
         members.update((label, atom) for atom in inside)
         for rule in program.rules:
@@ -623,7 +618,15 @@ def reference_text_to_facts(text: str) -> list[ReifiedFact]:
 # equal components, labels and order.
 
 
-def reference_sccs(graph: DependencyGraph) -> SccDecomposition:
+@dataclass(frozen=True)
+class Graph:
+    """A directed graph over atoms."""
+
+    nodes: frozenset[Atom]
+    edges: frozenset[tuple[Atom, Atom]]
+
+
+def reference_sccs(graph: Graph) -> SccDecomposition:
     """Recursive Tarjan over atoms; non-trivial components are labeled
     0,1,... in completion order."""
     succ: dict[Atom, list[Atom]] = {a: [] for a in sorted_atoms(graph.nodes)}
@@ -757,7 +760,7 @@ class _ReifyBuilder:
         self.facts.extend(body_facts)
 
     def add_sccs(self) -> None:
-        graph = dependency_graph(self.program)
+        graph = reference_dependency_graph(self.program)
         label_of: dict[Atom, int] = {}
         members: list[dict[Term, None]] = []
         for component in reference_sccs(graph).nontrivial():
@@ -816,11 +819,11 @@ def reference_reify(program: Program) -> list[ReifiedFact]:
 # were before the graph was read in one walk and the rows were zipped from
 # name lists: ``positive_part``/``atoms_of`` per rule plus a separate
 # ``atoms`` pass, and one tuple built per row.  They are the differential
-# oracles of ``dependency_graph`` and ``_Builder._component_rules``: equal
+# oracles of ``indexed_graph`` and ``_Builder._component_rules``: equal
 # graphs, and equal rows in equal order.
 
 
-def reference_dependency_graph(program: Program) -> DependencyGraph:
+def reference_dependency_graph(program: Program) -> Graph:
     """Edges from positive head atoms to positive body atoms."""
     edges: set[tuple[Atom, Atom]] = set()
     for rule in program.rules:
@@ -829,15 +832,17 @@ def reference_dependency_graph(program: Program) -> DependencyGraph:
             targets = ({element} if isinstance(element, Atom)
                        else atoms_of(positive_part(element)))
             edges.update((a, b) for a in heads for b in targets)
-    return DependencyGraph(atoms(program), frozenset(edges))
+    return Graph(atoms(program), frozenset(edges))
 
 
-def reference_component_rules(view, label: int, supports) -> list:
+def reference_component_rules(labels, label: int, supports) -> list:
     """Wait-level rows of the component ``label`` of a meta build's
-    ``view``, one tuple built per row; ``supports`` maps each atom name
-    to its supporting rules' conjunction labels."""
-    names, conj_labels, sum_keys = view.components[label]
-    names = sorted(names)
+    reification ``labels``, one tuple built per row; ``supports`` maps
+    each atom name to its supporting rules' conjunction labels."""
+    found = labels.components[label]
+    names = sorted(key for key in found if isinstance(key, str))
+    conj_labels = [key for key in found if isinstance(key, int)]
+    sum_keys = [key for key in found if isinstance(key, tuple)]
     steps = len(names)
     internal_conjs = set(conj_labels)
     wait_atom = {a: [f"wait_atom_{a}_{step}" for step in range(steps + 1)]
@@ -867,7 +872,7 @@ def reference_component_rules(view, label: int, supports) -> list:
         members = [
             wait_atom.get(inner) if isinstance(inner, str)
             else wait_sum.get(inner)
-            for negated, inner in view.conjunctions[conj]
+            for negated, inner in labels.conjunctions[conj]
             if not negated]
         members = [waits for waits in members if waits is not None]
         for step, wait in enumerate(wait_conj[conj]):
@@ -875,7 +880,7 @@ def reference_component_rules(view, label: int, supports) -> list:
             rows.extend((wait, (waits[step],), ()) for waits in members)
     for key in sum_keys:
         lower, _, _ = key
-        entries = view.sums[key]
+        entries = labels.sums[key]
         total = sum(weight for _, _, weight in entries)
         threshold = total - lower + 1
         fail = (_entity("fail", key),)

@@ -6,11 +6,7 @@ import time
 import pytest
 
 from aspkit.cli import main
-from aspkit.consequence import (
-    dependency_graph,
-    sccs,
-    wait_levels,
-)
+from aspkit.consequence import wait_levels
 from aspkit.core import CriteriaSet, atoms, normalize
 from aspkit.metaenc import build_meta_program, effective_criteria, solve_meta
 from aspkit.optimize import default_optimal, dominates, optimal_answer_sets

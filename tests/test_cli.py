@@ -264,8 +264,7 @@ class TestCheck:
         for _ in range(300):
             program = random_program(rng, max_atoms=6, max_rules=9,
                                      disjunctive=rng.random() < 0.3)
-            components = consequence.sccs(
-                consequence.dependency_graph(program)).nontrivial()
+            components = consequence.sccs(program).nontrivial()
             if not components:
                 continue
             path.write_text(render_program(program))

@@ -4,17 +4,19 @@ import pytest
 
 from aspkit.consequence import (
     ComponentWait,
-    DependencyGraph,
-    dependency_graph,
+    cyclic,
+    indexed_graph,
     is_supported_model,
     sccs,
+    strong_components,
     wait_levels,
 )
-from aspkit.core import Atom, Disjunction, Program, atoms
+from aspkit.core import Atom, Disjunction, Program, atoms, sorted_atoms
 from aspkit.parser import parse_program
 from aspkit.semantics import enumerate_answer_sets, is_model
 from generators import iset, random_program
 from reference import (
+    Graph,
     PositiveProgram,
     is_answer_set,
     reduct,
@@ -30,37 +32,72 @@ def edge(a, b):
     return (Atom(a), Atom(b))
 
 
+def graph_of(program: Program) -> Graph:
+    """The graph of :func:`indexed_graph` as atoms and atom pairs."""
+    nodes, succ = indexed_graph(program)
+    return Graph(frozenset(nodes), frozenset(
+        (nodes[a], nodes[b]) for a, ends in enumerate(succ) for b in ends))
+
+
+def numbered(graph: Graph) -> tuple[list[Atom], list[list[int]]]:
+    """``graph`` over vertex indexes, numbered as :func:`indexed_graph`
+    numbers a program's: atoms in name order, each one's successors
+    ascending."""
+    nodes = sorted_atoms(graph.nodes)
+    number = {atom: i for i, atom in enumerate(nodes)}
+    succ: list[list[int]] = [[] for _ in nodes]
+    for a, b in graph.edges:
+        succ[number[a]].append(number[b])
+    return nodes, [sorted(ends) for ends in succ]
+
+
+def random_graph(rng: random.Random, size: int, degree: int) -> Graph:
+    """Up to ``size`` atoms named apart from their creation order, with
+    up to ``degree`` edges per atom drawn at random and a self-loop at
+    about one atom in ten."""
+    names = rng.sample(range(1000), rng.randint(1, size))
+    nodes = [Atom(f"v{name}") for name in names]
+    edges = [(rng.choice(nodes), rng.choice(nodes))
+             for _ in range(rng.randint(0, degree * len(nodes)))]
+    edges += [(a, a) for a in nodes if rng.random() < 0.1]
+    return Graph(frozenset(nodes), frozenset(edges))
+
+
 class TestDependencyGraph:
     def test_toy_edges(self, toy):
-        graph = dependency_graph(toy)
+        graph = graph_of(toy)
         assert graph.nodes == iset("p,q,r,s,t")
         assert graph.edges == {
             edge("p", "r"), edge("p", "s"), edge("t", "r"), edge("t", "s"),
             edge("q", "p"), edge("q", "t"), edge("r", "p"), edge("r", "t")}
 
     def test_facts_only_no_edges(self):
-        assert dependency_graph(parse_program("a. b.")).edges == frozenset()
+        assert graph_of(parse_program("a. b.")).edges == frozenset()
 
     def test_mutual_recursion(self):
-        graph = dependency_graph(parse_program("a :- b. b :- a."))
+        graph = graph_of(parse_program("a :- b. b :- a."))
         assert graph.edges == {edge("a", "b"), edge("b", "a")}
 
     def test_negative_occurrences_contribute_nothing(self):
-        graph = dependency_graph(parse_program("a :- not b, not 1 {c}."))
+        graph = graph_of(parse_program("a :- not b, not 1 {c}."))
         assert graph.edges == frozenset()
 
     def test_matches_reference(self):
-        """The one-walk graph equals the graph read rule by rule through
-        the positive parts, on draws with sum heads, negated body sums,
-        negated sum entries, constraints, proper disjunctions and atoms
-        that occur only in the minimize statement."""
+        """The one-walk graph over atom indexes, read as atoms and atom
+        pairs, equals the graph read rule by rule through the positive
+        parts, on draws with sum heads, negated body sums, negated sum
+        entries, constraints, proper disjunctions and atoms that occur
+        only in the minimize statement; its atoms are in name order and
+        each one's successors ascending, each once."""
         rng = random.Random(37)
         seen = dict.fromkeys(("sum head", "negated sum", "negated entry",
                               "constraint", "minimize only"), 0)
         for i in range(1000):
             program = random_program(rng, minimize=True, disjunctive=i % 2)
-            assert dependency_graph(program) == \
-                reference_dependency_graph(program)
+            nodes, succ = indexed_graph(program)
+            assert nodes == sorted_atoms(nodes)
+            assert all(ends == sorted(set(ends)) for ends in succ)
+            assert graph_of(program) == reference_dependency_graph(program)
             heads = [rule.head for rule in program.rules]
             sums = [bl for rule in program.rules for bl in rule.body
                     if not isinstance(bl.element, Atom)]
@@ -77,7 +114,7 @@ class TestDependencyGraph:
 
 class TestSccs:
     def test_toy_decomposition(self, toy):
-        decomposition = sccs(dependency_graph(toy))
+        decomposition = sccs(toy)
         sets = [c.atoms for c in decomposition.components]
         assert sets == [iset("s"), iset("p,r,t"), iset("q")]
         nontrivial = decomposition.nontrivial()
@@ -85,7 +122,7 @@ class TestSccs:
 
     def test_acyclic_all_trivial(self):
         program = parse_program("a :- b. b :- c. c.")
-        decomposition = sccs(dependency_graph(program))
+        decomposition = sccs(program)
         assert all(not c.nontrivial for c in decomposition.components)
         assert all(c.label is None for c in decomposition.components)
 
@@ -93,57 +130,72 @@ class TestSccs:
         rng = random.Random(23)
         for _ in range(40):
             program = random_program(rng, max_atoms=6, max_rules=8)
-            graph = dependency_graph(program)
-            decomposition = sccs(graph)
+            decomposition = sccs(program)
             position = {}
             for i, component in enumerate(decomposition.components):
                 for atom in component.atoms:
                     position[atom] = i
-            for a, b in graph.edges:
+            for a, b in graph_of(program).edges:
                 assert position[a] >= position[b]
 
     def test_self_loop_is_nontrivial(self):
         program = parse_program("a :- a.")
-        decomposition = sccs(dependency_graph(program))
+        decomposition = sccs(program)
         assert decomposition.by_label(0).atoms == iset("a")
 
     def test_nontrivial_flags_match_internal_edges(self):
         rng = random.Random(29)
         for _ in range(200):
-            nodes = [Atom(f"v{i}") for i in range(rng.randint(1, 12))]
-            edges = frozenset(
-                (rng.choice(nodes), rng.choice(nodes))
-                for _ in range(rng.randint(0, 2 * len(nodes))))
-            graph = DependencyGraph(frozenset(nodes), edges)
-            decomposition = sccs(graph)
-            assert sorted(a for c in decomposition.components
-                          for a in c.atoms) == sorted(nodes)
-            for component in decomposition.components:
-                internal = any(a in component.atoms and b in component.atoms
-                               for a, b in edges)
-                assert component.nontrivial == internal
+            graph = random_graph(rng, 12, 2)
+            nodes, succ = numbered(graph)
+            found = strong_components(succ)
+            assert sorted(i for members in found for i in members) == \
+                list(range(len(nodes)))
+            for members in found:
+                inside = {nodes[i] for i in members}
+                internal = any(a in inside and b in inside
+                               for a, b in graph.edges)
+                assert cyclic(members, succ) == internal
 
     def test_matches_reference(self):
-        """The search over atom indexes finds the components, labels and
-        order of the recursive Tarjan over atoms, on graphs with
-        self-loops whose atoms are named apart from their creation order
-        and whose edges are given shuffled."""
+        """The search over vertex indexes, on graphs numbered as
+        ``indexed_graph`` numbers a program's, finds the components, in
+        the same order, and the non-trivial flags of the recursive
+        Tarjan over atoms, on graphs with self-loops whose atoms are
+        named apart from their creation order."""
         rng = random.Random(31)
         self_loops = cycles = 0
         for _ in range(1000):
-            names = rng.sample(range(1000), rng.randint(1, 30))
-            nodes = [Atom(f"v{name}") for name in names]
-            edges = [(rng.choice(nodes), rng.choice(nodes))
-                     for _ in range(rng.randint(0, 3 * len(nodes)))]
-            edges += [(a, a) for a in nodes if rng.random() < 0.1]
-            rng.shuffle(edges)
-            graph = DependencyGraph(frozenset(nodes), frozenset(edges))
-            got = sccs(graph)
-            assert got == reference_sccs(graph)
+            graph = random_graph(rng, 30, 3)
+            nodes, succ = numbered(graph)
+            found = strong_components(succ)
+            expected = reference_sccs(graph).components
+            assert [frozenset([nodes[i] for i in members])
+                    for members in found] == [c.atoms for c in expected]
+            assert [cyclic(members, succ) for members in found] == \
+                [c.nontrivial for c in expected]
+            self_loops += any(len(members) == 1 and cyclic(members, succ)
+                              for members in found)
+            cycles += any(len(members) > 1 for members in found)
+        assert self_loops >= 100 and cycles >= 100
+
+    def test_program_decomposition_matches_reference(self):
+        """``sccs`` of a program has the components, labels and order of
+        the recursive Tarjan over atoms on the graph read rule by rule,
+        on draws with trivial components, self-loops and larger
+        cycles."""
+        rng = random.Random(43)
+        trivial = self_loops = cycles = 0
+        for i in range(1000):
+            program = random_program(rng, minimize=True, disjunctive=i % 2)
+            got = sccs(program)
+            assert got == reference_sccs(reference_dependency_graph(program))
+            trivial += any(not c.nontrivial for c in got.components)
             self_loops += any(len(c.atoms) == 1 and c.nontrivial
                               for c in got.components)
             cycles += any(len(c.atoms) > 1 for c in got.components)
-        assert self_loops >= 100 and cycles >= 100
+        assert min(trivial, self_loops, cycles) >= 100, \
+            (trivial, self_loops, cycles)
 
 
 class TestTpOperator:
@@ -232,7 +284,7 @@ class TestSupportedModel:
         seen = 0
         for _ in range(120):
             program = random_program(rng, max_atoms=5, max_rules=6)
-            decomposition = sccs(dependency_graph(program))
+            decomposition = sccs(program)
             if decomposition.nontrivial():
                 continue
             seen += 1
@@ -270,7 +322,7 @@ class TestWaitLevels:
         rng = random.Random(41)
         for _ in range(80):
             program = random_program(rng, max_atoms=6, max_rules=8)
-            decomposition = sccs(dependency_graph(program))
+            decomposition = sccs(program)
             if not decomposition.nontrivial():
                 continue
             universe = sorted(atoms(program))

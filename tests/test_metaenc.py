@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -281,26 +282,27 @@ class TestComponentRowsAgainstReference:
 
         def recorded(self, label, supports):
             rows = rows_of(self, label, supports)
-            calls.append((self.view, label, supports, rows))
+            calls.append((self.labels, label, supports, rows))
             return rows
 
         monkeypatch.setattr(_Builder, "_component_rules", recorded)
         build(program)
         monkeypatch.undo()
-        for view, label, supports, rows in calls:
-            assert rows == reference_component_rules(view, label, supports)
-        return [(view.components[label], view) for view, label, *_ in calls]
+        for labels, label, supports, rows in calls:
+            assert rows == reference_component_rules(labels, label, supports)
+        return [(labels.components[label], labels)
+                for labels, label, *_ in calls]
 
     def test_random_draws(self, monkeypatch):
         rng = random.Random(71)
         with_sums = self_loops = several_conjunctions = 0
         for _ in range(1000):
             program = random_program(rng, max_atoms=6, max_rules=12)
-            for (names, conjs, sums), _ in self.assert_rows_match(
-                    program, monkeypatch):
-                with_sums += bool(sums)
-                self_loops += len(names) == 1
-                several_conjunctions += len(conjs) >= 2
+            for members, _ in self.assert_rows_match(program, monkeypatch):
+                kinds = Counter(map(type, members))
+                with_sums += bool(kinds[tuple])
+                self_loops += kinds[str] == 1
+                several_conjunctions += kinds[int] >= 2
         assert min(with_sums, self_loops, several_conjunctions) >= 200
 
     def test_sums_inside_components(self, monkeypatch):
@@ -308,9 +310,11 @@ class TestComponentRowsAgainstReference:
         for text in COMPONENT_SUM_TEXTS:
             components = self.assert_rows_match(
                 parse_program(text), monkeypatch)
-            for (_, _, sums), view in components:
-                for key in sums:
-                    total = sum(weight for _, _, weight in view.sums[key])
+            for members, labels in components:
+                for key in members:
+                    if type(key) is not tuple:
+                        continue
+                    total = sum(weight for _, _, weight in labels.sums[key])
                     threshold = total - key[0] + 1
                     thresholds.add((threshold > 0) + (threshold > total))
         assert thresholds == {0, 1, 2}
@@ -319,7 +323,8 @@ class TestComponentRowsAgainstReference:
     def test_rings(self, n, monkeypatch):
         components = self.assert_rows_match(
             parse_program(ring_text(n)), monkeypatch)
-        assert [len(names) for (names, _, _), _ in components] == [n]
+        assert [sum(type(key) is str for key in members)
+                for members, _ in components] == [n]
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -22,6 +22,7 @@ from aspkit.core import (
     WeightedLiteral,
     atoms,
 )
+from aspkit import optimize
 from aspkit.metaenc import build_meta_program, solve_meta
 from aspkit.optimize import (
     CompiledCriteria,
@@ -546,6 +547,40 @@ def test_incl_standings_memory_is_linear_in_the_vectors():
         tracemalloc.stop()
     assert len(undominated) == 4096
     assert peak < 1 << 20
+
+
+def test_pref_standings_test_each_ordered_pair_of_values_once(monkeypatch):
+    """The pref standings of 16 answer sets holding 8 distinct values of
+    a pref group (e is outside it) call the group's preference test once
+    per ordered pair of distinct values: 8 * 8 calls, not twice that."""
+    make = optimize._preference
+    calls = []
+
+    def counted(*args):
+        preferable = make(*args)
+
+        def test(x, y):
+            calls.append((x, y))
+            return preferable(x, y)
+
+        return test
+
+    monkeypatch.setattr(optimize, "_preference", counted)
+    program = free_program("a=1@1, b=1@1, c=1@1, e=1@2")
+    compiled, masks = answer_set_masks(program, 4)
+    criteria = CompiledCriteria(
+        program.minimize,
+        CriteriaSet(((1, 1, "pref"), (2, 1, "card")), pairs("a>b b>c")),
+        compiled.bit)
+    scores = [criteria.score(x) for x in masks]
+    assert len(masks) == 16 and len({score[1] for score in scores}) == 8
+    undominated = criteria.undominated(scores)
+    assert len(calls) == 8 * 8
+    assert len(set(calls)) == len(calls)
+    assert undominated == {
+        score for score in scores
+        if not any(criteria.dominates(other, score).dominated
+                   for other in scores)}
 
 
 # -- metamorphic properties of the optimum ------------------------------------
