@@ -256,50 +256,19 @@ def atoms(program: Program) -> frozenset[Atom]:
     """All atoms occurring in any head, body, or minimize entry."""
     found: set[Atom] = set()
     for rule in program.rules:
-        found |= atoms_of(rule.head)
+        head = rule.head
+        if isinstance(head, Disjunction):
+            found.update(head.atoms)
+        else:
+            found.update(wl.literal.atom for wl in head.elements)
         for bl in rule.body:
             element = bl.element
-            found |= {element} if isinstance(element, Atom) else atoms_of(element)
-    for entry in program.minimize.entries:
-        found.add(entry.literal.atom)
+            if isinstance(element, Atom):
+                found.add(element)
+            else:
+                found.update(wl.literal.atom for wl in element.elements)
+    found.update(e.literal.atom for e in program.minimize.entries)
     return frozenset(found)
-
-
-def positive_part(x: Body | Disjunction | SumConstraint):
-    """Positive projection: the positive components of a body, the atom
-    set of a disjunction, or the positively signed entries of a sum."""
-    if isinstance(x, Disjunction):
-        return frozenset(x.atoms)
-    if isinstance(x, SumConstraint):
-        return tuple(wl for wl in x.elements if not wl.literal.negated)
-    if isinstance(x, tuple):
-        return tuple(bl.element for bl in x if not bl.negated)
-    raise TypeError(f"no positive projection for {type(x).__name__}")
-
-
-def atoms_of(x) -> frozenset[Atom]:
-    """The atoms underlying a disjunction, sum constraint, body, or
-    collection of (weighted) literals, with signs and weights stripped."""
-    if isinstance(x, Atom):
-        return frozenset((x,))
-    if isinstance(x, Disjunction):
-        return frozenset(x.atoms)
-    if isinstance(x, SumConstraint):
-        return frozenset(wl.literal.atom for wl in x.elements)
-    out: set[Atom] = set()
-    for item in x:
-        if isinstance(item, Atom):
-            out.add(item)
-        elif isinstance(item, WeightedLiteral):
-            out.add(item.literal.atom)
-        elif isinstance(item, Literal):
-            out.add(item.atom)
-        elif isinstance(item, BodyLiteral):
-            element = item.element
-            out |= {element} if isinstance(element, Atom) else atoms_of(element)
-        else:
-            raise TypeError(f"cannot extract atoms from {type(item).__name__}")
-    return frozenset(out)
 
 
 def _materialize(sc: SumConstraint) -> SumConstraint:

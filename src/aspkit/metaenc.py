@@ -51,7 +51,9 @@ refutes every guess extending it: the solver walks the guess bits depth
 first and drops such subtrees.  A complete guess that escapes ``bot``
 is a better answer set; the solver keeps it, and tests each later
 candidate against the kept guesses before it walks.  It checks the
-structure that makes this sound when it is built.
+structure that makes this sound when it is built.  Object atoms are
+kept by name, and every meta atom is a name made from one.
+:func:`crosscheck` checks its caps before either route enumerates.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from .compiled import (
 from .optimize import optimal_answer_sets
 from .parser import parse_program
 from .reify import Inner, Tables, tables
-from .semantics import canonical_order
+from .semantics import canonical_order, universe
 
 #: Cap on guessed candidate-side atoms in solve_meta.
 DEFAULT_META_CAP = 26
@@ -192,9 +194,8 @@ class MetaProgram:
     The candidate, guess and accept parts are lines of text, one rule
     each, as :meth:`to_text` prints them; the evaluate, check, saturate
     and compare parts are :data:`Row` tuples.  The object atoms are kept
-    by name, sorted; the maps from object atoms to their meta atoms,
-    ``bot``, the candidate part as rules and the candidate side are made
-    when first asked for."""
+    by name, sorted; the candidate part as rules and the candidate side
+    are made when first asked for."""
 
     atom_names: tuple[str, ...]
     candidate_definitions: tuple[str, ...]
@@ -215,30 +216,11 @@ class MetaProgram:
         """The candidate part as rules: its printed lines, parsed."""
         return parse_program("\n".join(self.candidate))
 
-    def _meta_atoms(self, prefix: str) -> dict[Atom, Atom]:
-        return {Atom(name): Atom(prefix + name) for name in self.atom_names}
-
-    @cached_property
-    def candidate_atoms(self) -> dict[Atom, Atom]:
-        return self._meta_atoms("hold_atom_")
-
-    @cached_property
-    def true_atoms(self) -> dict[Atom, Atom]:
-        return self._meta_atoms("true_atom_")
-
-    @cached_property
-    def fail_atoms(self) -> dict[Atom, Atom]:
-        return self._meta_atoms("fail_atom_")
-
-    @property
-    def bot(self) -> Atom:
-        return Atom("bot")
-
     @cached_property
     def candidate_side(self) -> frozenset[Atom]:
         """The hold atoms and the atoms of the candidate part."""
-        return frozenset(self.candidate_atoms.values()) \
-            | core.atoms(self.candidate_program)
+        holds = (Atom(f"hold_atom_{name}") for name in self.atom_names)
+        return core.atoms(self.candidate_program).union(holds)
 
     def to_text(self) -> str:
         sections = (
@@ -692,6 +674,14 @@ def _compare_conditions(mp: MetaProgram) -> list[str]:
     return list(conditions)
 
 
+def _check_meta_cap(mp: MetaProgram) -> None:
+    """Refuse a check program of more than ``DEFAULT_META_CAP`` object
+    atoms, each of which the meta solver guesses."""
+    if len(mp.atom_names) > DEFAULT_META_CAP:
+        raise CapExceededError(f"{len(mp.atom_names)} candidate atoms "
+                               f"exceed meta cap {DEFAULT_META_CAP}")
+
+
 class MetaSolver:
     """Structure-exploiting solver for generated check programs.
 
@@ -700,12 +690,10 @@ class MetaSolver:
     ``object_atoms[i]``, which makes :meth:`project` a mask of low bits."""
 
     def __init__(self, mp: MetaProgram):
+        _check_meta_cap(mp)
         self.mp = mp
         names = mp.atom_names
         n = len(names)
-        if n > DEFAULT_META_CAP:
-            raise CapExceededError(
-                f"{n} candidate atoms exceed meta cap {DEFAULT_META_CAP}")
         self.object_atoms = [Atom(name) for name in names]
         holds = [Atom(f"hold_atom_{name}") for name in names]
         self._candidate = CompiledProgram(
@@ -876,10 +864,13 @@ def crosscheck(program: Program, crit: CriteriaSet,
     """Optimal answer sets computed natively and via the reify -> build
     -> solve pipeline; both sides apply the same criteria defaulting.  A
     set only the native side has comes with the meta solver's reason to
-    reject it."""
+    reject it.  The enumeration cap, the contract of reify and the meta
+    cap are checked first, in that order."""
+    universe(program, cap)
+    mp = build_meta_program(program, crit)
+    _check_meta_cap(mp)
     native = optimal_answer_sets(
         program, effective_criteria(crit, program.minimize), cap=cap)
-    mp = build_meta_program(program, crit)
     meta = solve_meta(mp)
     found = set(meta)
     lacking = [x for x in native if x not in found]

@@ -23,6 +23,7 @@ returned.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -91,25 +92,6 @@ def _preference(literals: tuple[Literal, ...], prefer, level: int,
 # those whose value u has not v <= u.
 
 
-def _buckets(column: list[int]) -> dict[int, int]:
-    """The mask of the vectors holding each distinct value."""
-    buckets: dict[int, int] = {}
-    for k, v in enumerate(column):
-        buckets[v] = buckets.get(v, 0) | 1 << k
-    return buckets
-
-
-def _card(column: list[int]):
-    """``card`` standings from one running OR over the ascending counts."""
-    table = {}
-    below = 0
-    for v, mask in sorted(_buckets(column).items()):
-        as_good = below | mask
-        table[v] = (as_good, below)
-        below = as_good
-    return table.__getitem__
-
-
 def _incl(width: int, column: list[int]):
     """``incl`` standings over masks of ``width`` literals, from the mask
     ``lacking[b]`` of the vectors whose value lacks literal bit b: u <= v
@@ -137,8 +119,11 @@ def _incl(width: int, column: list[int]):
 def _pairwise(leq, column: list[int]):
     """Standings of any relation ``leq``, from one test per ordered pair
     of values: u <= v puts u's vectors in v's ``as_good``, and its
-    failure puts v's vectors in u's ``better``."""
-    buckets = _buckets(column)
+    failure puts v's vectors in u's ``better``.  ``card`` is ``<=`` on
+    counts, of which a group of k occurrences has at most k + 1."""
+    buckets: dict[int, int] = {}   # each value's mask of vectors
+    for k, v in enumerate(column):
+        buckets[v] = buckets.get(v, 0) | 1 << k
     as_good = dict.fromkeys(buckets, 0)
     better = dict.fromkeys(buckets, 0)
     for u, u_mask in buckets.items():
@@ -180,7 +165,7 @@ class CompiledCriteria:
             if criterion == "card":
                 self._groups.append((
                     [(bit[l.atom], l.negated) for l in occurrences], True))
-                self._builders.append(_card)
+                self._builders.append(partial(_pairwise, operator.le))
                 continue
             literals = tuple(dict.fromkeys(occurrences))
             self._groups.append((

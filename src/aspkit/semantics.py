@@ -1,12 +1,12 @@
-"""Satisfaction and answer-set enumeration.
+"""Answer-set checks and enumeration.
 
 Answer sets follow choice semantics for sum constraints and
 minimal-model semantics for disjunctions: an interpretation is an
 answer set if it is a model of the program and a minimal model of its
-own reduct.  Every answer-set check runs on the program compiled to
-bitmasks (:mod:`aspkit.compiled`); :func:`satisfies` and
-:func:`is_model` evaluate the syntax objects, for library callers and
-tests: no command uses them.
+own reduct.  The library evaluates a program in one way only: compiled
+to bitmasks (:mod:`aspkit.compiled`) over :func:`universe`, its atoms in
+name order, so that mask order is canonical order.  The set-level
+evaluation on syntax objects is the tests' oracle.
 
 :func:`answer_set_masks` searches the compiled program with
 :class:`aspkit.compiled.Search`: depth first, with completion
@@ -26,51 +26,28 @@ from .compiled import CompiledProgram, Search, canonical_masks
 from .core import (
     DEFAULT_ATOM_CAP,
     Atom,
-    BodyLiteral,
     CapExceededError,
-    Disjunction,
     Interpretation,
-    Literal,
     Program,
-    Rule,
-    SumConstraint,
     atoms,
     check_limit,
+    sorted_atoms,
 )
 
 
-def satisfies(x: Interpretation, e) -> bool:
-    """The inductive satisfaction relation on literals, disjunctions,
-    sum constraints, body literals, bodies, and rules."""
-    if isinstance(e, Atom):
-        return e in x
-    if isinstance(e, Literal):
-        return (e.atom not in x) if e.negated else (e.atom in x)
-    if isinstance(e, Disjunction):
-        return any(a in x for a in e.atoms)
-    if isinstance(e, SumConstraint):
-        weight = sum(wl.weight for wl in e.elements if satisfies(x, wl.literal))
-        if weight < (e.lower if e.lower is not None else 0):
-            return False
-        return e.upper is None or weight <= e.upper
-    if isinstance(e, BodyLiteral):
-        holds = satisfies(x, e.element)
-        return not holds if e.negated else holds
-    if isinstance(e, tuple):
-        return all(satisfies(x, bl) for bl in e)
-    if isinstance(e, Rule):
-        return satisfies(x, e.head) or not satisfies(x, e.body)
-    raise TypeError(f"satisfaction undefined for {type(e).__name__}")
-
-
-def is_model(x: Interpretation, program: Program) -> bool:
-    return all(satisfies(x, rule) for rule in program.rules)
+def universe(program: Program, cap: int | None = None) -> list[Atom]:
+    """The atoms of ``program`` in name order; more than ``cap`` of them
+    exceed the enumeration cap."""
+    found = sorted_atoms(atoms(program))
+    if cap is not None and len(found) > cap:
+        raise CapExceededError(
+            f"{len(found)} atoms exceed enumeration cap {cap}")
+    return found
 
 
 def compile_program(program: Program) -> CompiledProgram:
-    """``program`` compiled over its atoms in name order, so that mask
-    order is canonical order."""
-    return CompiledProgram(program.rules, sorted(atoms(program)))
+    """``program`` compiled over its :func:`universe`."""
+    return CompiledProgram(program.rules, universe(program))
 
 
 def is_answer_set_mask(compiled: CompiledProgram, x: int, cap: int) -> bool:
@@ -102,11 +79,7 @@ def answer_set_masks(program: Program, cap: int = DEFAULT_ATOM_CAP
                      ) -> tuple[CompiledProgram, list[int]]:
     """The program compiled over its atoms in name order, and all its
     answer sets as masks of that program, in canonical order."""
-    universe = sorted(atoms(program))
-    if len(universe) > cap:
-        raise CapExceededError(
-            f"{len(universe)} atoms exceed enumeration cap {cap}")
-    compiled = CompiledProgram(program.rules, universe)
+    compiled = CompiledProgram(program.rules, universe(program, cap))
     # bit order is name order, so this is canonical_order on the sets
     return compiled, canonical_masks(Search(compiled).answer_sets())
 

@@ -1,28 +1,34 @@
 """Reference routes that the tests compare aspkit's engines with; no
 command line path uses them.
 
-The reduct, subset minimality and support on syntax objects are the
-oracle for the compiled answer-set checks.  The immediate consequence
-operator on syntax objects is a second answer-set route beside the
-compiled least-model check and the subset-minimality oracle, and,
-localized to a component, the oracle for its wait levels.  A rescan
-of every rule per component is the oracle for the members of the scc
-facts of a reification.  The brute-force loops try every
-interpretation, or every hold-projection of a meta candidate, with the
-compiled checks, as enumeration did before it searched.
-``closure_of_rules`` compiles positive syntax-object rules into a
-``HornClosure`` on its own, and ``row_of_rule`` writes a rule as a row
-of the check program's counterexample side.  ``fresh_meta_solve`` asks
-a new meta solver about each stable candidate, so no candidate is
-tested against a guess kept for another.  The token-stream readers of
-program, criteria and fact text are the oracle for the shared lexer's
-readers.  A reification that builds a new term per occurrence, and a
-Tarjan decomposition over atoms, are the oracles of ``reify`` and
-``sccs``.  The dependency graph read through ``positive_part`` and
-``atoms_of`` rule by rule, as a :class:`Graph` of atoms and atom
-pairs, and the wait-level rows built one row at a time, are the
-oracles of ``indexed_graph`` and of the meta build's component
-rows."""
+Satisfaction and models on syntax objects (``satisfies``,
+``is_model``), with the positive projection and the atoms of a
+component (``positive_part``, ``atoms_of``), are the set-level
+evaluation that the library itself no longer has: it evaluates
+programs only as compiled masks.  On them rest the reduct, subset
+minimality and support on syntax objects, the oracle for the compiled
+answer-set checks.  The immediate consequence operator on syntax
+objects is a second answer-set route beside the compiled least-model
+check and the subset-minimality oracle, and, localized to a component,
+the oracle for its wait levels.  A rescan of every rule per component
+is the oracle for the members of the scc facts of a reification.  The
+brute-force loops try every interpretation, or every hold-projection
+of a meta candidate, with the compiled checks, as enumeration did
+before it searched.  ``candidate_atoms``, ``true_atoms`` and
+``fail_atoms`` map each object atom of a check program to its meta
+atom, and ``BOT`` is its error atom.  ``closure_of_rules`` compiles
+positive syntax-object rules into a ``HornClosure`` on its own, and
+``row_of_rule`` writes a rule as a row of the check program's
+counterexample side.  ``fresh_meta_solve`` asks a new meta solver
+about each stable candidate, so no candidate is tested against a guess
+kept for another.  The token-stream readers of program, criteria and
+fact text are the oracle for the shared lexer's readers.  A
+reification that builds a new term per occurrence, and a Tarjan
+decomposition over atoms, are the oracles of ``reify`` and ``sccs``.
+The dependency graph read through ``positive_part`` and ``atoms_of``
+rule by rule, as a :class:`Graph` of atoms and atom pairs, and the
+wait-level rows built one row at a time, are the oracles of
+``indexed_graph`` and of the meta build's component rows."""
 
 from __future__ import annotations
 
@@ -51,15 +57,110 @@ from aspkit.core import (
     SumConstraint,
     WeightedLiteral,
     atoms,
-    atoms_of,
     is_extended,
-    positive_part,
     sorted_atoms,
 )
 from aspkit.metaenc import MetaProgram, MetaSolver, _ce_lit, _entity
 from aspkit.parser import ParseError, SourceSpan
 from aspkit.reify import MAX_TERM_DEPTH, ReifiedFact, Term
-from aspkit.semantics import canonical_order, is_model, satisfies
+from aspkit.semantics import canonical_order
+
+
+# -- set-level evaluation on syntax objects ---------------------------------
+
+
+def satisfies(x: Interpretation, e) -> bool:
+    """The inductive satisfaction relation on literals, disjunctions,
+    sum constraints, body literals, bodies, and rules."""
+    if isinstance(e, Atom):
+        return e in x
+    if isinstance(e, Literal):
+        return (e.atom not in x) if e.negated else (e.atom in x)
+    if isinstance(e, Disjunction):
+        return any(a in x for a in e.atoms)
+    if isinstance(e, SumConstraint):
+        weight = sum(wl.weight for wl in e.elements if satisfies(x, wl.literal))
+        if weight < (e.lower if e.lower is not None else 0):
+            return False
+        return e.upper is None or weight <= e.upper
+    if isinstance(e, BodyLiteral):
+        holds = satisfies(x, e.element)
+        return not holds if e.negated else holds
+    if isinstance(e, tuple):
+        return all(satisfies(x, bl) for bl in e)
+    if isinstance(e, Rule):
+        return satisfies(x, e.head) or not satisfies(x, e.body)
+    raise TypeError(f"satisfaction undefined for {type(e).__name__}")
+
+
+def is_model(x: Interpretation, program: Program) -> bool:
+    return all(satisfies(x, rule) for rule in program.rules)
+
+
+def positive_part(x: Body | Disjunction | SumConstraint):
+    """Positive projection: the positive components of a body, the atom
+    set of a disjunction, or the positively signed entries of a sum."""
+    if isinstance(x, Disjunction):
+        return frozenset(x.atoms)
+    if isinstance(x, SumConstraint):
+        return tuple(wl for wl in x.elements if not wl.literal.negated)
+    if isinstance(x, tuple):
+        return tuple(bl.element for bl in x if not bl.negated)
+    raise TypeError(f"no positive projection for {type(x).__name__}")
+
+
+def atoms_of(x) -> frozenset[Atom]:
+    """The atoms underlying a disjunction, sum constraint, body, or
+    collection of (weighted) literals, with signs and weights stripped."""
+    if isinstance(x, Atom):
+        return frozenset((x,))
+    if isinstance(x, Disjunction):
+        return frozenset(x.atoms)
+    if isinstance(x, SumConstraint):
+        return frozenset(wl.literal.atom for wl in x.elements)
+    out: set[Atom] = set()
+    for item in x:
+        if isinstance(item, Atom):
+            out.add(item)
+        elif isinstance(item, WeightedLiteral):
+            out.add(item.literal.atom)
+        elif isinstance(item, Literal):
+            out.add(item.atom)
+        elif isinstance(item, BodyLiteral):
+            element = item.element
+            out |= {element} if isinstance(element, Atom) else atoms_of(element)
+        else:
+            raise TypeError(f"cannot extract atoms from {type(item).__name__}")
+    return frozenset(out)
+
+
+# -- the check program's meta atoms as maps ---------------------------------
+
+
+def _meta_atoms(mp: MetaProgram, prefix: str) -> dict[Atom, Atom]:
+    return {Atom(name): Atom(prefix + name) for name in mp.atom_names}
+
+
+def candidate_atoms(mp: MetaProgram) -> dict[Atom, Atom]:
+    """Each object atom of ``mp`` with its ``hold_atom_*``."""
+    return _meta_atoms(mp, "hold_atom_")
+
+
+def true_atoms(mp: MetaProgram) -> dict[Atom, Atom]:
+    """Each object atom of ``mp`` with its ``true_atom_*``."""
+    return _meta_atoms(mp, "true_atom_")
+
+
+def fail_atoms(mp: MetaProgram) -> dict[Atom, Atom]:
+    """Each object atom of ``mp`` with its ``fail_atom_*``."""
+    return _meta_atoms(mp, "fail_atom_")
+
+
+#: The check program's error atom.
+BOT = Atom("bot")
+
+
+# -- reduct, minimality and support on syntax objects -----------------------
 
 
 @dataclass(frozen=True)
@@ -241,9 +342,10 @@ def brute_stable_candidates(solver) -> list[int]:
     check accepts the result."""
     candidate = solver._candidate
     definitions = candidate.rules[:len(solver.mp.candidate_definitions)]
+    holds = candidate_atoms(solver.mp)
     found = []
     for x in range(1 << len(solver.object_atoms)):
-        held = sum(candidate.bit[solver.mp.candidate_atoms[a]]
+        held = sum(candidate.bit[holds[a]]
                    for i, a in enumerate(solver.object_atoms) if x >> i & 1)
         for rule in definitions:
             if rule.body_holds(held):

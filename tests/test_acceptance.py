@@ -12,10 +12,16 @@ from aspkit.metaenc import build_meta_program, effective_criteria, solve_meta
 from aspkit.optimize import default_optimal, dominates, optimal_answer_sets
 from aspkit.parser import parse_criteria, parse_program, render_program
 from aspkit.reify import facts_to_text, parse_reified, reify
-from aspkit.semantics import enumerate_answer_sets, is_model
+from aspkit.semantics import enumerate_answer_sets
 from conftest import REPAIR_TEXT, TOY_MIN_TEXT, TOY_TEXT
 from generators import iset, random_criteria, random_program
-from reference import is_answer_set, reduct, scc_fixpoint_check, tp_iterate
+from reference import (
+    is_answer_set,
+    is_model,
+    reduct,
+    scc_fixpoint_check,
+    tp_iterate,
+)
 from test_reify import TOY_MIN_FACTS
 
 TOY_FIVE = [iset("p,q"), iset("p,r"), iset("p,s"), iset("p,s,t"), iset("s,t")]

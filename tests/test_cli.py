@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from aspkit import cli, consequence, metaenc, optimize
 from aspkit.cli import main
-from aspkit.compiled import CompiledProgram
+from aspkit.compiled import CompiledProgram, Search
 from aspkit.core import Atom
 from aspkit.parser import render_program
 from aspkit.semantics import compile_program
@@ -409,6 +409,33 @@ class TestCrosscheck:
         code, out, _ = run(capsys, "crosscheck", toy_file)
         assert code == 1 and out.splitlines()[-2:] == ["only native: {p}",
                                                         "FAIL"]
+
+
+    @pytest.mark.parametrize("head, max_atoms, code, message", [
+        ("a0. a1.", ["--max-atoms", "64"], 4,
+         "cap exceeded: 27 candidate atoms exceed meta cap 26"),
+        ("a0 | a1.", ["--max-atoms", "64"], 2,
+         "error: only extended programs (no proper disjunctions) can be "
+         "reified"),
+        ("a0. a1.", [], 4, "cap exceeded: 27 atoms exceed enumeration cap 20"),
+        ("a0 | a1.", [], 4,
+         "cap exceeded: 27 atoms exceed enumeration cap 20"),
+    ], ids=["meta-cap", "reify-contract", "atom-cap", "atom-cap-disjunctive"])
+    def test_caps_refuse_before_enumerating(self, capsys, tmp_path,
+                                            monkeypatch, head, max_atoms,
+                                            code, message):
+        """27 atoms: the enumeration cap comes first, then the contract
+        of reify, then the meta cap, and each refuses before either
+        route enumerates."""
+        path = tmp_path / "wide.lp"
+        path.write_text(head + "".join(f" a{i}." for i in range(2, 27)))
+
+        def enumerated(self):
+            raise AssertionError("enumerated past a cap")
+
+        monkeypatch.setattr(Search, "answer_sets", enumerated)
+        assert run(capsys, "crosscheck", str(path), *max_atoms) == (
+            code, "", message + "\n")
 
 
 @pytest.mark.parametrize("argv", [

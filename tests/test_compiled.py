@@ -25,12 +25,7 @@ from aspkit.core import (
 )
 from aspkit.metaenc import MetaSolver, build_meta_program, solve_meta
 from aspkit.parser import parse_program
-from aspkit.semantics import (
-    canonical_order,
-    enumerate_answer_sets,
-    is_model,
-    satisfies,
-)
+from aspkit.semantics import canonical_order, enumerate_answer_sets
 from generators import (
     NAMES,
     choice_program,
@@ -40,13 +35,21 @@ from generators import (
     random_sum,
 )
 from reference import (
+    BOT,
+    atoms_of,
     brute_answer_sets,
     brute_stable_candidates,
+    candidate_atoms,
     closure_of_rules,
+    fail_atoms,
     is_answer_set,
     is_minimal_model,
+    is_model,
+    positive_part,
     reduct,
+    satisfies,
     tp_iterate,
+    true_atoms,
 )
 from reference import is_supported_model as reference_supported
 
@@ -178,7 +181,7 @@ def test_check_wrappers_on_unknown_atoms_and_cap():
 def reference_interpretation(mp, x):
     """The candidate's meta atoms: the definitions closed over the hold
     atoms of ``x``."""
-    interp = {mp.candidate_atoms[a] for a in x}
+    interp = {candidate_atoms(mp)[a] for a in x}
     definitions = parse_program("\n".join(mp.candidate_definitions)).rules
     changed = True
     while changed:
@@ -232,15 +235,15 @@ def reference_refutes(mp, x, y):
                 break
         else:
             resolved.append((head, tuple(kept), sums))
-    seed = [mp.true_atoms[a] if a in y else mp.fail_atoms[a]
-            for a in mp.candidate_atoms]
+    seed = [true_atoms(mp)[a] if a in y else fail_atoms(mp)[a]
+            for a in candidate_atoms(mp)]
     side = dataclasses.replace(
         mp, candidate_definitions=(), candidate_rules=(), guess=(),
         compare=tuple(resolved), accept=())
     rules = parse_program(side.to_text()).rules
-    closure = closure_of_rules(rules, [mp.bot, *seed])
+    closure = closure_of_rules(rules, [BOT, *seed])
     index = closure.index
-    return closure.start([index[a] for a in seed], index[mp.bot]) is None
+    return closure.start([index[a] for a in seed], index[BOT]) is None
 
 
 def check_refutes(program, crit):
@@ -400,7 +403,7 @@ def test_supported_models_off_loops_are_answer_sets():
             off_loops += bool(x)
             through_sums += any(
                 satisfies(x, rule.body)
-                and core.atoms_of(core.positive_part(rule.head)) & x
+                and atoms_of(positive_part(rule.head)) & x
                 and any(bounded_sum(bl) for bl in rule.body)
                 for rule in program.rules)
         assert enumerate_answer_sets(program) == brute_answer_sets(program)

@@ -13,12 +13,13 @@ from aspkit.consequence import (
 )
 from aspkit.core import Atom, Disjunction, Program, atoms, sorted_atoms
 from aspkit.parser import parse_program
-from aspkit.semantics import enumerate_answer_sets, is_model
+from aspkit.semantics import enumerate_answer_sets
 from generators import iset, random_program
 from reference import (
     Graph,
     PositiveProgram,
     is_answer_set,
+    is_model,
     reduct,
     reference_dependency_graph,
     reference_sccs,

@@ -13,12 +13,11 @@ from aspkit.core import (
     SumConstraint,
     WeightedLiteral,
     atoms,
-    atoms_of,
     is_extended,
     normalize,
-    positive_part,
 )
 from generators import iset
+from reference import atoms_of, positive_part
 
 
 def wl(name, weight=1, negated=False):

@@ -39,7 +39,14 @@ from aspkit.reify import (
 )
 from aspkit.semantics import enumerate_answer_sets
 from generators import choice_program, iset, random_criteria, random_program
-from reference import fresh_meta_solve, reference_component_rules, row_of_rule
+from reference import (
+    BOT,
+    candidate_atoms,
+    fresh_meta_solve,
+    reference_component_rules,
+    row_of_rule,
+    true_atoms,
+)
 
 INCL = parse_criteria("optimize(1,1,incl).")
 CARD = parse_criteria("optimize(1,1,card).")
@@ -97,12 +104,12 @@ def assert_reparses(mp) -> None:
 
 
 def hold_projection(meta_answer_set, mp):
-    return frozenset(a for a, meta in mp.candidate_atoms.items()
+    return frozenset(a for a, meta in candidate_atoms(mp).items()
                      if meta in meta_answer_set)
 
 
 def true_projection(meta_answer_set, mp):
-    return frozenset(a for a, meta in mp.true_atoms.items()
+    return frozenset(a for a, meta in true_atoms(mp).items()
                      if meta in meta_answer_set)
 
 
@@ -338,7 +345,7 @@ def test_candidate_side_is_the_candidate_parts_atoms(seed):
     header = "% candidate generation\n"
     printed = "".join(section.removeprefix(header) for section in
                       mp.to_text().split("\n%") if section.startswith(header))
-    assert mp.candidate_side == frozenset(mp.candidate_atoms.values()) \
+    assert mp.candidate_side == frozenset(candidate_atoms(mp).values()) \
         | core.atoms(parse_program(printed))
 
 
@@ -610,7 +617,7 @@ class TestPairProjection:
         object_sets = set(enumerate_answer_sets(program))
         pairs = []
         for z in enumerate_answer_sets(partial, cap=16):
-            assert mp.bot not in z
+            assert BOT not in z
             pairs.append((hold_projection(z, mp), true_projection(z, mp)))
         key = lambda pair: tuple(tuple(sorted(a.name for a in s))
                                  for s in pair)
@@ -804,7 +811,7 @@ def test_hold_atoms_lead_the_candidate_layout(seed, choices):
         rng, max_atoms=8)
     solver = MetaSolver(build(program))
     n = len(solver.object_atoms)
-    holds = [solver.mp.candidate_atoms[a] for a in solver.object_atoms]
+    holds = [candidate_atoms(solver.mp)[a] for a in solver.object_atoms]
     assert list(solver._candidate.atoms[:n]) == holds
     assert sorted(solver._search.order[:n]) == list(range(n))
     for held in solver.stable_candidates():

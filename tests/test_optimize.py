@@ -32,8 +32,9 @@ from aspkit.optimize import (
     optimal_answer_sets,
 )
 from aspkit.parser import parse_criteria, parse_program
-from aspkit.semantics import answer_set_masks, enumerate_answer_sets, satisfies
+from aspkit.semantics import answer_set_masks, enumerate_answer_sets
 from generators import choice_program, iset, random_criteria, random_program
+from reference import satisfies
 
 SEEDS = st.integers(0, 2**32 - 1)
 logger = logging.getLogger(__name__)

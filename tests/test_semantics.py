@@ -13,14 +13,15 @@ from aspkit.core import (
     atoms,
 )
 from aspkit.parser import parse_program
-from aspkit.semantics import (
-    enumerate_answer_sets,
-    is_answer_set,
+from aspkit.semantics import enumerate_answer_sets, is_answer_set
+from generators import iset, random_program
+from reference import (
+    PositiveProgram,
+    is_minimal_model,
     is_model,
+    reduct,
     satisfies,
 )
-from generators import iset, random_program
-from reference import PositiveProgram, is_minimal_model, reduct
 
 
 def body_sum(toy):
