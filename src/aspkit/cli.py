@@ -119,10 +119,8 @@ def cmd_check(args) -> int:
         print("answer-set")
     elif compiled.supports(mask):
         print("supported-model")
-        decomposition = consequence.sccs(program)
-        for component in decomposition.nontrivial():
-            waiting = consequence.wait_levels(program, x, component.label,
-                                              decomposition, compiled)
+        for component in consequence.sccs(compiled).nontrivial():
+            waiting = consequence.wait_levels(compiled, mask, component)
             if waiting.waiting_true:
                 names_ = ",".join(sorted(a.name for a in waiting.waiting_true))
                 print(f"component {component.label}: {names_} "

@@ -398,6 +398,23 @@ class CompiledProgram:
                 supporting[idx].append(rule)
         return supporting
 
+    @cached_property
+    def successors(self) -> list[int]:
+        """Per atom index, the mask of its successors in the positive
+        dependency graph.  An edge runs from each atom a rule supports to
+        each atom of its positive body and to each positive entry of its
+        non-negated body sums, the atoms the reduct's rule for it needs."""
+        successors = [0] * len(self.atoms)
+        for rule in self.rules:
+            needs = rule.pos
+            for s in rule.reduced:
+                for b, _ in s.positive:
+                    needs |= b
+            if needs:
+                for idx in _indexes(rule.supported):
+                    successors[idx] |= needs
+        return successors
+
     def decode(self, x: int) -> Interpretation:
         return frozenset(map(self.atoms.__getitem__, _indexes(x)))
 
@@ -498,24 +515,14 @@ class CompiledProgram:
 
 def _loop_atoms(program: CompiledProgram) -> int:
     """The mask of the atoms that both reach a cycle and are reached from
-    one along positive edges, a superset of the atoms on positive loops
-    (every atom on a cycle does both).  An edge runs from each atom a
-    rule supports to each atom of its positive body and to each positive
-    entry of its non-negated body sums, the atoms the reduct's rule for
-    it needs.  Atoms with no edge to an atom still left are peeled off,
+    one along the edges of :attr:`CompiledProgram.successors`, a
+    superset of the atoms on positive loops (every atom on a cycle does
+    both).  Atoms with no edge to an atom still left are peeled off,
     without recursion, until none is left; then so are atoms with no
     edge from one.  Peeling the latter makes no atom lose an edge to one
     still left, so one pass each suffices."""
     n = len(program.atoms)
-    successors = [0] * n
-    for rule in program.rules:
-        needs = rule.pos
-        for s in rule.reduced:
-            for b, _ in s.positive:
-                needs |= b
-        if needs:
-            for idx in _indexes(rule.supported):
-                successors[idx] |= needs
+    successors = program.successors
     predecessors = [0] * n
     for idx, mask in enumerate(successors):
         for target in _indexes(mask):

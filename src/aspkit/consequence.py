@@ -1,42 +1,43 @@
-"""Positive dependencies, strongly connected components, supported
-models, and wait levels.
+"""Strongly connected components, supported models, and wait levels.
 
 A model is an answer set exactly when iterating the immediate
 consequence operator on its reduct reproduces it, and the iteration can
 be localized to the strongly connected components of the positive
-dependency graph.  :func:`indexed_graph` reads that graph over atom
-indexes in one walk over the rules, and one recursive Tarjan search
-over vertex indexes, :func:`strong_components`, finds its components:
-:mod:`aspkit.reify` runs the two directly, and :func:`sccs` labels their
-result with atoms for ``check`` and the tests.  Wait levels are the
-complement of that local fixpoint: the true atoms of a component that
-are still underivable after as many steps as the component has atoms.
-They are read off one least model of the component's part of the
-compiled reduct, seeded with the true atoms outside the component that
-this part reads, which :class:`aspkit.compiled.HornClosure` computes in
-time linear in the program.
+dependency graph.  Each program form holds that graph already:
+:attr:`aspkit.compiled.CompiledProgram.successors` as one mask per atom,
+and :class:`aspkit.reify.Tables` in its label tables.  One recursive
+Tarjan search over vertex indexes, :func:`strong_components`, finds its
+components in either: :mod:`aspkit.reify` runs it on its own tables,
+and :func:`sccs` runs it on the compiled masks for ``check`` and the
+tests.  Wait levels are the complement of that local fixpoint: the true
+atoms of a component that are still underivable after as many steps as
+the component has atoms.  They are read off one least model of the
+component's part of the compiled reduct, seeded with the true atoms
+outside the component that this part reads, which
+:class:`aspkit.compiled.HornClosure` computes in time linear in the
+program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .core import Atom, Disjunction, Interpretation, Program
+from .core import Atom, Interpretation, Program
 from .compiled import CompiledProgram, _indexes
 from .semantics import compile_program
 
 
 @dataclass(frozen=True)
 class SccComponent:
-    """One SCC: its atoms, and whether it has an internal edge.  The
-    members a reification lists for a non-trivial component C are its
-    atoms, the conjunction of each rule with a positive head atom in C
-    and a positive body atom or a positive entry of a non-negated body
-    sum in C, and each such sum; :mod:`aspkit.reify` computes them."""
+    """One SCC: its atoms as a mask of the compiled program, and whether
+    it has an internal edge.  The members a reification lists for a
+    non-trivial component C are its atoms, the conjunction of each rule
+    with a positive head atom in C and a positive body atom or a
+    positive entry of a non-negated body sum in C, and each such sum;
+    :mod:`aspkit.reify` computes them."""
 
     label: int | None
-    atoms: frozenset[Atom]
+    members: int
     nontrivial: bool
 
 
@@ -49,70 +50,6 @@ class SccDecomposition:
     def nontrivial(self) -> tuple[SccComponent, ...]:
         return tuple(c for c in self.components if c.nontrivial)
 
-    @cached_property
-    def _labeled(self) -> dict[int, SccComponent]:
-        return {c.label: c for c in self.components if c.nontrivial}
-
-    def by_label(self, label: int) -> SccComponent:
-        try:
-            return self._labeled[label]
-        except KeyError:
-            raise ValueError(f"unknown component label {label}") from None
-
-
-def indexed_graph(program: Program) -> tuple[list[Atom], list[list[int]]]:
-    """The positive dependency graph over atom indexes: the atoms of the
-    program, the minimize entries' too, in name order, and per atom the
-    indexes of its successors, ascending and each once.  Edges lead from
-    positive head atoms to positive body atoms: the atoms of a
-    disjunctive head and the positive entries of a sum head lead to each
-    positive body atom and each positive entry of a non-negated body
-    sum.  One walk over the rules reads the edges and the atoms, keyed
-    by name, so no ``Atom`` is hashed."""
-    found: dict[str, Atom] = {}
-    pairs: list[tuple[list[str], list[str]]] = []
-    for rule in program.rules:
-        head = rule.head
-        heads = []
-        if type(head) is Disjunction:
-            for atom in head.atoms:
-                found[atom.name] = atom
-                heads.append(atom.name)
-        else:
-            for wl in head.elements:
-                atom = wl.literal.atom
-                found[atom.name] = atom
-                if not wl.literal.negated:
-                    heads.append(atom.name)
-        targets = []
-        for bl in rule.body:
-            element = bl.element
-            if type(element) is Atom:
-                found[element.name] = element
-                if not bl.negated:
-                    targets.append(element.name)
-                continue
-            for wl in element.elements:
-                atom = wl.literal.atom
-                found[atom.name] = atom
-                if not (bl.negated or wl.literal.negated):
-                    targets.append(atom.name)
-        if heads and targets:
-            pairs.append((heads, targets))
-    for entry in program.minimize.entries:
-        found[entry.literal.atom.name] = entry.literal.atom
-    order = sorted(found)
-    number = {name: i for i, name in enumerate(order)}
-    succ: list[list[int]] = [[] for _ in order]
-    for heads, targets in pairs:
-        ends = [number[name] for name in targets]
-        for name in heads:
-            succ[number[name]].extend(ends)
-    for i, ends in enumerate(succ):
-        if len(ends) > 1:
-            succ[i] = sorted(set(ends))
-    return [found[name] for name in order], succ
-
 
 def strong_components(succ: list[list[int]]) -> list[list[int]]:
     """Tarjan decomposition of the graph whose vertex i leads to the
@@ -121,7 +58,7 @@ def strong_components(succ: list[list[int]]) -> list[list[int]]:
     component).  The search starts from the vertexes in index order and
     follows each one's successors in list order.  It is recursive, one
     frame per level, so a path longer than Python's recursion limit
-    raises ``RecursionError`` (ROADMAP item 7)."""
+    raises ``RecursionError`` (ROADMAP item 8)."""
     index = [-1] * len(succ)
     lowlink = [0] * len(succ)
     on_stack = bytearray(len(succ))
@@ -163,18 +100,19 @@ def cyclic(members: list[int], succ: list[list[int]]) -> bool:
     return len(members) > 1 or members[0] in succ[members[0]]
 
 
-def sccs(program: Program) -> SccDecomposition:
-    """The components of :func:`strong_components` over
-    :func:`indexed_graph`; non-trivial components are labeled 0,1,... in
-    completion order, the topological order of ``components``."""
-    nodes, succ = indexed_graph(program)
+def sccs(compiled: CompiledProgram) -> SccDecomposition:
+    """The components of :func:`strong_components` over the compiled
+    program's :attr:`~aspkit.compiled.CompiledProgram.successors`;
+    non-trivial components are labeled 0,1,... in completion order, the
+    topological order of ``components``."""
+    succ = [_indexes(mask) for mask in compiled.successors]
     components: list[SccComponent] = []
     label = 0
     for members in strong_components(succ):
         nontrivial = cyclic(members, succ)
         components.append(SccComponent(
             label if nontrivial else None,
-            frozenset([nodes[i] for i in members]), nontrivial))
+            sum([1 << i for i in members]), nontrivial))
         label += nontrivial
     return SccDecomposition(tuple(components))
 
@@ -198,32 +136,22 @@ class ComponentWait:
     waiting_true: frozenset[Atom]
 
 
-def wait_levels(program: Program, x: Interpretation, label: int,
-                decomposition: SccDecomposition | None = None,
-                compiled: CompiledProgram | None = None) -> ComponentWait:
-    """The true atoms of one component that are still underivable after
-    as many steps as the component has atoms.
+def wait_levels(compiled: CompiledProgram, x: int,
+                component: SccComponent) -> ComponentWait:
+    """The true atoms of one non-trivial component of :func:`sccs` that
+    are still underivable after as many steps as the component has
+    atoms, for the model ``x``, a mask of ``compiled``.
 
     Those steps reach the local fixpoint, so the answer is the true
     atoms of the component outside one least model: that of the reduct
     rules whose body holds in ``x`` and that support a true atom of the
     component (a disjunctive head supports each of its atoms), closed
-    from the true atoms outside the component that those rules read.
-
-    ``decomposition`` is the program's SCC decomposition and
-    ``compiled`` the program as :func:`aspkit.semantics.compile_program`
-    compiles it; each is computed here when not given.  Given both, a
-    call reads only the rules that support a true atom of the component
-    and the atoms those rules read, so a call per component costs time
-    linear in the program in all.
+    from the true atoms outside the component that those rules read.  A
+    call reads only those rules and the atoms they read, so a call per
+    component costs time linear in the program in all.
     """
-    if decomposition is None:
-        decomposition = sccs(program)
-    if compiled is None:
-        compiled = compile_program(program)
-    members = decomposition.by_label(label).atoms
-    bit = compiled.bit
-    inside = sum(bit[a] for a in members if a in x)
+    members = component.members
+    inside = x & members
     rules = dict.fromkeys(rule for idx in _indexes(inside)
                           for rule in compiled.supporting[idx])
     # x on the atoms these rules read, which is all that their bodies
@@ -231,8 +159,7 @@ def wait_levels(program: Program, x: Interpretation, label: int,
     read = 0
     for rule in rules:
         read |= rule.reads
-    mask = inside | sum(bit[a] for a in compiled.decode(read) - members
-                        if a in x)
+    mask = x & (members | read)
     applied = [rule for rule in rules if rule.body_holds(mask)]
     seed = 0
     for rule in applied:
@@ -241,4 +168,5 @@ def wait_levels(program: Program, x: Interpretation, label: int,
         compiled.reduct_rules(mask, applied, inside),
         _indexes(seed & mask & ~inside))[0]
     underived = sum(1 << idx for idx in _indexes(inside) if not derived[idx])
-    return ComponentWait(label, len(members), compiled.decode(underived))
+    return ComponentWait(component.label, members.bit_count(),
+                         compiled.decode(underived))

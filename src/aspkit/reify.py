@@ -185,11 +185,32 @@ class Tables:
             self.conjunctions.append(members)
         self.rules.append((key, label))
 
-    def add_sccs(self, program: Program) -> None:
-        """The components of the positive dependency graph, and the
-        members of the non-trivial ones from one pass over the rules."""
-        atoms, succ = consequence.indexed_graph(program)
-        self.names = [atom.name for atom in atoms]
+    def add_sccs(self) -> None:
+        """The names, the components of the positive dependency graph,
+        and the members of the non-trivial ones, all read off the
+        tables, so it runs once every rule and the minimize lists are
+        in.  A rule leads from each atom in the support of its head to
+        each atom in the support of each positive member of its
+        conjunction."""
+        names = {head for head, _ in self.rules if type(head) is str}
+        names.update([inner for members in self.conjunctions
+                      for _, inner in members if type(inner) is str])
+        names.update([name for entries in self.lists
+                      for _, name, _ in entries])
+        self.names = sorted(names)
+        number = {name: i for i, name in enumerate(self.names)}
+        succ: list[list[int]] = [[] for _ in self.names]
+        for head, label in self.rules:
+            heads = self.support(head)
+            if not heads:
+                continue
+            ends = [number[name] for negated, inner in self.conjunctions[label]
+                    if not negated for name in self.support(inner)]
+            for name in heads:
+                succ[number[name]].extend(ends)
+        for i, ends in enumerate(succ):
+            if len(ends) > 1:
+                succ[i] = sorted(set(ends))
         label_of: dict[str, int] = {}
         for members in consequence.strong_components(succ):
             if consequence.cyclic(members, succ):
@@ -229,8 +250,8 @@ def tables(program: Program) -> Tables:
     built = Tables()
     for rule in program.rules:
         built.add_rule(rule)
-    built.add_sccs(program)
     built.add_minimize(program.minimize)
+    built.add_sccs()
     return built
 
 

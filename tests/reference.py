@@ -24,11 +24,13 @@ about each stable candidate, so no candidate is tested against a guess
 kept for another.  The token-stream readers of program, criteria and
 fact text are the oracle for the shared lexer's readers.  A
 reification that builds a new term per occurrence, and a Tarjan
-decomposition over atoms, are the oracles of ``reify`` and ``sccs``.
-The dependency graph read through ``positive_part`` and ``atoms_of``
-rule by rule, as a :class:`Graph` of atoms and atom pairs, and the
-wait-level rows built one row at a time, are the oracles of
-``indexed_graph`` and of the meta build's component rows."""
+decomposition over atoms into plain :class:`Component` records, are the
+oracles of ``reify`` and ``sccs``.  The dependency graph read through
+``positive_part`` and ``atoms_of`` rule by rule, as a :class:`Graph` of
+atoms and atom pairs, is the oracle of the two graphs the library
+reads, ``CompiledProgram.successors`` and the one ``reify.Tables``
+builds from its label tables; the wait-level rows built one row at a
+time are the oracle of the meta build's component rows."""
 
 from __future__ import annotations
 
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from aspkit.compiled import CompiledProgram, HornClosure, HornRule
-from aspkit.consequence import SccComponent, SccDecomposition, sccs
 from aspkit.core import (
     DEFAULT_ATOM_CAP,
     Atom,
@@ -282,10 +283,9 @@ def scc_fixpoint_check(program: Program, x: Interpretation) -> bool:
     and require the union of the local results to reproduce ``x``."""
     if not is_model(x, program):
         return False
-    decomposition = sccs(program)
     reduced = reduct(program, x)
     covered: set[Atom] = set()
-    for component in decomposition.components:
+    for component in program_sccs(program):
         local = tp_iterate(reduced, x - component.atoms, len(component.atoms))
         covered |= local & component.atoms
     return covered == x
@@ -299,7 +299,9 @@ def scc_members(
     reach it through a positive body atom or a positive entry of a
     non-negated body sum."""
     members: set[tuple[int, Atom | Body | SumConstraint]] = set()
-    for component in sccs(program).nontrivial():
+    for component in program_sccs(program):
+        if not component.nontrivial:
+            continue
         label, inside = component.label, component.atoms
         members.update((label, atom) for atom in inside)
         for rule in program.rules:
@@ -728,9 +730,19 @@ class Graph:
     edges: frozenset[tuple[Atom, Atom]]
 
 
-def reference_sccs(graph: Graph) -> SccDecomposition:
-    """Recursive Tarjan over atoms; non-trivial components are labeled
-    0,1,... in completion order."""
+@dataclass(frozen=True)
+class Component:
+    """One component of :func:`reference_sccs`: its label (None unless
+    non-trivial), its atoms, and whether it has an internal edge."""
+
+    label: int | None
+    atoms: frozenset[Atom]
+    nontrivial: bool
+
+
+def reference_sccs(graph: Graph) -> list[Component]:
+    """Recursive Tarjan over atoms, the components in completion order;
+    non-trivial components are labeled 0,1,... in that order."""
     succ: dict[Atom, list[Atom]] = {a: [] for a in sorted_atoms(graph.nodes)}
     for a, b in graph.edges:
         succ[a].append(b)
@@ -767,13 +779,19 @@ def reference_sccs(graph: Graph) -> SccDecomposition:
         if v not in index:
             connect(v)
 
-    components: list[SccComponent] = []
+    components: list[Component] = []
     labels = iter(range(len(found)))
     for members in found:
         nontrivial = len(members) > 1 or any(a in succ[a] for a in members)
         label = next(labels) if nontrivial else None
-        components.append(SccComponent(label, members, nontrivial))
-    return SccDecomposition(tuple(components))
+        components.append(Component(label, members, nontrivial))
+    return components
+
+
+def program_sccs(program: Program) -> list[Component]:
+    """:func:`reference_sccs` of the program's dependency graph read rule
+    by rule."""
+    return reference_sccs(reference_dependency_graph(program))
 
 
 _FALSE_TERM = Term("false")
@@ -862,10 +880,11 @@ class _ReifyBuilder:
         self.facts.extend(body_facts)
 
     def add_sccs(self) -> None:
-        graph = reference_dependency_graph(self.program)
         label_of: dict[Atom, int] = {}
         members: list[dict[Term, None]] = []
-        for component in reference_sccs(graph).nontrivial():
+        for component in program_sccs(self.program):
+            if not component.nontrivial:
+                continue
             label_of.update(dict.fromkeys(component.atoms, component.label))
             members.append(dict.fromkeys(
                 map(_atom_term, sorted_atoms(component.atoms))))
@@ -921,7 +940,8 @@ def reference_reify(program: Program) -> list[ReifiedFact]:
 # were before the graph was read in one walk and the rows were zipped from
 # name lists: ``positive_part``/``atoms_of`` per rule plus a separate
 # ``atoms`` pass, and one tuple built per row.  They are the differential
-# oracles of ``indexed_graph`` and ``_Builder._component_rules``: equal
+# oracles of ``CompiledProgram.successors``, the graph of
+# ``reify.Tables.add_sccs`` and the meta build's component rows: equal
 # graphs, and equal rows in equal order.
 
 

@@ -6,13 +6,13 @@ import time
 import pytest
 
 from aspkit.cli import main
-from aspkit.consequence import wait_levels
+from aspkit.consequence import sccs, wait_levels
 from aspkit.core import CriteriaSet, atoms, normalize
 from aspkit.metaenc import build_meta_program, effective_criteria, solve_meta
 from aspkit.optimize import default_optimal, dominates, optimal_answer_sets
 from aspkit.parser import parse_criteria, parse_program, render_program
 from aspkit.reify import facts_to_text, parse_reified, reify
-from aspkit.semantics import enumerate_answer_sets
+from aspkit.semantics import compile_program, enumerate_answer_sets
 from conftest import REPAIR_TEXT, TOY_MIN_TEXT, TOY_TEXT
 from generators import iset, random_criteria, random_program
 from reference import (
@@ -111,11 +111,14 @@ def test_criterion_4_fixpoint_oracle_equivalence(criterion):
 
 def test_criterion_5_wait_levels(criterion):
     def body():
-        program = parse_program(TOY_TEXT)
-        cyclic = wait_levels(program, iset("r,t"), 0)
+        compiled = compile_program(parse_program(TOY_TEXT))
+        (component,) = sccs(compiled).nontrivial()
+        cyclic = wait_levels(compiled, compiled.encode(iset("r,t")),
+                             component)
         assert cyclic.z == 3
         assert cyclic.waiting_true == iset("r,t")
-        acyclic = wait_levels(program, iset("p,r"), 0)
+        acyclic = wait_levels(compiled, compiled.encode(iset("p,r")),
+                              component)
         assert acyclic.waiting_true == frozenset()
 
     criterion(5, "wait levels flag {r,t} at step 3 and clear {p,r}",

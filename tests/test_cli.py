@@ -255,20 +255,20 @@ class TestCheck:
 
     def test_component_lines_are_one_wait_levels_call_each(self, capsys,
                                                             tmp_path):
-        """The lines after ``supported-model`` are those of one fresh
-        ``wait_levels`` call per non-trivial component, with no shared
-        decomposition or compiled program."""
+        """The lines after ``supported-model`` are those of one
+        ``wait_levels`` call per non-trivial component, in label order,
+        each listing the atoms that still wait."""
         rng = random.Random(53)
         path = tmp_path / "program.lp"
         seen = 0
         for _ in range(300):
             program = random_program(rng, max_atoms=6, max_rules=9,
                                      disjunctive=rng.random() < 0.3)
-            components = consequence.sccs(program).nontrivial()
+            compiled = compile_program(program)
+            components = consequence.sccs(compiled).nontrivial()
             if not components:
                 continue
             path.write_text(render_program(program))
-            compiled = compile_program(program)
             for mask in range(1 << len(compiled.atoms)):
                 if not (compiled.is_model(mask) and compiled.supports(mask)):
                     continue
@@ -281,8 +281,8 @@ class TestCheck:
                     continue
                 expected = []
                 for component in components:
-                    wait = consequence.wait_levels(program, x,
-                                                   component.label)
+                    wait = consequence.wait_levels(compiled, mask,
+                                                   component)
                     if wait.waiting_true:
                         names = ",".join(sorted(
                             a.name for a in wait.waiting_true))

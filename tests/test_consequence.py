@@ -2,24 +2,33 @@ import random
 
 import pytest
 
+from aspkit import consequence
 from aspkit.consequence import (
     ComponentWait,
     cyclic,
-    indexed_graph,
     is_supported_model,
     sccs,
     strong_components,
     wait_levels,
 )
-from aspkit.core import Atom, Disjunction, Program, atoms, sorted_atoms
+from aspkit.core import (
+    Atom,
+    Disjunction,
+    Program,
+    atoms,
+    is_extended,
+    sorted_atoms,
+)
 from aspkit.parser import parse_program
-from aspkit.semantics import enumerate_answer_sets
+from aspkit.reify import tables
+from aspkit.semantics import compile_program, enumerate_answer_sets
 from generators import iset, random_program
 from reference import (
     Graph,
     PositiveProgram,
     is_answer_set,
     is_model,
+    program_sccs,
     reduct,
     reference_dependency_graph,
     reference_sccs,
@@ -33,16 +42,50 @@ def edge(a, b):
     return (Atom(a), Atom(b))
 
 
-def graph_of(program: Program) -> Graph:
-    """The graph of :func:`indexed_graph` as atoms and atom pairs."""
-    nodes, succ = indexed_graph(program)
+def as_graph(nodes: list[Atom], succ: list[list[int]]) -> Graph:
+    """Successor lists over vertex indexes as atoms and atom pairs."""
     return Graph(frozenset(nodes), frozenset(
         (nodes[a], nodes[b]) for a, ends in enumerate(succ) for b in ends))
 
 
+def compiled_graph(program: Program) -> Graph:
+    """The graph of ``CompiledProgram.successors``."""
+    compiled = compile_program(program)
+    return as_graph(list(compiled.atoms),
+                    [[b for b in range(len(compiled.atoms)) if mask >> b & 1]
+                     for mask in compiled.successors])
+
+
+def tables_graph(program: Program) -> tuple[list[str], list[list[int]]]:
+    """The names and successor lists that ``reify.Tables.add_sccs``
+    reads off its label tables and hands to ``strong_components``."""
+    seen = []
+
+    def spy(succ):
+        seen.append(succ)
+        return strong_components(succ)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(consequence, "strong_components", spy)
+        names = tables(program).names
+    (succ,) = seen
+    return names, succ
+
+
+def graph_of(program: Program) -> Graph:
+    """The positive dependency graph of ``program`` as both program
+    forms read it: the compiled successors and, for an extended program,
+    the graph of the reification's tables; the two must agree."""
+    graph = compiled_graph(program)
+    if is_extended(program):
+        names, succ = tables_graph(program)
+        assert as_graph([Atom(name) for name in names], succ) == graph
+    return graph
+
+
 def numbered(graph: Graph) -> tuple[list[Atom], list[list[int]]]:
-    """``graph`` over vertex indexes, numbered as :func:`indexed_graph`
-    numbers a program's: atoms in name order, each one's successors
+    """``graph`` over vertex indexes, numbered as both program forms
+    number a program's: atoms in name order, each one's successors
     ascending."""
     nodes = sorted_atoms(graph.nodes)
     number = {atom: i for i, atom in enumerate(nodes)}
@@ -64,6 +107,21 @@ def random_graph(rng: random.Random, size: int, degree: int) -> Graph:
     return Graph(frozenset(nodes), frozenset(edges))
 
 
+def component_atoms(
+        program: Program) -> list[tuple[int | None, frozenset[Atom], bool]]:
+    """``sccs`` of the compiled program as (label, atoms, non-trivial)."""
+    compiled = compile_program(program)
+    return [(c.label, compiled.decode(c.members), c.nontrivial)
+            for c in sccs(compiled).components]
+
+
+def waits(program: Program, x, label: int) -> ComponentWait:
+    """``wait_levels`` of the non-trivial component ``label``."""
+    compiled = compile_program(program)
+    return wait_levels(compiled, compiled.encode(x),
+                       sccs(compiled).nontrivial()[label])
+
+
 class TestDependencyGraph:
     def test_toy_edges(self, toy):
         graph = graph_of(toy)
@@ -83,22 +141,42 @@ class TestDependencyGraph:
         graph = graph_of(parse_program("a :- not b, not 1 {c}."))
         assert graph.edges == frozenset()
 
+    def test_sums_and_minimize_only_atoms(self):
+        """The positive entries of a sum head lead to the positive
+        entries of a non-negated body sum; atoms that occur only in the
+        minimize statement are vertexes without edges."""
+        graph = graph_of(parse_program(
+            "2 #sum[a=2, f=1, not h=1] :- 1 {b, not c}, not 1 {d}.\n"
+            "#minimize[g, not k=2@2]."))
+        assert graph.nodes == iset("a,b,c,d,f,g,h,k")
+        assert graph.edges == {edge("a", "b"), edge("f", "b")}
+
     def test_matches_reference(self):
-        """The one-walk graph over atom indexes, read as atoms and atom
-        pairs, equals the graph read rule by rule through the positive
-        parts, on draws with sum heads, negated body sums, negated sum
-        entries, constraints, proper disjunctions and atoms that occur
-        only in the minimize statement; its atoms are in name order and
-        each one's successors ascending, each once."""
+        """Both graph readers, read as atoms and atom pairs, equal the
+        graph read rule by rule through the positive parts, on draws
+        with sum heads, negated body sums, negated sum entries,
+        constraints, proper disjunctions and atoms that occur only in
+        the minimize statement.  The compiled successors are checked on
+        every draw; the graph of the reification's tables, on every
+        extended draw, has its names in name order and each one's
+        successors ascending, each once."""
         rng = random.Random(37)
         seen = dict.fromkeys(("sum head", "negated sum", "negated entry",
-                              "constraint", "minimize only"), 0)
+                              "constraint", "minimize only", "disjunctive",
+                              "extended"), 0)
         for i in range(1000):
             program = random_program(rng, minimize=True, disjunctive=i % 2)
-            nodes, succ = indexed_graph(program)
-            assert nodes == sorted_atoms(nodes)
-            assert all(ends == sorted(set(ends)) for ends in succ)
-            assert graph_of(program) == reference_dependency_graph(program)
+            expected = reference_dependency_graph(program)
+            assert compiled_graph(program) == expected
+            if is_extended(program):
+                names, succ = tables_graph(program)
+                assert names == sorted(names)
+                assert all(ends == sorted(set(ends)) for ends in succ)
+                assert as_graph([Atom(name) for name in names],
+                                succ) == expected
+                seen["extended"] += 1
+            else:
+                seen["disjunctive"] += 1
             heads = [rule.head for rule in program.rules]
             sums = [bl for rule in program.rules for bl in rule.body
                     if not isinstance(bl.element, Atom)]
@@ -115,34 +193,31 @@ class TestDependencyGraph:
 
 class TestSccs:
     def test_toy_decomposition(self, toy):
-        decomposition = sccs(toy)
-        sets = [c.atoms for c in decomposition.components]
-        assert sets == [iset("s"), iset("p,r,t"), iset("q")]
-        nontrivial = decomposition.nontrivial()
-        assert len(nontrivial) == 1 and nontrivial[0].label == 0
+        found = component_atoms(toy)
+        assert [members for _, members, _ in found] == \
+            [iset("s"), iset("p,r,t"), iset("q")]
+        assert [label for label, _, _ in found] == [None, 0, None]
 
     def test_acyclic_all_trivial(self):
         program = parse_program("a :- b. b :- c. c.")
-        decomposition = sccs(program)
-        assert all(not c.nontrivial for c in decomposition.components)
-        assert all(c.label is None for c in decomposition.components)
+        found = component_atoms(program)
+        assert all(not nontrivial for _, _, nontrivial in found)
+        assert all(label is None for label, _, _ in found)
 
     def test_topological_order(self):
         rng = random.Random(23)
         for _ in range(40):
             program = random_program(rng, max_atoms=6, max_rules=8)
-            decomposition = sccs(program)
             position = {}
-            for i, component in enumerate(decomposition.components):
-                for atom in component.atoms:
+            for i, (_, members, _) in enumerate(component_atoms(program)):
+                for atom in members:
                     position[atom] = i
             for a, b in graph_of(program).edges:
                 assert position[a] >= position[b]
 
     def test_self_loop_is_nontrivial(self):
-        program = parse_program("a :- a.")
-        decomposition = sccs(program)
-        assert decomposition.by_label(0).atoms == iset("a")
+        found = component_atoms(parse_program("a :- a."))
+        assert found == [(0, iset("a"), True)]
 
     def test_nontrivial_flags_match_internal_edges(self):
         rng = random.Random(29)
@@ -159,18 +234,18 @@ class TestSccs:
                 assert cyclic(members, succ) == internal
 
     def test_matches_reference(self):
-        """The search over vertex indexes, on graphs numbered as
-        ``indexed_graph`` numbers a program's, finds the components, in
-        the same order, and the non-trivial flags of the recursive
-        Tarjan over atoms, on graphs with self-loops whose atoms are
-        named apart from their creation order."""
+        """The search over vertex indexes, on graphs numbered as both
+        program forms number a program's, finds the components, in the
+        same order, and the non-trivial flags of the recursive Tarjan
+        over atoms, on graphs with self-loops whose atoms are named
+        apart from their creation order."""
         rng = random.Random(31)
         self_loops = cycles = 0
         for _ in range(1000):
             graph = random_graph(rng, 30, 3)
             nodes, succ = numbered(graph)
             found = strong_components(succ)
-            expected = reference_sccs(graph).components
+            expected = reference_sccs(graph)
             assert [frozenset([nodes[i] for i in members])
                     for members in found] == [c.atoms for c in expected]
             assert [cyclic(members, succ) for members in found] == \
@@ -181,20 +256,21 @@ class TestSccs:
         assert self_loops >= 100 and cycles >= 100
 
     def test_program_decomposition_matches_reference(self):
-        """``sccs`` of a program has the components, labels and order of
-        the recursive Tarjan over atoms on the graph read rule by rule,
-        on draws with trivial components, self-loops and larger
-        cycles."""
+        """``sccs`` of a compiled program, its member masks decoded, has
+        the components, labels and order of the recursive Tarjan over
+        atoms on the graph read rule by rule, on draws with trivial
+        components, self-loops and larger cycles."""
         rng = random.Random(43)
         trivial = self_loops = cycles = 0
         for i in range(1000):
             program = random_program(rng, minimize=True, disjunctive=i % 2)
-            got = sccs(program)
-            assert got == reference_sccs(reference_dependency_graph(program))
-            trivial += any(not c.nontrivial for c in got.components)
-            self_loops += any(len(c.atoms) == 1 and c.nontrivial
-                              for c in got.components)
-            cycles += any(len(c.atoms) > 1 for c in got.components)
+            got = component_atoms(program)
+            assert got == [(c.label, c.atoms, c.nontrivial)
+                           for c in program_sccs(program)]
+            trivial += any(not nontrivial for _, _, nontrivial in got)
+            self_loops += any(len(members) == 1 and nontrivial
+                              for _, members, nontrivial in got)
+            cycles += any(len(members) > 1 for _, members, _ in got)
         assert min(trivial, self_loops, cycles) >= 100, \
             (trivial, self_loops, cycles)
 
@@ -285,8 +361,7 @@ class TestSupportedModel:
         seen = 0
         for _ in range(120):
             program = random_program(rng, max_atoms=5, max_rules=6)
-            decomposition = sccs(program)
-            if decomposition.nontrivial():
+            if sccs(compile_program(program)).nontrivial():
                 continue
             seen += 1
             universe = sorted(atoms(program))
@@ -301,30 +376,27 @@ class TestSupportedModel:
 
 class TestWaitLevels:
     def test_toy_answer_set_has_no_waiting_atoms(self, toy):
-        result = wait_levels(toy, iset("p,r"), 0)
+        result = waits(toy, iset("p,r"), 0)
         assert isinstance(result, ComponentWait)
-        assert result.z == 3
+        assert result.label == 0 and result.z == 3
         assert result.waiting_true == frozenset()
 
     def test_toy_cyclic_model_waits(self, toy):
-        result = wait_levels(toy, iset("r,t"), 0)
+        result = waits(toy, iset("r,t"), 0)
         assert result.waiting_true == iset("r,t")
 
     def test_external_support_clears_waiting(self):
         program = parse_program("a :- b. b :- a. b :- c. c.")
-        result = wait_levels(program, iset("a,b,c"), 0)
+        result = waits(program, iset("a,b,c"), 0)
         assert result.waiting_true == frozenset()
-
-    def test_unknown_label(self, toy):
-        with pytest.raises(ValueError):
-            wait_levels(toy, iset("p,r"), 7)
 
     def test_duality_with_local_fixpoint(self):
         rng = random.Random(41)
         for _ in range(80):
             program = random_program(rng, max_atoms=6, max_rules=8)
-            decomposition = sccs(program)
-            if not decomposition.nontrivial():
+            compiled = compile_program(program)
+            components = sccs(compiled).nontrivial()
+            if not components:
                 continue
             universe = sorted(atoms(program))
             for mask in range(1 << len(universe)):
@@ -333,9 +405,38 @@ class TestWaitLevels:
                 if not is_model(x, program):
                     continue
                 reduced = reduct(program, x)
-                for component in decomposition.nontrivial():
-                    table = wait_levels(program, x, component.label)
-                    local = tp_iterate(
-                        reduced, x - component.atoms, len(component.atoms))
-                    assert table.waiting_true == \
-                        (x & component.atoms) - local
+                for component in components:
+                    inside = compiled.decode(component.members)
+                    table = wait_levels(compiled, compiled.encode(x),
+                                        component)
+                    local = tp_iterate(reduced, x - inside, len(inside))
+                    assert table.waiting_true == (x & inside) - local
+
+    def test_no_atom_is_hashed(self, monkeypatch):
+        """On 200 two-atom cycles with every atom true, ``sccs`` hashes
+        no atom and ``wait_levels`` only the two atoms it returns per
+        component: both work on the compiled masks."""
+        program = parse_program("".join(
+            f"a{i} :- b{i}. b{i} :- a{i}.\n" for i in range(200)))
+        compiled = compile_program(program)
+        x = (1 << len(compiled.atoms)) - 1
+        hash_ = Atom.__hash__
+        calls = 0
+
+        def counted(atom):
+            nonlocal calls
+            calls += 1
+            return hash_(atom)
+
+        monkeypatch.setattr(Atom, "__hash__", counted)
+        components = sccs(compiled).nontrivial()
+        assert calls == 0 and len(components) == 200
+        found = []
+        for component in components:
+            calls = 0
+            found.append(wait_levels(compiled, x, component))
+            assert calls == 2
+        monkeypatch.undo()
+        assert [wait.waiting_true for wait in found] == \
+            [compiled.decode(c.members) for c in components]
+        assert {wait.z for wait in found} == {2}
