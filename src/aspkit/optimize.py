@@ -22,7 +22,6 @@ returned.
 
 from __future__ import annotations
 
-import logging
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -39,8 +38,6 @@ from .core import (
 )
 from .semantics import answer_set_masks
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class DominanceVerdict:
@@ -52,20 +49,14 @@ class DominanceVerdict:
 _UNDOMINATED = DominanceVerdict(False)
 
 
-def _preference(literals: tuple[Literal, ...], prefer, level: int,
-                weight: int):
+def _preference(literals: tuple[Literal, ...], prefer):
     """``pref`` over one group as a test on two literal masks: ``x`` is
     preferable to ``y`` when some preference pair (l1, l2) of group
     literals has l1 satisfied by ``x`` only and l2 by ``y`` only, and no
     ``y``-only literal l defeats l1 via l <= l1 without l1 <= l."""
     index = {literal: bit for bit, literal in enumerate(literals)}
-    pairs = set()
-    for first, second in prefer:
-        if first in index and second in index:
-            pairs.add((index[first], index[second]))
-        else:
-            logger.debug("prefer pair (%s, %s) ignored: outside group %s@%s",
-                         first, second, weight, level)
+    pairs = {(index[first], index[second]) for first, second in prefer
+             if first in index and second in index}
     better = [0] * len(literals)   # bit l2 of better[l1]: l1 <= l2
     defeat = [0] * len(literals)   # bit l of defeat[l1]: l <= l1, not l1 <= l
     for first, second in pairs:
@@ -174,7 +165,7 @@ class CompiledCriteria:
                 self._builders.append(partial(_incl, len(literals)))
             else:
                 self._builders.append(partial(_pairwise, _preference(
-                    literals, crit.prefer, level, weight)))
+                    literals, crit.prefer)))
 
     def score(self, x: int) -> tuple[int, ...]:
         vector = []

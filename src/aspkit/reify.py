@@ -38,6 +38,15 @@ holds it shares that one object.  Proper disjunction heads and sums
 with no entries (no wlist/4 fact could name their list; only the
 library API builds them) are outside this format: :func:`reify`
 rejects both.
+
+:class:`FactReader` checks each fact against one table of predicates
+and their argument counts (rule/2, set/2, wlist/4, scc/2, minimize/2),
+and decodes every term through one method, :meth:`FactReader.decode`,
+which checks the term's functor against those its place allows and its
+argument count against one table of functors (atom/1, sum/3,
+conjunction/1, false/0, pos/1, neg/1).  An integer or a foreign term
+where a term belongs, or a term where an integer belongs, is a
+:class:`ReifyError`.
 """
 
 from __future__ import annotations
@@ -89,9 +98,7 @@ class ReifiedFact:
         return f"{self.predicate}({','.join(str(a) for a in self.args)})."
 
 
-FALSE = Term("false")
-
-_POS_FALSE = Term("pos", (FALSE,))
+_POS_FALSE = Term("pos", (Term("false"),))
 
 #: The wrapper of a signed member, indexed by its ``negated`` flag.
 _SIGN = ("pos", "neg")
@@ -387,166 +394,137 @@ def text_to_facts(text: str) -> list[ReifiedFact]:
     return _read(text, _facts)
 
 
+#: The argument count of each functor of the format's terms; the one
+#: argument of ``atom`` is the atom's name, a constant.
+_ARITY = {"atom": 1, "sum": 3, "conjunction": 1, "false": 0, "pos": 1,
+         "neg": 1}
+
+#: The argument count of each predicate of the format.
+_PREDICATES = {"rule": 2, "set": 2, "wlist": 4, "scc": 2, "minimize": 2}
+
+
 def _expect_int(value, what: str) -> int:
     if not isinstance(value, int):
         raise ReifyError(f"{what} must be an integer, got {value}")
     return value
 
 
-def _decode_atom(term) -> Atom:
-    if (isinstance(term, Term) and term.functor == "atom"
-            and len(term.args) == 1 and isinstance(term.args[0], Term)
-            and not term.args[0].args):
-        return Atom(term.args[0].functor)
-    raise ReifyError(f"malformed atom term: {term}")
-
-
-def _decode_literal(term) -> Literal:
-    if isinstance(term, Term) and term.functor in ("pos", "neg") \
-            and len(term.args) == 1:
-        return Literal(_decode_atom(term.args[0]), term.functor == "neg")
-    raise ReifyError(f"malformed literal term: {term}")
-
-
 class FactReader:
-    """Validating decoder of a fact list; labels are kept as given."""
+    """Validating decoder of a fact list; labels are kept as given.
+
+    Each fact's predicate and argument count are checked against one
+    table of predicates.  Every term goes through :meth:`decode`, which
+    checks its functor against those its place allows and its argument
+    count against one table of functors, so an integer or a foreign term
+    where a term of the format belongs is a :class:`ReifyError`."""
 
     def __init__(self, facts):
+        #: per rule fact: the head and body inside its pos wrappers
         self.rule_facts: list[tuple[Term, Term]] = []
-        self.set_facts: dict[int, list[Term]] = {}
-        self.wlist_facts: dict[int, dict[int, tuple[Term, int]]] = {}
+        #: per conjunction label: its members as (negated, inner term)
+        self.set_facts: dict[int, list[tuple[bool, Term]]] = {}
+        #: per list label, by index: ((negated, atom term), weight)
+        self.wlist_facts: dict[int, dict[int, tuple[tuple[bool, Term],
+                                                    int]]] = {}
         self.scc_facts: list[tuple[int, Term]] = []
         self.minimize_facts: list[tuple[int, int]] = []
         for fact in facts:
-            getattr(self, f"_read_{fact.predicate}", self._unknown)(fact)
+            predicate, args = fact.predicate, fact.args
+            if predicate not in _PREDICATES:
+                raise ReifyError(f"unknown predicate in fact: {fact}")
+            if len(args) != _PREDICATES[predicate]:
+                raise ReifyError(
+                    f"{predicate}/{_PREDICATES[predicate]} expected: {fact}")
+            if predicate == "rule":
+                self.rule_facts.append((
+                    self.decode(args[0], ("pos",), "rule head")[1],
+                    self.decode(args[1], ("pos",), "rule body")[1]))
+            elif predicate == "set":
+                self.set_facts.setdefault(
+                    _expect_int(args[0], "set label"), []).append(
+                    self.decode(args[1], _SIGN, "set member"))
+            elif predicate == "wlist":
+                entries = self.wlist_facts.setdefault(
+                    _expect_int(args[0], "wlist label"), {})
+                index = _expect_int(args[1], "wlist index")
+                if index in entries:
+                    raise ReifyError(
+                        f"duplicate wlist index {index} in list {args[0]}")
+                entries[index] = (self.decode(args[2], _SIGN, "wlist literal"),
+                                  _expect_int(args[3], "wlist weight"))
+            elif predicate == "scc":
+                self.scc_facts.append(
+                    (_expect_int(args[0], "scc label"), args[1]))
+            else:
+                self.minimize_facts.append(
+                    (_expect_int(args[0], "minimize level"),
+                     _expect_int(args[1], "minimize list label")))
 
-    def _unknown(self, fact: ReifiedFact) -> None:
-        raise ReifyError(f"unknown predicate in fact: {fact}")
+    def decode(self, term, kinds: tuple[str, ...], what: str):
+        """The value of ``term`` in a place that allows the functors
+        ``kinds``: ``pos(X)`` or ``neg(X)`` as (negated, X), ``atom(a)``
+        as an :class:`Atom`, ``sum(L,S,U)`` as a :class:`SumConstraint`
+        over list ``S``, ``conjunction(S)`` as the body of the set facts
+        of ``S``, and ``false`` as the empty head."""
+        if (type(term) is not Term or term.functor not in kinds
+                or len(term.args) != _ARITY[term.functor]):
+            raise ReifyError(f"malformed {what}: {term}")
+        functor, args = term.functor, term.args
+        if functor in _SIGN:
+            return functor == "neg", args[0]
+        if functor == "atom":
+            if type(args[0]) is not Term or args[0].args:
+                raise ReifyError(f"malformed {what}: {term}")
+            return Atom(args[0].functor)
+        if functor == "sum":
+            lower, label, upper = map(_expect_int, args, (
+                "sum lower bound", "sum list label", "sum upper bound"))
+            try:
+                return SumConstraint(lower, self.weighted(label), upper)
+            except ValueError as exc:
+                raise ReifyError(str(exc)) from exc
+        if functor == "conjunction":
+            return tuple(
+                BodyLiteral(self.decode(inner, ("atom", "sum"),
+                                        "conjunction member"), negated)
+                for negated, inner in self.set_facts.get(
+                    _expect_int(args[0], "conjunction label"), ()))
+        return Disjunction(())
 
-    def _read_rule(self, fact: ReifiedFact) -> None:
-        if len(fact.args) != 2:
-            raise ReifyError(f"rule/2 expected: {fact}")
-        head, body = fact.args
-        for part in (head, body):
-            if not (isinstance(part, Term) and part.functor == "pos"
-                    and len(part.args) == 1):
-                raise ReifyError(f"rule arguments must be pos(...): {fact}")
-        self.rule_facts.append((head.args[0], body.args[0]))
-
-    def _read_set(self, fact: ReifiedFact) -> None:
-        if len(fact.args) != 2:
-            raise ReifyError(f"set/2 expected: {fact}")
-        label = _expect_int(fact.args[0], "set label")
-        member = fact.args[1]
-        if not isinstance(member, Term):
-            raise ReifyError(f"malformed set member: {fact}")
-        self.set_facts.setdefault(label, []).append(member)
-
-    def _read_wlist(self, fact: ReifiedFact) -> None:
-        if len(fact.args) != 4:
-            raise ReifyError(f"wlist/4 expected: {fact}")
-        label = _expect_int(fact.args[0], "wlist label")
-        index = _expect_int(fact.args[1], "wlist index")
-        weight = _expect_int(fact.args[3], "wlist weight")
-        literal = fact.args[2]
-        if not isinstance(literal, Term):
-            raise ReifyError(f"malformed wlist literal: {fact}")
-        entries = self.wlist_facts.setdefault(label, {})
-        if index in entries:
-            raise ReifyError(f"duplicate wlist index {index} in list {label}")
-        entries[index] = (literal, weight)
-
-    def _read_scc(self, fact: ReifiedFact) -> None:
-        if len(fact.args) != 2 or not isinstance(fact.args[1], Term):
-            raise ReifyError(f"scc/2 expected: {fact}")
-        self.scc_facts.append(
-            (_expect_int(fact.args[0], "scc label"), fact.args[1]))
-
-    def _read_minimize(self, fact: ReifiedFact) -> None:
-        if len(fact.args) != 2:
-            raise ReifyError(f"minimize/2 expected: {fact}")
-        self.minimize_facts.append(
-            (_expect_int(fact.args[0], "minimize level"),
-             _expect_int(fact.args[1], "minimize list label")))
-
-    def wlist_entries(self, label: int) -> tuple[tuple[Term, int], ...]:
+    def weighted(self, label: int) -> tuple[WeightedLiteral, ...]:
+        """The decoded entries of weighted-literal list ``label``."""
         if label not in self.wlist_facts:
             raise ReifyError(f"dangling wlist label {label}")
         by_index = self.wlist_facts[label]
         if sorted(by_index) != list(range(len(by_index))):
             raise ReifyError(
                 f"wlist {label} indexes are not consecutive from 0")
-        return tuple(by_index[i] for i in range(len(by_index)))
-
-    def weighted(self, label: int) -> tuple[WeightedLiteral, ...]:
-        """The decoded entries of weighted-literal list ``label``."""
-        return tuple(WeightedLiteral(_decode_literal(lit), weight)
-                     for lit, weight in self.wlist_entries(label))
-
-    def decode_sum(self, term: Term) -> SumConstraint:
-        if term.functor != "sum" or len(term.args) != 3:
-            raise ReifyError(f"malformed sum term: {term}")
-        lower = _expect_int(term.args[0], "sum lower bound")
-        label = _expect_int(term.args[1], "sum list label")
-        upper = _expect_int(term.args[2], "sum upper bound")
-        try:
-            return SumConstraint(lower, self.weighted(label), upper)
-        except ValueError as exc:
-            raise ReifyError(str(exc)) from exc
-
-    def decode_member(self, term: Term) -> BodyLiteral:
-        if term.functor not in ("pos", "neg") or len(term.args) != 1 \
-                or not isinstance(term.args[0], Term):
-            raise ReifyError(f"malformed conjunction member: {term}")
-        inner = term.args[0]
-        negated = term.functor == "neg"
-        if inner.functor == "atom":
-            return BodyLiteral(_decode_atom(inner), negated)
-        if inner.functor == "sum":
-            return BodyLiteral(self.decode_sum(inner), negated)
-        raise ReifyError(f"malformed conjunction member: {term}")
-
-    def decode_body(self, term: Term) -> Body:
-        if term.functor != "conjunction" or len(term.args) != 1:
-            raise ReifyError(f"malformed body term: {term}")
-        label = _expect_int(term.args[0], "conjunction label")
-        return tuple(self.decode_member(m)
-                     for m in self.set_facts.get(label, ()))
-
-    def decode_head(self, term: Term):
-        if term == FALSE:
-            return Disjunction(())
-        if term.functor == "atom":
-            return Disjunction((_decode_atom(term),))
-        if term.functor == "sum":
-            return self.decode_sum(term)
-        raise ReifyError(f"malformed head term: {term}")
+        entries = (by_index[i] for i in range(len(by_index)))
+        return tuple(
+            WeightedLiteral(Literal(self.decode(inner, ("atom",), "literal"),
+                                    negated), weight)
+            for (negated, inner), weight in entries)
 
     def program(self) -> Program:
         """The program the facts describe; scc facts are not consulted."""
-        rules = tuple(
-            Rule(self.decode_head(head), self.decode_body(body))
-            for head, body in self.rule_facts)
+        rules = []
+        for head, body in self.rule_facts:
+            head = self.decode(head, ("atom", "sum", "false"), "rule head")
+            rules.append(Rule(
+                Disjunction((head,)) if type(head) is Atom else head,
+                self.decode(body, ("conjunction",), "rule body")))
         entries = tuple(
             MinimizeEntry(wl.literal, wl.weight, level)
             for level, label in sorted(self.minimize_facts,
                                        key=lambda lv: lv[0])
             for wl in self.weighted(label))
-        return Program(rules, MinimizeStatement(entries))
+        return Program(tuple(rules), MinimizeStatement(entries))
 
     def scc_members(self) -> set[tuple[int, Atom | Body | SumConstraint]]:
         """(component label, decoded member) pairs of the scc facts."""
-        members: set[tuple[int, Atom | Body | SumConstraint]] = set()
-        for label, term in self.scc_facts:
-            if term.functor == "atom":
-                members.add((label, _decode_atom(term)))
-            elif term.functor == "conjunction":
-                members.add((label, self.decode_body(term)))
-            elif term.functor == "sum":
-                members.add((label, self.decode_sum(term)))
-            else:
-                raise ReifyError(f"malformed scc member: {term}")
-        return members
+        return {(label, self.decode(term, ("atom", "conjunction", "sum"),
+                                    "scc member"))
+                for label, term in self.scc_facts}
 
 
 def parse_reified(facts) -> Program:

@@ -17,6 +17,7 @@ from aspkit.core import (
     SumConstraint,
     WeightedLiteral,
 )
+from aspkit.reify import ReifiedFact, Term, text_to_facts
 
 NAMES = "abcdefghijklmnop"
 
@@ -122,3 +123,45 @@ def choice_program(rng: random.Random, max_atoms=8, max_constraints=3,
                 Literal(atom, rng.random() < 0.25), weight, level))
     rng.shuffle(entries)
     return Program(tuple(rules), MinimizeStatement(tuple(entries)))
+
+
+#: Terms outside the reified vocabulary: foreign functors, and the
+#: vocabulary's functors with a wrong number of arguments.
+FOREIGN_TERMS = text_to_facts(
+    "f(foo(1,2),f(g(h)),atom,atom(a,b),pos,neg(1,2),sum(1,2),"
+    "conjunction,false(1)).")[0].args
+
+
+def _paths(args: tuple) -> list[tuple[int, ...]]:
+    """The position of every argument in ``args``, at any depth."""
+    return [(i, *rest) for i, arg in enumerate(args)
+            for rest in [()] + (_paths(arg.args) if type(arg) is Term
+                                else [])]
+
+
+def _replace(args: tuple, path: tuple[int, ...], new) -> tuple:
+    i, rest = path[0], path[1:]
+    if rest:
+        new = Term(args[i].functor, _replace(args[i].args, rest, new))
+    return args[:i] + (new,) + args[i + 1:]
+
+
+def term_mutant(rng: random.Random,
+                facts: list[ReifiedFact]) -> list[ReifiedFact]:
+    """``facts`` with one or two argument terms, at any depth, each
+    replaced by an integer, another term of ``facts`` or a term of
+    :data:`FOREIGN_TERMS`."""
+    facts = list(facts)
+    vocabulary = [arg for fact in facts for arg in fact.args]
+    vocabulary += [arg.args[0] for arg in vocabulary
+                   if type(arg) is Term and arg.args]
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(facts))
+        fact = facts[i]
+        dice = rng.random()
+        new = (rng.randint(-1, 9) if dice < 0.3
+               else rng.choice(vocabulary) if dice < 0.7
+               else rng.choice(FOREIGN_TERMS))
+        facts[i] = ReifiedFact(fact.predicate, _replace(
+            fact.args, rng.choice(_paths(fact.args)), new))
+    return facts

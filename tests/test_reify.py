@@ -32,7 +32,7 @@ from aspkit.reify import (
 )
 from aspkit.semantics import enumerate_answer_sets
 from conftest import TOY_MIN_TEXT
-from generators import choice_program, random_program, random_sum
+from generators import choice_program, random_program, random_sum, term_mutant
 from reference import reference_reify, scc_members
 
 TOY_MIN_FACTS = """\
@@ -384,6 +384,36 @@ class TestValidation:
             "wlist(1,0,pos(atom(a)),-1).\n")
         with pytest.raises(ReifyError, match="negative weight"):
             parse_reified(facts)
+
+    @pytest.mark.parametrize("text", [
+        "rule(pos(5),pos(conjunction(0))).",
+        "rule(pos(atom(a)),pos(7)).",
+    ])
+    def test_integer_where_a_term_belongs(self, text):
+        with pytest.raises(ReifyError, match="malformed rule"):
+            parse_reified(text_to_facts(text))
+
+    def test_term_mutants_raise_only_reify_error(self):
+        """Reified random programs with one or two argument terms, at any
+        depth, replaced by an integer, another term of the reification or
+        a foreign term: each mutant that reads as facts reads as a
+        program or raises ReifyError, never another exception."""
+        rng = random.Random(7)
+        outcomes = {"program": 0, "ReifyError": 0}
+        for _ in range(3000):
+            program = random_program(rng, max_atoms=5, max_rules=6)
+            text = facts_to_text(term_mutant(rng, reify(program)))
+            try:
+                facts = text_to_facts(text)
+            except ParseError:
+                continue
+            try:
+                parse_reified(facts)
+                outcomes["program"] += 1
+            except ReifyError:
+                outcomes["ReifyError"] += 1
+        assert outcomes["program"] >= 100
+        assert outcomes["ReifyError"] >= 2000
 
 
 def test_package_attribute_is_the_module():
