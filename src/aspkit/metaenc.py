@@ -27,11 +27,17 @@ Every part is written with meta atom names, and no fact, term or
 saturate and compare parts, the counterexample side, are positive Horn
 rules once a candidate is fixed, and most of a large check program's
 rules are among them (the wait levels grow quadratically in a
-component's size).  They are kept as name-level rows (see :data:`Row`),
-which :meth:`MetaProgram.to_text` prints and :class:`MetaSolver`
-compiles directly.  The candidate, guess and accept parts are kept as
-the lines that :meth:`MetaProgram.to_text` prints; a whole program as
-rules is ``parse_program(mp.to_text())``, the paper's route.
+component's size).  Each is kept as :class:`Rows`, name-level rows (see
+:data:`Row`) whose regular ones are held as families of same-shaped
+rows, a family's columns each one name for every row or a list of one
+name per row: a component's wait-atom, support, wait-conjunction and
+wait-sum rows, the check part's per-rule and per-atom ``bot`` rows and
+the saturation rows.  :meth:`MetaProgram.to_text` prints each family
+with one ``str.join`` over its interleaved columns, and
+:class:`MetaSolver` compiles the rows as it iterates them.  The
+candidate, guess and accept parts are kept as the lines that
+:meth:`MetaProgram.to_text` prints; a whole program as rules is
+``parse_program(mp.to_text())``, the paper's route.
 
 :func:`solve_meta` exploits exactly this structure: the candidates are
 the answer sets of the candidate part alone, found by the search of
@@ -61,7 +67,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 
 from . import core
 from .core import (
@@ -166,13 +172,106 @@ def _row_text(row: Row) -> str:
     return f"{head} :- {', '.join(body)}." if body else f"{head}."
 
 
-def _rows_text(rows) -> list[str]:
-    """Rows as rules of the core language; the sum-free ones, most rows
-    of a large program, are written here inline."""
-    return [_row_text(row) if row[2]
-            else f"{row[0]} :- {', '.join(row[1])}." if row[1]
-            else f"{row[0]}."
-            for row in rows]
+def _family_text(count: int, shapes) -> str:
+    """The rows of a family as lines, by one ``str.join``: a row of every
+    shape is written once as constant text around its list columns, that
+    period is repeated ``count`` times, and each list column is sliced
+    into its slot of every period."""
+    period = [""]   # constant text, then each list column and the text after
+    for head, body, sums in shapes:
+        line = [head]
+        for name in body:
+            line += (", ", name)
+        for lower, entries in sums:
+            line.append(f", {lower} #sum[")
+            for name, weight in entries:
+                line += (name, f"={weight},")
+            line[-1] = f"={weight}]"
+        if len(line) > 1:
+            line[1] = " :- " + line[1][2:]
+        line.append(".\n")
+        for piece in line:
+            if type(piece) is str:
+                period[-1] += piece
+            else:
+                period += (piece, "")
+    if len(period) == 3:
+        first, names, last = period
+        return first + (last + first).join(names) + last
+    width = len(period)
+    pieces = period * count
+    for slot in range(1, width, 2):
+        pieces[slot::width] = period[slot]
+    return "".join(pieces)
+
+
+def _family_rows(count: int, shapes) -> Iterator[Row]:
+    """The rows of a family as :data:`Row` tuples, interleaved by index."""
+    streams = []
+    for head, body, sums in shapes:
+        if sums:
+            sums = zip(*[zip(repeat(lower), zip(*[
+                zip(repeat(name, count) if type(name) is str else name,
+                    repeat(weight)) for name, weight in entries]))
+                for lower, entries in sums])
+        if body:
+            body = zip(*[repeat(name, count) if type(name) is str else name
+                         for name in body])
+        streams.append(zip(repeat(head, count) if type(head) is str
+                           else head, body or repeat((), count),
+                           sums or repeat((), count)))
+    return streams[0] if len(streams) == 1 else chain.from_iterable(
+        zip(*streams))
+
+
+class Rows:
+    """The rows of one part in print order, kept as ``entries``.
+
+    An entry is a list of :data:`Row` tuples, or a family of same-shaped
+    rows held as columns, ``(count, shapes)``: each shape is a
+    :data:`Row` whose head, body names and sum entry names are columns,
+    a column being one name for every row or a list of ``count`` names,
+    and the family's rows are row i of every shape, in shape order, for
+    i from 0 to ``count - 1``.  :meth:`text` prints a family by one
+    ``str.join`` over its interleaved columns; iteration yields every
+    row as a :data:`Row` in print order, and ``len`` counts them."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, rows=()):
+        self.entries: list = [list(rows)]   # a list last
+
+    def add(self, row: Row) -> None:
+        self.entries[-1].append(row)
+
+    def family(self, count: int, *shapes: Row) -> None:
+        if count:
+            self.entries += [(count, shapes), []]
+
+    def extend(self, other: Rows) -> None:
+        self.entries += other.entries
+
+    def __bool__(self) -> bool:
+        return any(self.entries)
+
+    def __len__(self) -> int:
+        return sum(len(entry) if type(entry) is list
+                   else entry[0] * len(entry[1]) for entry in self.entries)
+
+    def __iter__(self) -> Iterator[Row]:
+        return chain.from_iterable(
+            entry if type(entry) is list else _family_rows(*entry)
+            for entry in self.entries)
+
+    def text(self) -> str:
+        """The rows as rules of the core language, one line each; a row
+        without sums, most rows outside families, is written inline."""
+        return "".join([
+            _family_text(*entry) if type(entry) is tuple else "".join([
+                _row_text(row) + "\n" if row[2]
+                else f"{row[0]} :- {', '.join(row[1])}.\n" if row[1]
+                else f"{row[0]}.\n" for row in entry])
+            for entry in self.entries if entry])
 
 
 def _bounded_sums(parts, total: int):
@@ -193,7 +292,7 @@ class MetaProgram:
 
     The candidate, guess and accept parts are lines of text, one rule
     each, as :meth:`to_text` prints them; the evaluate, check, saturate
-    and compare parts are :data:`Row` tuples.  The object atoms are kept
+    and compare parts are :class:`Rows`.  The object atoms are kept
     by name, sorted; the candidate part as rules and the candidate side
     are made when first asked for."""
 
@@ -201,10 +300,10 @@ class MetaProgram:
     candidate_definitions: tuple[str, ...]
     candidate_rules: tuple[str, ...]
     guess: tuple[str, ...]
-    evaluate: tuple[Row, ...]
-    check: tuple[Row, ...]
-    saturate: tuple[Row, ...]
-    compare: tuple[Row, ...]
+    evaluate: Rows
+    check: Rows
+    saturate: Rows
+    compare: Rows
     accept: tuple[str, ...]
 
     @property
@@ -226,18 +325,19 @@ class MetaProgram:
         sections = (
             ("candidate generation", self.candidate),
             ("counterexample guess", self.guess),
-            ("counterexample evaluation", _rows_text(self.evaluate)),
-            ("answer-set check", _rows_text(self.check)),
-            ("saturation", _rows_text(self.saturate)),
-            ("comparison", _rows_text(self.compare)),
+            ("counterexample evaluation", self.evaluate),
+            ("answer-set check", self.check),
+            ("saturation", self.saturate),
+            ("comparison", self.compare),
             ("acceptance", self.accept),
         )
-        lines: list[str] = []
+        chunks: list[str] = []
         for title, part in sections:
             if part:
-                lines.append(f"% {title}")
-                lines.extend(part)
-        return "\n".join(lines) + "\n" if lines else ""
+                chunks.append(f"% {title}\n")
+                chunks.append(part.text() if type(part) is Rows
+                              else "\n".join(part) + "\n")
+        return "".join(chunks)
 
 
 class _Builder:
@@ -293,7 +393,7 @@ class _Builder:
         return [f"true_atom_{name} | fail_atom_{name}."
                 for name in self.labels.names]
 
-    def evaluate(self) -> list[Row]:
+    def evaluate(self) -> Rows:
         rows: list[Row] = []
         if any(head is None for head, _ in self.labels.rules):
             rows.append(("fail_false", (), ()))
@@ -320,32 +420,37 @@ class _Builder:
             fail = f"fail_conj_{label}"
             rows.extend((fail, (_ce_member(negated, inner, False),), ())
                         for negated, inner in members)
-        return rows
+        return Rows(rows)
 
     # -- answer-set check ----------------------------------------------
 
-    def check(self) -> list[Row]:
-        rows: list[Row] = [
-            ("bot", (f"true_conj_{label}", _entity("fail", head)), ())
-            for head, label in self.labels.rules]
+    def check(self) -> Rows:
+        rules = self.labels.rules
+        rows = Rows()
+        rows.family(len(rules), ("bot", (
+            [f"true_conj_{label}" for _, label in rules],
+            [_entity("fail", head) for head, _ in rules]), ()))
         # labels of each atom's supporting rules, in first-occurrence order
         supports: dict[str, dict[int, None]] = {
             name: {} for name in self.labels.names}
-        for head, label in self.labels.rules:
+        for head, label in rules:
             for name in self.labels.support(head):
                 supports[name][label] = None
-        for name, labels in supports.items():
-            rows.append(("bot", (f"true_atom_{name}",
-                                *(f"fail_conj_{s}" for s in labels)), ()))
+        # one family per run of atoms with as many supporting rules
+        for _, run in groupby(supports.items(), lambda item: len(item[1])):
+            run = list(run)
+            rows.family(len(run), ("bot", (
+                [f"true_atom_{name}" for name, _ in run],
+                *map(list, zip(*[[f"fail_conj_{s}" for s in labels]
+                                 for _, labels in run]))), ()))
         for label in range(len(self.labels.components)):
             rows.extend(self._component_rules(label, supports))
         return rows
 
-    def _component_rules(self, label: int, supports) -> list[Row]:
-        """Wait-level rows of one component, made in bulk: the step
-        suffixes ``_0`` ... ``_z`` are made once, each element's wait
-        atom names are its prefix plus each suffix, and the rows of a
-        family are zipped from those name lists and repeated bodies, so
+    def _component_rules(self, label: int, supports) -> Rows:
+        """Wait-level rows of one component as families: the step
+        suffixes ``_0`` ... ``_z`` are made once, and each element's wait
+        atom names, its prefix plus each suffix, are the list columns, so
         no step's row is built by a Python statement of its own.  The
         rows of a conjunction or sum interleave by step.  The component's
         members are split by key type, its atom names coming first and
@@ -357,70 +462,69 @@ class _Builder:
         steps = len(names)
         internal_conjs = set(conj_labels)
         suffixes = [f"_{step}" for step in range(steps + 1)]
-        # wait atom names by step: atoms (keyed by name) at 0..steps,
-        # conjunctions and sums at 0..steps-1
+        # wait atom names of each atom (keyed by name) at 0..steps-1 and
+        # at 1..steps, of each conjunction and sum at 0..steps-1
         wait_atom = {a: list(map(f"wait_atom_{a}".__add__, suffixes))
                      for a in names}
+        now = {a: waits[:steps] for a, waits in wait_atom.items()}
+        after = {a: waits[1:] for a, waits in wait_atom.items()}
         suffixes = suffixes[:steps]
         wait_conj = {c: list(map(f"wait_conj_{c}".__add__, suffixes))
                      for c in conj_labels}
         wait_sum = {key: list(map(_entity("wait", key).__add__, suffixes))
                     for key in sum_keys}
-        no_sums = repeat(())
-        rows: list[Row] = [(wait_atom[a][0], (), ()) for a in names]
+        rows = Rows()
+        rows.family(steps, ([waits[0] for waits in wait_atom.values()],
+                            (), ()))
         for a in names:
-            rows.extend(zip(wait_atom[a][1:], repeat((f"fail_atom_{a}",)),
-                            no_sums))
+            rows.family(steps, (after[a], (f"fail_atom_{a}",), ()))
         for a in names:
-            internal = [wait_conj[s] for s in supports[a]
-                        if s in internal_conjs]
             sccw = f"sccw_atom_{a}"
-            rows.append((sccw, tuple(f"fail_conj_{s}" for s in supports[a]
-                                     if s not in internal_conjs), ()))
-            rows.extend(zip(wait_atom[a][1:], zip(repeat(sccw), *internal),
-                            no_sums))
+            rows.add((sccw, tuple(
+                f"fail_conj_{s}" for s in supports[a]
+                if s not in internal_conjs), ()))
+            rows.family(steps, (after[a], (sccw, *(
+                wait_conj[s] for s in supports[a] if s in internal_conjs)),
+                ()))
         for conj in conj_labels:
             waits = wait_conj[conj]
             members = [
-                (wait_atom if type(inner) is str else wait_sum).get(inner)
+                (now if type(inner) is str else wait_sum).get(inner)
                 for negated, inner in self.labels.conjunctions[conj]
                 if not negated]
             # per step: the fail row, then one row per internal member
-            streams = [zip(waits, repeat((f"fail_conj_{conj}",)), no_sums)]
-            streams.extend(zip(waits, zip(member), no_sums)
-                           for member in members if member is not None)
-            rows.extend(chain.from_iterable(zip(*streams)))
+            rows.family(steps, (waits, (f"fail_conj_{conj}",), ()), *(
+                (waits, (member,), ()) for member in members
+                if member is not None))
         for key in sum_keys:
             waits = wait_sum[key]
             entries = self.labels.sums[key]
             total = sum(weight for _, _, weight in entries)
             threshold = total - key[0] + 1
-            streams = [zip(waits, repeat((_entity("fail", key),)), no_sums)]
+            shapes = [(waits, (_entity("fail", key),), ())]
             if threshold <= 0:
-                streams.append(zip(waits, no_sums, no_sums))
+                shapes.append((waits, (), ()))
             elif threshold <= total:
                 # per entry: its wait atom names by step, or its fixed
                 # guess atom at every step
-                columns = [
-                    zip(wait_atom[name], repeat(weight))
-                    if not negated and name in wait_atom
-                    else repeat((_ce_lit(negated, name, False), weight))
-                    for negated, name, weight in entries]
-                sums = (((threshold, counted),) for counted in zip(*columns))
-                streams.append(zip(waits, no_sums, sums))
-            rows.extend(chain.from_iterable(zip(*streams)))
-        rows.extend(("bot", (f"true_atom_{a}", wait_atom[a][steps]), ())
-                    for a in names)
+                shapes.append((waits, (), ((threshold, tuple(
+                    (now[name] if not negated and name in now
+                     else _ce_lit(negated, name, False), weight)
+                    for negated, name, weight in entries)),)))
+            rows.family(steps, *shapes)
+        rows.family(steps, ("bot", ([f"true_atom_{a}" for a in names],
+                                    [waits[steps] for waits
+                                     in wait_atom.values()]), ()))
         return rows
 
     # -- saturation and acceptance --------------------------------------
 
-    def saturate(self) -> list[Row]:
-        bot = ("bot",)
-        rows: list[Row] = []
-        for name in self.labels.names:
-            rows.append((f"true_atom_{name}", bot, ()))
-            rows.append((f"fail_atom_{name}", bot, ()))
+    def saturate(self) -> Rows:
+        names = self.labels.names
+        rows = Rows()
+        rows.family(len(names),
+                    ([f"true_atom_{name}" for name in names], ("bot",), ()),
+                    ([f"fail_atom_{name}" for name in names], ("bot",), ()))
         return rows
 
     # -- comparison ------------------------------------------------------
@@ -437,9 +541,9 @@ class _Builder:
         name = f"hold_atom_{lit[1]}"
         return name if lit[0] else f"not {name}"
 
-    def compare(self) -> list[Row]:
+    def compare(self) -> Rows:
         if not self.crit.relations:
-            return [_row("bot")]
+            return Rows([_row("bot")])
         rows: list[Row] = []
         lit_rows: dict[str, list[Row]] = {}
         levels = self.cxopt.levels()
@@ -462,7 +566,7 @@ class _Builder:
                              f"worse_{_num(level)}"))
         rows.append(_row("bot", f"inspect_{_num(levels[-1])}",
                          f"eqlevel_{_num(levels[-1])}"))
-        return rows
+        return Rows(rows)
 
     def _group(self, level: int, weight: int) -> tuple[tuple[int, Lit], ...]:
         """(index, literal) pairs of the minimize group, in list order."""
@@ -606,15 +710,16 @@ def build_meta_program(program: Program, crit: CriteriaSet) -> MetaProgram:
         candidate_definitions=tuple(builder.candidate_definitions()),
         candidate_rules=tuple(builder.candidate_rules()),
         guess=tuple(builder.guess()),
-        evaluate=tuple(builder.evaluate()),
-        check=tuple(builder.check()),
-        saturate=tuple(builder.saturate()),
-        compare=tuple(builder.compare()),
+        evaluate=builder.evaluate(),
+        check=builder.check(),
+        saturate=builder.saturate(),
+        compare=builder.compare(),
         accept=(":- not bot.",),
     )
 
 
-def _compare_conditions(mp: MetaProgram) -> list[str]:
+def _compare_conditions(mp: MetaProgram, static_rows: list[Row],
+                        compare_rows: list[Row]) -> list[str]:
     """The candidate conditions of the compare rows in order of first
     occurrence, once the structure that makes the counterexample side a
     positive closure over the guess atoms and these conditions is
@@ -630,7 +735,7 @@ def _compare_conditions(mp: MetaProgram) -> list[str]:
              for family in ("true", "fail")}
     candidate = {a.name for a in mp.candidate_side}
     static: set[str] = set()
-    for row in mp.evaluate + mp.check + mp.saturate:
+    for row in static_rows:
         head, body, sums = row
         if head in guess and bot not in body:
             raise ContractViolationError(
@@ -646,7 +751,7 @@ def _compare_conditions(mp: MetaProgram) -> list[str]:
             f"{sorted(static & candidate)}")
     foreign = candidate | (static - guess)
     conditions: dict[str, None] = {}
-    for row in mp.compare:
+    for row in compare_rows:
         _, body, sums = row
         for text in body:
             name = text.removeprefix("not ")
@@ -665,7 +770,7 @@ def _compare_conditions(mp: MetaProgram) -> list[str]:
                 raise ContractViolationError(
                     f"compare sum must be positive over the compare part: "
                     f"{_row_text(row)}")
-    heads = {head for head, _, _ in mp.compare}
+    heads = {head for head, _, _ in compare_rows}
     heads.discard(bot)
     shared = heads & (static | guess | candidate | conditions.keys())
     if shared:
@@ -705,7 +810,9 @@ class MetaSolver:
         # fail_atom at n + i and bot at 2n, so a guess atom is an int;
         # the conditions follow, then other names in order of first
         # occurrence.
-        conditions = _compare_conditions(mp)
+        static = [*mp.evaluate, *mp.check, *mp.saturate]
+        compare = list(mp.compare)
+        conditions = _compare_conditions(mp, static, compare)
         keys = ([f"true_atom_{name}" for name in names]
                 + [f"fail_atom_{name}" for name in names]
                 + ["bot"] + conditions)
@@ -718,8 +825,7 @@ class MetaSolver:
             (idx(head), [idx(name) for name in body],
              [(lower, [(idx(name), w) for name, w in entries])
               for lower, entries in sums])
-            for head, body, sums in (*mp.evaluate, *mp.check, *mp.saturate,
-                                     *mp.compare)]
+            for head, body, sums in static + compare]
         self._bot = 2 * n
         self._closure = HornClosure(list(index), horn)
         #: closed states of the guesses that escaped, tried in this order

@@ -78,9 +78,9 @@ def _preference(literals: tuple[Literal, ...], prefer):
 
 
 # A standing builder takes one relation's column of values, value k
-# belonging to the vector at bit k, and returns ``standing(v) -> (as_good,
-# better)``: the masks of the vectors whose value u has u <= v, and of
-# those whose value u has not v <= u.
+# belonging to the vector at bit k, and returns the pair of functions
+# ``as_good(v)`` and ``better(v)``: the masks of the vectors whose value u
+# has u <= v, and of those whose value u has not v <= u.
 
 
 def _incl(width: int, column: list[int]):
@@ -88,23 +88,28 @@ def _incl(width: int, column: list[int]):
     ``lacking[b]`` of the vectors whose value lacks literal bit b: u <= v
     when u lacks every bit v lacks, and not v <= u when u lacks a bit of
     v.  Each ``lacking[b]`` is read off one 0/1 string of the column's
-    complements, last vector first; a standing is made on each call, -1
+    complements, last vector first; a mask is made on each call, -1
     standing for every vector."""
     full, spec = (1 << width) - 1, f"0{width}b"
     text = "".join(format(full ^ v, spec) for v in reversed(column))
     lacking = [int(text[width - 1 - b::width] or "0", 2)
                for b in range(width)]
 
-    def standing(v: int) -> tuple[int, int]:
-        as_good, better = -1, 0
+    def as_good(v: int) -> int:
+        mask = -1
+        for b, lacks in enumerate(lacking):
+            if not v >> b & 1:
+                mask &= lacks
+        return mask
+
+    def better(v: int) -> int:
+        mask = 0
         for b, lacks in enumerate(lacking):
             if v >> b & 1:
-                better |= lacks
-            else:
-                as_good &= lacks
-        return as_good, better
+                mask |= lacks
+        return mask
 
-    return standing
+    return as_good, better
 
 
 def _pairwise(leq, column: list[int]):
@@ -123,7 +128,7 @@ def _pairwise(leq, column: list[int]):
                 as_good[v] |= u_mask
             else:
                 better[u] |= v_mask
-    return {v: (as_good[v], better[v]) for v in buckets}.__getitem__
+    return as_good.__getitem__, better.__getitem__
 
 
 class CompiledCriteria:
@@ -192,16 +197,16 @@ class CompiledCriteria:
         vectors at least as good as ``x`` at every relation of the
         levels swept so far, and a vector in it that ``x`` is not at
         least as good as at a relation of the current level dominates
-        ``x``.  None when ``alike`` runs empty or the levels run out."""
+        ``x``.  None when ``alike`` runs empty or the levels run out; a
+        level that empties ``alike`` asks for no ``better`` mask."""
         alike = -1
         for level, relations in self._levels:
-            found = [standings[i](x[i]) for i, _ in relations]
-            for as_good, _ in found:
-                alike &= as_good
+            for i, _ in relations:
+                alike &= standings[i][0](x[i])
             if not alike:
                 return None
-            for (_, weight), (_, better) in zip(relations, found):
-                if better & alike:
+            for i, weight in relations:
+                if standings[i][1](x[i]) & alike:
                     return level, weight
         return None
 

@@ -23,7 +23,7 @@ from aspkit.core import (
     atoms,
     is_extended,
 )
-from aspkit.metaenc import MetaSolver, build_meta_program, solve_meta
+from aspkit.metaenc import MetaSolver, Rows, build_meta_program, solve_meta
 from aspkit.parser import parse_program
 from aspkit.semantics import canonical_order, enumerate_answer_sets
 from generators import (
@@ -239,7 +239,7 @@ def reference_refutes(mp, x, y):
             for a in candidate_atoms(mp)]
     side = dataclasses.replace(
         mp, candidate_definitions=(), candidate_rules=(), guess=(),
-        compare=tuple(resolved), accept=())
+        compare=Rows(resolved), accept=())
     rules = parse_program(side.to_text()).rules
     closure = closure_of_rules(rules, [BOT, *seed])
     index = closure.index
