@@ -30,11 +30,12 @@ rules are among them (the wait levels grow quadratically in a
 component's size).  Each is kept as :class:`Rows`, name-level rows (see
 :data:`Row`) whose regular ones are held as families of same-shaped
 rows, a family's columns each one name for every row or a list of one
-name per row: a component's wait-atom, support, wait-conjunction and
-wait-sum rows, the check part's per-rule and per-atom ``bot`` rows and
-the saturation rows.  :meth:`MetaProgram.to_text` prints each family
-with one ``str.join`` over its interleaved columns, and
-:class:`MetaSolver` compiles the rows as it iterates them.  The
+name per row: a component's wait-atom rows (one family for all its
+atoms), support, wait-conjunction and wait-sum rows, the check part's
+per-rule and per-atom ``bot`` rows and the saturation rows; a family of
+one row per shape is kept as those rows.  :meth:`MetaProgram.to_text`
+prints each family with one ``str.join`` over its interleaved columns,
+and :class:`MetaSolver` compiles the rows as it iterates them.  The
 candidate, guess and accept parts are kept as the lines that
 :meth:`MetaProgram.to_text` prints; a whole program as rules is
 ``parse_program(mp.to_text())``, the paper's route.
@@ -232,9 +233,10 @@ class Rows:
     :data:`Row` whose head, body names and sum entry names are columns,
     a column being one name for every row or a list of ``count`` names,
     and the family's rows are row i of every shape, in shape order, for
-    i from 0 to ``count - 1``.  :meth:`text` prints a family by one
-    ``str.join`` over its interleaved columns; iteration yields every
-    row as a :data:`Row` in print order, and ``len`` counts them."""
+    i from 0 to ``count - 1``; a family of one row per shape is kept as
+    those rows.  :meth:`text` prints a family by one ``str.join`` over
+    its interleaved columns; iteration yields every row as a
+    :data:`Row` in print order, and ``len`` counts them."""
 
     __slots__ = ("entries",)
 
@@ -245,7 +247,9 @@ class Rows:
         self.entries[-1].append(row)
 
     def family(self, count: int, *shapes: Row) -> None:
-        if count:
+        if count == 1:
+            self.entries[-1].extend(_family_rows(1, shapes))
+        elif count:
             self.entries += [(count, shapes), []]
 
     def extend(self, other: Rows) -> None:
@@ -476,8 +480,10 @@ class _Builder:
         rows = Rows()
         rows.family(steps, ([waits[0] for waits in wait_atom.values()],
                             (), ()))
-        for a in names:
-            rows.family(steps, (after[a], (f"fail_atom_{a}",), ()))
+        rows.family(steps * steps, (
+            list(chain.from_iterable(after.values())),
+            (list(chain.from_iterable(
+                [f"fail_atom_{a}"] * steps for a in names)),), ()))
         for a in names:
             sccw = f"sccw_atom_{a}"
             rows.add((sccw, tuple(

@@ -32,12 +32,11 @@ are assigned on one table of plain keys per program (:func:`tables`,
 a :class:`Tables`), which also holds each sum's entries, the
 components' members and the positive support of each head and sum.
 The meta build reads those tables without any fact being made, and
-:func:`reify` renders the facts from the complete tables in one pass.
-Each distinct term is built once per reification, and every fact that
-holds it shares that one object.  Proper disjunction heads and sums
-with no entries (no wlist/4 fact could name their list; only the
-library API builds them) are outside this format: :func:`reify`
-rejects both.
+:func:`reify_text` writes the fact text from the complete tables in one
+pass, making the text of each distinct term once; :func:`reify` reads
+that text back as a fact list.  Proper disjunction heads and sums with
+no entries (no wlist/4 fact could name their list; only the library API
+builds them) are outside this format: :func:`tables` rejects both.
 
 :class:`FactReader` checks each fact against one table of predicates
 and their argument counts (rule/2, set/2, wlist/4, scc/2, minimize/2),
@@ -67,7 +66,6 @@ from .core import (
     Rule,
     SumConstraint,
     WeightedLiteral,
-    is_extended,
 )
 from .parser import _INT_START, _Failure, _is_name, _expected, _read, _take
 
@@ -98,8 +96,6 @@ class ReifiedFact:
         return f"{self.predicate}({','.join(str(a) for a in self.args)})."
 
 
-_POS_FALSE = Term("pos", (Term("false"),))
-
 #: The wrapper of a signed member, indexed by its ``negated`` flag.
 _SIGN = ("pos", "neg")
 
@@ -117,8 +113,8 @@ class Tables:
     name or sum key), and a list entry by (negated, atom name, weight).
     Conjunction and list labels are keyed by tuples of these, so no
     syntax object is hashed and no fact or term is made while the
-    labels are assigned.  :func:`tables` fills them; :func:`reify`
-    renders the facts from them and the meta build reads them."""
+    labels are assigned.  :func:`tables` fills them; :func:`reify_text`
+    writes the facts from them and the meta build reads them."""
 
     def __init__(self):
         self._list_labels: dict[tuple[Entry, ...], int] = {}
@@ -178,7 +174,8 @@ class Tables:
         if type(head) is Disjunction:
             if len(head.atoms) > 1:
                 raise ContractViolationError(
-                    "proper disjunction heads cannot be reified")
+                    "only extended programs (no proper disjunctions) can "
+                    "be reified")
             key = head.atoms[0].name if head.atoms else None
         else:
             key = self._sum(head)
@@ -251,9 +248,6 @@ class Tables:
 def tables(program: Program) -> Tables:
     """The canonical labels of ``program`` as tables; no fact or term is
     made."""
-    if not is_extended(program):
-        raise ContractViolationError(
-            "only extended programs (no proper disjunctions) can be reified")
     built = Tables()
     for rule in program.rules:
         built.add_rule(rule)
@@ -262,90 +256,55 @@ def tables(program: Program) -> Tables:
     return built
 
 
-def reify(program: Program) -> list[ReifiedFact]:
-    """The fact list describing ``program`` (deterministic), rendered in
-    one pass from its complete tables, in the order of first use: each
-    rule fact is followed by the list facts of a head sum and the set
-    facts of a conjunction seen first there, each set fact by the list
-    facts of its sum if seen first there; then the scc facts; then each
-    minimize fact with its list facts if seen first there.  Each
-    distinct term is made once, and every fact that holds it shares that
-    one object."""
+def reify_text(program: Program) -> str:
+    """The facts describing ``program`` (deterministic), one a line,
+    written in one pass from its complete tables in the order of first
+    use: each rule fact is followed by the list facts of a head sum and
+    the set facts of a conjunction seen first there, each set fact by
+    the list facts of its sum if seen first there; then the scc facts;
+    then each minimize fact with its list facts if seen first there.
+    The text of each distinct atom, sum and conjunction term is made
+    once, keyed by its table key."""
     labels = tables(program)
-    out: list[ReifiedFact] = []
-    terms: dict[Inner, Term] = {}
-    members: dict[tuple[bool, Inner], Term] = {}
-    # the next list and conjunction labels to render: labels are given
-    # in order of first use
-    listed = placed = 0
-
-    def term(inner: Inner) -> Term:
-        """``atom(a)`` or ``sum(L,S,U)``."""
-        found = terms.get(inner)
-        if found is None:
-            found = terms[inner] = (
-                Term("atom", (Term(inner),)) if type(inner) is str
-                else Term("sum", inner))
-        return found
-
-    def member(key: tuple[bool, Inner]) -> Term:
-        found = members.get(key)
-        if found is None:
-            found = members[key] = Term(_SIGN[key[0]], (term(key[1]),))
-        return found
-
-    def wlist(label: int) -> None:
-        nonlocal listed
-        if label == listed:
-            listed += 1
-            for index, (negated, name, weight) in enumerate(
-                    labels.lists[label]):
-                out.append(ReifiedFact("wlist", (
-                    label, index, member((negated, name)), weight)))
-
-    conjunctions = [Term("conjunction", (label,))
-                    for label in range(len(labels.conjunctions))]
-    bodies = [Term("pos", (conjunction,)) for conjunction in conjunctions]
+    terms: dict[Inner | int | None, str] = {None: "false"}
+    terms.update({name: f"atom({name})" for name in labels.names})
+    terms.update({key: "sum(%d,%d,%d)" % key for key in labels.sums})
+    terms.update({label: f"conjunction({label})"
+                  for label in range(len(labels.conjunctions))})
+    # each list's facts by label, popped where the list is first used
+    wlists = {label: "".join([
+        f"wlist({label},{index},{_SIGN[negated]}({terms[name]}),{weight}).\n"
+        for index, (negated, name, weight) in enumerate(entries)])
+        for label, entries in enumerate(labels.lists)}
+    lines: list[str] = []
+    placed = 0   # conjunction labels are given in order of first use
     for head, label in labels.rules:
-        out.append(ReifiedFact("rule", (
-            _POS_FALSE if head is None else member((False, head)),
-            bodies[label])))
+        lines.append(f"rule(pos({terms[head]}),pos({terms[label]})).\n")
         if type(head) is tuple:
-            wlist(head[1])
+            lines.append(wlists.pop(head[1], ""))
         if label == placed:
             placed += 1
-            for key in labels.conjunctions[label]:
-                out.append(ReifiedFact("set", (label, member(key))))
-                if type(key[1]) is tuple:
-                    wlist(key[1][1])
+            for negated, inner in labels.conjunctions[label]:
+                lines.append(
+                    f"set({label},{_SIGN[negated]}({terms[inner]})).\n")
+                if type(inner) is tuple:
+                    lines.append(wlists.pop(inner[1], ""))
     for component, found in enumerate(labels.components):
-        out.extend(ReifiedFact("scc", (
-            component, conjunctions[key] if type(key) is int
-            else term(key))) for key in found)
+        lines += [f"scc({component},{terms[key]}).\n" for key in found]
     for level, label in labels.minimize.items():
-        out.append(ReifiedFact("minimize", (level, label)))
-        wlist(label)
-    return out
+        lines.append(f"minimize({level},{label}).\n")
+        lines.append(wlists.pop(label, ""))
+    return "".join(lines)
+
+
+def reify(program: Program) -> list[ReifiedFact]:
+    """The facts of :func:`reify_text`, read back as a fact list."""
+    return text_to_facts(reify_text(program))
 
 
 def facts_to_text(facts) -> str:
-    """The facts, one a line, as ``str`` prints each.  A term object that
-    several facts share, as a reification's do, is printed once per
-    call."""
-    printed: dict[int, str] = {}
-
-    def text(arg) -> str:
-        if type(arg) is not Term:
-            return str(arg)
-        known = printed.get(id(arg))
-        if known is None:
-            known = printed[id(arg)] = (
-                f"{arg.functor}({','.join(map(text, arg.args))})"
-                if arg.args else arg.functor)
-        return known
-
-    return "".join([f"{fact.predicate}({','.join(map(text, fact.args))}).\n"
-                    for fact in facts])
+    """The facts, one a line, as ``str`` prints each."""
+    return "".join([f"{fact}\n" for fact in facts])
 
 
 #: Deepest term nesting ``text_to_facts`` reads, counting the fact

@@ -714,12 +714,12 @@ def reference_text_to_facts(text: str) -> list[ReifiedFact]:
 # -- the reification and SCC decomposition on syntax objects ----------------
 
 # The reification builder and the Tarjan decomposition as they were before
-# the builder shared one term per distinct atom, sum and signed member and
-# keyed its labels by plain tuples, and before the decomposition numbered
-# the atoms: a new ``Term`` per occurrence, labels keyed by tuples of
-# ``Term``s, and Tarjan over dicts and sets of atoms.  They are the
-# differential oracle of ``reify`` and ``sccs``: equal fact lists, and
-# equal components, labels and order.
+# reify kept its labels in tables of plain tuples and wrote its text
+# straight from them, and before the decomposition numbered the atoms: a
+# new ``Term`` per occurrence, labels keyed by tuples of ``Term``s, and
+# Tarjan over dicts and sets of atoms.  They are the differential oracle
+# of ``reify_text``, ``reify`` and ``sccs``: equal text and fact lists,
+# and equal components, labels and order.
 
 
 @dataclass(frozen=True)

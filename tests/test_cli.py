@@ -12,7 +12,8 @@ from aspkit import cli, consequence, metaenc, optimize
 from aspkit.cli import main
 from aspkit.compiled import CompiledProgram, Search
 from aspkit.core import Atom
-from aspkit.parser import render_program
+from aspkit.parser import parse_program, render_program
+from aspkit.reify import reify_text
 from aspkit.semantics import compile_program
 from conftest import TOY_MIN_TEXT, TOY_TEXT
 from generators import random_program
@@ -320,6 +321,32 @@ class TestReify:
         code, _, err = run(capsys, "reify", str(path))
         assert code == 3 and "2:1" in err
 
+    def test_prints_reify_text(self, capsys, tmp_path):
+        """stdout is ``reify_text`` of the program, here a 50-atom
+        positive cycle entered from a choice, with a sum head and a
+        minimize statement."""
+        text = "\n".join([
+            "{e}.", "r0 :- e.",
+            *[f"r{(i + 1) % 50} :- r{i}." for i in range(50)],
+            "1 {a, not b, r3} 2 :- r7, not e.",
+            "#minimize[a=1@1, r0=2@2, not b=1@2]."])
+        path = tmp_path / "cycle.lp"
+        path.write_text(text)
+        expected = reify_text(parse_program(text))
+        assert "scc(0,atom(r49))." in expected
+        assert run(capsys, "reify", str(path)) == (0, expected, "")
+
+
+@pytest.mark.parametrize("command", ["reify", "metaenc", "crosscheck"])
+def test_disjunctive_program_is_refused(capsys, tmp_path, command):
+    """A proper disjunction after an extended rule is refused while the
+    label tables are filled: one stderr line, exit 2, no output."""
+    path = tmp_path / "disj.lp"
+    path.write_text("a. b | c :- a. d :- b.\n")
+    assert run(capsys, command, str(path)) == (
+        2, "", "error: only extended programs (no proper disjunctions) "
+        "can be reified\n")
+
 
 class TestMetaenc:
     def test_contains_guess_and_acceptance(self, capsys, toy_min_file,
@@ -341,7 +368,6 @@ class TestMetaenc:
         assert code == 2 and "disjunction" in err
 
     def test_output_reparses(self, capsys, toy_min_file, incl_file):
-        from aspkit.parser import parse_program
         _, out, _ = run(capsys, "metaenc", toy_min_file,
                         "--criteria", incl_file)
         parse_program(out)

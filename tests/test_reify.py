@@ -28,6 +28,7 @@ from aspkit.reify import (
     facts_to_text,
     parse_reified,
     reify,
+    reify_text,
     text_to_facts,
 )
 from aspkit.semantics import enumerate_answer_sets
@@ -226,26 +227,28 @@ def shared_program(rng: random.Random) -> Program:
 
 
 class TestAgainstReference:
-    """The builder that shares one term per distinct atom, sum and
-    signed member prints what the one-term-per-occurrence reference
-    prints."""
+    """The text that ``reify_text`` writes straight from the label
+    tables is what the reference, which builds one new term object per
+    occurrence, prints; ``reify`` is that text read back as facts."""
 
     def test_random_programs(self):
         rng = random.Random(21)
         for _ in range(2000):
             program = random_program(rng, minimize=True)
-            facts, expected = reify(program), reference_reify(program)
-            assert facts == expected
-            assert facts_to_text(facts) == facts_to_text(expected)
+            text, expected = reify_text(program), reference_reify(program)
+            assert text == facts_to_text(expected)
+            facts = reify(program)
+            assert facts == text_to_facts(text) == expected
 
     def test_repeated_sums_bodies_and_lists(self):
         rng = random.Random(22)
         shared_lists = 0
         for _ in range(1000):
             program = shared_program(rng)
+            text = reify_text(program)
+            assert text == facts_to_text(reference_reify(program))
             facts = reify(program)
-            assert facts_to_text(facts) == \
-                facts_to_text(reference_reify(program))
+            assert facts == text_to_facts(text)
             # heads of rule facts and members of set facts
             signed = [fact.args[fact.predicate == "set"] for fact in facts
                       if fact.predicate in ("rule", "set")]
