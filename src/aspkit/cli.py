@@ -14,7 +14,7 @@ import sys
 from . import consequence, core, metaenc, optimize, semantics
 from .core import Atom, CapExceededError, ContractViolationError, CriteriaSet
 from .parser import ParseError, SourceSpan, parse_criteria, parse_program
-from .reify import reify_text
+from .reify import facts_to_text, reify
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -74,7 +74,7 @@ def _print_sets(sets) -> int:
 
 def cmd_reify(args) -> int:
     program = parse_program(_read(args.program))
-    sys.stdout.write(reify_text(program))
+    sys.stdout.write(facts_to_text(reify(program)))
     return EXIT_OK
 
 

@@ -227,9 +227,6 @@ class CriteriaSet:
         """Occurring criterion levels, descending (most significant first)."""
         return tuple(sorted({lv for lv, _, _ in self.relations}, reverse=True))
 
-    def prefers(self, first: Literal, second: Literal) -> bool:
-        return (first, second) in set(self.prefer)
-
     def with_prefer_closure(self) -> "CriteriaSet":
         """Same criteria with the preference relation closed under
         reflexivity and transitivity over the literals it mentions."""

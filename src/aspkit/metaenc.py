@@ -5,7 +5,8 @@ assembles from that reification's label tables
 (:class:`aspkit.reify.Tables`, read as they are, with no copy or view),
 in the toolkit's own core language, a ground disjunctive program whose
 answer sets project onto the optimal answer sets of the object program
-(outside facts go through ``parse_reified``).  Its parts:
+(fact text from outside is read into such tables by ``text_to_facts``
+and decoded by ``parse_reified``).  Its parts:
 
 * candidate: re-derives the object program over ``hold_*`` atoms
   (choice heads become trivial-bound sum heads, each sum and body
@@ -91,7 +92,7 @@ from .compiled import (
 )
 from .optimize import optimal_answer_sets
 from .parser import parse_program
-from .reify import Inner, Tables, tables
+from .reify import Inner, Tables, reify
 from .semantics import canonical_order, universe
 
 #: Cap on guessed candidate-side atoms in solve_meta.
@@ -709,7 +710,7 @@ class _Builder:
 
 def build_meta_program(program: Program, crit: CriteriaSet) -> MetaProgram:
     """Assemble the check program from ``program``'s canonical labels."""
-    labels = tables(program)
+    labels = reify(program)
     builder = _Builder(labels, crit, program.minimize)
     return MetaProgram(
         atom_names=tuple(labels.names),

@@ -20,10 +20,11 @@ rejected as non-ground input.  At most one ``#minimize`` statement is
 accepted.  Criteria are a separate input of ``optimize(J,W,O).`` and
 ``prefer(L1,L2).`` facts.
 
-Program, criteria and fact text (:func:`aspkit.reify.text_to_facts`)
-share one lexer: one ``findall`` of one pattern gives the tokens as
-strings, with whitespace and comments skipped inside the pattern and
-``""`` at the end, and each reader walks that list by index.  A
+Program, criteria and fact text (:func:`aspkit.reify.text_to_facts`,
+which reads the fact format's fixed grammar into label tables) share
+one lexer: one ``findall`` of one pattern gives the tokens as strings,
+with whitespace and comments skipped inside the pattern and ``""`` at
+the end, and each reader walks that list by index.  A
 variable-like token or a bad character anywhere is reported before any
 syntax error.  A line and column are worked out only for an error, by
 lexing again up to the failing token.

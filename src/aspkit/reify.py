@@ -27,35 +27,35 @@ materialized: 0 as lower, the total weight as upper.  Structurally
 identical weighted-literal lists share one label, as do identical
 conjunctions; the two label spaces are separate.  Sum lists and
 minimize lists share the one list label space, so a minimize level
-whose entries equal a sum's elements names that sum's list.  The labels
-are assigned on one table of plain keys per program (:func:`tables`,
-a :class:`Tables`), which also holds each sum's entries, the
-components' members and the positive support of each head and sum.
-The meta build reads those tables without any fact being made, and
-:func:`reify_text` writes the fact text from the complete tables in one
-pass, making the text of each distinct term once; :func:`reify` reads
-that text back as a fact list.  Proper disjunction heads and sums with
-no entries (no wlist/4 fact could name their list; only the library API
-builds them) are outside this format: :func:`tables` rejects both.
+whose entries equal a sum's elements names that sum's list.
 
-:class:`FactReader` checks each fact against one table of predicates
-and their argument counts (rule/2, set/2, wlist/4, scc/2, minimize/2),
-and decodes every term through one method, :meth:`FactReader.decode`,
-which checks the term's functor against those its place allows and its
-argument count against one table of functors (atom/1, sum/3,
-conjunction/1, false/0, pos/1, neg/1).  An integer or a foreign term
-where a term belongs, or a term where an integer belongs, is a
+The one reified form is :class:`Tables`: the canonical labels kept as
+tables of plain keys, with each sum's entries, the components' members
+and the positive support of each head and sum.  :func:`reify` fills
+them from a program and :func:`text_to_facts` from fact text, both
+through the same builder methods, so facts whose labels differ from
+the canonical ones are read into the canonical tables.
+:func:`facts_to_text` writes the facts from the tables in one pass,
+making the text of each distinct term once; :func:`parse_reified`
+decodes the tables to a program; the meta build reads them as they
+are.  Proper disjunction heads and sums with no entries (no wlist/4
+fact could name their list; only the library API builds them) are
+outside this format: :func:`reify` rejects both.
+
+:func:`text_to_facts` reads the format's fixed grammar, so a fact, or a
+term inside one, that does not fit its place is a
+:class:`~aspkit.parser.ParseError` at its token.  It then resolves the
+labels: a dangling list label, a gap or a duplicate among a list's
+indexes, a negative weight in a sum's list, and scc facts that differ
+from the components recomputed from the rules are each a
 :class:`ReifyError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import consequence
 from .core import (
     Atom,
-    Body,
     BodyLiteral,
     ContractViolationError,
     Disjunction,
@@ -67,33 +67,11 @@ from .core import (
     SumConstraint,
     WeightedLiteral,
 )
-from .parser import _INT_START, _Failure, _is_name, _expected, _read, _take
+from .parser import _Failure, _expected, _int, _is_name, _read, _take
 
 
 class ReifyError(Exception):
     """Malformed or inconsistent reified facts."""
-
-
-@dataclass(frozen=True)
-class Term:
-    """A ground term: a functor with term or integer arguments."""
-
-    functor: str
-    args: tuple["Term | int", ...] = ()
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.functor
-        return f"{self.functor}({','.join(str(a) for a in self.args)})"
-
-
-@dataclass(frozen=True)
-class ReifiedFact:
-    predicate: str
-    args: tuple[Term | int, ...]
-
-    def __str__(self) -> str:
-        return f"{self.predicate}({','.join(str(a) for a in self.args)})."
 
 
 #: The wrapper of a signed member, indexed by its ``negated`` flag.
@@ -113,8 +91,11 @@ class Tables:
     name or sum key), and a list entry by (negated, atom name, weight).
     Conjunction and list labels are keyed by tuples of these, so no
     syntax object is hashed and no fact or term is made while the
-    labels are assigned.  :func:`tables` fills them; :func:`reify_text`
-    writes the facts from them and the meta build reads them."""
+    labels are assigned.  :func:`reify` and :func:`text_to_facts` fill
+    them through :meth:`add_sum`, :meth:`add_rule`, :meth:`add_minimize`
+    and :meth:`add_sccs`; :func:`facts_to_text` writes the facts from
+    them and the meta build reads them.  Two tables are equal when they
+    describe the same facts."""
 
     def __init__(self):
         self._list_labels: dict[tuple[Entry, ...], int] = {}
@@ -137,6 +118,15 @@ class Tables:
         #: minimize list label by level, ascending
         self.minimize: dict[int, int] = {}
 
+    def __len__(self) -> int:
+        """The number of facts the tables describe."""
+        return (len(self.rules) + sum(map(len, self.conjunctions))
+                + sum(map(len, self.lists)) + sum(map(len, self.components))
+                + len(self.minimize))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Tables and vars(self) == vars(other)
+
     def _list(self, entries: tuple[Entry, ...]) -> int:
         """The label of a weighted-literal list: a sum's elements or one
         minimize level's entries, which therefore share labels."""
@@ -146,15 +136,11 @@ class Tables:
             self.lists.append(entries)
         return label
 
-    def _sum(self, sc: SumConstraint) -> tuple[int, int, int]:
-        """A sum's (lower, label, upper), its bounds materialized."""
-        if not sc.elements:
-            raise ContractViolationError(f"empty sums cannot be reified: {sc}")
-        label = self._list(tuple(
-            (wl.literal.negated, wl.literal.atom.name, wl.weight)
-            for wl in sc.elements))
-        lower = sc.lower if sc.lower is not None else 0
-        upper = sc.upper if sc.upper is not None else sc.total
+    def add_sum(self, lower: int, entries: tuple[Entry, ...],
+                upper: int) -> tuple[int, int, int]:
+        """The key of the sum of ``entries`` within ``lower`` and
+        ``upper``, both given."""
+        label = self._list(entries)
         key = lower, label, upper
         self.sums.setdefault(key, self.lists[label])
         return key
@@ -169,25 +155,20 @@ class Tables:
         return tuple(dict.fromkeys(
             name for negated, name, _ in self.sums[inner] if not negated))
 
-    def add_rule(self, rule: Rule) -> None:
-        head = rule.head
-        if type(head) is Disjunction:
-            if len(head.atoms) > 1:
-                raise ContractViolationError(
-                    "only extended programs (no proper disjunctions) can "
-                    "be reified")
-            key = head.atoms[0].name if head.atoms else None
-        else:
-            key = self._sum(head)
-        members = tuple(
-            (bl.negated, bl.element.name if type(bl.element) is Atom
-             else self._sum(bl.element))
-            for bl in rule.body)
+    def add_rule(self, head: Inner | None,
+                 members: tuple[tuple[bool, Inner], ...]) -> None:
+        """The next rule: its head and its conjunction's members, sums
+        by the keys :meth:`add_sum` gave."""
         label = self._conj_labels.get(members)
         if label is None:
             label = self._conj_labels[members] = len(self.conjunctions)
             self.conjunctions.append(members)
-        self.rules.append((key, label))
+        self.rules.append((head, label))
+
+    def add_minimize(self, level: int, entries: tuple[Entry, ...]) -> None:
+        """The entries of minimize level ``level``; levels come in
+        ascending order."""
+        self.minimize[level] = self._list(entries)
 
     def add_sccs(self) -> None:
         """The names, the components of the positive dependency graph,
@@ -238,34 +219,54 @@ class Tables:
                     if type(inner) is tuple:
                         found.setdefault(inner)
 
-    def add_minimize(self, statement: MinimizeStatement) -> None:
-        for level in statement.levels():
-            self.minimize[level] = self._list(tuple(
-                (e.literal.negated, e.literal.atom.name, e.weight)
-                for e in statement.entries if e.level == level))
 
-
-def tables(program: Program) -> Tables:
+def reify(program: Program) -> Tables:
     """The canonical labels of ``program`` as tables; no fact or term is
     made."""
     built = Tables()
+    add_sum = built.add_sum
+
+    def sum_key(sc: SumConstraint) -> tuple[int, int, int]:
+        if not sc.elements:
+            raise ContractViolationError(f"empty sums cannot be reified: {sc}")
+        return add_sum(
+            sc.lower if sc.lower is not None else 0,
+            tuple((wl.literal.negated, wl.literal.atom.name, wl.weight)
+                  for wl in sc.elements),
+            sc.upper if sc.upper is not None else sc.total)
+
     for rule in program.rules:
-        built.add_rule(rule)
-    built.add_minimize(program.minimize)
+        head = rule.head
+        if type(head) is Disjunction:
+            if len(head.atoms) > 1:
+                raise ContractViolationError(
+                    "only extended programs (no proper disjunctions) can "
+                    "be reified")
+            head = head.atoms[0].name if head.atoms else None
+        else:
+            head = sum_key(head)
+        built.add_rule(head, tuple(
+            (bl.negated, bl.element.name if type(bl.element) is Atom
+             else sum_key(bl.element))
+            for bl in rule.body))
+    statement = program.minimize
+    for level in statement.levels():
+        built.add_minimize(level, tuple(
+            (e.literal.negated, e.literal.atom.name, e.weight)
+            for e in statement.entries if e.level == level))
     built.add_sccs()
     return built
 
 
-def reify_text(program: Program) -> str:
-    """The facts describing ``program`` (deterministic), one a line,
-    written in one pass from its complete tables in the order of first
-    use: each rule fact is followed by the list facts of a head sum and
-    the set facts of a conjunction seen first there, each set fact by
-    the list facts of its sum if seen first there; then the scc facts;
-    then each minimize fact with its list facts if seen first there.
-    The text of each distinct atom, sum and conjunction term is made
-    once, keyed by its table key."""
-    labels = tables(program)
+def facts_to_text(labels: Tables) -> str:
+    """The facts the tables describe (deterministic), one a line,
+    written in one pass in the order of first use: each rule fact is
+    followed by the list facts of a head sum and the set facts of a
+    conjunction seen first there, each set fact by the list facts of
+    its sum if seen first there; then the scc facts; then each minimize
+    fact with its list facts if seen first there.  The text of each
+    distinct atom, sum and conjunction term is made once, keyed by its
+    table key."""
     terms: dict[Inner | int | None, str] = {None: "false"}
     terms.update({name: f"atom({name})" for name in labels.names})
     terms.update({key: "sum(%d,%d,%d)" % key for key in labels.sums})
@@ -297,205 +298,179 @@ def reify_text(program: Program) -> str:
     return "".join(lines)
 
 
-def reify(program: Program) -> list[ReifiedFact]:
-    """The facts of :func:`reify_text`, read back as a fact list."""
-    return text_to_facts(reify_text(program))
+def parse_reified(labels: Tables) -> Program:
+    """The program the tables describe, in normal form (see
+    :func:`aspkit.core.normalize`)."""
+    atoms = {name: Atom(name) for name in labels.names}
+    lists = [tuple(WeightedLiteral(Literal(atoms[name], negated), weight)
+                   for negated, name, weight in entries)
+             for entries in labels.lists]
+    sums = {key: SumConstraint(key[0], lists[key[1]], key[2])
+            for key in labels.sums}
+    heads = {name: Disjunction((atom,)) for name, atom in atoms.items()}
+    heads[None] = Disjunction(())
+    heads.update(sums)
+    bodies = [tuple(BodyLiteral(atoms[inner] if type(inner) is str
+                                else sums[inner], negated)
+                    for negated, inner in members)
+              for members in labels.conjunctions]
+    return Program(
+        tuple(Rule(heads[head], bodies[label])
+              for head, label in labels.rules),
+        MinimizeStatement(tuple(
+            MinimizeEntry(wl.literal, wl.weight, level)
+            for level, label in labels.minimize.items()
+            for wl in lists[label])))
 
 
-def facts_to_text(facts) -> str:
-    """The facts, one a line, as ``str`` prints each."""
-    return "".join([f"{fact}\n" for fact in facts])
+# -- reading fact text ---------------------------------------------------------
+
+#: Each predicate's tokens after its name, up to its ``.``: a token to
+#: match, ``int`` for an integer, or the functors a term there allows.
+_FACTS = {
+    "rule": ["(", "pos", "(", ("atom", "sum", "false"), ")", ",", "pos",
+             "(", "conjunction", "(", int, ")", ")", ")"],
+    "set": ["(", int, ",", _SIGN, "(", ("atom", "sum"), ")", ")"],
+    "wlist": ["(", int, ",", int, ",", _SIGN, "(", ("atom",), ")", ",", int,
+              ")"],
+    "scc": ["(", int, ",", ("atom", "conjunction", "sum"), ")"],
+    "minimize": ["(", int, ",", int, ")"],
+}
 
 
-#: Deepest term nesting ``text_to_facts`` reads, counting the fact
-#: itself; the vocabulary needs four levels.  Deeper terms would exhaust
-#: the recursion of the reader and of every later walk over them.
-MAX_TERM_DEPTH = 100
+def _argument(tokens: list[str], i: int, allowed: tuple[str, ...]):
+    """The term at token ``i``, one of the functors ``allowed``, and the
+    index after it: ``atom(a)`` as its name, ``sum(L,S,U)`` as (L, S, U),
+    ``conjunction(S)`` as S, ``false`` as None, and the functor alone of
+    ``pos`` or ``neg`` as whether it is ``neg``."""
+    functor = tokens[i]
+    if functor not in allowed:
+        raise _Failure("expected " + " or ".join(map(repr, allowed))
+                       + f", found {functor!r}", i)
+    if functor == "false":
+        return None, i + 1
+    if functor in _SIGN:
+        return functor == "neg", i + 1
+    i = _take(tokens, i + 1, "(")
+    if functor == "atom":
+        if not _is_name(tokens[i]):
+            raise _expected("name", tokens, i)
+        value = tokens[i]
+    elif functor == "conjunction":
+        value = _int(tokens, i)
+    else:
+        value = (_int(tokens, i), _int(tokens, _take(tokens, i + 1, ",")),
+                 _int(tokens, _take(tokens, i + 3, ",")))
+        i += 4
+    return value, _take(tokens, i + 1, ")")
 
 
-def _term(tokens: list[str], i: int, depth: int) -> tuple[Term | int, int]:
-    """The term from token ``i`` at nesting ``depth``, and the index
-    after it."""
-    token = tokens[i]
-    if token[:1] in _INT_START:
-        return int(token), i + 1
-    if not _is_name(token):
-        raise _expected("name", tokens, i)
-    if depth > MAX_TERM_DEPTH:
-        raise _Failure(f"term nested deeper than {MAX_TERM_DEPTH} levels", i)
-    i += 1
-    args: list[Term | int] = []
-    if tokens[i] == "(":
-        while True:
-            arg, i = _term(tokens, i + 1, depth + 1)
-            args.append(arg)
-            if tokens[i] != ",":
-                break
-        i = _take(tokens, i, ")")
-    return Term(token, tuple(args)), i
+class _Given:
+    """The facts of a text by predicate, their labels as given, read
+    from its tokens."""
 
-
-def _facts(tokens: list[str]) -> list[ReifiedFact]:
-    facts: list[ReifiedFact] = []
-    i = 0
-    while tokens[i]:
-        start = i
-        term, i = _term(tokens, i, 1)
-        i = _take(tokens, i, ".")
-        if isinstance(term, int) or not term.args:
-            raise _Failure("expected a fact with arguments", start)
-        facts.append(ReifiedFact(term.functor, term.args))
-    return facts
-
-
-def text_to_facts(text: str) -> list[ReifiedFact]:
-    """Parse fact text; syntax errors carry source spans."""
-    return _read(text, _facts)
-
-
-#: The argument count of each functor of the format's terms; the one
-#: argument of ``atom`` is the atom's name, a constant.
-_ARITY = {"atom": 1, "sum": 3, "conjunction": 1, "false": 0, "pos": 1,
-         "neg": 1}
-
-#: The argument count of each predicate of the format.
-_PREDICATES = {"rule": 2, "set": 2, "wlist": 4, "scc": 2, "minimize": 2}
-
-
-def _expect_int(value, what: str) -> int:
-    if not isinstance(value, int):
-        raise ReifyError(f"{what} must be an integer, got {value}")
-    return value
-
-
-class FactReader:
-    """Validating decoder of a fact list; labels are kept as given.
-
-    Each fact's predicate and argument count are checked against one
-    table of predicates.  Every term goes through :meth:`decode`, which
-    checks its functor against those its place allows and its argument
-    count against one table of functors, so an integer or a foreign term
-    where a term of the format belongs is a :class:`ReifyError`."""
-
-    def __init__(self, facts):
-        #: per rule fact: the head and body inside its pos wrappers
-        self.rule_facts: list[tuple[Term, Term]] = []
-        #: per conjunction label: its members as (negated, inner term)
-        self.set_facts: dict[int, list[tuple[bool, Term]]] = {}
-        #: per list label, by index: ((negated, atom term), weight)
-        self.wlist_facts: dict[int, dict[int, tuple[tuple[bool, Term],
-                                                    int]]] = {}
-        self.scc_facts: list[tuple[int, Term]] = []
-        self.minimize_facts: list[tuple[int, int]] = []
-        for fact in facts:
-            predicate, args = fact.predicate, fact.args
-            if predicate not in _PREDICATES:
-                raise ReifyError(f"unknown predicate in fact: {fact}")
-            if len(args) != _PREDICATES[predicate]:
-                raise ReifyError(
-                    f"{predicate}/{_PREDICATES[predicate]} expected: {fact}")
+    def __init__(self, tokens: list[str]):
+        #: per rule fact: its head and conjunction label
+        self.rules: list[tuple[Inner | None, int]] = []
+        #: per conjunction label: its members
+        self.sets: dict[int, list[tuple[bool, Inner]]] = {}
+        #: per list label, by index: the entry
+        self.wlists: dict[int, dict[int, Entry]] = {}
+        #: (component label, member) per scc fact
+        self.sccs: list[tuple[int, Inner | int]] = []
+        #: (level, list label) per minimize fact
+        self.minimize: list[tuple[int, int]] = []
+        i = 0
+        while tokens[i]:
+            predicate = tokens[i]
+            if predicate not in _FACTS:
+                raise _Failure(f"unknown predicate {predicate!r}", i)
+            i += 1
+            values = []
+            for want in _FACTS[predicate]:
+                if type(want) is str:
+                    i = _take(tokens, i, want)
+                elif want is int:
+                    values.append(_int(tokens, i))
+                    i += 1
+                else:
+                    value, i = _argument(tokens, i, want)
+                    values.append(value)
+            i = _take(tokens, i, ".")
             if predicate == "rule":
-                self.rule_facts.append((
-                    self.decode(args[0], ("pos",), "rule head")[1],
-                    self.decode(args[1], ("pos",), "rule body")[1]))
+                self.rules.append(tuple(values))
             elif predicate == "set":
-                self.set_facts.setdefault(
-                    _expect_int(args[0], "set label"), []).append(
-                    self.decode(args[1], _SIGN, "set member"))
+                self.sets.setdefault(values[0], []).append(tuple(values[1:]))
             elif predicate == "wlist":
-                entries = self.wlist_facts.setdefault(
-                    _expect_int(args[0], "wlist label"), {})
-                index = _expect_int(args[1], "wlist index")
+                label, index, *entry = values
+                entries = self.wlists.setdefault(label, {})
                 if index in entries:
                     raise ReifyError(
-                        f"duplicate wlist index {index} in list {args[0]}")
-                entries[index] = (self.decode(args[2], _SIGN, "wlist literal"),
-                                  _expect_int(args[3], "wlist weight"))
+                        f"duplicate wlist index {index} in list {label}")
+                entries[index] = tuple(entry)
             elif predicate == "scc":
-                self.scc_facts.append(
-                    (_expect_int(args[0], "scc label"), args[1]))
+                self.sccs.append(tuple(values))
             else:
-                self.minimize_facts.append(
-                    (_expect_int(args[0], "minimize level"),
-                     _expect_int(args[1], "minimize list label")))
+                self.minimize.append(tuple(values))
 
-    def decode(self, term, kinds: tuple[str, ...], what: str):
-        """The value of ``term`` in a place that allows the functors
-        ``kinds``: ``pos(X)`` or ``neg(X)`` as (negated, X), ``atom(a)``
-        as an :class:`Atom`, ``sum(L,S,U)`` as a :class:`SumConstraint`
-        over list ``S``, ``conjunction(S)`` as the body of the set facts
-        of ``S``, and ``false`` as the empty head."""
-        if (type(term) is not Term or term.functor not in kinds
-                or len(term.args) != _ARITY[term.functor]):
-            raise ReifyError(f"malformed {what}: {term}")
-        functor, args = term.functor, term.args
-        if functor in _SIGN:
-            return functor == "neg", args[0]
-        if functor == "atom":
-            if type(args[0]) is not Term or args[0].args:
-                raise ReifyError(f"malformed {what}: {term}")
-            return Atom(args[0].functor)
-        if functor == "sum":
-            lower, label, upper = map(_expect_int, args, (
-                "sum lower bound", "sum list label", "sum upper bound"))
-            try:
-                return SumConstraint(lower, self.weighted(label), upper)
-            except ValueError as exc:
-                raise ReifyError(str(exc)) from exc
-        if functor == "conjunction":
-            return tuple(
-                BodyLiteral(self.decode(inner, ("atom", "sum"),
-                                        "conjunction member"), negated)
-                for negated, inner in self.set_facts.get(
-                    _expect_int(args[0], "conjunction label"), ()))
-        return Disjunction(())
-
-    def weighted(self, label: int) -> tuple[WeightedLiteral, ...]:
-        """The decoded entries of weighted-literal list ``label``."""
-        if label not in self.wlist_facts:
+    def entries(self, label: int) -> tuple[Entry, ...]:
+        """The entries of list ``label``, by index."""
+        by_index = self.wlists.get(label)
+        if by_index is None:
             raise ReifyError(f"dangling wlist label {label}")
-        by_index = self.wlist_facts[label]
-        if sorted(by_index) != list(range(len(by_index))):
+        found = tuple(map(by_index.get, range(len(by_index))))
+        if None in found:
             raise ReifyError(
                 f"wlist {label} indexes are not consecutive from 0")
-        entries = (by_index[i] for i in range(len(by_index)))
-        return tuple(
-            WeightedLiteral(Literal(self.decode(inner, ("atom",), "literal"),
-                                    negated), weight)
-            for (negated, inner), weight in entries)
+        return found
 
-    def program(self) -> Program:
-        """The program the facts describe; scc facts are not consulted."""
-        rules = []
-        for head, body in self.rule_facts:
-            head = self.decode(head, ("atom", "sum", "false"), "rule head")
-            rules.append(Rule(
-                Disjunction((head,)) if type(head) is Atom else head,
-                self.decode(body, ("conjunction",), "rule body")))
-        entries = tuple(
-            MinimizeEntry(wl.literal, wl.weight, level)
-            for level, label in sorted(self.minimize_facts,
-                                       key=lambda lv: lv[0])
-            for wl in self.weighted(label))
-        return Program(tuple(rules), MinimizeStatement(entries))
+    def add_sum(self, built: Tables, lower: int, label: int,
+                upper: int) -> tuple[int, int, int]:
+        entries = self.entries(label)
+        for negated, name, weight in entries:
+            if weight < 0:
+                raise ReifyError(
+                    "negative weight in sum constraint: "
+                    f"{'not ' if negated else ''}{name}={weight}")
+        return built.add_sum(lower, entries, upper)
 
-    def scc_members(self) -> set[tuple[int, Atom | Body | SumConstraint]]:
-        """(component label, decoded member) pairs of the scc facts."""
-        return {(label, self.decode(term, ("atom", "conjunction", "sum"),
-                                    "scc member"))
-                for label, term in self.scc_facts}
+    def members(self, built: Tables,
+                label: int) -> tuple[tuple[bool, Inner], ...]:
+        """The members of conjunction ``label``, sums by their keys in
+        ``built``; a conjunction with no set facts is empty."""
+        return tuple((negated, self.add_sum(built, *inner)
+                      if type(inner) is tuple else inner)
+                     for negated, inner in self.sets.get(label, ()))
+
+    def tables(self) -> Tables:
+        """The canonical tables, filled in the order :func:`reify` fills
+        them, and the scc facts checked against their components.  An
+        scc member is looked up by adding it: one that adds a label is
+        in no component, so the check fails."""
+        built = Tables()
+        for head, label in self.rules:
+            if type(head) is tuple:
+                head = self.add_sum(built, *head)
+            built.add_rule(head, self.members(built, label))
+        levels: dict[int, list[Entry]] = {}
+        for level, label in self.minimize:
+            levels.setdefault(level, []).extend(self.entries(label))
+        for level in sorted(levels):
+            built.add_minimize(level, tuple(levels[level]))
+        built.add_sccs()
+        given = {(component, member if type(member) is str
+                  else self.add_sum(built, *member) if type(member) is tuple
+                  else built._conj_labels.get(self.members(built, member)))
+                 for component, member in self.sccs}
+        if given != {(component, key)
+                     for component, found in enumerate(built.components)
+                     for key in found}:
+            raise ReifyError("scc facts are inconsistent with the recomputed "
+                             "dependency decomposition")
+        return built
 
 
-def parse_reified(facts) -> Program:
-    """The program a fact list describes.
-
-    The only reader of facts from outside: their labels may differ from
-    the canonical ones, and their scc/2 facts are checked against the
-    components recomputed from the decoded program.
-    """
-    given = FactReader(facts)
-    program = given.program()
-    if given.scc_members() != FactReader(reify(program)).scc_members():
-        raise ReifyError("scc facts are inconsistent with the recomputed "
-                         "dependency decomposition")
-    return program
+def text_to_facts(text: str) -> Tables:
+    """The canonical tables of fact text, whatever its labels; a syntax
+    error carries its source span."""
+    return _read(text, lambda tokens: _Given(tokens).tables())

@@ -17,7 +17,7 @@ from aspkit.core import (
     SumConstraint,
     WeightedLiteral,
 )
-from aspkit.reify import ReifiedFact, Term, text_to_facts
+from reference import ReifiedFact, Term, reference_text_to_facts
 
 NAMES = "abcdefghijklmnop"
 
@@ -127,7 +127,7 @@ def choice_program(rng: random.Random, max_atoms=8, max_constraints=3,
 
 #: Terms outside the reified vocabulary: foreign functors, and the
 #: vocabulary's functors with a wrong number of arguments.
-FOREIGN_TERMS = text_to_facts(
+FOREIGN_TERMS = reference_text_to_facts(
     "f(foo(1,2),f(g(h)),atom,atom(a,b),pos,neg(1,2),sum(1,2),"
     "conjunction,false(1)).")[0].args
 

@@ -22,8 +22,11 @@ positive syntax-object rules into a ``HornClosure`` on its own, and
 counterexample side.  ``fresh_meta_solve`` asks a new meta solver
 about each stable candidate, so no candidate is tested against a guess
 kept for another.  The token-stream readers of program, criteria and
-fact text are the oracle for the shared lexer's readers.  A
-reification that builds a new term per occurrence, and a Tarjan
+fact text are the oracle for the shared lexer's readers; fact text read
+as generic term objects and decoded by :class:`FactReader`
+(``reference_parse_reified``) is the oracle of ``text_to_facts`` and
+``parse_reified``.  A reification that builds a new term per
+occurrence, and a Tarjan
 decomposition over atoms into plain :class:`Component` records, are the
 oracles of ``reify`` and ``sccs``.  The dependency graph read through
 ``positive_part`` and ``atoms_of`` rule by rule, as a :class:`Graph` of
@@ -63,7 +66,7 @@ from aspkit.core import (
 )
 from aspkit.metaenc import MetaProgram, MetaSolver, _ce_lit, _entity
 from aspkit.parser import ParseError, SourceSpan
-from aspkit.reify import MAX_TERM_DEPTH, ReifiedFact, Term
+from aspkit.reify import ReifyError
 from aspkit.semantics import canonical_order
 
 
@@ -680,6 +683,47 @@ def reference_parse_criteria(text: str) -> CriteriaSet:
     return CriteriaSet(tuple(relations), tuple(prefer))
 
 
+# -- reified facts as term objects ------------------------------------------
+#
+# Fact text read as generic terms and facts, then decoded fact by fact,
+# as ``text_to_facts`` and ``parse_reified`` did before both read fact
+# text straight into ``reify.Tables``: the differential oracle of that
+# route, and the form the term mutants of the fuzz tests are made in.
+
+
+@dataclass(frozen=True)
+class Term:
+    """A ground term: a functor with term or integer arguments."""
+
+    functor: str
+    args: tuple["Term | int", ...] = ()
+
+    def __str__(self) -> str:
+        if not self.args:
+            return self.functor
+        return f"{self.functor}({','.join(str(a) for a in self.args)})"
+
+
+@dataclass(frozen=True)
+class ReifiedFact:
+    predicate: str
+    args: tuple[Term | int, ...]
+
+    def __str__(self) -> str:
+        return f"{self.predicate}({','.join(str(a) for a in self.args)})."
+
+
+def reference_facts_to_text(facts) -> str:
+    """The facts, one a line, as ``str`` prints each."""
+    return "".join([f"{fact}\n" for fact in facts])
+
+
+#: Deepest term nesting ``reference_text_to_facts`` reads, counting the
+#: fact itself; the vocabulary needs four levels.  Deeper terms would
+#: exhaust the recursion of the reader and of every later walk over them.
+MAX_TERM_DEPTH = 100
+
+
 def _parse_term(ts, depth: int = 1) -> Term | int:
     if ts.at("int"):
         return int(ts.take("int")[1])
@@ -718,8 +762,8 @@ def reference_text_to_facts(text: str) -> list[ReifiedFact]:
 # straight from them, and before the decomposition numbered the atoms: a
 # new ``Term`` per occurrence, labels keyed by tuples of ``Term``s, and
 # Tarjan over dicts and sets of atoms.  They are the differential oracle
-# of ``reify_text``, ``reify`` and ``sccs``: equal text and fact lists,
-# and equal components, labels and order.
+# of ``reify`` and ``sccs``: equal fact text, and equal components,
+# labels and order.
 
 
 @dataclass(frozen=True)
@@ -932,6 +976,163 @@ def reference_reify(program: Program) -> list[ReifiedFact]:
     builder.add_sccs()
     builder.add_minimize(program.minimize)
     return builder.facts
+
+
+# -- the fact-object decoder --------------------------------------------------
+
+# The decoder of fact lists as it was before fact text was read straight
+# into ``reify.Tables``: one check per fact against a table of predicates,
+# every term decoded through one method, referenced set and list facts
+# decoded lazily, and the scc facts checked against those of the decoded
+# program reified again.  ``reference_parse_reified`` of
+# ``reference_text_to_facts`` is the differential oracle of
+# ``parse_reified`` of ``text_to_facts``.
+
+#: The wrapper of a signed member, indexed by its ``negated`` flag.
+_SIGN = ("pos", "neg")
+
+#: The argument count of each functor of the format's terms; the one
+#: argument of ``atom`` is the atom's name, a constant.
+_ARITY = {"atom": 1, "sum": 3, "conjunction": 1, "false": 0, "pos": 1,
+          "neg": 1}
+
+#: The argument count of each predicate of the format.
+_PREDICATES = {"rule": 2, "set": 2, "wlist": 4, "scc": 2, "minimize": 2}
+
+
+def _expect_int(value, what: str) -> int:
+    if not isinstance(value, int):
+        raise ReifyError(f"{what} must be an integer, got {value}")
+    return value
+
+
+class FactReader:
+    """Validating decoder of a fact list; labels are kept as given.
+
+    Each fact's predicate and argument count are checked against one
+    table of predicates.  Every term goes through :meth:`decode`, which
+    checks its functor against those its place allows and its argument
+    count against one table of functors, so an integer or a foreign term
+    where a term of the format belongs is a :class:`ReifyError`."""
+
+    def __init__(self, facts):
+        #: per rule fact: the head and body inside its pos wrappers
+        self.rule_facts: list[tuple[Term, Term]] = []
+        #: per conjunction label: its members as (negated, inner term)
+        self.set_facts: dict[int, list[tuple[bool, Term]]] = {}
+        #: per list label, by index: ((negated, atom term), weight)
+        self.wlist_facts: dict[int, dict[int, tuple[tuple[bool, Term],
+                                                    int]]] = {}
+        self.scc_facts: list[tuple[int, Term]] = []
+        self.minimize_facts: list[tuple[int, int]] = []
+        for fact in facts:
+            predicate, args = fact.predicate, fact.args
+            if predicate not in _PREDICATES:
+                raise ReifyError(f"unknown predicate in fact: {fact}")
+            if len(args) != _PREDICATES[predicate]:
+                raise ReifyError(
+                    f"{predicate}/{_PREDICATES[predicate]} expected: {fact}")
+            if predicate == "rule":
+                self.rule_facts.append((
+                    self.decode(args[0], ("pos",), "rule head")[1],
+                    self.decode(args[1], ("pos",), "rule body")[1]))
+            elif predicate == "set":
+                self.set_facts.setdefault(
+                    _expect_int(args[0], "set label"), []).append(
+                    self.decode(args[1], _SIGN, "set member"))
+            elif predicate == "wlist":
+                entries = self.wlist_facts.setdefault(
+                    _expect_int(args[0], "wlist label"), {})
+                index = _expect_int(args[1], "wlist index")
+                if index in entries:
+                    raise ReifyError(
+                        f"duplicate wlist index {index} in list {args[0]}")
+                entries[index] = (self.decode(args[2], _SIGN, "wlist literal"),
+                                  _expect_int(args[3], "wlist weight"))
+            elif predicate == "scc":
+                self.scc_facts.append(
+                    (_expect_int(args[0], "scc label"), args[1]))
+            else:
+                self.minimize_facts.append(
+                    (_expect_int(args[0], "minimize level"),
+                     _expect_int(args[1], "minimize list label")))
+
+    def decode(self, term, kinds: tuple[str, ...], what: str):
+        """The value of ``term`` in a place that allows the functors
+        ``kinds``: ``pos(X)`` or ``neg(X)`` as (negated, X), ``atom(a)``
+        as an :class:`Atom`, ``sum(L,S,U)`` as a :class:`SumConstraint`
+        over list ``S``, ``conjunction(S)`` as the body of the set facts
+        of ``S``, and ``false`` as the empty head."""
+        if (type(term) is not Term or term.functor not in kinds
+                or len(term.args) != _ARITY[term.functor]):
+            raise ReifyError(f"malformed {what}: {term}")
+        functor, args = term.functor, term.args
+        if functor in _SIGN:
+            return functor == "neg", args[0]
+        if functor == "atom":
+            if type(args[0]) is not Term or args[0].args:
+                raise ReifyError(f"malformed {what}: {term}")
+            return Atom(args[0].functor)
+        if functor == "sum":
+            lower, label, upper = map(_expect_int, args, (
+                "sum lower bound", "sum list label", "sum upper bound"))
+            try:
+                return SumConstraint(lower, self.weighted(label), upper)
+            except ValueError as exc:
+                raise ReifyError(str(exc)) from exc
+        if functor == "conjunction":
+            return tuple(
+                BodyLiteral(self.decode(inner, ("atom", "sum"),
+                                        "conjunction member"), negated)
+                for negated, inner in self.set_facts.get(
+                    _expect_int(args[0], "conjunction label"), ()))
+        return Disjunction(())
+
+    def weighted(self, label: int) -> tuple[WeightedLiteral, ...]:
+        """The decoded entries of weighted-literal list ``label``."""
+        if label not in self.wlist_facts:
+            raise ReifyError(f"dangling wlist label {label}")
+        by_index = self.wlist_facts[label]
+        if sorted(by_index) != list(range(len(by_index))):
+            raise ReifyError(
+                f"wlist {label} indexes are not consecutive from 0")
+        entries = (by_index[i] for i in range(len(by_index)))
+        return tuple(
+            WeightedLiteral(Literal(self.decode(inner, ("atom",), "literal"),
+                                    negated), weight)
+            for (negated, inner), weight in entries)
+
+    def program(self) -> Program:
+        """The program the facts describe; scc facts are not consulted."""
+        rules = []
+        for head, body in self.rule_facts:
+            head = self.decode(head, ("atom", "sum", "false"), "rule head")
+            rules.append(Rule(
+                Disjunction((head,)) if type(head) is Atom else head,
+                self.decode(body, ("conjunction",), "rule body")))
+        entries = tuple(
+            MinimizeEntry(wl.literal, wl.weight, level)
+            for level, label in sorted(self.minimize_facts,
+                                       key=lambda lv: lv[0])
+            for wl in self.weighted(label))
+        return Program(tuple(rules), MinimizeStatement(entries))
+
+    def scc_members(self) -> set[tuple[int, Atom | Body | SumConstraint]]:
+        """(component label, decoded member) pairs of the scc facts."""
+        return {(label, self.decode(term, ("atom", "conjunction", "sum"),
+                                    "scc member"))
+                for label, term in self.scc_facts}
+
+
+def reference_parse_reified(facts) -> Program:
+    """The program a fact list describes, its scc facts checked against
+    the components recomputed from the decoded program."""
+    given = FactReader(facts)
+    program = given.program()
+    if given.scc_members() != FactReader(reference_reify(program)).scc_members():
+        raise ReifyError("scc facts are inconsistent with the recomputed "
+                         "dependency decomposition")
+    return program
 
 
 # -- the dependency graph and the wait-level rows, one object at a time -----

@@ -2,7 +2,10 @@ import contextlib
 import io
 import os
 import random
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from aspkit.cli import main
 from aspkit.compiled import CompiledProgram, Search
 from aspkit.core import Atom
 from aspkit.parser import parse_program, render_program
-from aspkit.reify import reify_text
+from aspkit.reify import facts_to_text, reify
 from aspkit.semantics import compile_program
 from conftest import TOY_MIN_TEXT, TOY_TEXT
 from generators import random_program
@@ -322,9 +325,9 @@ class TestReify:
         assert code == 3 and "2:1" in err
 
     def test_prints_reify_text(self, capsys, tmp_path):
-        """stdout is ``reify_text`` of the program, here a 50-atom
-        positive cycle entered from a choice, with a sum head and a
-        minimize statement."""
+        """stdout is the program's facts as ``facts_to_text`` writes its
+        ``reify`` tables, here of a 50-atom positive cycle entered from a
+        choice, with a sum head and a minimize statement."""
         text = "\n".join([
             "{e}.", "r0 :- e.",
             *[f"r{(i + 1) % 50} :- r{i}." for i in range(50)],
@@ -332,7 +335,7 @@ class TestReify:
             "#minimize[a=1@1, r0=2@2, not b=1@2]."])
         path = tmp_path / "cycle.lp"
         path.write_text(text)
-        expected = reify_text(parse_program(text))
+        expected = facts_to_text(reify(parse_program(text)))
         assert "scc(0,atom(r49))." in expected
         assert run(capsys, "reify", str(path)) == (0, expected, "")
 
@@ -707,3 +710,17 @@ def test_fuzzed_input_exits_with_a_documented_code(command, program,
             code = main(argv)
     assert code in (0, 2, 3, 4, 10), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_benchmark_tracer_finds_every_traced_function():
+    """The benchmark's tracer (perfbench/run.py) wraps aspkit functions
+    by name; each name it traces still exists.  It runs in a fresh
+    interpreter, since the tracer rebinds the functions in every aspkit
+    module it finds."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    script = ("import run, spans\n"
+              "run.import_aspkit()\n"
+              "run.install_tracing(spans.Tracer())\n")
+    done = subprocess.run([sys.executable, "-c", script], cwd=perfbench,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -20,7 +20,7 @@ from aspkit.core import (
     sorted_atoms,
 )
 from aspkit.parser import parse_program
-from aspkit.reify import tables
+from aspkit.reify import reify
 from aspkit.semantics import compile_program, enumerate_answer_sets
 from generators import iset, random_program
 from reference import (
@@ -67,7 +67,7 @@ def tables_graph(program: Program) -> tuple[list[str], list[list[int]]]:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(consequence, "strong_components", spy)
-        names = tables(program).names
+        names = reify(program).names
     (succ,) = seen
     return names, succ
 

@@ -32,8 +32,6 @@ from aspkit.metaenc import (
 from aspkit.optimize import optimal_answer_sets
 from aspkit.parser import parse_criteria, parse_program, render_program
 from aspkit.reify import (
-    ReifiedFact,
-    Term,
     facts_to_text,
     parse_reified,
     reify,
@@ -223,9 +221,8 @@ def chain_text(k: int) -> str:
 
 class TestRowsMakeNoRules:
     """Every part of a check program is written with meta atom names:
-    building and printing one makes no ``Rule``, ``ReifiedFact`` or
-    ``Term``, and solving one makes a ``Rule`` only by parsing the
-    candidate part's printed lines."""
+    building and printing one makes no ``Rule``, and solving one makes a
+    ``Rule`` only by parsing the candidate part's printed lines."""
 
     @staticmethod
     def made(monkeypatch, *classes) -> list:
@@ -245,7 +242,7 @@ class TestRowsMakeNoRules:
         n = 30
         program = parse_program("{a0}.\na1 :- a0.\n" + "".join(
             f"a{i % n + 1} :- a{i}.\n" for i in range(1, n + 1)))
-        made = self.made(monkeypatch, Rule, ReifiedFact, Term)
+        made = self.made(monkeypatch, Rule)
         mp = build(program, GROUND_CRITERIA)
         text = mp.to_text()
         build(GROUND_SHAPED, GROUND_CRITERIA).to_text()

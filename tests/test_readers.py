@@ -1,18 +1,33 @@
 """The program, criteria and fact readers against their token-stream
-reference: on rendered texts and on mutations of them, each reader
-returns a value equal to the reference's, or both raise a ParseError
-with the same message, line and column."""
+reference, on rendered texts and on mutations of them.  The program and
+criteria readers return a value equal to the reference's, or both raise
+a ParseError with the same message, line and column.  Fact text read
+into label tables and decoded, ``parse_reified(text_to_facts(text))``,
+is compared with the reference that reads it as term objects and
+decodes those fact by fact: both return the same program, or the text
+the reference rejects is rejected too, with a ParseError or a
+ReifyError.  Only a malformed term in a set or wlist fact that nothing
+references is rejected by the tables route alone, since it checks the
+form of every fact as it reads it."""
 
 import random
 
 import pytest
 
 from aspkit.parser import ParseError, parse_criteria, parse_program, render_program
-from aspkit.reify import facts_to_text, reify, text_to_facts
-from generators import random_criteria, random_program
+from aspkit.reify import (
+    ReifyError,
+    facts_to_text,
+    parse_reified,
+    reify,
+    text_to_facts,
+)
+from generators import random_criteria, random_program, term_mutant
 from reference import (
+    reference_facts_to_text,
     reference_parse_criteria,
     reference_parse_program,
+    reference_parse_reified,
     reference_text_to_facts,
 )
 
@@ -60,11 +75,13 @@ def render_criteria(crit) -> str:
 
 def outcome(read, text):
     """The value read from ``text``, or the message and position of its
-    parse error."""
+    parse error, or the message of its reify error."""
     try:
         return "value", read(text)
     except ParseError as err:
         return "error", err.message, err.span.line, err.span.column
+    except ReifyError as err:
+        return "error", str(err)
 
 
 def texts(seed: int, render):
@@ -86,20 +103,68 @@ def criteria_text(rng):
 
 
 def fact_text(rng):
-    return facts_to_text(reify(random_program(rng, max_rules=4,
+    """A reified random program's facts, every other one with one or two
+    argument terms replaced (see ``generators.term_mutant``)."""
+    text = facts_to_text(reify(random_program(rng, max_rules=4,
                                               minimize=True)))
+    if rng.random() < 0.5:
+        return text
+    return reference_facts_to_text(
+        term_mutant(rng, reference_text_to_facts(text)))
 
 
-@pytest.mark.parametrize("read, reference, render, seed", [
-    (parse_program, reference_parse_program, program_text, 101),
-    (parse_criteria, reference_parse_criteria, criteria_text, 102),
-    (text_to_facts, reference_text_to_facts, fact_text, 103),
+def read_facts(text: str):
+    return parse_reified(text_to_facts(text))
+
+
+def reference_read_facts(text: str):
+    return reference_parse_reified(reference_text_to_facts(text))
+
+
+def same_outcome(got, expected, text) -> None:
+    assert got == expected, repr(text)
+
+
+def same_program(got, expected, text) -> None:
+    """Equal programs, or the reference's rejection shared; a text only
+    ``read_facts`` rejects reads, without the facts whose form it
+    rejects, as the same program on both routes, and those are set or
+    wlist facts."""
+    if got[0] == expected[0]:
+        assert got[0] == "error" or got == expected, repr(text)
+        return
+    assert got[0] == "error", repr(text)
+
+    def malformed(fact) -> bool:
+        try:
+            text_to_facts(f"{fact}")
+        except ParseError:
+            return True
+        except ReifyError:
+            pass
+        return False
+
+    facts = reference_text_to_facts(text)
+    bad = {fact for fact in facts if malformed(fact)}
+    assert bad and {fact.predicate for fact in bad} <= {"set", "wlist"}, \
+        repr(text)
+    rest = reference_facts_to_text([f for f in facts if f not in bad])
+    assert reference_read_facts(rest) == expected[1] == read_facts(rest), \
+        repr(text)
+
+
+@pytest.mark.parametrize("read, reference, render, seed, agree", [
+    (parse_program, reference_parse_program, program_text, 101,
+     same_outcome),
+    (parse_criteria, reference_parse_criteria, criteria_text, 102,
+     same_outcome),
+    (read_facts, reference_read_facts, fact_text, 103, same_program),
 ], ids=["program", "criteria", "facts"])
 def test_reader_matches_token_stream_reference(read, reference, render,
-                                               seed):
+                                               seed, agree):
     kinds = set()
     for text in texts(seed, render):
         got = outcome(read, text)
-        assert got == outcome(reference, text), repr(text)
+        agree(got, outcome(reference, text), text)
         kinds.add(got[0])
     assert kinds == {"value", "error"}

@@ -22,19 +22,22 @@ from aspkit.core import (
 from aspkit.metaenc import crosscheck
 from aspkit.parser import ParseError, parse_program
 from aspkit.reify import (
-    MAX_TERM_DEPTH,
-    FactReader,
     ReifyError,
     facts_to_text,
     parse_reified,
     reify,
-    reify_text,
     text_to_facts,
 )
 from aspkit.semantics import enumerate_answer_sets
 from conftest import TOY_MIN_TEXT
 from generators import choice_program, random_program, random_sum, term_mutant
-from reference import reference_reify, scc_members
+from reference import (
+    FactReader,
+    reference_facts_to_text,
+    reference_reify,
+    reference_text_to_facts,
+    scc_members,
+)
 
 TOY_MIN_FACTS = """\
 rule(pos(sum(1,0,2)),pos(conjunction(0))).
@@ -82,13 +85,13 @@ class TestReifyShapes:
         assert "wlist(1," not in text
 
     def test_scc_facts_present_iff_nontrivial(self, toy):
-        assert any(f.predicate == "scc" for f in reify(toy))
+        assert "scc(" in facts_to_text(reify(toy))
         tight = parse_program("a :- b. b.")
-        assert not any(f.predicate == "scc" for f in reify(tight))
+        assert "scc(" not in facts_to_text(reify(tight))
 
     def test_integrity_constraint_head(self):
-        facts = reify(parse_program(":- a."))
-        assert str(facts[0]) == "rule(pos(false),pos(conjunction(0)))."
+        text = facts_to_text(reify(parse_program(":- a.")))
+        assert text.startswith("rule(pos(false),pos(conjunction(0))).\n")
 
     def test_proper_disjunction_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -142,8 +145,9 @@ class TestReifyShapes:
                        if i % 4 else choice_program(rng, max_atoms=5))
             expected = {(label, normal(m))
                         for label, m in scc_members(program)}
-            got = {(label, normal(m)) for label, m
-                   in FactReader(reify(program)).scc_members()}
+            facts = reference_text_to_facts(facts_to_text(reify(program)))
+            got = {(label, normal(m))
+                   for label, m in FactReader(facts).scc_members()}
             assert got == expected
             seen += any(not isinstance(m, Atom) for _, m in got)
         assert seen >= 100
@@ -227,35 +231,35 @@ def shared_program(rng: random.Random) -> Program:
 
 
 class TestAgainstReference:
-    """The text that ``reify_text`` writes straight from the label
+    """The text that ``facts_to_text`` writes straight from the label
     tables is what the reference, which builds one new term object per
-    occurrence, prints; ``reify`` is that text read back as facts."""
+    occurrence, prints, one line per fact the tables count; that text
+    reads back as the same tables and decodes to the normal form."""
+
+    @staticmethod
+    def assert_round_trip(program) -> None:
+        labels = reify(program)
+        text = facts_to_text(labels)
+        assert text == reference_facts_to_text(reference_reify(program))
+        assert len(labels) == len(text.splitlines())
+        read = text_to_facts(text)
+        assert read == labels
+        assert parse_reified(read) == normalize(program)
 
     def test_random_programs(self):
         rng = random.Random(21)
         for _ in range(2000):
-            program = random_program(rng, minimize=True)
-            text, expected = reify_text(program), reference_reify(program)
-            assert text == facts_to_text(expected)
-            facts = reify(program)
-            assert facts == text_to_facts(text) == expected
+            self.assert_round_trip(random_program(rng, minimize=True))
 
     def test_repeated_sums_bodies_and_lists(self):
         rng = random.Random(22)
         shared_lists = 0
         for _ in range(1000):
             program = shared_program(rng)
-            text = reify_text(program)
-            assert text == facts_to_text(reference_reify(program))
-            facts = reify(program)
-            assert facts == text_to_facts(text)
-            # heads of rule facts and members of set facts
-            signed = [fact.args[fact.predicate == "set"] for fact in facts
-                      if fact.predicate in ("rule", "set")]
-            sum_labels = {term.args[0].args[1] for term in signed
-                          if term.args[0].functor == "sum"}
-            shared_lists += any(fact.args[1] in sum_labels for fact in facts
-                                if fact.predicate == "minimize")
+            self.assert_round_trip(program)
+            labels = reify(program)
+            sum_labels = {label for _, label, _ in labels.sums}
+            shared_lists += not sum_labels.isdisjoint(labels.minimize.values())
         assert shared_lists >= 100
 
 
@@ -318,26 +322,26 @@ class TestValidation:
             parse_reified(text_to_facts(extra))
 
     def test_dangling_sum_list(self):
-        broken = text_to_facts(
-            "rule(pos(sum(1,9,1)),pos(conjunction(0))).")
         with pytest.raises(ReifyError, match="dangling"):
-            parse_reified(broken)
+            text_to_facts("rule(pos(sum(1,9,1)),pos(conjunction(0))).")
 
     def test_unknown_predicate(self):
-        with pytest.raises(ReifyError, match="unknown predicate"):
-            parse_reified(text_to_facts("foo(1,2)."))
+        with pytest.raises(ParseError) as err:
+            text_to_facts("set(1,pos(atom(a))).\n foo(1,2).")
+        assert err.value.message == "unknown predicate 'foo'"
+        assert (err.value.span.line, err.value.span.column) == (2, 2)
 
     def test_malformed_fact_syntax_has_span(self):
         with pytest.raises(ParseError):
             text_to_facts("rule(pos(atom(a)),")
 
     @pytest.mark.parametrize("text, message, line, column", [
-        ("rule(pos(a),pos(b)).\n\n  % atom\n  atom.",
-         "expected a fact with arguments", 4, 3),
-        ("set(1,pos(a))\n", "expected '.', found ''", 2, 1),
+        ("rule(pos(atom(a)),pos(conjunction(0))).\n\n  % atom\n  atom.",
+         "unknown predicate 'atom'", 4, 3),
+        ("set(1,pos(atom(a)))\n", "expected '.', found ''", 2, 1),
         # a comment at eof with no newline, and trailing whitespace
-        ("set(1,pos(a)) % end", "expected '.', found ''", 1, 20),
-        ("set(1,pos(a)) \n\t", "expected '.', found ''", 2, 2),
+        ("set(1,pos(atom(a))) % end", "expected '.', found ''", 1, 26),
+        ("set(1,pos(atom(a))) \n\t", "expected '.', found ''", 2, 2),
         ("set(1,#).", "unexpected character '#'", 1, 7),
         ("set(1,:).", "unexpected character ':'", 1, 7),
         ("set(1,-).", "unexpected character '-'", 1, 7),
@@ -355,68 +359,71 @@ class TestValidation:
         assert (err.value.span.line, err.value.span.column) == (line, column)
 
     @pytest.mark.parametrize("text", [
-        "set(1,pos(a)). % end", "set(1,pos(a)). \n\t",
-        "set(1,\xa0pos(a)).\r\n\x85", "% only\n set(1,pos(a)).\r\n"])
+        "set(1,pos(atom(a))). % end", "set(1,pos(atom(a))). \n\t",
+        "set(1,\xa0pos(atom(a))).\r\n\x85",
+        "% only\n set(1,pos(atom(a))).\r\n"])
     def test_skipped_text_is_not_read(self, text):
-        assert text_to_facts(text) == text_to_facts("set(1,pos(a)).")
+        rule = "rule(pos(atom(b)),pos(conjunction(1))).\n"
+        assert text_to_facts(rule + text) == \
+            text_to_facts(rule + "set(1,pos(atom(a))).")
 
     @pytest.mark.parametrize("text", ["", " \n\t", "% c", " \n% c"])
     def test_skipped_text_alone_has_no_facts(self, text):
-        assert text_to_facts(text) == []
+        assert len(text_to_facts(text)) == 0
 
     def test_deeply_nested_term_is_a_parse_error(self):
-        text = "f(" * 3000 + "a" + ")" * 3000 + "."
-        with pytest.raises(ParseError) as err:
-            text_to_facts(text)
-        assert err.value.message == \
-            f"term nested deeper than {MAX_TERM_DEPTH} levels"
-        # the first term past the limit: one "f(" per level above it
-        column = 2 * MAX_TERM_DEPTH + 1
-        assert (err.value.span.line, err.value.span.column) == (1, column)
-
-    def test_nesting_up_to_the_limit_is_read(self):
-        depth = MAX_TERM_DEPTH - 1
-        text = "f(" * depth + "a" + ")" * depth + "."
-        [fact] = text_to_facts(text)
-        assert str(fact) == text
+        """The format's grammar has a fixed depth, so no nesting is
+        followed past it, as a fact or as an atom's name."""
+        for text, message, column in [
+                ("f(" * 3000 + "a" + ")" * 3000 + ".",
+                 "unknown predicate 'f'", 1),
+                ("set(0,pos(atom(" + "f(" * 3000 + "a" + ")" * 3003 + ".",
+                 "expected ')', found '('", 17)]:
+            with pytest.raises(ParseError) as err:
+                text_to_facts(text)
+            assert err.value.message == message
+            assert (err.value.span.line, err.value.span.column) == \
+                (1, column)
 
     def test_negative_weight_in_sum_list(self):
-        facts = text_to_facts(
-            "rule(pos(atom(a)),pos(conjunction(0))).\n"
-            "set(0,pos(sum(0,1,1))).\n"
-            "wlist(1,0,pos(atom(a)),-1).\n")
         with pytest.raises(ReifyError, match="negative weight"):
-            parse_reified(facts)
+            text_to_facts("rule(pos(atom(a)),pos(conjunction(0))).\n"
+                          "set(0,pos(sum(0,1,1))).\n"
+                          "wlist(1,0,pos(atom(a)),-1).\n")
 
-    @pytest.mark.parametrize("text", [
-        "rule(pos(5),pos(conjunction(0))).",
-        "rule(pos(atom(a)),pos(7)).",
-    ])
+    #: The message and column of the integer in each text.
+    INTEGER_PINS = {
+        "rule(pos(5),pos(conjunction(0))).":
+            ("expected 'atom' or 'sum' or 'false', found '5'", 10),
+        "rule(pos(atom(a)),pos(7)).": ("expected 'conjunction', found '7'", 23),
+    }
+
+    @pytest.mark.parametrize("text", list(INTEGER_PINS))
     def test_integer_where_a_term_belongs(self, text):
-        with pytest.raises(ReifyError, match="malformed rule"):
-            parse_reified(text_to_facts(text))
+        with pytest.raises(ParseError) as err:
+            text_to_facts(text)
+        message, column = self.INTEGER_PINS[text]
+        assert err.value.message == message
+        assert (err.value.span.line, err.value.span.column) == (1, column)
 
     def test_term_mutants_raise_only_reify_error(self):
         """Reified random programs with one or two argument terms, at any
         depth, replaced by an integer, another term of the reification or
-        a foreign term: each mutant that reads as facts reads as a
-        program or raises ReifyError, never another exception."""
+        a foreign term: each mutant reads as a program or raises a
+        ParseError or a ReifyError, never another exception."""
         rng = random.Random(7)
-        outcomes = {"program": 0, "ReifyError": 0}
+        outcomes = {"program": 0, "rejected": 0}
         for _ in range(3000):
             program = random_program(rng, max_atoms=5, max_rules=6)
-            text = facts_to_text(term_mutant(rng, reify(program)))
+            facts = reference_text_to_facts(facts_to_text(reify(program)))
+            text = reference_facts_to_text(term_mutant(rng, facts))
             try:
-                facts = text_to_facts(text)
-            except ParseError:
-                continue
-            try:
-                parse_reified(facts)
+                parse_reified(text_to_facts(text))
                 outcomes["program"] += 1
-            except ReifyError:
-                outcomes["ReifyError"] += 1
+            except (ParseError, ReifyError):
+                outcomes["rejected"] += 1
         assert outcomes["program"] >= 100
-        assert outcomes["ReifyError"] >= 2000
+        assert outcomes["rejected"] >= 2000
 
 
 def test_package_attribute_is_the_module():
