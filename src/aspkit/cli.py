@@ -14,7 +14,7 @@ import sys
 from . import consequence, core, metaenc, optimize, semantics
 from .core import Atom, CapExceededError, ContractViolationError, CriteriaSet
 from .parser import ParseError, SourceSpan, parse_criteria, parse_program
-from .reify import facts_to_text, reify
+from .reify import facts_to_text, reify_source
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -73,8 +73,7 @@ def _print_sets(sets) -> int:
 
 
 def cmd_reify(args) -> int:
-    program = parse_program(_read(args.program))
-    sys.stdout.write(facts_to_text(reify(program)))
+    sys.stdout.write(facts_to_text(reify_source(_read(args.program))))
     return EXIT_OK
 
 
@@ -131,9 +130,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_metaenc(args) -> int:
-    program = parse_program(_read(args.program))
+    try:
+        labels = reify_source(_read(args.program))
+    except ContractViolationError:
+        _load_criteria(args.criteria)   # its errors are reported first
+        raise
     crit = _load_criteria(args.criteria)
-    sys.stdout.write(metaenc.build_meta_program(program, crit).to_text())
+    sys.stdout.write(metaenc.build_meta_program(labels, crit).to_text())
     return EXIT_OK
 
 

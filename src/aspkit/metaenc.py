@@ -1,12 +1,13 @@
 """Saturation-based disjunctive check programs over reified input.
 
-:func:`build_meta_program` reifies an extended object program once and
-assembles from that reification's label tables
-(:class:`aspkit.reify.Tables`, read as they are, with no copy or view),
-in the toolkit's own core language, a ground disjunctive program whose
-answer sets project onto the optimal answer sets of the object program
-(fact text from outside is read into such tables by ``text_to_facts``
-and decoded by ``parse_reified``).  Its parts:
+:func:`build_meta_program` assembles from an extended object program's
+label tables (:class:`aspkit.reify.Tables`, read as they are, with no
+copy or view), in the toolkit's own core language, a ground disjunctive
+program whose answer sets project onto the optimal answer sets of the
+object program.  Any of the three front ends into the tables feeds it:
+``reify_source`` of program text (what ``aspkit metaenc`` does),
+``reify`` of a ``Program`` (what :func:`crosscheck` does) and
+``text_to_facts`` of fact text from outside.  Its parts:
 
 * candidate: re-derives the object program over ``hold_*`` atoms
   (choice heads become trivial-bound sum heads, each sum and body
@@ -66,7 +67,7 @@ kept by name, and every meta atom is a name made from one.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby, repeat
@@ -78,7 +79,6 @@ from .core import (
     ContractViolationError,
     CriteriaSet,
     Interpretation,
-    MinimizeStatement,
     Program,
     sorted_atoms,
 )
@@ -100,14 +100,15 @@ DEFAULT_META_CAP = 26
 
 
 def effective_criteria(crit: CriteriaSet,
-                       minimize: MinimizeStatement) -> CriteriaSet:
+                       group_keys: Iterable[tuple[int, int]]) -> CriteriaSet:
     """The criteria the check program enforces: none when the user gave
     none; otherwise the given ones plus cardinality by default for every
-    minimize (level, weight) group left without a criterion."""
+    minimize group, of the distinct (level, weight) ``group_keys``, left
+    without a criterion."""
     if not crit.relations:
         return CriteriaSet((), crit.prefer)
     relations = list(crit.relations)
-    for level, weight in minimize.group_keys():
+    for level, weight in group_keys:
         if crit.criterion_at(level, weight) is None:
             relations.append((level, weight, "card"))
     relations.sort(key=lambda r: (-r[0], r[1], r[2]))
@@ -200,10 +201,11 @@ def _family_text(count: int, shapes) -> str:
     if len(period) == 3:
         first, names, last = period
         return first + (last + first).join(names) + last
-    width = len(period)
-    pieces = period * count
-    for slot in range(1, width, 2):
-        pieces[slot::width] = period[slot]
+    start = 0 if period[0] else 1   # no empty piece before a list head
+    width = len(period) - start
+    pieces = period[start:] * count
+    for slot in range(1 - start, width, 2):
+        pieces[slot::width] = period[start + slot]
     return "".join(pieces)
 
 
@@ -350,11 +352,10 @@ class _Builder:
     meta atom names: the candidate, guess and accept parts as lines of
     text, the evaluate, check, saturate and compare parts as rows."""
 
-    def __init__(self, labels: Tables, crit: CriteriaSet,
-                 minimize: MinimizeStatement):
+    def __init__(self, labels: Tables, crit: CriteriaSet):
         self.labels = labels
         self.crit = crit
-        self.cxopt = effective_criteria(crit, minimize)
+        self.cxopt = effective_criteria(crit, labels.group_keys())
 
     # -- candidate part ------------------------------------------------
 
@@ -708,10 +709,10 @@ class _Builder:
         return rows
 
 
-def build_meta_program(program: Program, crit: CriteriaSet) -> MetaProgram:
-    """Assemble the check program from ``program``'s canonical labels."""
-    labels = reify(program)
-    builder = _Builder(labels, crit, program.minimize)
+def build_meta_program(labels: Tables, crit: CriteriaSet) -> MetaProgram:
+    """Assemble the check program from an object program's canonical
+    labels."""
+    builder = _Builder(labels, crit)
     return MetaProgram(
         atom_names=tuple(labels.names),
         candidate_definitions=tuple(builder.candidate_definitions()),
@@ -980,10 +981,11 @@ def crosscheck(program: Program, crit: CriteriaSet,
     reject it.  The enumeration cap, the contract of reify and the meta
     cap are checked first, in that order."""
     universe(program, cap)
-    mp = build_meta_program(program, crit)
+    mp = build_meta_program(reify(program), crit)
     _check_meta_cap(mp)
     native = optimal_answer_sets(
-        program, effective_criteria(crit, program.minimize), cap=cap)
+        program, effective_criteria(crit, program.minimize.group_keys()),
+        cap=cap)
     meta = solve_meta(mp)
     found = set(meta)
     lacking = [x for x in native if x not in found]

@@ -20,14 +20,17 @@ rejected as non-ground input.  At most one ``#minimize`` statement is
 accepted.  Criteria are a separate input of ``optimize(J,W,O).`` and
 ``prefer(L1,L2).`` facts.
 
-Program, criteria and fact text (:func:`aspkit.reify.text_to_facts`,
-which reads the fact format's fixed grammar into label tables) share
-one lexer: one ``findall`` of one pattern gives the tokens as strings,
-with whitespace and comments skipped inside the pattern and ``""`` at
-the end, and each reader walks that list by index.  A
-variable-like token or a bad character anywhere is reported before any
-syntax error.  A line and column are worked out only for an error, by
-lexing again up to the failing token.
+The program reader makes every node through an overridable hook, so
+:func:`aspkit.reify.reify_source` reads program text straight into
+label tables by the same walk, with the same errors.  Program,
+criteria and fact text (:func:`aspkit.reify.text_to_facts`, which reads
+the fact format's fixed grammar into label tables) share one lexer:
+one ``findall`` of one pattern gives the tokens as strings, with
+whitespace and comments skipped inside the pattern and ``""`` at the
+end, and each reader walks that list by index.  A variable-like token
+or a bad character anywhere is reported before any syntax error.  A
+line and column are worked out only for an error, by lexing again up
+to the failing token.
 """
 
 from __future__ import annotations
@@ -88,6 +91,8 @@ _VALID_RE = re.compile(rf"(?:{_SKIP}|{_VALID})*")
 _LOWER = frozenset(string.ascii_lowercase)
 _UPPER = frozenset(string.ascii_uppercase + "_")
 _INT_START = frozenset("-" + string.digits)
+#: Besides an integer, the tokens that can start a sum.
+_SUM_OPENERS = ("{", "#sum")
 
 
 def _span(text: str, pos: int) -> SourceSpan:
@@ -156,20 +161,28 @@ def _int(tokens: list[str], i: int) -> int:
     return int(token)
 
 
-def _at_sum(token: str) -> bool:
-    return token[:1] in _INT_START or token == "{" or token == "#sum"
-
-
-#: The head of every integrity constraint.
-_FALSITY = Disjunction(())
-
-
 class _ProgramReader:
-    """Reads a program from its tokens.  Each distinct atom, literal, atom
-    body literal and one-atom head is built once per reader and shared:
-    all of them are immutable.  Methods take the index of their first
-    token; those that read more than one token also return the index
-    after their last."""
+    """Reads a program from its tokens.  Every node is made through one
+    of the ``make_*`` hooks (``falsity`` is the head of every integrity
+    constraint) and the result by :meth:`finish`, so a subclass reads
+    the same grammar, with the same errors, into another form:
+    :class:`aspkit.reify._TableReader` makes label-table keys.  Each
+    distinct atom, literal, atom body literal and one-atom head is made
+    once per reader and shared: all of them are immutable.  Methods take
+    the index of their first token; those that read more than one token
+    also return the index after their last."""
+
+    # Each hook takes the parts of its node in the order shown; a sum's
+    # absent bound is None, and a disjunction has at least one atom.
+    make_atom = Atom                     # (name)
+    make_literal = Literal               # (atom, negated)
+    make_weighted = WeightedLiteral      # (literal, weight)
+    make_sum = SumConstraint             # (lower, elements, upper)
+    make_body_literal = BodyLiteral      # (element, negated)
+    make_disjunction = Disjunction       # (atoms)
+    make_minimize_entry = MinimizeEntry  # (literal, weight, level)
+    make_rule = Rule                     # (head, body)
+    falsity = Disjunction(())
 
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
@@ -179,13 +192,19 @@ class _ProgramReader:
         self.body_literals: tuple[dict[str, BodyLiteral], ...] = ({}, {})
         self.heads: dict[str, Disjunction] = {}
 
+    def finish(self, rules: list[Rule],
+               minimize: tuple[MinimizeEntry, ...]) -> Program:
+        """The result from the rules made, in order, and the minimize
+        entries."""
+        return Program(tuple(rules), MinimizeStatement(minimize))
+
     def atom(self, i: int) -> Atom:
         name = self.tokens[i]
         atom = self.atoms.get(name)
         if atom is None:
             if not _is_name(name):
                 raise _expected("name", self.tokens, i)
-            atom = self.atoms[name] = Atom(name)
+            atom = self.atoms[name] = self.make_atom(name)
         return atom
 
     def literal(self, i: int) -> tuple[Literal, int]:
@@ -195,11 +214,12 @@ class _ProgramReader:
         cache = self.literals[negated]
         literal = cache.get(name)
         if literal is None:
-            literal = cache[name] = Literal(self.atom(i), negated)
+            literal = cache[name] = self.make_literal(self.atom(i), negated)
         return literal, i + 1
 
     def sum(self, i: int) -> tuple[SumConstraint, int]:
         tokens = self.tokens
+        weighted = self.make_weighted
         lower = upper = None
         if tokens[i][:1] in _INT_START:
             lower = int(tokens[i])
@@ -209,7 +229,7 @@ class _ProgramReader:
             i += 1
             while True:
                 literal, i = self.literal(i)
-                elements.append(WeightedLiteral(literal, 1))
+                elements.append(weighted(literal, 1))
                 if tokens[i] != ",":
                     break
                 i += 1
@@ -225,7 +245,7 @@ class _ProgramReader:
                         raise _Failure("negative weight in #sum constraint",
                                        i + 1)
                     i += 2
-                elements.append(WeightedLiteral(literal, weight))
+                elements.append(weighted(literal, weight))
                 if tokens[i] != ",":
                     break
                 i += 1
@@ -233,24 +253,24 @@ class _ProgramReader:
         if tokens[i][:1] in _INT_START:
             upper = int(tokens[i])
             i += 1
-        return SumConstraint(lower, tuple(elements), upper), i
+        return self.make_sum(lower, tuple(elements), upper), i
 
     def head(self, i: int) -> tuple[Disjunction | SumConstraint, int]:
         tokens = self.tokens
         name = tokens[i]
         head = self.heads.get(name)
         if head is None:
-            if _at_sum(name):
+            if name[:1] in _INT_START or name in _SUM_OPENERS:
                 return self.sum(i)
-            head = self.heads[name] = Disjunction((self.atom(i),))
+            head = self.heads[name] = self.make_disjunction((self.atom(i),))
         i += 1
         if tokens[i] != "|":
             return head, i
-        atoms = list(head.atoms)
+        atoms = [self.atoms[name]]
         while tokens[i] == "|":
             atoms.append(self.atom(i + 1))
             i += 2
-        return Disjunction(tuple(atoms)), i
+        return self.make_disjunction(tuple(atoms)), i
 
     def body(self, i: int) -> tuple[Body, int]:
         tokens = self.tokens
@@ -263,11 +283,12 @@ class _ProgramReader:
             literal = cache.get(name)
             if literal is not None:
                 i += 1
-            elif _at_sum(name):
+            elif name[:1] in _INT_START or name in _SUM_OPENERS:
                 element, i = self.sum(i)
-                literal = BodyLiteral(element, negated)
+                literal = self.make_body_literal(element, negated)
             else:
-                literal = cache[name] = BodyLiteral(self.atom(i), negated)
+                literal = cache[name] = self.make_body_literal(self.atom(i),
+                                                               negated)
                 i += 1
             literals.append(literal)
             if tokens[i] != ",":
@@ -288,16 +309,19 @@ class _ProgramReader:
                 if tokens[i] == "@":
                     level = _int(tokens, i + 1)
                     i += 2
-                entries.append(MinimizeEntry(literal, weight, level))
+                entries.append(self.make_minimize_entry(literal, weight,
+                                                        level))
                 if tokens[i] != ",":
                     break
                 i += 1
         return tuple(entries), _take(tokens, i, "]")
 
-    def program(self) -> Program:
+    def program(self):
+        """The result of :meth:`finish` for the whole program."""
         tokens = self.tokens
+        make_rule = self.make_rule
         rules: list[Rule] = []
-        minimize: MinimizeStatement | None = None
+        minimize: tuple[MinimizeEntry, ...] | None = None
         i = 0
         while token := tokens[i]:
             if token[0] == "#" and token != "#sum":
@@ -305,12 +329,11 @@ class _ProgramReader:
                     raise _Failure(f"unknown directive {token!r}", i)
                 if minimize is not None:
                     raise _Failure("duplicate #minimize statement", i)
-                entries, i = self.minimize_entries(i + 1)
-                minimize = MinimizeStatement(entries)
+                minimize, i = self.minimize_entries(i + 1)
                 i = _take(tokens, i, ".")
                 continue
             if token == ":-":
-                head: Disjunction | SumConstraint = _FALSITY
+                head: Disjunction | SumConstraint = self.falsity
                 i += 1
             else:
                 head, i = self.head(i)
@@ -322,8 +345,8 @@ class _ProgramReader:
             if tokens[i] != ".":
                 body, i = self.body(i)
             i = _take(tokens, i, ".")
-            rules.append(Rule(head, body))
-        return Program(tuple(rules), minimize or MinimizeStatement())
+            rules.append(make_rule(head, body))
+        return self.finish(rules, minimize or ())
 
 
 def parse_program(text: str) -> Program:

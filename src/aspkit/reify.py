@@ -31,16 +31,21 @@ whose entries equal a sum's elements names that sum's list.
 
 The one reified form is :class:`Tables`: the canonical labels kept as
 tables of plain keys, with each sum's entries, the components' members
-and the positive support of each head and sum.  :func:`reify` fills
-them from a program and :func:`text_to_facts` from fact text, both
-through the same builder methods, so facts whose labels differ from
+and the positive support of each head and sum.  Three front ends fill
+them, all through the same builder methods: :func:`reify_source` from
+program text, by the grammar walk of
+:func:`~aspkit.parser.parse_program` with table keys for nodes, so no
+syntax object is made; :func:`reify` from a program; and
+:func:`text_to_facts` from fact text, so facts whose labels differ from
 the canonical ones are read into the canonical tables.
 :func:`facts_to_text` writes the facts from the tables in one pass,
 making the text of each distinct term once; :func:`parse_reified`
 decodes the tables to a program; the meta build reads them as they
 are.  Proper disjunction heads and sums with no entries (no wlist/4
 fact could name their list; only the library API builds them) are
-outside this format: :func:`reify` rejects both.
+outside this format: :func:`reify` rejects both, and
+:func:`reify_source` rejects a proper disjunction once the whole text
+is read, so that any syntax error comes first.
 
 :func:`text_to_facts` reads the format's fixed grammar, so a fact, or a
 term inside one, that does not fit its place is a
@@ -52,6 +57,8 @@ from the components recomputed from the rules are each a
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from . import consequence
 from .core import (
@@ -67,7 +74,15 @@ from .core import (
     SumConstraint,
     WeightedLiteral,
 )
-from .parser import _Failure, _expected, _int, _is_name, _read, _take
+from .parser import (
+    _Failure,
+    _ProgramReader,
+    _expected,
+    _int,
+    _is_name,
+    _read,
+    _take,
+)
 
 
 class ReifyError(Exception):
@@ -91,10 +106,11 @@ class Tables:
     name or sum key), and a list entry by (negated, atom name, weight).
     Conjunction and list labels are keyed by tuples of these, so no
     syntax object is hashed and no fact or term is made while the
-    labels are assigned.  :func:`reify` and :func:`text_to_facts` fill
-    them through :meth:`add_sum`, :meth:`add_rule`, :meth:`add_minimize`
-    and :meth:`add_sccs`; :func:`facts_to_text` writes the facts from
-    them and the meta build reads them.  Two tables are equal when they
+    labels are assigned.  :func:`reify_source`, :func:`reify` and
+    :func:`text_to_facts` fill them through :meth:`add_sum`,
+    :meth:`add_rule`, :meth:`add_minimize` and :meth:`add_sccs`;
+    :func:`facts_to_text` writes the facts from them and the meta build
+    reads them.  Two tables are equal when they
     describe the same facts."""
 
     def __init__(self):
@@ -136,14 +152,26 @@ class Tables:
             self.lists.append(entries)
         return label
 
-    def add_sum(self, lower: int, entries: tuple[Entry, ...],
-                upper: int) -> tuple[int, int, int]:
+    def add_sum(self, lower: int | None, entries: tuple[Entry, ...],
+                upper: int | None) -> tuple[int, int, int]:
         """The key of the sum of ``entries`` within ``lower`` and
-        ``upper``, both given."""
+        ``upper``, an absent bound materialized: 0 as lower, the total
+        weight as upper."""
+        if lower is None:
+            lower = 0
+        if upper is None:
+            upper = sum([weight for _, _, weight in entries])
         label = self._list(entries)
         key = lower, label, upper
         self.sums.setdefault(key, self.lists[label])
         return key
+
+    def group_keys(self) -> list[tuple[int, int]]:
+        """The distinct (level, weight) keys of the minimize entries,
+        sorted."""
+        return sorted({(level, weight)
+                       for level, label in self.minimize.items()
+                       for _, _, weight in self.lists[label]})
 
     def support(self, inner: Inner | None) -> tuple[str, ...]:
         """Names of the atoms occurring positively in a head or sum, in
@@ -165,10 +193,14 @@ class Tables:
             self.conjunctions.append(members)
         self.rules.append((head, label))
 
-    def add_minimize(self, level: int, entries: tuple[Entry, ...]) -> None:
-        """The entries of minimize level ``level``; levels come in
-        ascending order."""
-        self.minimize[level] = self._list(entries)
+    def add_minimize(self, entries: Iterable[tuple[int, Entry]]) -> None:
+        """The minimize lists from the (level, entry) pairs of the
+        minimize entries in order: one list per level, ascending."""
+        levels: dict[int, list[Entry]] = {}
+        for level, entry in entries:
+            levels.setdefault(level, []).append(entry)
+        for level in sorted(levels):
+            self.minimize[level] = self._list(tuple(levels[level]))
 
     def add_sccs(self) -> None:
         """The names, the components of the positive dependency graph,
@@ -220,6 +252,11 @@ class Tables:
                         found.setdefault(inner)
 
 
+#: The refusal of a program with a proper disjunction head.
+_EXTENDED_ONLY = ("only extended programs (no proper disjunctions) can be "
+                  "reified")
+
+
 def reify(program: Program) -> Tables:
     """The canonical labels of ``program`` as tables; no fact or term is
     made."""
@@ -229,19 +266,15 @@ def reify(program: Program) -> Tables:
     def sum_key(sc: SumConstraint) -> tuple[int, int, int]:
         if not sc.elements:
             raise ContractViolationError(f"empty sums cannot be reified: {sc}")
-        return add_sum(
-            sc.lower if sc.lower is not None else 0,
-            tuple((wl.literal.negated, wl.literal.atom.name, wl.weight)
-                  for wl in sc.elements),
-            sc.upper if sc.upper is not None else sc.total)
+        return add_sum(sc.lower, tuple(
+            (wl.literal.negated, wl.literal.atom.name, wl.weight)
+            for wl in sc.elements), sc.upper)
 
     for rule in program.rules:
         head = rule.head
         if type(head) is Disjunction:
             if len(head.atoms) > 1:
-                raise ContractViolationError(
-                    "only extended programs (no proper disjunctions) can "
-                    "be reified")
+                raise ContractViolationError(_EXTENDED_ONLY)
             head = head.atoms[0].name if head.atoms else None
         else:
             head = sum_key(head)
@@ -249,13 +282,54 @@ def reify(program: Program) -> Tables:
             (bl.negated, bl.element.name if type(bl.element) is Atom
              else sum_key(bl.element))
             for bl in rule.body))
-    statement = program.minimize
-    for level in statement.levels():
-        built.add_minimize(level, tuple(
-            (e.literal.negated, e.literal.atom.name, e.weight)
-            for e in statement.entries if e.level == level))
+    built.add_minimize(
+        (e.level, (e.literal.negated, e.literal.atom.name, e.weight))
+        for e in program.minimize.entries)
     built.add_sccs()
     return built
+
+
+class _TableReader(_ProgramReader):
+    """The grammar walk of :func:`~aspkit.parser.parse_program` with
+    table keys for nodes: an atom is its name, a literal (negated,
+    name), a weighted literal or minimize entry a list entry (the
+    latter with its level), a sum its key, and each rule goes straight
+    into the tables.  A proper disjunction is refused once the whole
+    text is read, so every syntax error comes first."""
+
+    make_atom = str
+    make_literal = staticmethod(lambda atom, negated: (negated, atom))
+    make_weighted = staticmethod(lambda literal, weight: (*literal, weight))
+    make_body_literal = staticmethod(
+        lambda element, negated: (negated, element))
+    make_minimize_entry = staticmethod(
+        lambda literal, weight, level: (level, (*literal, weight)))
+    falsity = None
+
+    def __init__(self, tokens: list[str]):
+        super().__init__(tokens)
+        self.tables = Tables()
+        self.make_sum = self.tables.add_sum
+        self.make_rule = self.tables.add_rule
+        self.disjunctive = False
+
+    def make_disjunction(self, atoms: tuple[str, ...]) -> str:
+        self.disjunctive |= len(atoms) > 1
+        return atoms[0]
+
+    def finish(self, rules, minimize) -> Tables:
+        if self.disjunctive:
+            raise ContractViolationError(_EXTENDED_ONLY)
+        self.tables.add_minimize(minimize)
+        self.tables.add_sccs()
+        return self.tables
+
+
+def reify_source(text: str) -> Tables:
+    """The canonical tables of program text, equal to
+    ``reify(parse_program(text))`` and raising what that raises, with no
+    syntax object made."""
+    return _read(text, lambda tokens: _TableReader(tokens).program())
 
 
 def facts_to_text(labels: Tables) -> str:
@@ -452,11 +526,8 @@ class _Given:
             if type(head) is tuple:
                 head = self.add_sum(built, *head)
             built.add_rule(head, self.members(built, label))
-        levels: dict[int, list[Entry]] = {}
-        for level, label in self.minimize:
-            levels.setdefault(level, []).extend(self.entries(label))
-        for level in sorted(levels):
-            built.add_minimize(level, tuple(levels[level]))
+        built.add_minimize((level, entry) for level, label in self.minimize
+                           for entry in self.entries(label))
         built.add_sccs()
         given = {(component, member if type(member) is str
                   else self.add_sum(built, *member) if type(member) is tuple

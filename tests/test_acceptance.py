@@ -64,7 +64,7 @@ def test_criterion_2_inclusion_native_and_meta(criterion):
         program = parse_program(TOY_MIN_TEXT)
         crit = parse_criteria("optimize(1,1,incl).")
         assert optimal_answer_sets(program, crit) == TOY_INCL_MINIMAL
-        assert solve_meta(build_meta_program(program, crit)) == \
+        assert solve_meta(build_meta_program(reify(program), crit)) == \
             TOY_INCL_MINIMAL
 
     criterion(2, "inclusion-minimal sets agree natively and via the "
@@ -134,9 +134,9 @@ def test_criterion_6_saturation_crosscheck(criterion):
             crit = random_criteria(rng, program,
                                    criteria=("card", "incl", "pref"),
                                    levels=(1, 2), weights=(1, 2))
-            native = optimal_answer_sets(
-                program, effective_criteria(crit, program.minimize))
-            meta = solve_meta(build_meta_program(program, crit))
+            native = optimal_answer_sets(program, effective_criteria(
+                crit, program.minimize.group_keys()))
+            meta = solve_meta(build_meta_program(reify(program), crit))
             assert native == meta, \
                 render_program(program) + repr(crit.relations)
 

@@ -351,6 +351,45 @@ def test_disjunctive_program_is_refused(capsys, tmp_path, command):
         "can be reified\n")
 
 
+@pytest.mark.parametrize("command", ["reify", "metaenc"])
+def test_syntax_error_after_a_disjunction_comes_first(capsys, tmp_path,
+                                                      command):
+    """The whole program is read before a proper disjunction is refused,
+    so a later syntax error is what the command reports."""
+    path = tmp_path / "disj.lp"
+    path.write_text("a | b.\nc d.\n")
+    assert run(capsys, command, str(path)) == (
+        3, "", "parse error: 2:3: expected 'arrow', found 'd'\n")
+
+
+class TestMetaencErrorOrder:
+    """metaenc reports the criteria file's errors before it refuses a
+    proper disjunction in the program."""
+
+    @pytest.fixture
+    def program(self, tmp_path):
+        path = tmp_path / "disj.lp"
+        path.write_text("a. b | c :- a.\n")
+        return str(path)
+
+    def test_malformed_criteria(self, capsys, tmp_path, program):
+        crit = tmp_path / "bad.lp"
+        crit.write_text("optimize(1,1,best).\n")
+        assert run(capsys, "metaenc", program, "--criteria", str(crit)) == (
+            3, "", "parse error: 1:14: unknown criterion 'best'\n")
+
+    def test_missing_criteria_file(self, capsys, tmp_path, program):
+        crit = tmp_path / "missing.lp"
+        assert run(capsys, "metaenc", program, "--criteria", str(crit)) == (
+            2, "", f"error: [Errno 2] No such file or directory: "
+            f"'{crit}'\n")
+
+    def test_well_formed_criteria(self, capsys, incl_file, program):
+        assert run(capsys, "metaenc", program, "--criteria", incl_file) == (
+            2, "", "error: only extended programs (no proper disjunctions) "
+            "can be reified\n")
+
+
 class TestMetaenc:
     def test_contains_guess_and_acceptance(self, capsys, toy_min_file,
                                             incl_file):

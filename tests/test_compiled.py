@@ -25,6 +25,7 @@ from aspkit.core import (
 )
 from aspkit.metaenc import MetaSolver, Rows, build_meta_program, solve_meta
 from aspkit.parser import parse_program
+from aspkit.reify import reify
 from aspkit.semantics import canonical_order, enumerate_answer_sets
 from generators import (
     NAMES,
@@ -211,7 +212,7 @@ def reference_candidate_stable(solver, x):
 @settings(max_examples=100, deadline=None)
 def test_candidate_stable_matches_reference(seed):
     program = random_program(random.Random(seed), max_atoms=5, max_rules=6)
-    solver = MetaSolver(build_meta_program(program, core.CriteriaSet()))
+    solver = MetaSolver(build_meta_program(reify(program), core.CriteriaSet()))
     for x in range(1 << len(solver.object_atoms)):
         assert solver.candidate_stable(x) == \
             reference_candidate_stable(solver, solver.decode(x))
@@ -249,7 +250,7 @@ def reference_refutes(mp, x, y):
 def check_refutes(program, crit):
     """The walk refutes a stable candidate exactly when the reference
     refutes every guess."""
-    mp = build_meta_program(program, crit)
+    mp = build_meta_program(reify(program), crit)
     solver = MetaSolver(mp)
     masks = range(1 << len(solver.object_atoms))
     for held in solver.stable_candidates():
@@ -280,7 +281,7 @@ def check_search(program):
     answer sets, and the meta solver's stable candidates."""
     assert enumerate_answer_sets(program) == brute_answer_sets(program)
     if is_extended(program):
-        solver = MetaSolver(build_meta_program(program,
+        solver = MetaSolver(build_meta_program(reify(program),
                                                core.CriteriaSet()))
         assert sorted(solver.stable_candidates()) == \
             sorted(brute_stable_candidates(solver))
@@ -311,7 +312,7 @@ def test_search_on_constraints_alone(text, expected):
     program = parse_program(text)
     check_search(program)
     assert enumerate_answer_sets(program) == expected
-    assert solve_meta(build_meta_program(program,
+    assert solve_meta(build_meta_program(reify(program),
                                          core.CriteriaSet())) == expected
 
 
@@ -471,8 +472,8 @@ def test_duplicates_change_no_result(seed, entry):
     crit = random_criteria(rng, program)
     changed = (repeat_entry if entry else duplicate_rule)(rng, program)
     assert enumerate_answer_sets(changed) == enumerate_answer_sets(program)
-    assert solve_meta(build_meta_program(changed, crit)) == \
-        solve_meta(build_meta_program(program, crit))
+    assert solve_meta(build_meta_program(reify(changed), crit)) == \
+        solve_meta(build_meta_program(reify(program), crit))
 
 
 class TestHornClosure:

@@ -81,7 +81,7 @@ GROUND_SHAPED_DIGEST = (
 
 
 def build(program, crit=CriteriaSet()):
-    return build_meta_program(program, crit)
+    return build_meta_program(reify(program), crit)
 
 
 #: The parts in printing order, and those of them kept as rows.
@@ -115,17 +115,17 @@ def true_projection(meta_answer_set, mp):
 
 class TestEffectiveCriteria:
     def test_empty_stays_empty(self, toy_min):
-        assert effective_criteria(CriteriaSet(), toy_min.minimize) == \
-            CriteriaSet()
+        assert effective_criteria(
+            CriteriaSet(), toy_min.minimize.group_keys()) == CriteriaSet()
 
     def test_uncovered_groups_default_to_card(self, toy_min):
         crit = parse_criteria("optimize(2,1,incl).")
-        effective = effective_criteria(crit, toy_min.minimize)
+        effective = effective_criteria(crit, toy_min.minimize.group_keys())
         assert effective.criterion_at(2, 1) == "incl"
         assert effective.criterion_at(1, 1) == "card"
 
     def test_covered_groups_untouched(self, toy_min):
-        effective = effective_criteria(INCL, toy_min.minimize)
+        effective = effective_criteria(INCL, toy_min.minimize.group_keys())
         assert effective.relations == ((1, 1, "incl"),)
 
 
@@ -175,7 +175,7 @@ class TestStructure:
             return strong_components(succ)
 
         monkeypatch.setattr(consequence, "strong_components", counted)
-        build_meta_program(toy_min, INCL)
+        build_meta_program(reify(toy_min), INCL)
         assert len(calls) == 1
 
     def test_counterexample_side_avoids_negation(self, toy_min):
@@ -358,14 +358,17 @@ def test_candidate_side_is_the_candidate_parts_atoms(seed):
 def test_build_from_printed_facts_is_the_same(seed, choices):
     """The build reads the reification's label tables, never its facts:
     the check program built from a program equals the one built from
-    its printed facts read back through ``parse_reified``, so the tables
-    and the facts rendered from them describe one program."""
+    its printed facts, read back into tables and also decoded through
+    ``parse_reified``, so the tables and the facts rendered from them
+    describe one program."""
     rng = random.Random(seed)
     program = (choice_program(rng, max_atoms=6) if choices
                else random_program(rng, minimize=True))
     crit = random_criteria(rng, program)
-    read = parse_reified(text_to_facts(facts_to_text(reify(program))))
-    assert build(read, crit).to_text() == build(program, crit).to_text()
+    read = text_to_facts(facts_to_text(reify(program)))
+    expected = build(program, crit).to_text()
+    assert build_meta_program(read, crit).to_text() == expected
+    assert build(parse_reified(read), crit).to_text() == expected
 
 
 def check_text(program) -> str:
@@ -623,7 +626,8 @@ def test_printed_check_program_solved_generically(seed, choices):
     projections = sorted({hold_projection(z, mp) for z in brute},
                          key=lambda s: sorted(a.name for a in s))
     assert projections == solve_meta(mp) == optimal_answer_sets(
-        program, effective_criteria(crit, program.minimize))
+        program, effective_criteria(crit,
+                                    program.minimize.group_keys()))
     assert len(brute) == len(projections)
 
 
@@ -948,7 +952,7 @@ class TestRejection:
 class TestTheoremEquivalenceDirect:
     def test_native_equals_meta_with_effective_criteria(self, toy_min):
         for crit in (INCL, CARD, parse_criteria("optimize(2,1,incl).")):
-            effective = effective_criteria(crit, toy_min.minimize)
+            effective = effective_criteria(crit, toy_min.minimize.group_keys())
             native = optimal_answer_sets(toy_min, effective)
             meta = solve_meta(build(toy_min, crit))
             assert native == meta
@@ -1003,7 +1007,7 @@ class TestEdgeCases:
         shifted = (text.replace("conjunction(2", "conjunction(9")
                    .replace("set(2,", "set(9,"))
         assert shifted != text
-        mp = build_meta_program(parse_reified(text_to_facts(shifted)), INCL)
+        mp = build_meta_program(text_to_facts(shifted), INCL)
         assert mp.to_text() == build(toy_min, INCL).to_text()
         assert solve_meta(mp) == [iset("p,q"), iset("p,r"), iset("s,t")]
 

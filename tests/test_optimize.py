@@ -32,6 +32,7 @@ from aspkit.optimize import (
     optimal_answer_sets,
 )
 from aspkit.parser import parse_criteria, parse_program
+from aspkit.reify import reify
 from aspkit.semantics import answer_set_masks, enumerate_answer_sets
 from generators import choice_program, iset, random_criteria, random_program
 from reference import satisfies
@@ -606,7 +607,7 @@ def metamorphic_case(seed, closed, free):
 
 
 def meta_optimum(program, crit):
-    return solve_meta(build_meta_program(program, crit))
+    return solve_meta(build_meta_program(reify(program), crit))
 
 
 def check_renaming(solve, seed, closed, free):

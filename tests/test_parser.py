@@ -22,6 +22,7 @@ from aspkit.parser import (
     parse_program,
     render_program,
 )
+from aspkit.reify import reify_source
 from generators import random_program
 
 
@@ -169,11 +170,14 @@ PINNED_ERRORS = [
 @pytest.mark.parametrize("parse, text, message, line, column", PINNED_ERRORS)
 def test_error_message_and_position_are_pinned(parse, text, message, line,
                                                column):
-    with pytest.raises(ParseError) as err:
-        parse(text)
-    assert err.value.message == message
-    assert (err.value.span.line, err.value.span.column) == (line, column)
-    assert str(err.value) == f"{line}:{column}: {message}"
+    """``reify_source`` walks the program grammar of ``parse_program``,
+    so it raises each of the same errors."""
+    for read in (parse, reify_source) if parse is parse_program else (parse,):
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert err.value.message == message
+        assert (err.value.span.line, err.value.span.column) == (line, column)
+        assert str(err.value) == f"{line}:{column}: {message}"
 
 
 @pytest.mark.parametrize("text", ["", "   \n", "% only\n  \t", "% end"])

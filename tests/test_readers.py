@@ -14,12 +14,20 @@ import random
 
 import pytest
 
-from aspkit.parser import ParseError, parse_criteria, parse_program, render_program
+from aspkit.core import ContractViolationError
+from aspkit.parser import (
+    ParseError,
+    _lex,
+    parse_criteria,
+    parse_program,
+    render_program,
+)
 from aspkit.reify import (
     ReifyError,
     facts_to_text,
     parse_reified,
     reify,
+    reify_source,
     text_to_facts,
 )
 from generators import random_criteria, random_program, term_mutant
@@ -168,3 +176,46 @@ def test_reader_matches_token_stream_reference(read, reference, render,
         agree(got, outcome(reference, text), text)
         kinds.add(got[0])
     assert kinds == {"value", "error"}
+
+
+def token_mutant(rng: random.Random, text: str) -> str:
+    """``text`` as its tokens with one of them deleted, duplicated or
+    swapped with another."""
+    tokens = [token for token in _lex(text) if token]
+    i = rng.randrange(len(tokens))
+    dice = rng.random()
+    if dice < 1 / 3:
+        del tokens[i]
+    elif dice < 2 / 3:
+        tokens.insert(i, tokens[i])
+    else:
+        j = rng.randrange(len(tokens))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    return " ".join(tokens)
+
+
+def raised(read, text):
+    """The value read from ``text``, or the type and text of what
+    reading it raised."""
+    try:
+        return "value", read(text)
+    except (ParseError, ContractViolationError) as err:
+        return type(err), str(err)
+
+
+def test_program_text_reads_into_tables_as_parse_then_reify():
+    """``reify_source`` walks the program grammar straight into label
+    tables: on rendered extended and disjunctive programs, and on token
+    mutants of them, it returns ``reify(parse_program(text))`` or raises
+    the same exception with the same message."""
+    rng = random.Random(104)
+    kinds = set()
+    for n in range(EXAMPLES):
+        text = program_text(rng)
+        if n % 4:
+            text = token_mutant(rng, text)
+        got = raised(reify_source, text)
+        assert got == raised(lambda t: reify(parse_program(t)), text), \
+            repr(text)
+        kinds.add(got[0])
+    assert kinds == {"value", ParseError, ContractViolationError}

@@ -20,12 +20,13 @@ from aspkit.core import (
     normalize,
 )
 from aspkit.metaenc import crosscheck
-from aspkit.parser import ParseError, parse_program
+from aspkit.parser import ParseError, parse_program, render_program
 from aspkit.reify import (
     ReifyError,
     facts_to_text,
     parse_reified,
     reify,
+    reify_source,
     text_to_facts,
 )
 from aspkit.semantics import enumerate_answer_sets
@@ -234,11 +235,13 @@ class TestAgainstReference:
     """The text that ``facts_to_text`` writes straight from the label
     tables is what the reference, which builds one new term object per
     occurrence, prints, one line per fact the tables count; that text
-    reads back as the same tables and decodes to the normal form."""
+    reads back as the same tables and decodes to the normal form.  The
+    program's own text reads straight into the same tables."""
 
     @staticmethod
     def assert_round_trip(program) -> None:
         labels = reify(program)
+        assert reify_source(render_program(program)) == labels
         text = facts_to_text(labels)
         assert text == reference_facts_to_text(reference_reify(program))
         assert len(labels) == len(text.splitlines())
